@@ -4,7 +4,8 @@ Subcommands: keyrate, simulate, stability, optimize, scan.  All outputs
 are pure functions of (config, flags, seed); numeric output uses 6
 significant digits and every JSON report embeds the fully resolved
 configuration.  Exit codes: 0 success, 1 error, 2 zero secure length.
-Thread use is capped by the QKD_THREADS environment variable.
+Thread use is capped by the QKD_THREADS environment variable; a value that
+is not an integer >= 1 is an error.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def cmd_simulate(args) -> int:
             keep_records=args.records is not None,
             record_cap=sim.record_cap,
         )
-    except mcsim.BudgetExceeded as exc:
+    except (mcsim.BudgetExceeded, ValueError) as exc:
         raise CliError(str(exc)) from exc
     if args.records is not None:
         mcsim.write_records(res.records, args.records)
@@ -136,9 +137,12 @@ def cmd_stability(args) -> int:
     seed = sim.seed if args.seed is None else args.seed
     schedule = mcsim.Schedule(duration_h=args.hours)
     drift = mcsim.DriftModel(sigma=sim.sigma, theta0=sim.theta0)
-    windows = mcsim.run_stability(
-        p, link, drift, schedule, seed, pulses_per_window=args.pulses_per_window
-    )
+    try:
+        windows = mcsim.run_stability(
+            p, link, drift, schedule, seed, pulses_per_window=args.pulses_per_window
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     lines = ["window_start_s,q_mu,q_nu,e_z,e_x"]
     for w in windows:
         lines.append(

@@ -161,21 +161,30 @@ def _mix_scalar(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _stream_key(seed: int, slot: int) -> np.uint64:
-    return _U64(_mix_scalar((seed & _MASK64) ^ _mix_scalar(slot * 0xD1B54A32D192ED03)))
+def _stream_key(seed: int, slot: int) -> int:
+    return _mix_scalar((seed & _MASK64) ^ _mix_scalar(slot * 0xD1B54A32D192ED03))
 
 
-_S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
-_NP_GOLD, _NP_M1, _NP_M2 = _U64(_MIX_GOLD), _U64(_MIX_M1), _U64(_MIX_M2)
+_NP_M1, _NP_M2 = _U64(_MIX_M1), _U64(_MIX_M2)
 
 
 def _uniforms_u64(seed: int, slot: int, index: np.ndarray) -> np.ndarray:
-    """64-bit uniforms for (seed, slot, index); pure and order-independent."""
-    x = index + _stream_key(seed, slot)
-    x = x + _NP_GOLD
-    x = (x ^ (x >> _S30)) * _NP_M1
-    x = (x ^ (x >> _S27)) * _NP_M2
-    return x ^ (x >> _S31)
+    """64-bit uniforms for (seed, slot, index); pure and order-independent.
+
+    The splitmix64 finalizer of (index + key), computed in place."""
+    # fold key + golden gamma mod 2^64 as a Python int: the sum of two
+    # np.uint64 scalars would raise an overflow warning
+    x = index + ((_stream_key(seed, slot) + _MIX_GOLD) & _MASK64)
+    t = np.empty_like(x)
+    np.right_shift(x, 30, out=t)
+    x ^= t
+    x *= _NP_M1
+    np.right_shift(x, 27, out=t)
+    x ^= t
+    x *= _NP_M2
+    np.right_shift(x, 31, out=t)
+    x ^= t
+    return x
 
 
 _UINT64_MAX = _U64(_MASK64)
@@ -194,8 +203,34 @@ def _cdf_u64(probs) -> np.ndarray:
     return thr
 
 
-def _sample(thr: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.searchsorted(thr, u, side="left")
+# leading bins are counted by comparison until the mass above them drops
+# below 2^-6; the rarer uniforms beyond are binary-searched
+_HEAD_LEVEL = _U64(_MASK64 - (_MASK64 >> 6))
+
+
+def _sample(thr: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
+    """Bin of each uniform: the number of thresholds below it, which is
+    ``np.searchsorted(thr, u, side="left")``.
+
+    A 2-D ``thr`` stacks one table per row and ``row`` picks the table of
+    each uniform.  The high-mass leading bins are counted as ``u > thr[i]``
+    over the whole array; only uniforms past them are binary-searched.
+    """
+    if row is not None:
+        out = np.zeros(u.shape, dtype=np.uint8)
+        for r, table in enumerate(thr):
+            out += (row == r) * _sample(table, u)
+        return out
+    # the last threshold is 2^64 - 1, which no uniform exceeds
+    head = min(len(thr) - 1, int(np.searchsorted(thr, _HEAD_LEVEL)) + 1)
+    out = np.zeros(u.shape, dtype=np.uint8)
+    for t in thr[:head]:
+        above = u > t
+        out += above
+    if head < len(thr) - 1:
+        tail = np.flatnonzero(above)
+        out[tail] = head + np.searchsorted(thr[head:], u[tail])
+    return out
 
 
 # decision slots
@@ -207,10 +242,13 @@ _SLOT_DCLICK = 4
 _SLOT_DRIFT_A = 5
 _SLOT_DRIFT_B = 6
 _SLOT_ROUTE0 = 8
-_MAX_ROUTED = 16  # photons routed per gate; overflow probability ~ 1e-13
+_MAX_ROUTED = 16  # photons routed per gate
+_PHOTON_CAP = 40  # photons per pulse
+# largest probability, per intensity, that a gate's draw lands past either
+# cap (and would be clipped to it); tables beyond it are refused
+_CAP_TOLERANCE = 1e-12
 
-_PHOTON_CAP = 40  # Poisson tail beyond this is < 1e-40 for mu <= ~3
-
+_DETECTORS = np.arange(4, dtype=np.uint8)
 _POPCOUNT = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
 # k-th set bit of each 4-bit mask, padded by repeating the last member
 _CHOICE = np.zeros((16, 4), dtype=np.uint8)
@@ -221,10 +259,13 @@ for _mask in range(1, 16):
 
 
 class _SessionTables:
-    """Precomputed sampling tables for one (params, link) pair."""
+    """Precomputed sampling tables for one (params, link) pair.
+
+    Raises ValueError if the photon or routed-photon cap would clip more
+    than ``_CAP_TOLERANCE`` of the gates of either intensity."""
 
     def __init__(self, p: ProtocolParams, link: LinkModel):
-        self.eta = link.eta_sys
+        eta = link.eta_sys
         dark = link.detector.dark_prob_per_gate
         # joint (intensity, basis, bit) preparation choice,
         # index = (k << 2) | (basis << 1) | bit
@@ -234,15 +275,34 @@ class _SessionTables:
                 for _bit in (0, 1):
                     prep.append(p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5)
         self.prep_thr = _cdf_u64(prep)
-        self.pois_thr = {}
+        # survivors out of n photons, one table per n (n = 0 has one bin)
+        binom = [
+            [math.comb(n, m) * eta**m * (1 - eta) ** (n - m) for m in range(n + 1)]
+            for n in range(_PHOTON_CAP + 1)
+        ]
+        self.binom_thr = [_cdf_u64(pmf) for pmf in binom]
+        self.binom_zero = np.array([thr[0] for thr in self.binom_thr], dtype=np.uint64)
+        # photon number, one row per intensity index (0 signal, 1 decoy)
+        pois = []
         for k in Intensity:
             mean = p.mean_photons(k)
             pmf = [math.exp(-mean) * mean**n / math.factorial(n) for n in range(_PHOTON_CAP + 1)]
-            self.pois_thr[k] = _cdf_u64(pmf)
-        self.binom_thr = [np.array([_MASK64], dtype=np.uint64)]  # n = 0
-        for n in range(1, _PHOTON_CAP + 1):
-            pmf = [math.comb(n, m) * self.eta**m * (1 - self.eta) ** (n - m) for m in range(n + 1)]
-            self.binom_thr.append(_cdf_u64(pmf))
+            beyond = 1.0 - math.fsum(pmf)
+            routed_over = math.fsum(
+                pmf[n] * math.fsum(binom[n][_MAX_ROUTED + 1 :])
+                for n in range(_MAX_ROUTED + 1, _PHOTON_CAP + 1)
+            )
+            for what, mass in (
+                (f"photon number above {_PHOTON_CAP}", beyond),
+                (f"more than {_MAX_ROUTED} surviving photons", routed_over),
+            ):
+                if mass > _CAP_TOLERANCE:
+                    raise ValueError(
+                        f"{k.value} intensity {mean:g}: probability {mass:.3g} of {what} "
+                        f"exceeds {_CAP_TOLERANCE:g}"
+                    )
+            pois.append(_cdf_u64(pmf))
+        self.pois_thr = np.stack(pois)
         # dark click pattern over the 4 detectors, bitmask-indexed
         dpmf = []
         for mask in range(16):
@@ -251,70 +311,55 @@ class _SessionTables:
                 prob *= dark if mask >> d & 1 else 1.0 - dark
             dpmf.append(prob)
         self.dark_thr = _cdf_u64(dpmf)
-        self.has_dark = dark > 0.0
         self.set_rotation(p, link)
 
     def set_rotation(self, p: ProtocolParams, link: LinkModel) -> None:
         """Recompute the rotation-dependent routing tables only; everything
         else is unchanged by a channel-angle update."""
         # photon routing per (basis, bit) class, after channel rotation
-        self.route_thr = []
+        route = []
         for b in Basis:
             for bit in (0, 1):
                 state = optics.apply_channel(optics.prepare_state(b, bit), link.rotation_angle)
                 w = optics.detection_weights(state, p.p_z_bob, link.e_mis_z, link.e_mis_x)
-                self.route_thr.append(_cdf_u64(w))
+                route.append(_cdf_u64(w))
+        self.route_thr = np.stack(route)
 
 
 def _run_chunk(tables, seed, start, stop, keep_records):
     g = np.arange(start, stop, dtype=np.uint64)
     n = len(g)
-    u = _uniforms_u64(seed, _SLOT_PREP, g)
-    prep = _sample(tables.prep_thr, u).astype(np.uint8)
+    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, g))
     intensity = prep >> 2  # 0 signal, 1 decoy
     abasis = (prep >> 1) & 1  # 0 Z, 1 X
     abit = prep & 1
 
-    u = _uniforms_u64(seed, _SLOT_NPHOT, g)
-    nph = np.zeros(n, dtype=np.int16)
-    sig = intensity == 0
-    nph[sig] = _sample(tables.pois_thr[Intensity.SIGNAL], u[sig])
-    nph[~sig] = _sample(tables.pois_thr[Intensity.DECOY], u[~sig])
+    nph = _sample(tables.pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=intensity)
 
-    surv = np.zeros(n, dtype=np.int16)
-    if tables.eta > 0.0:
-        has = np.nonzero(nph > 0)[0]
-        if has.size:
-            us = _uniforms_u64(seed, _SLOT_SURV, g[has])
-            nvals = nph[has]
-            for nv in np.unique(nvals):
-                sel = nvals == nv
-                surv[has[sel]] = _sample(tables.binom_thr[int(nv)], us[sel])
-
-    if tables.has_dark:
-        u = _uniforms_u64(seed, _SLOT_DARK, g)
-        dpat = _sample(tables.dark_thr, u).astype(np.uint8)
-    else:
-        dpat = np.zeros(n, dtype=np.uint8)
+    # gates with at least one surviving photon, and their survivor counts
+    has = np.flatnonzero(nph != 0)
+    us = _uniforms_u64(seed, _SLOT_SURV, g[has])
+    nh = nph[has]
+    # uniforms at or below P(no survivor | n) fall in bin 0
+    live = np.flatnonzero(us > tables.binom_zero[nh])
+    act, us, nh = has[live], us[live], nh[live]
+    surv = np.empty(act.size, dtype=np.uint8)
+    for nv in np.unique(nh):
+        sel = nh == nv
+        surv[sel] = _sample(tables.binom_thr[nv], us[sel])
+    np.minimum(surv, _MAX_ROUTED, out=surv)
 
     pclick = np.zeros(n, dtype=np.uint8)
-    act = np.nonzero(surv > 0)[0]
-    if act.size:
-        np.minimum(surv, _MAX_ROUTED, out=surv)
-        cls_all = (abasis.astype(np.int16) << 1) | abit
-        for j in range(int(surv[act].max())):
-            sub = act[surv[act] > j]
-            ur = _uniforms_u64(seed, _SLOT_ROUTE0 + j, g[sub])
-            det = np.empty(len(sub), dtype=np.uint8)
-            cls = cls_all[sub]
-            for c in range(4):
-                csel = cls == c
-                if csel.any():
-                    det[csel] = _sample(tables.route_thr[c], ur[csel])
-            pclick[sub] |= np.uint8(1) << det
+    for j in range(int(surv.max(initial=0))):
+        sub = act[surv > j]
+        ur = _uniforms_u64(seed, _SLOT_ROUTE0 + j, g[sub])
+        # routing class = (basis << 1) | bit, the low bits of prep
+        pclick[sub] |= np.uint8(1) << _sample(tables.route_thr, ur, row=prep[sub] & 3)
+
+    dpat = _sample(tables.dark_thr, _uniforms_u64(seed, _SLOT_DARK, g))
 
     clicks = pclick | dpat
-    any_idx = np.nonzero(clicks)[0]
+    any_idx = np.flatnonzero(clicks != 0)
     cmask = clicks[any_idx]
     cpop = _POPCOUNT[cmask]
     kth = np.zeros(any_idx.size, dtype=np.int64)
@@ -343,23 +388,18 @@ def _run_chunk(tables, seed, start, stop, keep_records):
         single_photon_errors_x=int(np.count_nonzero(errors & x_sift & (nph_any == 1))),
     )
 
-    sent = np.bincount(intensity, minlength=2)
+    decoys = np.count_nonzero(intensity)
+    sent = np.array([n - decoys, decoys])
     clicked = np.bincount(intensity[any_idx], minlength=2)
 
     records = None
     if keep_records:
-        rg, rd, rdark = [], [], []
-        for d in range(4):
-            bit = np.uint8(1 << d)
-            hit = np.nonzero(clicks & bit)[0]
-            rg.append(g[hit])
-            rd.append(np.full(hit.size, d, dtype=np.uint8))
-            rdark.append(((dpat[hit] & bit) != 0) & ((pclick[hit] & bit) == 0))
-        rg = np.concatenate(rg)
-        order = np.argsort(rg, kind="stable")
-        # rows sorted by gate, then detector (detector blocks are appended
-        # in order, so the stable sort preserves detector order per gate)
-        records = RecordSet(rg[order], np.concatenate(rd)[order], np.concatenate(rdark)[order])
+        # one row per click; row-major nonzero sorts by gate, then detector
+        hit, det = np.nonzero((cmask[:, None] >> _DETECTORS) & 1)
+        dark_only = dpat[any_idx] & ~pclick[any_idx]
+        records = RecordSet(
+            g[any_idx[hit]], det.astype(np.uint8), (dark_only[hit] >> det) & 1 == 1
+        )
 
     return {
         "n_cells": n_cells,
@@ -374,19 +414,28 @@ def _run_chunk(tables, seed, start, stop, keep_records):
     }
 
 
-_DEFAULT_CHUNK = 1 << 21
+# 2^16 gates keep a chunk's working set in cache; smaller chunks spend
+# the time in per-chunk Python glue, which holds the GIL and stops
+# threads from scaling
+_DEFAULT_CHUNK = 1 << 16
 
 
 def _n_threads(explicit: int | None) -> int:
+    """Worker count: ``explicit`` if given, else QKD_THREADS, else 1.
+    Raises ValueError on anything but an integer >= 1."""
     if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("QKD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+        source, value = "n_threads", explicit
+    else:
+        source, value = "QKD_THREADS", os.environ.get("QKD_THREADS")
+        if not value:
+            return 1
+    try:
+        n = int(value)
+        if n >= 1:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"{source}={value!r} must be an integer >= 1")
 
 
 def run_session(
@@ -411,12 +460,12 @@ def run_session(
     n_total = int(n_pulses if n_pulses is not None else p.n_pulses)
     if n_total < 1:
         raise ValueError(f"n_pulses={n_total} must be >= 1")
+    workers = _n_threads(n_threads)
     tables = _tables if _tables is not None else _SessionTables(p, link)
     bounds = [
         (gate_offset + s, gate_offset + min(s + chunk_size, n_total))
         for s in range(0, n_total, chunk_size)
     ]
-    workers = _n_threads(n_threads)
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
@@ -473,22 +522,18 @@ def pulse_records(p: ProtocolParams, seed: int, gate_indices) -> list[PulseRecor
     any session run under the same (seed, params)."""
     tables = _SessionTables(p, LinkModel())
     g = np.asarray(gate_indices, dtype=np.uint64)
-    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, g)).astype(np.uint8)
-    u = _uniforms_u64(seed, _SLOT_NPHOT, g)
-    out = []
-    for i, gi in enumerate(g):
-        k = Intensity.SIGNAL if prep[i] >> 2 == 0 else Intensity.DECOY
-        nph = int(_sample(tables.pois_thr[k], u[i : i + 1])[0])
-        out.append(
-            PulseRecord(
-                gate_index=int(gi),
-                alice_basis=Basis.Z if (prep[i] >> 1) & 1 == 0 else Basis.X,
-                alice_bit=int(prep[i] & 1),
-                intensity=k,
-                photon_number=nph,
-            )
+    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, g))
+    nph = _sample(tables.pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=prep >> 2)
+    return [
+        PulseRecord(
+            gate_index=int(gi),
+            alice_basis=Basis.X if pr >> 1 & 1 else Basis.Z,
+            alice_bit=int(pr & 1),
+            intensity=Intensity.DECOY if pr >> 2 else Intensity.SIGNAL,
+            photon_number=int(k),
         )
-    return out
+        for gi, pr, k in zip(g, prep, nph)
+    ]
 
 
 # --- stability experiment ---------------------------------------------------
@@ -636,7 +681,7 @@ def _counts_from_clicks(records: RecordSet, p, link, seed) -> ObservedCounts:
     uniq, inverse = np.unique(records.gate_index, return_inverse=True)
     clicks = np.zeros(len(uniq), dtype=np.uint8)
     np.bitwise_or.at(clicks, inverse, np.uint8(1) << records.detector_id)
-    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, uniq)).astype(np.uint8)
+    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, uniq))
     intensity = prep >> 2
     abasis = (prep >> 1) & 1
     abit = prep & 1

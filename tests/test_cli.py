@@ -93,6 +93,13 @@ class TestSimulate:
                           "--pulses", "0")
         assert rc == cli.EXIT_ERROR
 
+    def test_bad_thread_count_is_an_error(self, capsys, small_config, monkeypatch):
+        monkeypatch.setenv("QKD_THREADS", "many")
+        rc, out, err = _run(capsys, "--config", small_config, "simulate")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: QKD_THREADS='many'")
+
     def test_record_file_written(self, capsys, small_config, tmp_path):
         out_path = str(tmp_path / "rec.csv")
         rc, _, _ = _run(capsys, "--config", small_config, "simulate",
@@ -111,6 +118,14 @@ class TestStability:
         lines = out.strip().split("\n")
         assert lines[0] == "window_start_s,q_mu,q_nu,e_z,e_x"
         assert len(lines) == 1 + 6
+
+    def test_bad_thread_count_is_an_error(self, capsys, small_config, monkeypatch):
+        monkeypatch.setenv("QKD_THREADS", "0")
+        rc, out, err = _run(capsys, "--config", small_config, "stability",
+                            "--hours", "0.5", "--pulses-per-window", "1000")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: QKD_THREADS='0'")
 
     def test_zero_hours_rejected(self, capsys, small_config):
         rc, _, err = _run(capsys, "--config", small_config, "stability",

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdlab import mcsim, rates
 from qkdlab.core import Basis, DetectorModel, Intensity, LinkModel, ObservedCounts, ProtocolParams
@@ -12,6 +14,7 @@ from qkdlab.mcsim import (
     DetectionRecord,
     DriftModel,
     FormatError,
+    GroundTruth,
     RecordSet,
     Schedule,
     pulse_records,
@@ -29,6 +32,15 @@ LINK_75 = LinkModel(channel_loss_db=14.6)
 # params, seed=11, 2e5 pulses); frozen at first build to pin the byte
 # format across platforms and refactors.
 GOLDEN_RECORDS_SHA256 = "570581434c4b418074394f5e68226cb623163fc5de60486d903f25e6e854ef7d"
+
+# Counts and photon-number ground truth of (14.6 dB link, default params,
+# seed=11, 2^20 pulses), frozen from the plain-searchsorted sampler with
+# 2^21-gate chunks; pins the lossy-link streams as the hash above pins the
+# back-to-back ones.
+GOLDEN_75KM_COUNTS = ObservedCounts(n_z_mu=792, n_z_nu=108, n_x_mu=15, n_x_nu=0,
+                                    m_z_mu=6, m_z_nu=2, m_x_mu=0, m_x_nu=0)
+GOLDEN_75KM_GROUND_TRUTH = GroundTruth(vacuum_detections=10, single_photon_detections=574,
+                                       single_photon_detections_x=8, single_photon_errors_x=0)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +81,111 @@ class TestDeterminism:
         b = run_session(P_SMALL, LINK_B2B, seed=5, keep_records=True,
                         n_threads=4, chunk_size=2**13)
         assert a.records == b.records
+
+    def test_default_chunk_invariance(self):
+        # three full default chunks and a partial one, away from gate 0
+        kw = dict(n_pulses=3 * 2**16 + 777, gate_offset=10**9 + 3, keep_records=True)
+        runs = [
+            run_session(P_SMALL, LINK_B2B, seed=5, n_threads=1, **kw),
+            run_session(P_SMALL, LINK_B2B, seed=5, n_threads=2, **kw),
+            run_session(P_SMALL, LINK_B2B, seed=5, chunk_size=777, **kw),
+        ]
+        first = runs[0]
+        assert first.multi_click_gates > 0
+        for res in runs[1:]:
+            assert res.counts == first.counts
+            assert res.ground_truth == first.ground_truth
+            assert res.detection_gates == first.detection_gates
+            assert res.multi_click_gates == first.multi_click_gates
+            assert res.detector_clicks == first.detector_clicks
+            assert res.records == first.records
+
+    def test_golden_lossy_link(self):
+        res = run_session(ProtocolParams(), LINK_75, seed=11, n_pulses=2**20)
+        assert res.counts == GOLDEN_75KM_COUNTS
+        assert res.ground_truth == GOLDEN_75KM_GROUND_TRUTH
+        assert res.detection_gates == 1116
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_value_raises(self, monkeypatch, value):
+        monkeypatch.setenv("QKD_THREADS", value)
+        with pytest.raises(ValueError, match=f"QKD_THREADS='{value}'"):
+            run_session(P_SMALL, LINK_B2B, seed=1, n_pulses=1000)
+
+    def test_explicit_zero_raises(self):
+        with pytest.raises(ValueError, match="n_threads=0"):
+            run_session(P_SMALL, LINK_B2B, seed=1, n_pulses=1000, n_threads=0)
+
+    def test_valid_env_value_accepted(self, monkeypatch):
+        monkeypatch.setenv("QKD_THREADS", "2")
+        a = run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13)
+        monkeypatch.delenv("QKD_THREADS")
+        b = run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13)
+        assert a.counts == b.counts
+
+
+LINK_ETA0 = LinkModel(channel_loss_db=math.inf)
+LINK_ETA1 = LinkModel(channel_loss_db=0.0, receiver_loss_db=0.0,
+                      detector=DetectorModel(efficiency=1.0))
+
+
+class TestCaps:
+    @pytest.mark.filterwarnings("ignore:mu=")
+    def test_photon_cap_tail_refused(self):
+        with pytest.raises(ValueError, match="photon number above 40"):
+            run_session(ProtocolParams(mu=20.0, nu=0.1), LINK_B2B, seed=1, n_pulses=10)
+
+    @pytest.mark.filterwarnings("ignore:mu=")
+    def test_routed_cap_tail_refused(self):
+        with pytest.raises(ValueError, match="more than 16 surviving photons"):
+            run_session(ProtocolParams(mu=8.0, nu=0.1), LINK_ETA1, seed=1, n_pulses=10)
+        # the same source behind a lossy link keeps the survivors far below the cap
+        run_session(ProtocolParams(mu=8.0, nu=0.1), LINK_75, seed=1, n_pulses=10)
+
+
+def _sampler_tables():
+    """(name, thresholds) for every table kind the simulator draws from."""
+    cases = []
+    for p_z in (0.5, 0.95):
+        t = mcsim._SessionTables(ProtocolParams(p_z_alice=p_z, p_z_bob=p_z), LINK_75)
+        cases += [(f"prep p_z={p_z}", t.prep_thr), (f"route p_z={p_z}", t.route_thr)]
+    # at mu = 0.9 the leading bins leave a tail for the binary search
+    for mu, nu in ((0.05, 0.01), (0.9, 0.3)):
+        t = mcsim._SessionTables(ProtocolParams(mu=mu, nu=nu), LINK_75)
+        cases.append((f"poisson mu={mu}", t.pois_thr))
+    for name, link in (("eta=0", LINK_ETA0), ("eta=1", LINK_ETA1), ("eta mid", LINK_B2B)):
+        binom = mcsim._SessionTables(ProtocolParams(), link).binom_thr
+        cases += [(f"binomial {name} n={n}", binom[n]) for n in (0, 1, 2, 7, 40)]
+    for dark in (0.0, 0.5):
+        link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
+        cases.append((f"dark={dark}", mcsim._SessionTables(ProtocolParams(), link).dark_thr))
+    return cases
+
+
+class TestSampler:
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(_sampler_tables()),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_equals_searchsorted(self, case, extra):
+        _name, thr = case
+        rows = np.atleast_2d(thr)
+        # every lattice point next to a threshold pins the tie rule
+        points = {0, 2**64 - 1}
+        for t in rows.ravel().tolist():
+            points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
+        u = np.array(sorted(points) + extra, dtype=np.uint64)
+        if thr.ndim == 1:
+            got = mcsim._sample(thr, u)
+            want = np.searchsorted(thr, u, side="left")
+        else:
+            # each uniform against each row's table
+            row = np.repeat(np.arange(len(rows), dtype=np.uint8), len(u))
+            uu = np.tile(u, len(rows))
+            got = mcsim._sample(thr, uu, row=row)
+            want = np.concatenate([np.searchsorted(r, u, side="left") for r in rows])
+        assert np.array_equal(got, want)
 
 
 class TestPhysics:
