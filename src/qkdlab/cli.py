@@ -157,14 +157,18 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _grid(p, free_p_z: bool) -> optimizer.GridSpec:
+    """The default grid at the config's p_z, or with p_z free in 0.5..0.95."""
+    return optimizer.GridSpec(
+        p_z_values=optimizer._steps(0.5, 0.95, 0.05) if free_p_z else (p.p_z_bob,)
+    )
+
+
 def cmd_optimize(args) -> int:
     p, link, sim = _load(args)
     link = _apply_loss(link, args)
-    grid = optimizer.GridSpec(p_z_values=(p.p_z_bob,)) if not args.free_p_z else optimizer.GridSpec(
-        p_z_values=optimizer._steps(0.5, 0.95, 0.05)
-    )
     try:
-        result = optimizer.optimize(link, p0=p, grid=grid)
+        result = optimizer.optimize(link, p0=p, grid=_grid(p, args.free_p_z))
     except optimizer.EmptyFeasibleSet:
         print("no feasible parameters (secure length zero everywhere)", file=sys.stderr)
         return EXIT_ZERO_KEY
@@ -196,10 +200,7 @@ def cmd_scan(args) -> int:
     if not losses:
         raise CliError("loss list is empty")
     if args.optimize:
-        grid = optimizer.GridSpec(
-            p_z_values=optimizer._steps(0.5, 0.95, 0.05) if args.free_p_z else (p.p_z_bob,)
-        )
-        rows = optimizer.scan(link, losses, p="optimize", grid=grid)
+        rows = optimizer.scan(link, losses, p="optimize", grid=_grid(p, args.free_p_z), p0=p)
     else:
         rows = optimizer.scan(link, losses, p=p)
     out = optimizer.format_scan_csv(rows)

@@ -453,8 +453,8 @@ def run_session(
     """Simulate a full session of ``n_pulses`` gates (default: p.n_pulses).
 
     Deterministic in (seed, params, link, gate_offset) regardless of chunk
-    size or thread count.  Raises BudgetExceeded if record retention would
-    exceed ``record_cap``.
+    size or thread count.  Raises BudgetExceeded as soon as the records
+    kept so far exceed ``record_cap``; chunks not yet started are dropped.
     """
     validate_params(p)
     n_total = int(n_pulses if n_pulses is not None else p.n_pulses)
@@ -466,13 +466,27 @@ def run_session(
         (gate_offset + s, gate_offset + min(s + chunk_size, n_total))
         for s in range(0, n_total, chunk_size)
     ]
+    kept = 0
+
+    def chunk(bound):
+        return _run_chunk(tables, seed, bound[0], bound[1], keep_records)
+
+    def within_cap(r):
+        nonlocal kept
+        if keep_records:
+            kept += len(r["records"])
+            if kept > record_cap:
+                raise BudgetExceeded(f"{kept} detection records exceed record cap {record_cap}")
+        return r
+
     if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda se: _run_chunk(tables, seed, se[0], se[1], keep_records), bounds)
-            )
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            results = [within_cap(r) for r in pool.map(chunk, bounds)]
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        results = [_run_chunk(tables, seed, s, e, keep_records) for s, e in bounds]
+        results = [within_cap(chunk(bound)) for bound in bounds]
 
     n_cells = sum(r["n_cells"] for r in results)
     m_cells = sum(r["m_cells"] for r in results)
@@ -490,11 +504,6 @@ def run_session(
     )
     records = None
     if keep_records:
-        total_rows = sum(len(r["records"]) for r in results)
-        if total_rows > record_cap:
-            raise BudgetExceeded(
-                f"{total_rows} detection records exceed record cap {record_cap}"
-            )
         records = RecordSet(
             np.concatenate([r["records"].gate_index for r in results]),
             np.concatenate([r["records"].detector_id for r in results]),
@@ -668,6 +677,14 @@ def read_records(
         dets.append(det)
         darks.append(bool(dark))
     records = RecordSet(gates, dets, darks)
+    # Rows must be strictly increasing in (gate, detector), the order
+    # run_session writes; this also refuses duplicates.
+    g, d = records.gate_index, records.detector_id
+    bad = (g[1:] < g[:-1]) | ((g[1:] == g[:-1]) & (d[1:] <= d[:-1]))
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        line = [i for i, text in enumerate(lines[1:], start=2) if text != ""][row]
+        raise FormatError("row not after the previous one in (gate, detector) order", line)
     counts = None
     if p is not None and link is not None and seed is not None:
         counts = _counts_from_clicks(records, p, link, seed)

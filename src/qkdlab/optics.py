@@ -60,20 +60,6 @@ class SagnacImLevels:
         return self.t_decoy / self.t_signal
 
 
-@dataclass(frozen=True)
-class PamModel:
-    """Passive-basis-choice analysis module: splitter ratio plus losses."""
-
-    p_z: float = 0.9
-    e_mis_z: float = 0.0
-    e_mis_x: float = 0.0
-    receiver_loss_db: float = 1.4
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_z < 1.0:
-            raise ValueError(f"p_z={self.p_z} outside (0, 1)")
-
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # Modulator phase for each (basis, bit); the state is

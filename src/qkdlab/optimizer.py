@@ -1,8 +1,9 @@
 """Grid search over protocol parameters and key-rate-versus-loss scans.
 
 The objective is the secure length evaluated on the closed-form expected
-statistics; the whole grid is scored in one vectorized pass that mirrors
-the scalar rates -> finitekey pipeline term by term, then the incumbent is
+statistics.  ``evaluate_grid`` mirrors the scalar rates -> finitekey
+pipeline term by term on broadcast per-axis inputs, laid out as
+(p_z, p_mu, mu, nu) and scored in cache-sized blocks; the incumbent is then
 re-scored through the scalar path so the reported value is exactly what
 ``finitekey.key_length`` produces.  Ties resolve to the lexicographically
 smallest (mu, nu, p_mu, p_z), so any evaluation order yields the same
@@ -60,6 +61,13 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
+# Points scored per block.  2^14 float64 is glibc's default mmap threshold
+# (128 KiB): below it, block temporaries reuse heap memory.  Blocks of 2^15
+# points took 13x the minor page faults and ran slower; 2^13 paid more
+# per-block Python overhead than it saved.
+_BLOCK_POINTS = 1 << 14
+
+
 def evaluate_grid(
     mu: np.ndarray,
     nu: np.ndarray,
@@ -68,12 +76,40 @@ def evaluate_grid(
     p0: ProtocolParams,
     link: LinkModel,
 ) -> np.ndarray:
-    """Secure length at each parameter tuple (elementwise over equal-shape
-    arrays); infeasible tuples (nu >= mu, empty key basis) score zero."""
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    p_mu = np.asarray(p_mu, dtype=np.float64)
-    p_z = np.asarray(p_z, dtype=np.float64)
+    """Secure length at each parameter tuple, broadcasting the four inputs
+    against each other; infeasible tuples (nu >= mu, empty key basis) score
+    zero.  The result has the broadcast shape.
+
+    It is filled in blocks of at most ``_BLOCK_POINTS`` points: runs of rows
+    of the first axis, or one row at a time (recursively) when a row is
+    larger.  Each term is computed on the sub-grid its inputs span, so with
+    per-axis inputs the QBERs cost (mu, nu) points and the basis weights
+    p_z points; only the counts and bounds run at full size."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in (mu, nu, p_mu, p_z)]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if not shape:
+        return _score(*arrays, p0, link)
+    out = np.empty(shape)
+    _fill(out, [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays], p0, link)
+    return out
+
+
+def _fill(out: np.ndarray, arrays: list, p0: ProtocolParams, link: LinkModel) -> None:
+    """Score ``arrays`` (each of ``out``'s rank, broadcastable to it) into
+    ``out`` block by block."""
+    row = math.prod(out.shape[1:])
+    if out.ndim > 1 and row > _BLOCK_POINTS:
+        for i in range(out.shape[0]):
+            _fill(out[i], [a[i] if len(a) > 1 else a[0] for a in arrays], p0, link)
+        return
+    step = max(1, _BLOCK_POINTS // max(1, row))
+    for r in range(0, out.shape[0], step):
+        rows = slice(r, r + step)
+        out[rows] = _score(*(a[rows] if len(a) > 1 else a for a in arrays), p0, link)
+
+
+def _score(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel) -> np.ndarray:
+    """evaluate_grid on one block; mirrors rates -> finitekey term by term."""
     eta = link.eta_sys
     d_tot = rates.dark_total(link)
     n_pulses = float(p0.n_pulses)
@@ -105,34 +141,33 @@ def evaluate_grid(
     scale = {"mu": np.exp(mu_s) / pk["mu"], "nu": np.exp(nu) / pk["nu"]}
     tau0 = pk["mu"] * np.exp(-mu_s) + pk["nu"] * np.exp(-nu)
     tau1 = pk["mu"] * mu_s * np.exp(-mu_s) + pk["nu"] * nu * np.exp(-nu)
+    nu_over_mu_sq = nu**2 / mu_s**2
+    gap_over_mu_sq = (mu_s**2 - nu**2) / mu_s**2
+    pref = mu_s / (nu * (mu_s - nu))
 
-    s0_up = {}
-    s1 = {}
+    tau1_pref = tau1 * pref
+    n_tot, m_tot, d_n, n_minus_nu, s1 = {}, {}, {}, {}, {}
     for b in ("Z", "X"):
-        n_tot = n[b, "mu"] + n[b, "nu"]
-        m_tot = m[b, "mu"] + m[b, "nu"]
-        d_n = np.sqrt(n_tot / 2.0 * log_pe)
-        n_minus_nu = np.maximum(0.0, scale["nu"] * (n[b, "nu"] - d_n))
-        n_plus_mu = scale["mu"] * (n[b, "mu"] + d_n)
-        s0_up[b] = np.minimum(n_tot, 2.0 * (m_tot + d_n))
+        n_tot[b] = n[b, "mu"] + n[b, "nu"]
+        m_tot[b] = m[b, "mu"] + m[b, "nu"]
+        d_n[b] = np.sqrt(n_tot[b] / 2.0 * log_pe)
+        n_minus_nu[b] = np.maximum(0.0, scale["nu"] * (n[b, "nu"] - d_n[b]))
+        n_plus_mu = scale["mu"] * (n[b, "mu"] + d_n[b])
+        s0_up = np.minimum(n_tot[b], 2.0 * (m_tot[b] + d_n[b]))
         inner = (
-            n_minus_nu
-            - (nu**2 / mu_s**2) * n_plus_mu
-            - ((mu_s**2 - nu**2) / mu_s**2) * (s0_up[b] / tau0)
+            n_minus_nu[b]
+            - nu_over_mu_sq * n_plus_mu
+            - gap_over_mu_sq * (s0_up / tau0)
         )
-        s1[b] = np.maximum(0.0, tau1 * (mu_s / (nu * (mu_s - nu))) * inner)
+        s1[b] = np.maximum(0.0, tau1_pref * inner)
 
-    n_z_tot = n["Z", "mu"] + n["Z", "nu"]
-    m_z_tot = m["Z", "mu"] + m["Z", "nu"]
-    d_n_z = np.sqrt(n_z_tot / 2.0 * log_pe)
+    n_z_tot, m_z_tot = n_tot["Z"], m_tot["Z"]
     s0_low = tau0 * (
-        mu_s * np.maximum(0.0, scale["nu"] * (n["Z", "nu"] - d_n_z))
-        - nu * scale["mu"] * (n["Z", "mu"] + d_n_z)
+        mu_s * n_minus_nu["Z"] - nu * scale["mu"] * (n["Z", "mu"] + d_n["Z"])
     ) / (mu_s - nu)
     s0_low = np.maximum(0.0, s0_low)
 
-    m_x_tot = m["X", "mu"] + m["X", "nu"]
-    d_m_x = np.sqrt(m_x_tot / 2.0 * log_pe)
+    d_m_x = np.sqrt(m_tot["X"] / 2.0 * log_pe)
     v = tau1 * (
         scale["mu"] * (m["X", "mu"] + d_m_x)
         - np.maximum(0.0, scale["nu"] * (m["X", "nu"] - d_m_x))
@@ -144,9 +179,10 @@ def evaluate_grid(
     sz = np.where(have_stats, s_z1, 1.0)
     ratio = np.clip(v, 0.0, sx) / sx
     b_ = np.clip(ratio, 0.0, 1.0 - 1e-16)
-    front = (sx + sz) * (1.0 - b_) * b_ / (sx * sz * math.log(2.0))
+    s_sum, s_prod = sx + sz, sx * sz
+    front = s_sum * (1.0 - b_) * b_ / (s_prod * math.log(2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (sx + sz) / (sx * sz * (1.0 - b_) * b_) * (21.0 / eps_sec) ** 2
+        arg = s_sum / (s_prod * (1.0 - b_) * b_) * (21.0 / eps_sec) ** 2
         gamma = np.sqrt(np.maximum(0.0, front * np.log2(np.maximum(arg, 1.0))))
     gamma = np.where(b_ <= 0.0, 0.0, gamma)
     phi = np.minimum(0.5, ratio + gamma)
@@ -168,7 +204,10 @@ def evaluate_grid(
 @dataclass(frozen=True)
 class GridCertificate:
     """Full dump of the evaluated coarse grid, proving the incumbent is
-    never beaten by any evaluated point."""
+    never beaten by any evaluated point.  Every field has the grid's shape
+    (len(mu_values), len(nu_values), len(p_mu_values), len(p_z_values)) and
+    is a view: the axes are broadcast, the scores transposed from the
+    evaluation layout."""
 
     mu: np.ndarray
     nu: np.ndarray
@@ -196,22 +235,14 @@ def _with_point(p0: ProtocolParams, mu, nu, p_mu, p_z) -> ProtocolParams:
     )
 
 
-def _scalar_l(point, p0: ProtocolParams, link: LinkModel) -> float:
-    p = _with_point(p0, *point)
-    stats = rates.expected_statistics(p, link)
-    try:
-        return finitekey.key_length(stats.counts, p).l_bits
-    except (finitekey.EmptyKeyBasis, finitekey.IntensityDegenerate):
-        return 0.0
-
-
-def _best_index(l: np.ndarray, mu, nu, p_mu, p_z) -> int:
-    """Index of the maximal l; exact ties resolve to the smallest
-    (mu, nu, p_mu, p_z)."""
-    l_max = l.max()
-    tied = np.nonzero(l == l_max)[0]
-    order = np.lexsort((p_z[tied], p_mu[tied], nu[tied], mu[tied]))
-    return int(tied[order[0]])
+def _best_index(l: np.ndarray, mu, nu, p_mu, p_z) -> tuple:
+    """Index (one entry per axis of ``l``) of the maximal l; exact ties
+    resolve to the smallest (mu, nu, p_mu, p_z), which are broadcast to
+    ``l``'s shape."""
+    tied = np.nonzero(l == l.max())
+    keys = [np.broadcast_to(a, l.shape)[tied] for a in (p_z, p_mu, nu, mu)]
+    k = np.lexsort(keys)[0]
+    return tuple(int(t[k]) for t in tied)
 
 
 def optimize(
@@ -232,21 +263,28 @@ def optimize(
     """
     p0 = p0 if p0 is not None else ProtocolParams()
     grid = grid if grid is not None else GridSpec()
-    mu, nu, pm, pz = np.meshgrid(
-        np.asarray(grid.mu_values, dtype=np.float64),
-        np.asarray(grid.nu_values, dtype=np.float64),
-        np.asarray(grid.p_mu_values, dtype=np.float64),
-        np.asarray(grid.p_z_values, dtype=np.float64),
-        indexing="ij",
+    mu, nu, pm, pz = (
+        np.asarray(v, dtype=np.float64)
+        for v in (grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values)
     )
-    mu, nu, pm, pz = (a.ravel() for a in (mu, nu, pm, pz))
-    l = evaluate_grid(mu, nu, pm, pz, p0, link)
-    cert = GridCertificate(mu=mu, nu=nu, p_mu=pm, p_z=pz, l_bits=l)
+    # Evaluation layout (p_z, p_mu, mu, nu): the longest axis, nu, is
+    # contiguous, and evaluate_grid blocks over whole (p_z, p_mu) rows.
+    l = evaluate_grid(
+        mu[:, None], nu, pm[:, None, None], pz[:, None, None, None], p0, link
+    )
+    shape = (len(mu), len(nu), len(pm), len(pz))
+    cert = GridCertificate(
+        mu=np.broadcast_to(mu[:, None, None, None], shape),
+        nu=np.broadcast_to(nu[:, None, None], shape),
+        p_mu=np.broadcast_to(pm[:, None], shape),
+        p_z=np.broadcast_to(pz, shape),
+        l_bits=l.transpose(2, 3, 1, 0),
+    )
     if not (l > 0.0).any():
         raise EmptyFeasibleSet("no grid point yields a positive secure length")
-    i = _best_index(l, mu, nu, pm, pz)
-    point = [float(mu[i]), float(nu[i]), float(pm[i]), float(pz[i])]
-    best_l = float(l[i])
+    i = _best_index(cert.l_bits, cert.mu, cert.nu, cert.p_mu, cert.p_z)
+    point = [float(cert.mu[i]), float(cert.nu[i]), float(cert.p_mu[i]), float(cert.p_z[i])]
+    best_l = float(cert.l_bits[i])
 
     if refine:
         axes = (
@@ -297,6 +335,7 @@ class ScanRow:
     mu: float
     nu: float
     p_mu: float
+    p_z: float
     l_bits: float
     skr_bps: float
     e_z: float
@@ -308,15 +347,19 @@ def scan(
     losses,
     p: ProtocolParams | str = "optimize",
     grid: GridSpec | None = None,
+    p0: ProtocolParams | None = None,
 ) -> list[ScanRow]:
     """Key rate versus channel loss; one row per loss.
 
-    With ``p="optimize"`` each loss gets its own grid search; losses with
-    no feasible point report l = 0 at the default parameters.
+    With ``p="optimize"`` each loss gets its own grid search from ``p0``
+    (default ``ProtocolParams()``), which supplies everything not on the
+    grid; losses with no feasible point report l = 0 at ``p0``.  A row's
+    ``p_z`` is Bob's Z-basis probability (the grid sets Alice's equal).
     """
     losses = list(losses)
     if not losses:
         raise ValueError("losses must be non-empty")
+    p0 = p0 if p0 is not None else ProtocolParams()
     rows = []
     for loss in losses:
         link = link_template.with_channel_loss(float(loss))
@@ -324,10 +367,10 @@ def scan(
             if p != "optimize":
                 raise ValueError(f"p must be ProtocolParams or 'optimize', got {p!r}")
             try:
-                result = optimize(link, grid=grid)
+                result = optimize(link, p0=p0, grid=grid)
                 params, l_bits, skr = result.best, result.l_bits, result.skr_bps
             except EmptyFeasibleSet:
-                params, l_bits, skr = ProtocolParams(), 0.0, 0.0
+                params, l_bits, skr = p0, 0.0, 0.0
         else:
             params = p
             stats = rates.expected_statistics(params, link)
@@ -344,6 +387,7 @@ def scan(
                 mu=params.mu,
                 nu=params.nu,
                 p_mu=params.p_mu,
+                p_z=params.p_z_bob,
                 l_bits=l_bits,
                 skr_bps=skr,
                 e_z=stats.pooled_qber(Basis.Z),
@@ -353,7 +397,7 @@ def scan(
     return rows
 
 
-SCAN_HEADER = "loss_db,distance_km,mu,nu,p_mu,l_bits,skr_bps,e_z,e_x"
+SCAN_HEADER = "loss_db,distance_km,mu,nu,p_mu,p_z,l_bits,skr_bps,e_z,e_x"
 
 
 def format_scan_csv(rows) -> str:
@@ -361,6 +405,7 @@ def format_scan_csv(rows) -> str:
     for r in rows:
         lines.append(
             f"{r.loss_db:.6g},{r.distance_km:.6g},{r.mu:.6g},{r.nu:.6g},"
-            f"{r.p_mu:.6g},{r.l_bits:.6g},{r.skr_bps:.6g},{r.e_z:.6g},{r.e_x:.6g}"
+            f"{r.p_mu:.6g},{r.p_z:.6g},{r.l_bits:.6g},{r.skr_bps:.6g},{r.e_z:.6g},"
+            f"{r.e_x:.6g}"
         )
     return "\n".join(lines) + "\n"

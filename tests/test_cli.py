@@ -13,6 +13,7 @@ from qkdlab.core import (
 )
 
 CONFIG_75 = os.path.join(os.path.dirname(__file__), "..", "configs", "reference_75km.conf")
+CONFIG_PROJ = os.path.join(os.path.dirname(__file__), "..", "configs", "projection.conf")
 
 
 @pytest.fixture()
@@ -140,7 +141,8 @@ class TestScan:
         assert rc == cli.EXIT_OK
         lines = out.strip().split("\n")
         assert len(lines) == 4
-        skrs = [float(line.split(",")[6]) for line in lines[1:]]
+        col = lines[0].split(",").index("skr_bps")
+        skrs = [float(line.split(",")[col]) for line in lines[1:]]
         assert skrs[0] > skrs[1] > skrs[2] > 0
 
     def test_range_syntax(self, capsys):
@@ -148,6 +150,26 @@ class TestScan:
                           "--losses", "5:15:5")
         lines = out.strip().split("\n")
         assert [float(line.split(",")[0]) for line in lines[1:]] == [5.0, 10.0, 15.0]
+
+    def test_optimized_row_equals_optimize(self, capsys):
+        # scan --optimize searches from the config, as optimize does: same
+        # f_rep, n_pulses, f_ec and epsilons, so the same row
+        rc_s, out_s, _ = _run(capsys, "--config", CONFIG_PROJ, "scan",
+                              "--losses", "9.6", "--optimize", "--free-p-z")
+        rc_o, out_o, _ = _run(capsys, "--config", CONFIG_PROJ, "optimize",
+                              "--loss-db", "9.6", "--free-p-z")
+        assert rc_s == rc_o == cli.EXIT_OK
+        assert out_s == out_o
+        assert len(out_s.strip().split("\n")) == 2
+
+    def test_infeasible_rows_report_config(self, capsys):
+        rc, out, _ = _run(capsys, "--config", CONFIG_PROJ, "scan",
+                          "--losses", "60", "--optimize")
+        assert rc == cli.EXIT_OK
+        header, row = out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["mu"], fields["nu"], fields["p_mu"], fields["p_z"]) == ("0.5", "0.22", "0.8", "0.9")
+        assert fields["l_bits"] == "0"
 
     def test_malformed_range_rejected(self, capsys):
         rc, _, err = _run(capsys, "--config", CONFIG_75, "scan",

@@ -355,6 +355,43 @@ class TestRecordFiles:
             run_session(ProtocolParams(n_pulses=10**6), LINK_B2B, seed=11,
                         keep_records=True, record_cap=100)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_record_cap_stops_early(self, monkeypatch, threads):
+        # 64 chunks of ~29 records each; the cap is passed in the second
+        calls = []
+        run_chunk = mcsim._run_chunk
+
+        def counting(*args):
+            calls.append(args[2])
+            return run_chunk(*args)
+
+        monkeypatch.setattr(mcsim, "_run_chunk", counting)
+        with pytest.raises(BudgetExceeded, match=r"^\d+ detection records exceed record cap 30$"):
+            run_session(P_SMALL, LINK_B2B, seed=11, n_pulses=64 * 1024, keep_records=True,
+                        record_cap=30, chunk_size=1024, n_threads=threads)
+        assert 2 <= len(calls) <= 2 + 4 * threads
+
+    def test_duplicate_rows_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("gate_index,detector_id,is_dark\n9,1,0\n9,1,0\n3,2,1\n")
+        with pytest.raises(FormatError, match="line 3"):
+            read_records(str(path))
+
+    def test_out_of_order_rows_rejected(self, tmp_path):
+        path = tmp_path / "order.csv"
+        path.write_text("gate_index,detector_id,is_dark\n3,2,1\n9,0,0\n\n9,3,0\n9,1,0\n")
+        with pytest.raises(FormatError, match="line 6"):
+            read_records(str(path))
+        path.write_text("gate_index,detector_id,is_dark\n3,2,1\n9,0,0\n4,1,0\n")
+        with pytest.raises(FormatError, match="line 4"):
+            read_records(str(path))
+
+    def test_same_gate_ascending_detectors_accepted(self, tmp_path):
+        path = tmp_path / "multi.csv"
+        path.write_text("gate_index,detector_id,is_dark\n3,2,1\n9,0,0\n9,3,0\n10,0,1\n")
+        records, _ = read_records(str(path))
+        assert records == RecordSet([3, 9, 9, 10], [2, 0, 3, 0], [True, False, False, True])
+
     def test_record_set_indexing(self):
         rs = RecordSet([5, 9], [1, 3], [False, True])
         assert rs[1] == DetectionRecord(9, 3, True)

@@ -1,8 +1,13 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdlab import finitekey, optimizer, rates
-from qkdlab.core import DetectorModel, LinkModel, ProtocolParams
+from qkdlab.core import DetectorModel, LinkModel, ProtocolParams, load_config
 from qkdlab.optimizer import (
     EmptyFeasibleSet,
     GridSpec,
@@ -13,6 +18,30 @@ from qkdlab.optimizer import (
 )
 
 LINK_75 = LinkModel(channel_loss_db=14.6)
+CONFIG_PROJ = os.path.join(os.path.dirname(__file__), "..", "configs", "projection.conf")
+FREE_P_Z = optimizer._steps(0.5, 0.95, 0.05)
+
+# optimize(p0=projection.conf) as scored by the unblocked evaluator over a
+# raveled meshgrid: incumbent (mu, nu, p_mu, p_z), l_bits as float.hex, and
+# the SHA-256 of the certificate's l_bits in (mu, nu, p_mu, p_z) C order.
+# None: no feasible point on that grid.
+PROJECTION_PINS = {
+    ("default", 1.0): ((0.5640000000000001, 0.253, 0.895, 0.9), "0x1.4bc90cdd8eb8cp+29",
+                       "690e5ba947314d37c31f104bcc7db49206fbfe614d349320709fedbb72c8a3bd"),
+    ("default", 9.6): ((0.49, 0.219, 0.8150000000000001, 0.9), "0x1.3491eca3e207fp+26",
+                       "c2abe63391e2e56eb31b13fb2dc52db615f9dc6ecbef764d12aa8f7b0bb89a43"),
+    ("default", 30.0): ((0.516, 0.183, 0.4000000000000001, 0.9), "0x1.1664a31b7f1c6p+18",
+                        "16165ac577701428ae00efe72700d559ba81433c81bb4e5c6059b5d50af01c6b"),
+    ("default", 38.0): None,
+    ("free", 1.0): ((0.5700000000000001, 0.259, 0.855, 0.95), "0x1.6908402da69e9p+29",
+                    "bf48bc159080c4e4bf5dc7e4c7e071a3cfc2c35044c71a933f444cec8706c07e"),
+    ("free", 9.6): ((0.496, 0.214, 0.755, 0.95), "0x1.44e533ef4fdcap+26",
+                    "3154677512016318a76de419d21588092ca2e2c6dcfa88d348acf4f1c7a9af8d"),
+    ("free", 30.0): ((0.492, 0.208, 0.535, 0.8250000000000001), "0x1.5f16aa2f4ec32p+18",
+                     "62e6ddefbbc440768d3894075ffa828ea46ce9d8f6e69a1cb96fd36f61a40ebf"),
+    ("free", 38.0): ((0.476, 0.18, 0.35000000000000003, 0.53), "0x1.aca40b38e4240p+9",
+                     "4e8edf3257aab966896557aa924177a2fbeb4dbc44802df41617fe0f938c04ad"),
+}
 
 SMALL_GRID = GridSpec(
     mu_values=tuple(np.round(np.arange(0.3, 0.71, 0.04), 10)),
@@ -54,6 +83,58 @@ class TestVectorizedEvaluator:
             np.array([0.66, 0.66]), np.array([0.9, 0.9]), p0, LINK_75,
         )
         assert (vec == 0.0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.floats(0.02, 1.0),
+        nu_frac=st.floats(0.01, 0.99),
+        p_mu=st.floats(0.05, 0.95),
+        p_z=st.floats(0.05, 0.95),
+        loss_db=st.floats(0.0, 45.0),
+        dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+    )
+    def test_matches_scalar_pipeline_anywhere(self, mu, nu_frac, p_mu, p_z, loss_db, dark):
+        link = LinkModel(channel_loss_db=loss_db,
+                         detector=DetectorModel(dark_prob_per_gate=dark))
+        p0 = ProtocolParams()
+        nu = mu * nu_frac
+        vec = evaluate_grid(mu, nu, p_mu, p_z, p0, link)
+        assert vec.shape == ()
+        assert float(vec) == pytest.approx(_scalar_l(mu, nu, p_mu, p_z, p0, link),
+                                           rel=1e-9, abs=1e-6)
+
+    def test_broadcast_shape(self):
+        vec = evaluate_grid(np.array([0.4, 0.5, 0.6])[:, None], np.array([0.1, 0.2]),
+                            0.66, 0.9, ProtocolParams(), LINK_75)
+        assert vec.shape == (3, 2)
+        assert vec[1, 0] == evaluate_grid(0.5, 0.1, 0.66, 0.9, ProtocolParams(), LINK_75)
+
+    def test_blocks_match_point_by_point(self, monkeypatch):
+        # 16-point blocks over a (2, 3, 7, 5) grid: each (p_z, p_mu) row of 35
+        # points is split into mu runs of 3, 3 and 1 rows
+        monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 16)
+        mu = np.linspace(0.3, 0.7, 7)[:, None]
+        nu = np.linspace(0.05, 0.35, 5)
+        p_mu = np.array([0.4, 0.6, 0.8])[:, None, None]
+        p_z = np.array([0.6, 0.9])[:, None, None, None]
+        whole = evaluate_grid(mu, nu, p_mu, p_z, ProtocolParams(), LINK_75)
+        assert whole.shape == (2, 3, 7, 5)
+        points = np.array([
+            evaluate_grid(mu[k, 0], nu[l], p_mu[j, 0, 0], p_z[i, 0, 0, 0], ProtocolParams(), LINK_75)
+            for i, j, k, l in np.ndindex(whole.shape)
+        ]).reshape(whole.shape)
+        assert whole.tobytes() == points.tobytes()
+        assert (whole > 0.0).any()
+
+    def test_default_blocks_match_rows(self):
+        # 19 rows of 2050 points at 7 rows a block: blocks of 7, 7 and 5 rows
+        grid = GridSpec()
+        mu = np.array(grid.mu_values)[:, None]
+        nu = np.array(grid.nu_values)
+        p_mu = np.linspace(0.1, 0.95, 19)
+        whole = evaluate_grid(mu, nu, p_mu[:, None, None], 0.9, ProtocolParams(), LINK_75)
+        rows = [evaluate_grid(mu, nu, pm, 0.9, ProtocolParams(), LINK_75) for pm in p_mu]
+        assert whole.tobytes() == np.stack(rows).tobytes()
 
 
 class TestOptimize:
@@ -103,6 +184,45 @@ class TestOptimize:
         fine = optimize(LINK_75, grid=SMALL_GRID, refine=True)
         assert fine.l_bits >= coarse.l_bits - 1e-6
 
+    def test_certificate_is_grid_shaped(self):
+        result = optimize(LINK_75, grid=SMALL_GRID, refine=False)
+        cert = result.certificate
+        shape = (len(SMALL_GRID.mu_values), len(SMALL_GRID.nu_values),
+                 len(SMALL_GRID.p_mu_values), len(SMALL_GRID.p_z_values))
+        for a in (cert.mu, cert.nu, cert.p_mu, cert.p_z, cert.l_bits):
+            assert a.shape == shape
+        assert cert.mu[2, 1, 3, 0] == SMALL_GRID.mu_values[2]
+        assert cert.nu[2, 1, 3, 0] == SMALL_GRID.nu_values[1]
+        assert cert.p_mu[2, 1, 3, 0] == SMALL_GRID.p_mu_values[3]
+        assert cert.l_bits[2, 1, 3, 0] == evaluate_grid(
+            SMALL_GRID.mu_values[2], SMALL_GRID.nu_values[1], SMALL_GRID.p_mu_values[3],
+            0.9, ProtocolParams(), LINK_75)
+
+    def test_ties_resolve_to_smallest_values(self):
+        # maxima at (mu, nu) = (0.3, 0.01), (0.1, 0.05), (0.2, 0.05)
+        l = np.array([[1.0, 2.0], [2.0, 0.0], [2.0, 1.0]])
+        mu = np.array([0.3, 0.1, 0.2])[:, None]
+        nu = np.array([0.05, 0.01])
+        assert optimizer._best_index(l, mu, nu, 0.5, 0.9) == (1, 0)
+        assert optimizer._best_index(l.T, mu.T, nu[:, None], 0.5, 0.9) == (0, 1)
+
+    @pytest.mark.parametrize("key", sorted(PROJECTION_PINS))
+    def test_projection_pins(self, key):
+        grid_name, loss = key
+        p, link, _ = load_config(CONFIG_PROJ)
+        grid = GridSpec(p_z_values=FREE_P_Z if grid_name == "free" else (p.p_z_bob,))
+        link = link.with_channel_loss(loss)
+        if PROJECTION_PINS[key] is None:
+            with pytest.raises(EmptyFeasibleSet):
+                optimize(link, p0=p, grid=grid)
+            return
+        point, l_hex, digest = PROJECTION_PINS[key]
+        result = optimize(link, p0=p, grid=grid)
+        b = result.best
+        assert (b.mu, b.nu, b.p_mu, b.p_z_bob) == point
+        assert result.l_bits == float.fromhex(l_hex)
+        assert hashlib.sha256(result.certificate.l_bits.tobytes()).hexdigest() == digest
+
     def test_simulation_rescore(self):
         result = optimize(
             LINK_75, grid=SMALL_GRID, refine=False,
@@ -136,10 +256,23 @@ class TestScan:
         assert rows[0].skr_bps > 0.0
         assert rows[1].skr_bps == 0.0
 
+    def test_optimized_scan_uses_p0(self):
+        p0 = ProtocolParams(mu=0.45, nu=0.12, p_mu=0.7, p_z_alice=0.8, p_z_bob=0.8,
+                            n_pulses=2 * 10**10, f_rep=1e9, f_ec=1.1)
+        rows = scan(LINK_75, [14.6, 60.0], p="optimize", grid=SMALL_GRID, p0=p0)
+        best = optimize(LINK_75, p0=p0, grid=SMALL_GRID)
+        assert (rows[0].mu, rows[0].nu, rows[0].p_mu, rows[0].p_z) == (
+            best.best.mu, best.best.nu, best.best.p_mu, best.best.p_z_bob)
+        assert (rows[0].l_bits, rows[0].skr_bps) == (best.l_bits, best.skr_bps)
+        # the infeasible loss reports p0's point, not the defaults
+        assert (rows[1].mu, rows[1].nu, rows[1].p_mu, rows[1].p_z) == (0.45, 0.12, 0.7, 0.8)
+        assert rows[1].l_bits == 0.0
+
     def test_csv_format(self):
         rows = scan(LINK_75, [4.8], p=ProtocolParams())
         text = format_scan_csv(rows)
         lines = text.strip().split("\n")
-        assert lines[0] == "loss_db,distance_km,mu,nu,p_mu,l_bits,skr_bps,e_z,e_x"
+        assert lines[0] == "loss_db,distance_km,mu,nu,p_mu,p_z,l_bits,skr_bps,e_z,e_x"
         assert len(lines) == 2
-        assert len(lines[1].split(",")) == 9
+        assert len(lines[1].split(",")) == 10
+        assert lines[1].split(",")[5] == "0.9"
