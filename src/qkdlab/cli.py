@@ -172,8 +172,10 @@ def cmd_optimize(args) -> int:
     except optimizer.EmptyFeasibleSet:
         print("no feasible parameters (secure length zero everywhere)", file=sys.stderr)
         return EXIT_ZERO_KEY
-    rows = optimizer.scan(link, [link.channel_loss_db], p=result.best)
-    sys.stdout.write(optimizer.format_scan_csv(rows))
+    row = optimizer.ScanRow.at(
+        link.channel_loss_db, result.best, result.l_bits, result.skr_bps, result.stats
+    )
+    sys.stdout.write(optimizer.format_scan_csv([row]))
     return EXIT_OK
 
 

@@ -326,13 +326,41 @@ class _SessionTables:
         self.route_thr = np.stack(route)
 
 
+def _resolve_clicks(seed, gates, cmask, prep):
+    """Click resolution and sifting for gates with at least one click.
+
+    ``cmask`` is each gate's 4-bit click pattern and ``prep`` Alice's
+    (intensity, basis, bit) choice.  A multi-click gate resolves to one of
+    its clicks, drawn uniformly; the chosen detector fixes Bob's basis and
+    bit.  Returns the sifted and error tallies per (basis, intensity) cell,
+    cell = (basis << 1) | intensity, then the per-gate sifted, error and
+    multi-click masks."""
+    cpop = _POPCOUNT[cmask]
+    kth = np.zeros(gates.size, dtype=np.int64)
+    multi = cpop > 1
+    if multi.any():
+        uc = _uniforms_u64(seed, _SLOT_DCLICK, gates[multi])
+        kf = (uc.astype(np.float64) * 2.0**-64 * cpop[multi]).astype(np.int64)
+        kth[multi] = np.minimum(kf, cpop[multi] - 1)
+    chosen = _CHOICE[cmask, kth]
+
+    abasis = (prep >> 1) & 1  # 0 Z, 1 X
+    bob_x = (chosen >= 2).astype(np.uint8)
+    sifted = bob_x == abasis
+    errors = sifted & ((chosen & 1) != (prep & 1))
+
+    cell = (abasis.astype(np.int64) << 1) | (prep >> 2)
+    n_cells = np.bincount(cell[sifted], minlength=4)
+    m_cells = np.bincount(cell[errors], minlength=4)
+    return n_cells, m_cells, sifted, errors, multi
+
+
 def _run_chunk(tables, seed, start, stop, keep_records):
     g = np.arange(start, stop, dtype=np.uint64)
     n = len(g)
     prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, g))
     intensity = prep >> 2  # 0 signal, 1 decoy
     abasis = (prep >> 1) & 1  # 0 Z, 1 X
-    abit = prep & 1
 
     nph = _sample(tables.pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=intensity)
 
@@ -361,22 +389,9 @@ def _run_chunk(tables, seed, start, stop, keep_records):
     clicks = pclick | dpat
     any_idx = np.flatnonzero(clicks != 0)
     cmask = clicks[any_idx]
-    cpop = _POPCOUNT[cmask]
-    kth = np.zeros(any_idx.size, dtype=np.int64)
-    multi = cpop > 1
-    if multi.any():
-        uc = _uniforms_u64(seed, _SLOT_DCLICK, g[any_idx[multi]])
-        kf = (uc.astype(np.float64) * 2.0**-64 * cpop[multi]).astype(np.int64)
-        kth[multi] = np.minimum(kf, cpop[multi] - 1)
-    chosen = _CHOICE[cmask, kth]
-
-    bob_x = (chosen >= 2).astype(np.uint8)
-    sifted = bob_x == abasis[any_idx]
-    errors = sifted & ((chosen & 1) != abit[any_idx])
-
-    cell = (abasis[any_idx].astype(np.int64) << 1) | intensity[any_idx]
-    n_cells = np.bincount(cell[sifted], minlength=4)
-    m_cells = np.bincount(cell[errors], minlength=4)
+    n_cells, m_cells, sifted, errors, multi = _resolve_clicks(
+        seed, g[any_idx], cmask, prep[any_idx]
+    )
 
     nph_any = nph[any_idx]
     z_sift = sifted & (abasis[any_idx] == 0)
@@ -496,12 +511,7 @@ def run_session(
         gt.single_photon_detections += r["gt"].single_photon_detections
         gt.single_photon_detections_x += r["gt"].single_photon_detections_x
         gt.single_photon_errors_x += r["gt"].single_photon_errors_x
-    counts = ObservedCounts(
-        n_z_mu=int(n_cells[0]), n_z_nu=int(n_cells[1]),
-        n_x_mu=int(n_cells[2]), n_x_nu=int(n_cells[3]),
-        m_z_mu=int(m_cells[0]), m_z_nu=int(m_cells[1]),
-        m_x_mu=int(m_cells[2]), m_x_nu=int(m_cells[3]),
-    )
+    counts = _observed(n_cells, m_cells)
     records = None
     if keep_records:
         records = RecordSet(
@@ -625,19 +635,99 @@ def run_stability(
 
 # --- detection-record files -------------------------------------------------
 
-_RECORD_HEADER = "gate_index,detector_id,is_dark"
+_RECORD_HEADER = b"gate_index,detector_id,is_dark\n"
+# a row: the gate in decimal (2^64 - 1 has 20 digits), detector, dark flag
+_ROW_GRAMMAR = "[0-9]{1,20},[0-3],[01]"
+_MAX_DIGITS = 20
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
+# a 20-digit gate fits in uint64 iff it leads with 0, or with 1 and the
+# other 19 digits are at most this
+_TOP_REST = _MASK64 - 10**19
+# Rows per block of the record-file kernels: a block's per-row temporaries
+# stay at or under 512 KiB; beyond them a read holds the file's bytes, one
+# offset per line and the parsed columns.
+_BLOCK_ROWS = 1 << 16
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 
-def write_records(records, path: str) -> None:
-    """Write detection records as CSV with fixed field order and LF
-    endings; byte-stable across platforms."""
+def _format_rows(gate, det, dark) -> np.ndarray:
+    """The file bytes of one block of rows, ``f"{gate},{det},{dark:d}\\n"``
+    each: digits right-aligned in a fixed-width buffer, then the zero pad
+    left of each gate's leading digit masked out."""
+    width = len(str(int(gate.max())))
+    buf = np.empty((gate.size, width + 5), dtype=np.uint8)
+    q, digit = gate.copy(), np.empty_like(gate)
+    for col in range(width - 1, -1, -1):
+        np.divmod(q, 10, out=(q, digit))
+        buf[:, col] = digit
+    buf[:, :width] += _ZERO
+    buf[:, width] = _COMMA
+    buf[:, width + 1] = det + _ZERO
+    buf[:, width + 2] = _COMMA
+    buf[:, width + 3] = dark.view(np.uint8) + _ZERO
+    buf[:, width + 4] = _NEWLINE
+    keep = np.ones(buf.shape, dtype=bool)
+    for col in range(width - 1):
+        np.greater_equal(gate, _POW10[width - 1 - col], out=keep[:, col])
+    return buf[keep]
+
+
+def write_records(records: RecordSet, path: str) -> None:
+    """Write a ``RecordSet`` as CSV: the header line
+    ``gate_index,detector_id,is_dark``, then one row per record in the
+    set's order, matching ``[0-9]{1,20},[0-3],[01]`` (gate without leading
+    zeros, detector, dark flag), every line ended by LF.  The bytes are the
+    same on every platform.
+
+    The file is written beside ``path`` and renamed onto it once complete,
+    so a failed write leaves no partial file; a special file such as
+    ``/dev/null`` is written in place.  Raises ValueError for a detector id
+    above 3, IoError if the file cannot be written."""
+    det = records.detector_id
+    if det.size and int(det.max()) > 3:
+        raise ValueError(f"detector id {int(det.max())} is not in 0..3")
+    special = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if special else f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_RECORD_HEADER + "\n")
-            for rec in records:
-                fh.write(f"{rec.gate_index},{rec.detector_id},{int(rec.is_dark)}\n")
+        with open(tmp, "wb") as fh:
+            fh.write(_RECORD_HEADER)
+            for s in range(0, len(records), _BLOCK_ROWS):
+                blk = slice(s, s + _BLOCK_ROWS)
+                fh.write(_format_rows(records.gate_index[blk], det[blk], records.is_dark[blk]))
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write records to {path}: {exc}") from exc
+    finally:
+        if not special and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _parse_rows(body: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Parse the rows ``body[start:end]`` (no newline): the gate, detector
+    and dark columns, a mask of rows that match the grammar and a mask of
+    gates below 2^64.  Values of rows outside the grammar are garbage."""
+
+    def at(i):
+        # bytes of short rows lie before them, or before the body's start
+        return np.take(body, i, mode="clip")
+
+    comma = end - 4  # the comma after the gate of a row that matches
+    width = comma - start
+    det = at(comma + 1) - _ZERO  # uint8: bytes below "0" wrap above 9
+    dark = at(comma + 3) - _ZERO
+    ok = (width >= 1) & (width <= _MAX_DIGITS) & (det <= 3) & (dark <= 1)
+    ok &= (at(comma) == _COMMA) & (at(comma + 2) == _COMMA)
+    gate = np.zeros(start.size, dtype=np.uint64)
+    fits = np.ones(start.size, dtype=bool)
+    for j in range(min(int(width.max()), _MAX_DIGITS)):  # j-th digit from the right
+        has = width > j
+        d = at(comma - 1 - j) - _ZERO
+        ok &= (d <= 9) | ~has
+        d[~has] = 0
+        if j == _MAX_DIGITS - 1:
+            fits = (d == 0) | ((d == 1) & (gate <= _TOP_REST))
+        gate += np.multiply(d, _POW10[j], dtype=np.uint64)
+    return gate, det, dark == 1, ok, fits
 
 
 def read_records(
@@ -648,77 +738,83 @@ def read_records(
 ) -> tuple[RecordSet, ObservedCounts | None]:
     """Read a detection-record file back.
 
+    The file is the header line ``gate_index,detector_id,is_dark``, then one
+    row per line matching ``[0-9]{1,20},[0-3],[01]`` with a gate below 2^64,
+    rows strictly increasing in (gate, detector) as ``run_session`` keeps
+    them.  Lines end with LF, the last one optionally; blank lines are
+    skipped but counted.  Anything else (CR, spaces, signs, non-ASCII
+    bytes) raises FormatError naming the file line of the first bad row.
+
     When (params, link, seed) of the originating session are supplied, the
     sifted tallies are recomputed by re-deriving Alice's per-gate choices
     and the multi-click resolution from the counter-based streams; they
     equal the original session counts.
     """
     try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read records from {path}: {exc}") from exc
-    if not lines or lines[0] != _RECORD_HEADER:
-        raise FormatError(f"expected header {_RECORD_HEADER!r}", 1)
-    gates, dets, darks = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if line == "":
+    if not (data.startswith(_RECORD_HEADER) or data == _RECORD_HEADER[:-1]):
+        raise FormatError(f"expected header {_RECORD_HEADER[:-1].decode()!r}", 1)
+    body = np.frombuffer(data, dtype=np.uint8)[len(_RECORD_HEADER):]
+    # body line k, file line k + 2, ends at ends[k]
+    ends = np.flatnonzero(body == _NEWLINE)
+    if body.size and body[-1] != _NEWLINE:
+        ends = np.append(ends, body.size)
+    columns = []
+    last = None  # (gate, detector) of the last row read
+    for first in range(0, ends.size, _BLOCK_ROWS):
+        end = ends[first : first + _BLOCK_ROWS]
+        start = np.empty_like(end)
+        start[0] = ends[first - 1] + 1 if first else 0
+        start[1:] = end[:-1] + 1
+        rows = np.flatnonzero(end != start)
+        if rows.size == 0:
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"expected 3 fields, got {len(parts)}", i)
-        try:
-            gate, det, dark = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(f"non-integer field in {line!r}", i) from None
-        if gate < 0 or not 0 <= det <= 3 or dark not in (0, 1):
-            raise FormatError(f"field out of range in {line!r}", i)
-        gates.append(gate)
-        dets.append(det)
-        darks.append(bool(dark))
-    records = RecordSet(gates, dets, darks)
-    # Rows must be strictly increasing in (gate, detector), the order
-    # run_session writes; this also refuses duplicates.
-    g, d = records.gate_index, records.detector_id
-    bad = (g[1:] < g[:-1]) | ((g[1:] == g[:-1]) & (d[1:] <= d[:-1]))
-    if bad.any():
-        row = int(np.argmax(bad)) + 1
-        line = [i for i, text in enumerate(lines[1:], start=2) if text != ""][row]
-        raise FormatError("row not after the previous one in (gate, detector) order", line)
+        gate, det, dark, ok, fits = _parse_rows(body, start[rows], end[rows])
+        later = np.empty(rows.size, dtype=bool)
+        later[1:] = (gate[1:] > gate[:-1]) | ((gate[1:] == gate[:-1]) & (det[1:] > det[:-1]))
+        later[0] = last is None or (int(gate[0]), int(det[0])) > last
+        bad = ~(ok & fits & later)
+        if bad.any():
+            k = int(np.argmax(bad))
+            row = body[start[rows[k]] : end[rows[k]]].tobytes()
+            if not ok[k]:
+                message = f"row {row!r} does not match {_ROW_GRAMMAR}"
+            elif not fits[k]:
+                message = f"gate {row.split(b',')[0].decode()} exceeds 2^64 - 1"
+            else:
+                message = "row not after the previous one in (gate, detector) order"
+            raise FormatError(message, first + int(rows[k]) + 2)
+        last = (int(gate[-1]), int(det[-1]))
+        columns.append((gate, det, dark))
+    records = RecordSet(*(np.concatenate(c) for c in zip(*columns))) if columns else RecordSet()
     counts = None
     if p is not None and link is not None and seed is not None:
         counts = _counts_from_clicks(records, p, link, seed)
     return records, counts
 
 
-def _counts_from_clicks(records: RecordSet, p, link, seed) -> ObservedCounts:
-    tables = _SessionTables(p, link)
-    if len(records) == 0:
-        return ObservedCounts()
-    uniq, inverse = np.unique(records.gate_index, return_inverse=True)
-    clicks = np.zeros(len(uniq), dtype=np.uint8)
-    np.bitwise_or.at(clicks, inverse, np.uint8(1) << records.detector_id)
-    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, uniq))
-    intensity = prep >> 2
-    abasis = (prep >> 1) & 1
-    abit = prep & 1
-    cpop = _POPCOUNT[clicks]
-    kth = np.zeros(len(uniq), dtype=np.int64)
-    multi = cpop > 1
-    if multi.any():
-        uc = _uniforms_u64(seed, _SLOT_DCLICK, uniq[multi])
-        kf = (uc.astype(np.float64) * 2.0**-64 * cpop[multi]).astype(np.int64)
-        kth[multi] = np.minimum(kf, cpop[multi] - 1)
-    chosen = _CHOICE[clicks, kth]
-    bob_x = (chosen >= 2).astype(np.uint8)
-    sifted = bob_x == abasis
-    errors = sifted & ((chosen & 1) != abit)
-    cell = (abasis.astype(np.int64) << 1) | intensity
-    n_cells = np.bincount(cell[sifted], minlength=4)
-    m_cells = np.bincount(cell[errors], minlength=4)
+def _observed(n_cells, m_cells) -> ObservedCounts:
     return ObservedCounts(
         n_z_mu=int(n_cells[0]), n_z_nu=int(n_cells[1]),
         n_x_mu=int(n_cells[2]), n_x_nu=int(n_cells[3]),
         m_z_mu=int(m_cells[0]), m_z_nu=int(m_cells[1]),
         m_x_mu=int(m_cells[2]), m_x_nu=int(m_cells[3]),
     )
+
+
+def _counts_from_clicks(records: RecordSet, p, link, seed) -> ObservedCounts:
+    """Sifted tallies of the session that produced ``records``, which are
+    sorted by gate."""
+    if len(records) == 0:
+        return ObservedCounts()
+    g = records.gate_index
+    first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    gates = g[first]
+    cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id, first)
+    tables = _SessionTables(p, link)
+    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates))
+    n_cells, m_cells, *_ = _resolve_clicks(seed, gates, cmask, prep)
+    return _observed(n_cells, m_cells)

@@ -222,6 +222,8 @@ class OptimizeResult:
     l_bits: float
     skr_bps: float
     certificate: GridCertificate
+    # expected statistics at ``best``; None when rescored by simulation
+    stats: rates.ExpectedStatistics | None = None
 
 
 def _with_point(p0: ProtocolParams, mu, nu, p_mu, p_z) -> ProtocolParams:
@@ -309,6 +311,7 @@ def optimize(
                 point[axis] = float(cols[axis][j])
 
     best = _with_point(p0, *point)
+    stats = None
     if rescore_with_simulation:
         from . import mcsim
 
@@ -322,6 +325,7 @@ def optimize(
         l_bits=report.l_bits,
         skr_bps=report.skr_bps,
         certificate=cert,
+        stats=stats,
     )
 
 
@@ -340,6 +344,23 @@ class ScanRow:
     skr_bps: float
     e_z: float
     e_x: float
+
+    @classmethod
+    def at(cls, loss_db, p: ProtocolParams, l_bits, skr_bps, stats) -> "ScanRow":
+        """The row for parameters ``p`` at ``loss_db``, scored as
+        (``l_bits``, ``skr_bps``) from the expected statistics ``stats``."""
+        return cls(
+            loss_db=float(loss_db),
+            distance_km=float(loss_db) / DB_PER_KM,
+            mu=p.mu,
+            nu=p.nu,
+            p_mu=p.p_mu,
+            p_z=p.p_z_bob,
+            l_bits=l_bits,
+            skr_bps=skr_bps,
+            e_z=stats.pooled_qber(Basis.Z),
+            e_x=stats.pooled_qber(Basis.X),
+        )
 
 
 def scan(
@@ -368,9 +389,10 @@ def scan(
                 raise ValueError(f"p must be ProtocolParams or 'optimize', got {p!r}")
             try:
                 result = optimize(link, p0=p0, grid=grid)
-                params, l_bits, skr = result.best, result.l_bits, result.skr_bps
+                params, l_bits, skr, stats = result.best, result.l_bits, result.skr_bps, result.stats
             except EmptyFeasibleSet:
                 params, l_bits, skr = p0, 0.0, 0.0
+                stats = rates.expected_statistics(params, link)
         else:
             params = p
             stats = rates.expected_statistics(params, link)
@@ -379,21 +401,7 @@ def scan(
                 l_bits, skr = report.l_bits, report.skr_bps
             except finitekey.EmptyKeyBasis:
                 l_bits, skr = 0.0, 0.0
-        stats = rates.expected_statistics(params, link)
-        rows.append(
-            ScanRow(
-                loss_db=float(loss),
-                distance_km=float(loss) / DB_PER_KM,
-                mu=params.mu,
-                nu=params.nu,
-                p_mu=params.p_mu,
-                p_z=params.p_z_bob,
-                l_bits=l_bits,
-                skr_bps=skr,
-                e_z=stats.pooled_qber(Basis.Z),
-                e_x=stats.pooled_qber(Basis.X),
-            )
-        )
+        rows.append(ScanRow.at(loss, params, l_bits, skr, stats))
     return rows
 
 

@@ -1,10 +1,11 @@
+import errno
 import json
 import os
 import time
 
 import pytest
 
-from qkdlab import cli
+from qkdlab import cli, mcsim
 from qkdlab.core import (
     LinkModel,
     ProtocolParams,
@@ -108,6 +109,29 @@ class TestSimulate:
         assert rc == cli.EXIT_OK
         with open(out_path) as fh:
             assert fh.readline().strip() == "gate_index,detector_id,is_dark"
+
+    def test_failed_record_write_leaves_no_file(self, capsys, small_config, tmp_path,
+                                                monkeypatch):
+        # the disk fills up after the first block of rows
+        blocks = []
+        format_rows = mcsim._format_rows
+
+        def disk_full(*args):
+            if blocks:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            blocks.append(1)
+            return format_rows(*args)
+
+        monkeypatch.setattr(mcsim, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(mcsim, "_format_rows", disk_full)
+        out_path = tmp_path / "rec.csv"
+        rc, out, err = _run(capsys, "--config", small_config, "simulate",
+                            "--records", str(out_path))
+        assert rc == cli.EXIT_ERROR
+        assert "No space left on device" in err
+        assert blocks
+        assert not out_path.exists()
+        assert sorted(os.listdir(tmp_path)) == ["qkd.conf"]
 
 
 class TestStability:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -392,7 +393,131 @@ class TestRecordFiles:
         records, _ = read_records(str(path))
         assert records == RecordSet([3, 9, 9, 10], [2, 0, 3, 0], [True, False, False, True])
 
+    def test_counts_of_empty_file_skip_tables(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "empty.csv")
+        write_records(RecordSet(), path)
+
+        def no_tables(*args):
+            raise AssertionError("sampling tables built for an empty record set")
+
+        monkeypatch.setattr(mcsim, "_SessionTables", no_tables)
+        _, counts = read_records(path, ProtocolParams(), LINK_B2B, seed=1)
+        assert counts == ObservedCounts()
+
+    def test_largest_gate_reads_back(self, tmp_path):
+        path = tmp_path / "max.csv"
+        path.write_text("gate_index,detector_id,is_dark\n00,1,0\n18446744073709551615,2,1\n")
+        records, _ = read_records(str(path))
+        assert records == RecordSet([0, 2**64 - 1], [1, 2], [False, True])
+        assert int(records.gate_index[-1]) == 2**64 - 1
+
+    @pytest.mark.parametrize("gate", ["18446744073709551616", "20000000000000000000",
+                                      "99999999999999999999"])
+    def test_gate_above_uint64_reports_line(self, tmp_path, gate):
+        path = tmp_path / "over.csv"
+        path.write_text(f"gate_index,detector_id,is_dark\n3,1,0\n\n{gate},1,0\n")
+        with pytest.raises(FormatError, match=f"^line 4: gate {gate} exceeds 2\\^64 - 1$"):
+            read_records(str(path))
+
+    def test_detector_above_3_not_written(self, tmp_path):
+        path = tmp_path / "det.csv"
+        with pytest.raises(ValueError, match="detector id 4"):
+            write_records(RecordSet([1], [4], [False]), str(path))
+        assert not path.exists()
+
     def test_record_set_indexing(self):
         rs = RecordSet([5, 9], [1, 3], [False, True])
         assert rs[1] == DetectionRecord(9, 3, True)
         assert list(rs)[0].gate_index == 5
+
+
+def _reference_bytes(records: RecordSet) -> bytes:
+    """The record file as one f-string per row, the format's definition."""
+    rows = "".join(f"{r.gate_index},{r.detector_id},{int(r.is_dark)}\n" for r in records)
+    return ("gate_index,detector_id,is_dark\n" + rows).encode()
+
+
+_GATES = st.one_of(
+    st.sampled_from([0, 9, 10, 99, 100, 10**19 - 1, 10**19, 2**63, 2**64 - 1]),
+    st.integers(0, 1000),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def _record_sets(draw):
+    """RecordSets strictly increasing in (gate, detector)."""
+    keys = sorted(draw(st.sets(st.tuples(_GATES, st.integers(0, 3)), max_size=60)))
+    dark = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return RecordSet([k[0] for k in keys], [k[1] for k in keys], dark)
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+class TestRecordFileKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(records=_record_sets(), block=st.sampled_from([1, 2, 3, 7, 1 << 16]),
+           blank_after=st.sets(st.integers(0, 60), max_size=5), final_lf=st.booleans())
+    def test_matches_per_row_format_and_reads_back(self, record_dir, records, block,
+                                                   blank_after, final_lf):
+        path = record_dir / "kernel.csv"
+        with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+            write_records(records, str(path))
+            data = path.read_bytes()
+            assert data == _reference_bytes(records)
+            assert read_records(str(path))[0] == records
+            # blank lines and a missing final LF do not change the rows
+            lines = data.split(b"\n")[:-1]
+            for i in sorted(blank_after, reverse=True):
+                lines.insert(1 + min(i, len(lines) - 1), b"")
+            path.write_bytes(b"\n".join(lines) + (b"\n" if final_lf else b""))
+            assert read_records(str(path))[0] == records
+
+    def test_blocks_span_digit_widths(self, record_dir):
+        # widths 1 to 20 in every block of 7 rows
+        gates = sorted({10**k + j for k in range(19) for j in (0, 1)} | {2**64 - 1, 0, 9})
+        records = RecordSet(gates, [g % 4 for g in gates], [g % 3 == 0 for g in gates])
+        path = record_dir / "widths.csv"
+        with mock.patch.object(mcsim, "_BLOCK_ROWS", 7):
+            write_records(records, str(path))
+            assert path.read_bytes() == _reference_bytes(records)
+            assert read_records(str(path))[0] == records
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_order_checked_across_blocks(self, record_dir, block):
+        path = record_dir / "order.csv"
+        for rows, line in ((b"3,2,1\n9,0,0\n\n9,0,1\n", 5), (b"3,2,1\n9,0,0\n4,1,0\n", 4),
+                           (b"3,2,1\n9,2,0\n9,1,0\n", 4)):
+            path.write_bytes(b"gate_index,detector_id,is_dark\n" + rows)
+            with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+                with pytest.raises(FormatError, match=f"^line {line}: row not after"):
+                    read_records(str(path))
+
+    @pytest.mark.parametrize("row", [
+        b"7,1,0\r",  # CR
+        b"7, 1,0",  # space
+        b"+7,1,0",  # sign
+        b"1_007,1,0",  # digit separator
+        b"7,,0",  # empty field
+        b",1,0",  # empty gate
+        b"7,1",  # 2 fields
+        b"7,1,0,0",  # 4 fields
+        b"7,4,0",  # detector 4
+        b"7,1,2",  # dark 2
+        b"000000000000000000007,1,0",  # 21-digit gate
+        b"7\xc3\xa9,1,0",  # non-ASCII
+    ])
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_malformed_row_reports_line(self, record_dir, row, blank, block):
+        path = record_dir / "bad.csv"
+        path.write_bytes(b"gate_index,detector_id,is_dark\n3,2,1\n"
+                         + (b"\n" if blank else b"") + row + b"\n8,0,0\n")
+        line = 4 if blank else 3
+        with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+            with pytest.raises(FormatError, match=f"^line {line}: ") as exc:
+                read_records(str(path))
+        assert exc.value.line == line

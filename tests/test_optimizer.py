@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab import finitekey, optimizer, rates
-from qkdlab.core import DetectorModel, LinkModel, ProtocolParams, load_config
+from qkdlab.core import Basis, DetectorModel, LinkModel, ProtocolParams, load_config
 from qkdlab.optimizer import (
     EmptyFeasibleSet,
     GridSpec,
@@ -267,6 +267,24 @@ class TestScan:
         # the infeasible loss reports p0's point, not the defaults
         assert (rows[1].mu, rows[1].nu, rows[1].p_mu, rows[1].p_z) == (0.45, 0.12, 0.7, 0.8)
         assert rows[1].l_bits == 0.0
+
+    def test_one_statistics_call_per_row(self, monkeypatch):
+        calls = []
+        expected_statistics = rates.expected_statistics
+
+        def counting(p, link):
+            calls.append(link.channel_loss_db)
+            return expected_statistics(p, link)
+
+        monkeypatch.setattr(rates, "expected_statistics", counting)
+        scan(LINK_75, [4.8, 9.6, 60.0], p=ProtocolParams())
+        assert calls == [4.8, 9.6, 60.0]
+        calls.clear()
+        rows = scan(LINK_75, [14.6, 60.0], p="optimize", grid=SMALL_GRID)
+        # the feasible row reuses the statistics its incumbent was scored with
+        assert calls == [14.6, 60.0]
+        stats = expected_statistics(optimize(LINK_75, grid=SMALL_GRID).best, LINK_75)
+        assert (rows[0].e_z, rows[0].e_x) == (stats.pooled_qber(Basis.Z), stats.pooled_qber(Basis.X))
 
     def test_csv_format(self):
         rows = scan(LINK_75, [4.8], p=ProtocolParams())
