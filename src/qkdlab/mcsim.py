@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -168,14 +170,21 @@ def _stream_key(seed: int, slot: int) -> int:
 _NP_M1, _NP_M2 = _U64(_MIX_M1), _U64(_MIX_M2)
 
 
-def _uniforms_u64(seed: int, slot: int, index: np.ndarray) -> np.ndarray:
-    """64-bit uniforms for (seed, slot, index); pure and order-independent.
+def _uniforms_u64(seed: int, slot: int, index: np.ndarray, start: int = 0, work=None) -> np.ndarray:
+    """64-bit uniforms for (seed, slot, gate), gate = start + index (an
+    int64 or uint64 array); pure and order-independent.
 
-    The splitmix64 finalizer of (index + key), computed in place."""
-    # fold key + golden gamma mod 2^64 as a Python int: the sum of two
+    The splitmix64 finalizer of (gate + key), computed in place.  With
+    ``work``, a pair of uint64 buffers at least ``index.size`` long, the
+    result is a view of the first buffer, valid until the next call on it;
+    without, it is a new array."""
+    n = index.size
+    if work is None:
+        work = (np.empty(n, _U64), np.empty(n, _U64))
+    x, t = work[0][:n], work[1][:n]
+    # fold key + golden gamma + start mod 2^64 as a Python int: the sum of
     # np.uint64 scalars would raise an overflow warning
-    x = index + ((_stream_key(seed, slot) + _MIX_GOLD) & _MASK64)
-    t = np.empty_like(x)
+    np.add(index.view(_U64), (_stream_key(seed, slot) + _MIX_GOLD + start) & _MASK64, out=x)
     np.right_shift(x, 30, out=t)
     x ^= t
     x *= _NP_M1
@@ -224,8 +233,9 @@ def _sample(thr: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> np
     # the last threshold is 2^64 - 1, which no uniform exceeds
     head = min(len(thr) - 1, int(np.searchsorted(thr, _HEAD_LEVEL)) + 1)
     out = np.zeros(u.shape, dtype=np.uint8)
+    above = np.empty(u.shape, dtype=bool)
     for t in thr[:head]:
-        above = u > t
+        np.greater(u, t, out=above)
         out += above
     if head < len(thr) - 1:
         tail = np.flatnonzero(above)
@@ -258,6 +268,35 @@ for _mask in range(1, 16):
         _CHOICE[_mask, _k] = _members[min(_k, len(_members) - 1)]
 
 
+def _prep_thr(p: ProtocolParams) -> np.ndarray:
+    """Thresholds of Alice's joint (intensity, basis, bit) choice,
+    index = (k << 2) | (basis << 1) | bit."""
+    prep = []
+    for k in Intensity:
+        for b in Basis:
+            for _bit in (0, 1):
+                prep.append(p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5)
+    return _cdf_u64(prep)
+
+
+def _photon_pmfs(p: ProtocolParams) -> list[list[float]]:
+    """Poisson photon-number pmf over 0.._PHOTON_CAP, one per intensity
+    index (0 signal, 1 decoy).  Raises ValueError if the draw would be
+    clipped at the cap for more than ``_CAP_TOLERANCE`` of the gates."""
+    pmfs = []
+    for k in Intensity:
+        mean = p.mean_photons(k)
+        pmf = [math.exp(-mean) * mean**n / math.factorial(n) for n in range(_PHOTON_CAP + 1)]
+        beyond = 1.0 - math.fsum(pmf)
+        if beyond > _CAP_TOLERANCE:
+            raise ValueError(
+                f"{k.value} intensity {mean:g}: probability {beyond:.3g} of photon number "
+                f"above {_PHOTON_CAP} exceeds {_CAP_TOLERANCE:g}"
+            )
+        pmfs.append(pmf)
+    return pmfs
+
+
 class _SessionTables:
     """Precomputed sampling tables for one (params, link) pair.
 
@@ -267,14 +306,7 @@ class _SessionTables:
     def __init__(self, p: ProtocolParams, link: LinkModel):
         eta = link.eta_sys
         dark = link.detector.dark_prob_per_gate
-        # joint (intensity, basis, bit) preparation choice,
-        # index = (k << 2) | (basis << 1) | bit
-        prep = []
-        for k in Intensity:
-            for b in Basis:
-                for _bit in (0, 1):
-                    prep.append(p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5)
-        self.prep_thr = _cdf_u64(prep)
+        self.prep_thr = _prep_thr(p)
         # survivors out of n photons, one table per n (n = 0 has one bin)
         binom = [
             [math.comb(n, m) * eta**m * (1 - eta) ** (n - m) for m in range(n + 1)]
@@ -283,26 +315,18 @@ class _SessionTables:
         self.binom_thr = [_cdf_u64(pmf) for pmf in binom]
         self.binom_zero = np.array([thr[0] for thr in self.binom_thr], dtype=np.uint64)
         # photon number, one row per intensity index (0 signal, 1 decoy)
-        pois = []
-        for k in Intensity:
-            mean = p.mean_photons(k)
-            pmf = [math.exp(-mean) * mean**n / math.factorial(n) for n in range(_PHOTON_CAP + 1)]
-            beyond = 1.0 - math.fsum(pmf)
+        pmfs = _photon_pmfs(p)
+        for k, pmf in zip(Intensity, pmfs):
             routed_over = math.fsum(
                 pmf[n] * math.fsum(binom[n][_MAX_ROUTED + 1 :])
                 for n in range(_MAX_ROUTED + 1, _PHOTON_CAP + 1)
             )
-            for what, mass in (
-                (f"photon number above {_PHOTON_CAP}", beyond),
-                (f"more than {_MAX_ROUTED} surviving photons", routed_over),
-            ):
-                if mass > _CAP_TOLERANCE:
-                    raise ValueError(
-                        f"{k.value} intensity {mean:g}: probability {mass:.3g} of {what} "
-                        f"exceeds {_CAP_TOLERANCE:g}"
-                    )
-            pois.append(_cdf_u64(pmf))
-        self.pois_thr = np.stack(pois)
+            if routed_over > _CAP_TOLERANCE:
+                raise ValueError(
+                    f"{k.value} intensity {p.mean_photons(k):g}: probability {routed_over:.3g} "
+                    f"of more than {_MAX_ROUTED} surviving photons exceeds {_CAP_TOLERANCE:g}"
+                )
+        self.pois_thr = np.stack([_cdf_u64(pmf) for pmf in pmfs])
         # dark click pattern over the 4 detectors, bitmask-indexed
         dpmf = []
         for mask in range(16):
@@ -326,8 +350,9 @@ class _SessionTables:
         self.route_thr = np.stack(route)
 
 
-def _resolve_clicks(seed, gates, cmask, prep):
-    """Click resolution and sifting for gates with at least one click.
+def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
+    """Click resolution and sifting for gates with at least one click, the
+    gates ``start + index`` (uniforms drawn as by ``_uniforms_u64``).
 
     ``cmask`` is each gate's 4-bit click pattern and ``prep`` Alice's
     (intensity, basis, bit) choice.  A multi-click gate resolves to one of
@@ -336,10 +361,10 @@ def _resolve_clicks(seed, gates, cmask, prep):
     cell = (basis << 1) | intensity, then the per-gate sifted, error and
     multi-click masks."""
     cpop = _POPCOUNT[cmask]
-    kth = np.zeros(gates.size, dtype=np.int64)
+    kth = np.zeros(index.size, dtype=np.int64)
     multi = cpop > 1
     if multi.any():
-        uc = _uniforms_u64(seed, _SLOT_DCLICK, gates[multi])
+        uc = _uniforms_u64(seed, _SLOT_DCLICK, index[multi], start, work)
         kf = (uc.astype(np.float64) * 2.0**-64 * cpop[multi]).astype(np.int64)
         kth[multi] = np.minimum(kf, cpop[multi] - 1)
     chosen = _CHOICE[cmask, kth]
@@ -355,22 +380,28 @@ def _resolve_clicks(seed, gates, cmask, prep):
     return n_cells, m_cells, sifted, errors, multi
 
 
-def _run_chunk(tables, seed, start, stop, keep_records):
-    g = np.arange(start, stop, dtype=np.uint64)
-    n = len(g)
-    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, g))
-    intensity = prep >> 2  # 0 signal, 1 decoy
-    abasis = (prep >> 1) & 1  # 0 Z, 1 X
+def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
+    """Gates ``start .. stop - 1``, each addressed by its offset from
+    ``start``: only the gates kept as records are formed.  ``iota`` holds
+    the offsets 0, 1, ... and ``work`` is the worker's pair of hash
+    buffers, all at least ``stop - start`` long."""
+    n = stop - start
+    every = iota[:n]
 
-    nph = _sample(tables.pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=intensity)
+    def uniforms(slot, index):
+        return _uniforms_u64(seed, slot, index, start, work)
 
-    # gates with at least one surviving photon, and their survivor counts
-    has = np.flatnonzero(nph != 0)
-    us = _uniforms_u64(seed, _SLOT_SURV, g[has])
-    nh = nph[has]
-    # uniforms at or below P(no survivor | n) fall in bin 0
-    live = np.flatnonzero(us > tables.binom_zero[nh])
-    act, us, nh = has[live], us[live], nh[live]
+    prep = _sample(tables.prep_thr, uniforms(_SLOT_PREP, every))
+    # photon number from the table of the gate's intensity, prep >> 2
+    nph = _sample(tables.pois_thr, uniforms(_SLOT_NPHOT, every), row=prep >> 2)
+
+    # gates with at least one surviving photon, and their survivor counts:
+    # uniforms at or below P(no survivor | n) fall in bin 0, as every one
+    # does at n = 0.  The thresholds go to the free second hash buffer
+    # (mode "clip" writes there directly; n <= _PHOTON_CAP is in range).
+    us = uniforms(_SLOT_SURV, every)
+    act = np.flatnonzero(us > np.take(tables.binom_zero, nph, out=work[1][:n], mode="clip"))
+    us, nh = us[act], nph[act]
     surv = np.empty(act.size, dtype=np.uint8)
     for nv in np.unique(nh):
         sel = nh == nv
@@ -380,22 +411,22 @@ def _run_chunk(tables, seed, start, stop, keep_records):
     pclick = np.zeros(n, dtype=np.uint8)
     for j in range(int(surv.max(initial=0))):
         sub = act[surv > j]
-        ur = _uniforms_u64(seed, _SLOT_ROUTE0 + j, g[sub])
+        ur = uniforms(_SLOT_ROUTE0 + j, sub)
         # routing class = (basis << 1) | bit, the low bits of prep
         pclick[sub] |= np.uint8(1) << _sample(tables.route_thr, ur, row=prep[sub] & 3)
 
-    dpat = _sample(tables.dark_thr, _uniforms_u64(seed, _SLOT_DARK, g))
+    dpat = _sample(tables.dark_thr, uniforms(_SLOT_DARK, every))
 
     clicks = pclick | dpat
     any_idx = np.flatnonzero(clicks != 0)
-    cmask = clicks[any_idx]
+    cmask, prep_any, nph_any = clicks[any_idx], prep[any_idx], nph[any_idx]
     n_cells, m_cells, sifted, errors, multi = _resolve_clicks(
-        seed, g[any_idx], cmask, prep[any_idx]
+        seed, any_idx, cmask, prep_any, start, work
     )
 
-    nph_any = nph[any_idx]
-    z_sift = sifted & (abasis[any_idx] == 0)
-    x_sift = sifted & (abasis[any_idx] == 1)
+    abasis = (prep_any >> 1) & 1  # 0 Z, 1 X
+    z_sift = sifted & (abasis == 0)
+    x_sift = sifted & (abasis == 1)
     gt = GroundTruth(
         vacuum_detections=int(np.count_nonzero(z_sift & (nph_any == 0))),
         single_photon_detections=int(np.count_nonzero(z_sift & (nph_any == 1))),
@@ -403,9 +434,9 @@ def _run_chunk(tables, seed, start, stop, keep_records):
         single_photon_errors_x=int(np.count_nonzero(errors & x_sift & (nph_any == 1))),
     )
 
-    decoys = np.count_nonzero(intensity)
+    decoys = np.count_nonzero(prep >= 4)  # intensity 1, decoy
     sent = np.array([n - decoys, decoys])
-    clicked = np.bincount(intensity[any_idx], minlength=2)
+    clicked = np.bincount(prep_any >> 2, minlength=2)
 
     records = None
     if keep_records:
@@ -413,7 +444,8 @@ def _run_chunk(tables, seed, start, stop, keep_records):
         hit, det = np.nonzero((cmask[:, None] >> _DETECTORS) & 1)
         dark_only = dpat[any_idx] & ~pclick[any_idx]
         records = RecordSet(
-            g[any_idx[hit]], det.astype(np.uint8), (dark_only[hit] >> det) & 1 == 1
+            any_idx[hit].astype(np.uint64) + start, det.astype(np.uint8),
+            (dark_only[hit] >> det) & 1 == 1,
         )
 
     return {
@@ -431,7 +463,10 @@ def _run_chunk(tables, seed, start, stop, keep_records):
 
 # 2^16 gates keep a chunk's working set in cache; smaller chunks spend
 # the time in per-chunk Python glue, which holds the GIL and stops
-# threads from scaling
+# threads from scaling.  Its uint64 arrays (512 KiB: the gate offsets and
+# the two hash buffers) are over glibc's 128 KiB mmap threshold, so every
+# fresh one is mapped and page-faulted in; run_session makes them once per
+# session and worker thread, not per chunk.
 _DEFAULT_CHUNK = 1 << 16
 
 
@@ -468,13 +503,20 @@ def run_session(
     """Simulate a full session of ``n_pulses`` gates (default: p.n_pulses).
 
     Deterministic in (seed, params, link, gate_offset) regardless of chunk
-    size or thread count.  Raises BudgetExceeded as soon as the records
-    kept so far exceed ``record_cap``; chunks not yet started are dropped.
+    size or thread count.  The gates are ``gate_offset`` onwards; a range
+    outside 0 .. 2^64 - 1 raises ValueError.  Raises BudgetExceeded as soon
+    as the records kept so far exceed ``record_cap``; chunks not yet started
+    are dropped.
     """
     validate_params(p)
     n_total = int(n_pulses if n_pulses is not None else p.n_pulses)
     if n_total < 1:
         raise ValueError(f"n_pulses={n_total} must be >= 1")
+    gate_offset = int(gate_offset)
+    if gate_offset < 0 or gate_offset + n_total > 1 << 64:
+        raise ValueError(
+            f"gates {gate_offset} .. {gate_offset + n_total - 1} are not all in 0 .. 2^64 - 1"
+        )
     workers = _n_threads(n_threads)
     tables = _tables if _tables is not None else _SessionTables(p, link)
     bounds = [
@@ -482,9 +524,15 @@ def run_session(
         for s in range(0, n_total, chunk_size)
     ]
     kept = 0
+    iota = np.arange(min(chunk_size, n_total), dtype=np.uint64)
+    local = threading.local()  # dropped, with the buffers, on return
 
     def chunk(bound):
-        return _run_chunk(tables, seed, bound[0], bound[1], keep_records)
+        # each worker's first chunk makes its hash buffers; later ones reuse them
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = (np.empty_like(iota), np.empty_like(iota))
+        return _run_chunk(tables, seed, bound[0], bound[1], keep_records, iota, work)
 
     def within_cap(r):
         nonlocal kept
@@ -496,8 +544,17 @@ def run_session(
 
     if workers > 1 and len(bounds) > 1:
         pool = ThreadPoolExecutor(max_workers=workers)
+        # chunks run at most two per worker ahead of the result taken next, so
+        # finished chunks do not pile up and a run past the cap stops early
+        ahead = deque()
+        results = []
         try:
-            results = [within_cap(r) for r in pool.map(chunk, bounds)]
+            for bound in bounds:
+                ahead.append(pool.submit(chunk, bound))
+                if len(ahead) == 2 * workers:
+                    results.append(within_cap(ahead.popleft().result()))
+            while ahead:
+                results.append(within_cap(ahead.popleft().result()))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
@@ -539,10 +596,10 @@ def pulse_records(p: ProtocolParams, seed: int, gate_indices) -> list[PulseRecor
 
     Uses the same counter-based draws as run_session, so tags agree with
     any session run under the same (seed, params)."""
-    tables = _SessionTables(p, LinkModel())
+    pois_thr = np.stack([_cdf_u64(pmf) for pmf in _photon_pmfs(p)])
     g = np.asarray(gate_indices, dtype=np.uint64)
-    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, g))
-    nph = _sample(tables.pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=prep >> 2)
+    prep = _sample(_prep_thr(p), _uniforms_u64(seed, _SLOT_PREP, g))
+    nph = _sample(pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=prep >> 2)
     return [
         PulseRecord(
             gate_index=int(gi),
@@ -792,7 +849,7 @@ def read_records(
     records = RecordSet(*(np.concatenate(c) for c in zip(*columns))) if columns else RecordSet()
     counts = None
     if p is not None and link is not None and seed is not None:
-        counts = _counts_from_clicks(records, p, link, seed)
+        counts = _counts_from_clicks(records, p, seed)
     return records, counts
 
 
@@ -805,16 +862,30 @@ def _observed(n_cells, m_cells) -> ObservedCounts:
     )
 
 
-def _counts_from_clicks(records: RecordSet, p, link, seed) -> ObservedCounts:
+def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
     """Sifted tallies of the session that produced ``records``, which are
-    sorted by gate."""
+    sorted by gate.  Walks the rows in blocks of at most ``_BLOCK_ROWS``,
+    each ending at a gate boundary."""
     if len(records) == 0:
         return ObservedCounts()
+    prep_thr = _prep_thr(p)
     g = records.gate_index
-    first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
-    gates = g[first]
-    cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id, first)
-    tables = _SessionTables(p, link)
-    prep = _sample(tables.prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates))
-    n_cells, m_cells, *_ = _resolve_clicks(seed, gates, cmask, prep)
+    n_cells, m_cells = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    s = 0
+    while s < g.size:
+        e = min(s + _BLOCK_ROWS, g.size)
+        if e < g.size:
+            # end before the rows of the gate that row e belongs to, unless
+            # the block holds nothing else
+            cut = s + int(np.searchsorted(g[s:e], g[e]))
+            e = cut if cut > s else s + int(np.searchsorted(g[s:], g[e], side="right"))
+        block = g[s:e]
+        first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
+        gates = block[first]
+        cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id[s:e], first)
+        prep = _sample(prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates))
+        n, m, *_ = _resolve_clicks(seed, gates, cmask, prep)
+        n_cells += n
+        m_cells += m
+        s = e
     return _observed(n_cells, m_cells)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -106,6 +107,85 @@ class TestDeterminism:
         assert res.counts == GOLDEN_75KM_COUNTS
         assert res.ground_truth == GOLDEN_75KM_GROUND_TRUTH
         assert res.detection_gates == 1116
+
+
+def _session_key(res):
+    """Everything a session returns, records included, as comparable values."""
+    return (res.counts, res.ground_truth, res.n_pulses, res.detection_gates,
+            res.multi_click_gates, res.detector_clicks, res.sent, res.clicked,
+            *(None if res.records is None else
+              (res.records.gate_index.tolist(), res.records.detector_id.tolist(),
+               res.records.is_dark.tolist()),))
+
+
+class TestWorkBuffers:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), slot=st.integers(0, 24),
+           offsets=st.sets(st.integers(0, 999), min_size=1, max_size=40),
+           start=st.sampled_from([0, 2**63 - 5, 2**64 - 1000]),
+           dtype=st.sampled_from([np.int64, np.uint64]))
+    def test_folded_start_equals_gate_array(self, seed, slot, offsets, start, dtype):
+        index = np.array(sorted(offsets), dtype=dtype)
+        gates = np.array([start + int(i) for i in index], dtype=np.uint64)
+        # longer than the index and holding stale values, as between chunks
+        work = (np.full(1000, 2**64 - 1, dtype=np.uint64), np.arange(1000, dtype=np.uint64))
+        got = mcsim._uniforms_u64(seed, slot, index, start, work)
+        assert np.shares_memory(got, work[0])
+        assert np.array_equal(got, mcsim._uniforms_u64(seed, slot, gates))
+        key = mcsim._stream_key(seed, slot)
+        assert got.tolist() == [mcsim._mix_scalar((key + g) % 2**64) for g in gates.tolist()]
+
+    @pytest.mark.parametrize("offset", [2**63 - 5, 2**64 - 3 * 2**16 - 5])
+    def test_offsets_near_the_top_match_chunk_777(self, offset):
+        # three default chunks and 5 gates more; the second offset ends at 2^64 - 1
+        kw = dict(n_pulses=3 * 2**16 + 5, gate_offset=offset, keep_records=True)
+        want = _session_key(run_session(P_SMALL, LINK_B2B, seed=5, chunk_size=777, **kw))
+        for threads in (1, 2):
+            res = run_session(P_SMALL, LINK_B2B, seed=5, n_threads=threads, **kw)
+            assert _session_key(res) == want
+        gates = res.records.gate_index
+        assert offset <= int(gates[0]) and int(gates[-1]) <= offset + kw["n_pulses"] - 1
+
+    def test_back_to_back_sessions_equal_fresh_ones(self):
+        cases = [(777, 3, LINK_B2B, 0), (mcsim._DEFAULT_CHUNK, 4, LINK_75, 10**12 + 7),
+                 (5000, 5, LINK_B2B, 2**63 - 5), (mcsim._DEFAULT_CHUNK, 6, LINK_B2B, 11)]
+
+        def run(case, threads):
+            chunk, seed, link, offset = case
+            return _session_key(run_session(
+                P_SMALL, link, seed=seed, n_pulses=2 * 2**16 + 333, gate_offset=offset,
+                keep_records=True, chunk_size=chunk, n_threads=threads))
+
+        # each reference on fresh worker threads, hence fresh buffers
+        fresh = [run(case, 2) for case in cases]
+        for order in (cases, cases[::-1]):
+            for case in order:
+                assert run(case, 1) == fresh[cases.index(case)]
+
+    def test_records_survive_later_sessions(self):
+        a = run_session(P_SMALL, LINK_B2B, seed=5, keep_records=True, n_pulses=2**17)
+        before = _session_key(a)
+        b = run_session(P_SMALL, LINK_B2B, seed=6, keep_records=True, n_pulses=2**17)
+        assert _session_key(a) == before
+        for col in ("gate_index", "detector_id", "is_dark"):
+            assert not np.shares_memory(getattr(a.records, col), getattr(b.records, col))
+
+    def test_workers_never_share_buffers(self):
+        # more workers than cores, switching threads as often as possible
+        kw = dict(seed=9, keep_records=True, chunk_size=4096)
+        want = _session_key(run_session(P_SMALL, LINK_B2B, n_threads=1, **kw))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _session_key(run_session(P_SMALL, LINK_B2B, n_threads=8, **kw))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("offset, n", [(-1, 10), (2**64 - 9, 10), (2**64, 1)])
+    def test_gates_beyond_uint64_refused(self, offset, n):
+        with pytest.raises(ValueError, match=r"not all in 0 \.\. 2\^64 - 1"):
+            run_session(P_SMALL, LINK_B2B, seed=1, n_pulses=n, gate_offset=offset)
 
 
 class TestThreadCount:
@@ -265,6 +345,20 @@ class TestPulseRecords:
         frac = sum(r.intensity is Intensity.SIGNAL for r in recs) / len(recs)
         assert frac == pytest.approx(0.66, abs=0.02)
 
+    def test_build_no_session_tables(self, monkeypatch):
+        want = pulse_records(ProtocolParams(), seed=5, gate_indices=[0, 7, 2**64 - 1])
+
+        def no_tables(*args):
+            raise AssertionError("session tables built for pulse records")
+
+        monkeypatch.setattr(mcsim, "_SessionTables", no_tables)
+        assert pulse_records(ProtocolParams(), seed=5, gate_indices=[0, 7, 2**64 - 1]) == want
+
+    @pytest.mark.filterwarnings("ignore:mu=")
+    def test_refuse_clipped_photon_numbers(self):
+        with pytest.raises(ValueError, match="photon number above 40"):
+            pulse_records(ProtocolParams(mu=20.0, nu=0.1), seed=5, gate_indices=[0])
+
 
 class TestStability:
     def test_window_count_48h(self):
@@ -403,6 +497,24 @@ class TestRecordFiles:
         monkeypatch.setattr(mcsim, "_SessionTables", no_tables)
         _, counts = read_records(path, ProtocolParams(), LINK_B2B, seed=1)
         assert counts == ObservedCounts()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64, 1 << 16])
+    def test_counts_walk_blocks_without_session_tables(self, tmp_path, monkeypatch, block):
+        # multi-click gates straddle every small block edge
+        p = ProtocolParams(mu=0.9, nu=0.3)
+        link = LinkModel(detector=DetectorModel(dark_prob_per_gate=0.05))
+        res = run_session(p, link, seed=7, n_pulses=4000, keep_records=True)
+        assert res.multi_click_gates > 10
+        path = str(tmp_path / "blocks.csv")
+        write_records(res.records, path)
+
+        def no_tables(*args):
+            raise AssertionError("sampling tables built to recount records")
+
+        monkeypatch.setattr(mcsim, "_SessionTables", no_tables)
+        monkeypatch.setattr(mcsim.optics, "detection_weights", no_tables)
+        monkeypatch.setattr(mcsim, "_BLOCK_ROWS", block)
+        assert read_records(path, p, link, seed=7)[1] == res.counts
 
     def test_largest_gate_reads_back(self, tmp_path):
         path = tmp_path / "max.csv"
