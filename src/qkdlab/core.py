@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 
 class ParamError(ValueError):
     """Base class for parameter validation failures."""
@@ -155,7 +157,12 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class ObservedCounts:
-    """Sifted detection (n) and error (m) tallies per basis x intensity."""
+    """Sifted detection (n) and error (m) tallies per basis x intensity.
+
+    A cell may be a numpy array, one tally per point of a parameter grid;
+    the cells then broadcast against each other like the parameters they
+    were computed from.
+    """
 
     n_z_mu: int = 0
     n_z_nu: int = 0
@@ -167,19 +174,21 @@ class ObservedCounts:
     m_x_nu: int = 0
 
     def __post_init__(self) -> None:
-        for b in Basis:
-            for k in Intensity:
-                n, m = self.n(b, k), self.m(b, k)
-                if n < 0 or m < 0 or m > n:
-                    raise ParamError(
-                        f"invalid cell ({b.value},{k.value}): n={n}, m={m}"
-                    )
+        for cell in ("z_mu", "z_nu", "x_mu", "x_nu"):
+            n, m = getattr(self, "n_" + cell), getattr(self, "m_" + cell)
+            # 0 <= m <= n also rules out n < 0
+            if np.logical_or(m < 0, m > n).any():
+                raise ParamError(f"invalid cell {cell}: n={n}, m={m}")
 
     def n(self, b: Basis, k: Intensity) -> int:
-        return getattr(self, f"n_{b.value.lower()}_{'mu' if k is Intensity.SIGNAL else 'nu'}")
+        if b is Basis.Z:
+            return self.n_z_mu if k is Intensity.SIGNAL else self.n_z_nu
+        return self.n_x_mu if k is Intensity.SIGNAL else self.n_x_nu
 
     def m(self, b: Basis, k: Intensity) -> int:
-        return getattr(self, f"m_{b.value.lower()}_{'mu' if k is Intensity.SIGNAL else 'nu'}")
+        if b is Basis.Z:
+            return self.m_z_mu if k is Intensity.SIGNAL else self.m_z_nu
+        return self.m_x_mu if k is Intensity.SIGNAL else self.m_x_nu
 
     def n_total(self, b: Basis) -> int:
         return self.n(b, Intensity.SIGNAL) + self.n(b, Intensity.DECOY)

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import Basis, LinkModel
+from .core import Basis
 
 _NORM_TOL = 1e-12
 
@@ -146,25 +146,3 @@ def detection_weights(
         px * ((1.0 - e_mis_x) * qx1 + e_mis_x * qx0),
     )
 
-
-def click_probabilities(
-    state: PolarizationState,
-    link: LinkModel,
-    intensity_k: float,
-    p_z_bob: float = 0.9,
-) -> tuple[float, float, float, float]:
-    """Per-detector click probability for a coherent pulse of mean photon
-    number ``intensity_k`` in the given state.
-
-    Each detector sees an independent Poisson stream of mean
-    eta_sys * k * weight_d (Poisson thinning of the source), combined with
-    its dark-count probability.
-    """
-    weights = detection_weights(state, p_z_bob, link.e_mis_z, link.e_mis_x)
-    eta = link.eta_sys
-    dark = link.detector.dark_prob_per_gate
-    out = []
-    for w in weights:
-        p_signal = -math.expm1(-eta * intensity_k * w)
-        out.append(1.0 - (1.0 - p_signal) * (1.0 - dark))
-    return tuple(out)

@@ -1,13 +1,12 @@
 """Grid search over protocol parameters and key-rate-versus-loss scans.
 
 The objective is the secure length evaluated on the closed-form expected
-statistics.  ``evaluate_grid`` mirrors the scalar rates -> finitekey
-pipeline term by term on broadcast per-axis inputs, laid out as
-(p_z, p_mu, mu, nu) and scored in cache-sized blocks; the incumbent is then
-re-scored through the scalar path so the reported value is exactly what
-``finitekey.key_length`` produces.  Ties resolve to the lexicographically
-smallest (mu, nu, p_mu, p_z), so any evaluation order yields the same
-incumbent.
+statistics.  ``evaluate_grid`` puts broadcast per-axis parameter arrays
+into one ``ProtocolParams`` and scores them through the same
+``rates.expected_statistics`` and ``finitekey`` composition as a single
+point, so a grid score and ``finitekey.key_length`` at that point are the
+same number.  Ties resolve to the lexicographically smallest
+(mu, nu, p_mu, p_z), so any evaluation order yields the same incumbent.
 """
 
 from __future__ import annotations
@@ -47,20 +46,6 @@ class GridSpec:
             raise ValueError("mu range upper end must exceed nu range lower end")
 
 
-_MIN_GAP = 1e-9
-
-
-def _entropy(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    inner = np.clip(x, 1e-300, 1.0 - 1e-16)
-    h = -inner * np.log2(inner) - (1.0 - inner) * np.log2(1.0 - inner)
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, h)
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
-
-
 # Points scored per block.  2^14 float64 is glibc's default mmap threshold
 # (128 KiB): below it, block temporaries reuse heap memory.  Blocks of 2^15
 # points took 13x the minor page faults and ran slower; 2^13 paid more
@@ -77,18 +62,21 @@ def evaluate_grid(
     link: LinkModel,
 ) -> np.ndarray:
     """Secure length at each parameter tuple, broadcasting the four inputs
-    against each other; infeasible tuples (nu >= mu, empty key basis) score
-    zero.  The result has the broadcast shape.
+    against each other; the result has the broadcast shape.  Each point is
+    scored by the composition ``finitekey.key_length`` uses, so a score is
+    exactly ``key_length(expected_statistics(point)).l_bits``; points that
+    ``key_length`` rejects (nu >= mu, nu <= 0, empty key basis) score zero.
 
     It is filled in blocks of at most ``_BLOCK_POINTS`` points: runs of rows
     of the first axis, or one row at a time (recursively) when a row is
     larger.  Each term is computed on the sub-grid its inputs span, so with
-    per-axis inputs the QBERs cost (mu, nu) points and the basis weights
-    p_z points; only the counts and bounds run at full size."""
+    per-axis inputs the gains and QBERs cost mu and nu points, a sifted
+    cell (p_z, p_mu, mu) or (p_z, p_mu, nu) points, and only the totals and
+    bounds run at full size."""
     arrays = [np.asarray(a, dtype=np.float64) for a in (mu, nu, p_mu, p_z)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     if not shape:
-        return _score(*arrays, p0, link)
+        return _block(*arrays, p0, link)
     out = np.empty(shape)
     _fill(out, [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays], p0, link)
     return out
@@ -105,100 +93,22 @@ def _fill(out: np.ndarray, arrays: list, p0: ProtocolParams, link: LinkModel) ->
     step = max(1, _BLOCK_POINTS // max(1, row))
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
-        out[rows] = _score(*(a[rows] if len(a) > 1 else a for a in arrays), p0, link)
+        out[rows] = _block(*(a[rows] if len(a) > 1 else a for a in arrays), p0, link)
 
 
-def _score(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel) -> np.ndarray:
-    """evaluate_grid on one block; mirrors rates -> finitekey term by term."""
-    eta = link.eta_sys
-    d_tot = rates.dark_total(link)
-    n_pulses = float(p0.n_pulses)
-    eps_sec, eps_cor, f_ec = p0.eps_sec, p0.eps_cor, p0.f_ec
-    eps_pe = eps_sec / 19.0
-    log_pe = math.log(1.0 / eps_pe)
-
-    valid = (nu < mu - _MIN_GAP) & (nu > 0.0)
-    mu_s = np.where(valid, mu, nu + 1.0)  # placeholder keeps arithmetic finite
-
-    q = {}
-    e = {}
-    for tag, k in (("mu", mu_s), ("nu", nu)):
-        q[tag] = 1.0 - (1.0 - d_tot) * np.exp(-eta * k)
-        sig = -np.expm1(-eta * k)
-        e[("Z", tag)] = np.minimum(0.5, (0.5 * d_tot + link.e_mis_z * sig) / q[tag])
-        e[("X", tag)] = np.minimum(0.5, (0.5 * d_tot + link.e_mis_x * sig) / q[tag])
-
-    pb = {"Z": p_z * p_z, "X": (1.0 - p_z) * (1.0 - p_z)}
-    pk = {"mu": p_mu, "nu": 1.0 - p_mu}
-    n = {}
-    m = {}
-    for b in ("Z", "X"):
-        for tag in ("mu", "nu"):
-            base = n_pulses * pk[tag] * pb[b] * q[tag]
-            n[b, tag] = _round_half_up(base)
-            m[b, tag] = np.minimum(n[b, tag], _round_half_up(base * e[(b, tag)]))
-
-    scale = {"mu": np.exp(mu_s) / pk["mu"], "nu": np.exp(nu) / pk["nu"]}
-    tau0 = pk["mu"] * np.exp(-mu_s) + pk["nu"] * np.exp(-nu)
-    tau1 = pk["mu"] * mu_s * np.exp(-mu_s) + pk["nu"] * nu * np.exp(-nu)
-    nu_over_mu_sq = nu**2 / mu_s**2
-    gap_over_mu_sq = (mu_s**2 - nu**2) / mu_s**2
-    pref = mu_s / (nu * (mu_s - nu))
-
-    tau1_pref = tau1 * pref
-    n_tot, m_tot, d_n, n_minus_nu, s1 = {}, {}, {}, {}, {}
-    for b in ("Z", "X"):
-        n_tot[b] = n[b, "mu"] + n[b, "nu"]
-        m_tot[b] = m[b, "mu"] + m[b, "nu"]
-        d_n[b] = np.sqrt(n_tot[b] / 2.0 * log_pe)
-        n_minus_nu[b] = np.maximum(0.0, scale["nu"] * (n[b, "nu"] - d_n[b]))
-        n_plus_mu = scale["mu"] * (n[b, "mu"] + d_n[b])
-        s0_up = np.minimum(n_tot[b], 2.0 * (m_tot[b] + d_n[b]))
-        inner = (
-            n_minus_nu[b]
-            - nu_over_mu_sq * n_plus_mu
-            - gap_over_mu_sq * (s0_up / tau0)
-        )
-        s1[b] = np.maximum(0.0, tau1_pref * inner)
-
-    n_z_tot, m_z_tot = n_tot["Z"], m_tot["Z"]
-    s0_low = tau0 * (
-        mu_s * n_minus_nu["Z"] - nu * scale["mu"] * (n["Z", "mu"] + d_n["Z"])
-    ) / (mu_s - nu)
-    s0_low = np.maximum(0.0, s0_low)
-
-    d_m_x = np.sqrt(m_tot["X"] / 2.0 * log_pe)
-    v = tau1 * (
-        scale["mu"] * (m["X", "mu"] + d_m_x)
-        - np.maximum(0.0, scale["nu"] * (m["X", "nu"] - d_m_x))
-    ) / (mu_s - nu)
-    s_x1 = s1["X"]
-    s_z1 = s1["Z"]
-    have_stats = (s_x1 > 0.0) & (s_z1 > 0.0)
-    sx = np.where(have_stats, s_x1, 1.0)
-    sz = np.where(have_stats, s_z1, 1.0)
-    ratio = np.clip(v, 0.0, sx) / sx
-    b_ = np.clip(ratio, 0.0, 1.0 - 1e-16)
-    s_sum, s_prod = sx + sz, sx * sz
-    front = s_sum * (1.0 - b_) * b_ / (s_prod * math.log(2.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = s_sum / (s_prod * (1.0 - b_) * b_) * (21.0 / eps_sec) ** 2
-        gamma = np.sqrt(np.maximum(0.0, front * np.log2(np.maximum(arg, 1.0))))
-    gamma = np.where(b_ <= 0.0, 0.0, gamma)
-    phi = np.minimum(0.5, ratio + gamma)
-    phi = np.where(have_stats & (ratio < 1.0), phi, 0.5)
-
-    qber_z = np.where(n_z_tot > 0, m_z_tot / np.maximum(n_z_tot, 1.0), 0.0)
-    lambda_ec = f_ec * n_z_tot * _entropy(qber_z)
-    l = (
-        s0_low
-        + s_z1 * (1.0 - _entropy(phi))
-        - lambda_ec
-        - 6.0 * math.log2(19.0 / eps_sec)
-        - math.log2(2.0 / eps_cor)
-    )
-    l = np.maximum(0.0, l)
-    return np.where(valid & (n_z_tot > 0), l, 0.0)
+def _block(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel) -> np.ndarray:
+    """evaluate_grid on one block."""
+    positive = nu > 0.0
+    valid = (mu - nu >= finitekey._MIN_INTENSITY_GAP) & positive
+    # Masked points get placeholder intensities inside every bound's domain:
+    # nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so that the
+    # counts keep mu on its own axis.  A point with no key-basis detections
+    # needs no mask: it already scores zero.
+    nu = np.where(positive, nu, 1.0)
+    p = replace(p0, mu=mu, nu=nu, p_mu=p_mu, p_z_alice=p_z, p_z_bob=p_z)
+    counts = rates.expected_statistics(p, link).counts
+    masked = replace(p, mu=np.where(valid, mu, nu + 1.0))
+    return np.where(valid, finitekey._secure_length(counts, masked)["l_bits"], 0.0)
 
 
 @dataclass(frozen=True)

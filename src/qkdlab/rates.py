@@ -3,8 +3,11 @@ threshold-detector model.
 
 Two levels are provided.  ``expected_statistics`` uses the standard
 decoy-state textbook formulas (gain and QBER per intensity) and drives the
-finite-key pipeline and the optimizer.  ``expected_sifted_cells`` enumerates
-the 16 detector click patterns exactly and is the oracle the Monte Carlo
+finite-key pipeline and the optimizer.  It and the formulas it is built
+from broadcast: a ``ProtocolParams`` whose intensities and probabilities
+are numpy arrays yields arrays, so one parameter point and a whole grid
+block go through the same code.  ``expected_sifted_cells`` enumerates the
+16 detector click patterns exactly and is the oracle the Monte Carlo
 simulator is audited against; the textbook formulas approximate it to about
 a percent (they route dark-only clicks with the splitter ratio rather than
 uniformly over detectors).
@@ -16,6 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Basis, Intensity, LinkModel, ObservedCounts, ProtocolParams
 from . import optics
 
@@ -24,25 +29,35 @@ class EntropyDomainError(ValueError):
     """Raised when binary_entropy is evaluated outside [0, 1]."""
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon entropy of a bit with bias x, in bits; h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
+def binary_entropy(x):
+    """Shannon entropy of a bit with bias x, in bits; h(0) = h(1) = 0.
+
+    The logarithms see x clipped into [1e-300, 1 - 1e-16], so no element
+    takes the log of zero."""
+    x = np.asarray(x)
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
         raise EntropyDomainError(f"binary_entropy argument {x} outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    inner = np.minimum(np.maximum(x, 1e-300), 1.0 - 1e-16)
+    outer = 1.0 - inner
+    h = -inner * np.log2(inner) - outer * np.log2(outer)
+    return np.where((x <= 0.0) | (x >= 1.0), 0.0, h)[()]
 
 
-def tau_n(n: int, p: ProtocolParams) -> float:
+def tau_n(n: int, p: ProtocolParams):
     """Probability that an emitted pulse contains exactly n photons under
-    the two-intensity Poisson mixture."""
+    the two-intensity Poisson mixture, sum_k p_k k^n e^-k / n!."""
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    total = 0.0
-    for k in Intensity:
-        mean = p.mean_photons(k)
-        total += p.intensity_prob(k) * math.exp(-mean) * mean**n / math.factorial(n)
-    return total
+    fact = math.factorial(n)
+
+    def term(p_k, k):
+        # (p_k / n!) k ... k: no power or factorial at the size of k
+        t = p_k / fact
+        for _ in range(n):
+            t = t * k
+        return t * np.exp(-k)
+
+    return term(p.p_mu, p.mu) + term(p.p_nu, p.nu)
 
 
 def dark_total(link: LinkModel) -> float:
@@ -51,17 +66,19 @@ def dark_total(link: LinkModel) -> float:
     return 1.0 - (1.0 - det.dark_prob_per_gate) ** det.n_detectors
 
 
-def gain(link: LinkModel, k: float) -> float:
+def gain(link: LinkModel, k):
     """Probability of >= 1 click for a pulse of mean photon number k."""
-    return 1.0 - (1.0 - dark_total(link)) * math.exp(-link.eta_sys * k)
+    return 1.0 - (1.0 - dark_total(link)) * np.exp(-link.eta_sys * k)
 
 
-def qber(link: LinkModel, k: float, basis: Basis) -> float:
+def qber(link: LinkModel, k) -> dict:
     """Error probability of a sifted bit from a pulse of mean photon
-    number k: dark-driven clicks err half the time, signal clicks err with
-    the misalignment flip probability."""
-    eq = 0.5 * dark_total(link) + link.e_mis(basis) * -math.expm1(-link.eta_sys * k)
-    return min(0.5, eq / gain(link, k))
+    number k, per basis: dark-driven clicks err half the time, signal
+    clicks err with the basis's misalignment flip probability."""
+    dark = 0.5 * dark_total(link)
+    signal = -np.expm1(-link.eta_sys * k)
+    q = gain(link, k)
+    return {b: np.minimum(0.5, (dark + link.e_mis(b) * signal) / q) for b in Basis}
 
 
 @dataclass(frozen=True)
@@ -76,47 +93,44 @@ class ExpectedStatistics:
     e_x_nu: float
     counts: ObservedCounts
 
-    def q(self, k: Intensity) -> float:
-        return self.q_mu if k is Intensity.SIGNAL else self.q_nu
-
-    def e(self, b: Basis, k: Intensity) -> float:
-        name = f"e_{b.value.lower()}_{'mu' if k is Intensity.SIGNAL else 'nu'}"
-        return getattr(self, name)
-
     def pooled_qber(self, b: Basis) -> float:
         c = self.counts
         n = c.n_total(b)
         return c.m_total(b) / n if n else 0.5
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def _round_half_up(x):
+    return np.floor(x + 0.5)
 
 
 def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistics:
     """Expected gains, QBERs and sifted tallies for n_pulses emitted pulses.
 
     Cell tallies follow n[b][k] = N p_k p_b^A p_b^B q_k and m = e n,
-    rounded half-up with m clamped to n.
+    rounded half-up; m <= n since e <= 1/2.  A cell computed from scalars
+    is a Python int.
     """
-    qs = {k: gain(link, p.mean_photons(k)) for k in Intensity}
-    es = {(b, k): qber(link, p.mean_photons(k), b) for b in Basis for k in Intensity}
+    mean = {"mu": p.mu, "nu": p.nu}
+    p_k = {"mu": p.p_mu, "nu": p.p_nu}
+    q = {k: gain(link, mean[k]) for k in mean}
+    e = {k: qber(link, mean[k]) for k in mean}
     cells = {}
-    for b in Basis:
-        pb = p.basis_prob_alice(b) * (p.p_z_bob if b is Basis.Z else 1.0 - p.p_z_bob)
-        for k in Intensity:
-            n = _round_half_up(p.n_pulses * p.intensity_prob(k) * pb * qs[k])
-            m = min(n, _round_half_up(p.n_pulses * p.intensity_prob(k) * pb * qs[k] * es[b, k]))
-            suffix = f"{b.value.lower()}_{'mu' if k is Intensity.SIGNAL else 'nu'}"
-            cells[f"n_{suffix}"] = n
-            cells[f"m_{suffix}"] = m
+    for b, basis, p_b in (
+        ("z", Basis.Z, p.p_z_alice * p.p_z_bob),
+        ("x", Basis.X, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob)),
+    ):
+        for k in mean:
+            expected = p.n_pulses * p_k[k] * p_b * q[k]
+            cells[f"n_{b}_{k}"] = _round_half_up(expected)
+            cells[f"m_{b}_{k}"] = _round_half_up(expected * e[k][basis])
+    cells = {name: v if isinstance(v, np.ndarray) else int(v) for name, v in cells.items()}
     return ExpectedStatistics(
-        q_mu=qs[Intensity.SIGNAL],
-        q_nu=qs[Intensity.DECOY],
-        e_z_mu=es[Basis.Z, Intensity.SIGNAL],
-        e_z_nu=es[Basis.Z, Intensity.DECOY],
-        e_x_mu=es[Basis.X, Intensity.SIGNAL],
-        e_x_nu=es[Basis.X, Intensity.DECOY],
+        q_mu=q["mu"],
+        q_nu=q["nu"],
+        e_z_mu=e["mu"][Basis.Z],
+        e_z_nu=e["nu"][Basis.Z],
+        e_x_mu=e["mu"][Basis.X],
+        e_x_nu=e["nu"][Basis.X],
         counts=ObservedCounts(**cells),
     )
 

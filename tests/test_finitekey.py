@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qkdlab import finitekey, rates
 from qkdlab.core import Basis, DetectorModel, Intensity, LinkModel, ObservedCounts, ProtocolParams
 from qkdlab.finitekey import (
+    DecoyFactors,
     EmptyKeyBasis,
     EpsilonBudget,
     IntensityDegenerate,
@@ -16,12 +17,14 @@ from qkdlab.finitekey import (
     phase_error_bound,
     scaled_count_bounds,
     single_photon_bound,
-    vacuum_bounds,
+    vacuum_lower_bound,
+    vacuum_upper_bound,
 )
 
 P_REF = ProtocolParams()
 LINK_75 = LinkModel(channel_loss_db=14.6)
 EPS_PE = 1e-9 / 19.0
+F_REF = DecoyFactors(P_REF)
 
 # Frozen by an independent script evaluating the closed forms directly,
 # before the module was written.  Inputs: n_z_mu=7.0e6, n_z_nu=1.1e6,
@@ -88,7 +91,7 @@ class TestHoeffdingDelta:
 
 class TestScaledCountBounds:
     def test_frozen_oracle_values(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, P_REF, EPS_PE)
+        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
         assert sb.n_plus_mu == pytest.approx(ORACLE["n_plus_mu"], rel=1e-12)
         assert sb.n_minus_mu == pytest.approx(ORACLE["n_minus_mu"], rel=1e-12)
         assert sb.n_plus_nu == pytest.approx(ORACLE["n_plus_nu"], rel=1e-12)
@@ -97,14 +100,14 @@ class TestScaledCountBounds:
         assert sb.m_minus_nu == pytest.approx(ORACLE["m_minus_nu"], rel=1e-12)
 
     def test_vanishing_fluctuation_limit(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, P_REF, 1.0 - 1e-12)
+        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, 1.0 - 1e-12)
         for k, n in ((Intensity.SIGNAL, 7_000_000), (Intensity.DECOY, 1_100_000)):
             scale = math.exp(P_REF.mean_photons(k)) / P_REF.intensity_prob(k)
             assert sb.n_plus(k) == pytest.approx(scale * n, rel=1e-6)
             assert sb.n_minus(k) == pytest.approx(scale * n, rel=1e-6)
 
     def test_all_zero_counts(self):
-        sb = scaled_count_bounds(ObservedCounts(), Basis.Z, P_REF, EPS_PE)
+        sb = scaled_count_bounds(ObservedCounts(), Basis.Z, F_REF, EPS_PE)
         for k in Intensity:
             assert sb.n_plus(k) == 0.0
             assert sb.n_minus(k) == 0.0
@@ -116,39 +119,38 @@ class TestScaledCountBounds:
            n_nu=st.integers(min_value=0, max_value=10**6))
     def test_ordering(self, n_mu, n_nu):
         c = ObservedCounts(n_z_mu=n_mu, n_z_nu=n_nu)
-        sb = scaled_count_bounds(c, Basis.Z, P_REF, EPS_PE)
+        sb = scaled_count_bounds(c, Basis.Z, F_REF, EPS_PE)
         for k in Intensity:
             assert 0.0 <= sb.n_minus(k) <= sb.n_plus(k)
 
 
 class TestVacuumBounds:
     def test_frozen_s0_up(self):
-        vb = vacuum_bounds(ORACLE_COUNTS, Basis.Z, P_REF, EPS_PE)
-        assert vb.s0_up == pytest.approx(ORACLE["s0_up"], rel=1e-12)
+        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
+        assert vacuum_upper_bound(sb) == pytest.approx(ORACLE["s0_up"], rel=1e-12)
 
     def test_lower_clamped_at_zero(self):
-        vb = vacuum_bounds(ORACLE_COUNTS, Basis.Z, P_REF, EPS_PE)
-        assert vb.s0_low == 0.0
+        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
+        assert vacuum_lower_bound(sb) == 0.0
 
     def test_random_channel_upper_clamps_to_n(self):
         c = ObservedCounts(n_z_mu=10_000, m_z_mu=5_000)
-        vb = vacuum_bounds(c, Basis.Z, P_REF, EPS_PE)
-        assert vb.s0_up == 10_000
+        assert vacuum_upper_bound(scaled_count_bounds(c, Basis.Z, F_REF, EPS_PE)) == 10_000
 
     def test_degenerate_intensities_rejected(self):
-        p = replace(P_REF, nu=P_REF.mu)
         with pytest.raises(IntensityDegenerate):
-            vacuum_bounds(ORACLE_COUNTS, Basis.Z, p, EPS_PE)
+            DecoyFactors(replace(P_REF, nu=P_REF.mu))
 
 
 class TestSinglePhotonBound:
     def test_frozen_oracle_value(self):
-        vb = vacuum_bounds(ORACLE_COUNTS, Basis.Z, P_REF, EPS_PE)
-        s1 = single_photon_bound(ORACLE_COUNTS, Basis.Z, P_REF, EPS_PE, vb.s0_up)
+        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
+        s1 = single_photon_bound(sb, vacuum_upper_bound(sb))
         assert s1 == pytest.approx(ORACLE["s_z1"], rel=1e-12)
 
     def test_all_zero_counts(self):
-        assert single_photon_bound(ObservedCounts(), Basis.Z, P_REF, EPS_PE, 0.0) == 0.0
+        sb = scaled_count_bounds(ObservedCounts(), Basis.Z, F_REF, EPS_PE)
+        assert single_photon_bound(sb, 0.0) == 0.0
 
     def test_single_photon_source_recovered(self):
         # Counts constructed as if every pulse carried exactly one photon
@@ -159,34 +161,34 @@ class TestSinglePhotonBound:
         for tag, k, pk in (("mu", P_REF.mu, P_REF.p_mu), ("nu", P_REF.nu, P_REF.p_nu)):
             cells[f"n_z_{tag}"] = round(N * pk * k * math.exp(-k) * y)
         c = ObservedCounts(**cells)
-        s1 = single_photon_bound(c, Basis.Z, P_REF, 1.0 - 1e-12, 0.0)
+        sb = scaled_count_bounds(c, Basis.Z, F_REF, 1.0 - 1e-12)
+        s1 = single_photon_bound(sb, 0.0)
         assert s1 == pytest.approx(rates.tau_n(1, P_REF) * N * y, rel=1e-4)
 
     def test_zero_decoy_rejected(self):
-        p = replace(P_REF, nu=0.0)
         with pytest.raises(IntensityDegenerate):
-            single_photon_bound(ORACLE_COUNTS, Basis.Z, p, EPS_PE, 0.0)
+            DecoyFactors(replace(P_REF, nu=0.0))
 
     def test_never_negative(self):
         c = ObservedCounts(n_z_mu=10**6, n_z_nu=1)
-        assert single_photon_bound(c, Basis.Z, P_REF, EPS_PE, 10**5) >= 0.0
+        sb = scaled_count_bounds(c, Basis.Z, F_REF, EPS_PE)
+        assert single_photon_bound(sb, 10**5) >= 0.0
 
 
 class TestPhaseErrorBound:
     def test_error_free_x_basis(self):
         c = ObservedCounts(n_z_mu=10**6, n_z_nu=10**5,
                            n_x_mu=10**4, n_x_nu=10**3)
-        eps = EpsilonBudget.from_params(P_REF)
         # zero X errors with a vanishing fluctuation share drives the
         # ratio to zero, where the correction term vanishes
-        loose = EpsilonBudget(eps_sec=1e-9, eps_cor=1e-9, eps_pe=1.0 - 1e-12)
-        pb = phase_error_bound(c, P_REF, loose, 10**5, 10**4)
+        sb = scaled_count_bounds(c, Basis.X, F_REF, 1.0 - 1e-12)
+        pb = phase_error_bound(sb, 1e-9, 10**5, 10**4)
         assert pb.phi_z_up == pytest.approx(0.0, abs=1e-6)
         assert not pb.insufficient_test_statistics
 
     def test_no_test_statistics_flagged(self):
-        eps = EpsilonBudget.from_params(P_REF)
-        pb = phase_error_bound(ObservedCounts(), P_REF, eps, 1000.0, 0.0)
+        sb = scaled_count_bounds(ObservedCounts(), Basis.X, F_REF, EPS_PE)
+        pb = phase_error_bound(sb, 1e-9, 1000.0, 0.0)
         assert pb.phi_z_up == 0.5
         assert pb.insufficient_test_statistics
 

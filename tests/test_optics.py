@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab import optics
-from qkdlab.core import Basis, DetectorModel, LinkModel
+from qkdlab.core import Basis
 from qkdlab.optics import (
     DegenerateCoupling,
     PolarizationState,
     apply_channel,
-    click_probabilities,
     detection_weights,
     prepare_state,
     sagnac_im_levels,
@@ -150,51 +149,6 @@ class TestDetectionWeights:
         w = detection_weights(prepare_state(Basis.Z, 0), 0.9, 0.01, 0.0)
         assert w[0] == pytest.approx(0.9 * 0.99, abs=TOL)
         assert w[1] == pytest.approx(0.9 * 0.01, abs=TOL)
-
-
-class TestClickProbabilities:
-    def test_75km_total_click_probability(self):
-        link = LinkModel(channel_loss_db=14.6, receiver_loss_db=1.4,
-                         e_mis_z=0.0, e_mis_x=0.0)
-        probs = click_probabilities(prepare_state(Basis.Z, 0), link, 0.56)
-        eta = 10 ** (-1.6) * 0.1
-        expected = 1.0 - math.exp(-eta * 0.56) + 4 * 8e-6
-        assert sum(probs) == pytest.approx(expected, rel=2e-2)
-        assert sum(probs) == pytest.approx(1.44e-3, rel=0.05)
-
-    def test_vacuum_gives_dark_floor(self):
-        link = LinkModel()
-        probs = click_probabilities(prepare_state(Basis.Z, 0), link, 0.0)
-        assert all(p == pytest.approx(8e-6, rel=1e-9) for p in probs)
-
-    def test_vacuum_no_dark_gives_zero(self):
-        det = DetectorModel(dark_prob_per_gate=0.0)
-        link = LinkModel(detector=det)
-        probs = click_probabilities(prepare_state(Basis.X, 1), link, 0.0)
-        assert probs == (0.0, 0.0, 0.0, 0.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        k1=st.floats(min_value=0.0, max_value=2.0),
-        k2=st.floats(min_value=0.0, max_value=2.0),
-    )
-    def test_monotone_in_intensity(self, k1, k2):
-        lo, hi = sorted((k1, k2))
-        link = LinkModel(channel_loss_db=4.8)
-        state = prepare_state(Basis.Z, 1)
-        p_lo = click_probabilities(state, link, lo)
-        p_hi = click_probabilities(state, link, hi)
-        assert all(a <= b + 1e-15 for a, b in zip(p_lo, p_hi))
-
-    def test_monotone_in_efficiency(self):
-        state = prepare_state(Basis.Z, 0)
-        p_lo = click_probabilities(
-            state, LinkModel(detector=DetectorModel(efficiency=0.05)), 0.56
-        )
-        p_hi = click_probabilities(
-            state, LinkModel(detector=DetectorModel(efficiency=0.2)), 0.56
-        )
-        assert all(a <= b for a, b in zip(p_lo, p_hi))
 
 
 class TestAnalyzerOrder:

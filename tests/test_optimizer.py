@@ -21,23 +21,25 @@ LINK_75 = LinkModel(channel_loss_db=14.6)
 CONFIG_PROJ = os.path.join(os.path.dirname(__file__), "..", "configs", "projection.conf")
 FREE_P_Z = optimizer._steps(0.5, 0.95, 0.05)
 
-# optimize(p0=projection.conf) as scored by the unblocked evaluator over a
-# raveled meshgrid: incumbent (mu, nu, p_mu, p_z), l_bits as float.hex, and
-# the SHA-256 of the certificate's l_bits in (mu, nu, p_mu, p_z) C order.
+# optimize(p0=projection.conf): incumbent (mu, nu, p_mu, p_z), l_bits as
+# float.hex, and the SHA-256 of the certificate's l_bits in
+# (mu, nu, p_mu, p_z) C order.  Incumbents and digests are those of the
+# unblocked evaluator over a raveled meshgrid; l_bits is the grid's own
+# score at the incumbent, which key_length reproduces exactly.
 # None: no feasible point on that grid.
 PROJECTION_PINS = {
     ("default", 1.0): ((0.5640000000000001, 0.253, 0.895, 0.9), "0x1.4bc90cdd8eb8cp+29",
                        "690e5ba947314d37c31f104bcc7db49206fbfe614d349320709fedbb72c8a3bd"),
-    ("default", 9.6): ((0.49, 0.219, 0.8150000000000001, 0.9), "0x1.3491eca3e207fp+26",
+    ("default", 9.6): ((0.49, 0.219, 0.8150000000000001, 0.9), "0x1.3491eca3e2080p+26",
                        "c2abe63391e2e56eb31b13fb2dc52db615f9dc6ecbef764d12aa8f7b0bb89a43"),
-    ("default", 30.0): ((0.516, 0.183, 0.4000000000000001, 0.9), "0x1.1664a31b7f1c6p+18",
+    ("default", 30.0): ((0.516, 0.183, 0.4000000000000001, 0.9), "0x1.1664a31b7f1cap+18",
                         "16165ac577701428ae00efe72700d559ba81433c81bb4e5c6059b5d50af01c6b"),
     ("default", 38.0): None,
     ("free", 1.0): ((0.5700000000000001, 0.259, 0.855, 0.95), "0x1.6908402da69e9p+29",
                     "bf48bc159080c4e4bf5dc7e4c7e071a3cfc2c35044c71a933f444cec8706c07e"),
     ("free", 9.6): ((0.496, 0.214, 0.755, 0.95), "0x1.44e533ef4fdcap+26",
                     "3154677512016318a76de419d21588092ca2e2c6dcfa88d348acf4f1c7a9af8d"),
-    ("free", 30.0): ((0.492, 0.208, 0.535, 0.8250000000000001), "0x1.5f16aa2f4ec32p+18",
+    ("free", 30.0): ((0.492, 0.208, 0.535, 0.8250000000000001), "0x1.5f16aa2f4ec30p+18",
                      "62e6ddefbbc440768d3894075ffa828ea46ce9d8f6e69a1cb96fd36f61a40ebf"),
     ("free", 38.0): ((0.476, 0.18, 0.35000000000000003, 0.53), "0x1.aca40b38e4240p+9",
                      "4e8edf3257aab966896557aa924177a2fbeb4dbc44802df41617fe0f938c04ad"),
@@ -74,7 +76,7 @@ class TestVectorizedEvaluator:
         arr = np.array(pts).T
         vec = evaluate_grid(arr[0], arr[1], arr[2], arr[3], p0, LINK_75)
         for i, pt in enumerate(pts):
-            assert vec[i] == pytest.approx(_scalar_l(*pt, p0, LINK_75), rel=1e-9, abs=1e-6)
+            assert vec[i] == _scalar_l(*pt, p0, LINK_75)
 
     def test_infeasible_points_score_zero(self):
         p0 = ProtocolParams()
@@ -100,8 +102,29 @@ class TestVectorizedEvaluator:
         nu = mu * nu_frac
         vec = evaluate_grid(mu, nu, p_mu, p_z, p0, link)
         assert vec.shape == ()
-        assert float(vec) == pytest.approx(_scalar_l(mu, nu, p_mu, p_z, p0, link),
-                                           rel=1e-9, abs=1e-6)
+        assert float(vec) == _scalar_l(mu, nu, p_mu, p_z, p0, link)
+
+    @pytest.mark.parametrize("link", [
+        LINK_75, LinkModel(channel_loss_db=35.0, detector=DetectorModel(dark_prob_per_gate=1e-8)),
+    ])
+    def test_broadcast_grid_equals_key_length(self, link):
+        # a random (p_z, p_mu, mu, nu) grid with infeasible points (nu >= mu,
+        # nu = 0) and keyless ones scores exactly what key_length gives point
+        # by point, and 0.0 where it raises
+        rng = np.random.default_rng(11)
+        mu = rng.uniform(0.02, 1.0, 6)[:, None]
+        nu = np.append(rng.uniform(0.0, 0.6, 6), 0.0)
+        p_mu = rng.uniform(0.05, 0.95, 4)[:, None, None]
+        p_z = rng.uniform(0.05, 0.95, 3)[:, None, None, None]
+        p0 = ProtocolParams()
+        grid = evaluate_grid(mu, nu, p_mu, p_z, p0, link)
+        assert grid.shape == (3, 4, 6, 7)
+        points = np.array([
+            _scalar_l(mu[k, 0], nu[l], p_mu[j, 0, 0], p_z[i, 0, 0, 0], p0, link)
+            for i, j, k, l in np.ndindex(grid.shape)
+        ]).reshape(grid.shape)
+        assert grid.tobytes() == points.tobytes()
+        assert (grid > 0.0).any() and (grid == 0.0).any()
 
     def test_broadcast_shape(self):
         vec = evaluate_grid(np.array([0.4, 0.5, 0.6])[:, None], np.array([0.1, 0.2]),
@@ -145,6 +168,17 @@ class TestOptimize:
         # the optimizer must do at least as well as the reference settings
         ref_l = _scalar_l(0.56, 0.14, 0.66, 0.9, ProtocolParams(), LINK_75)
         assert result.l_bits >= ref_l
+
+    @pytest.mark.parametrize("loss", [9.6, 30.0])
+    def test_reported_length_is_the_grid_score(self, loss):
+        p, link, _ = load_config(CONFIG_PROJ)
+        link = link.with_channel_loss(loss)
+        coarse = optimize(link, p0=p, refine=False)
+        assert coarse.l_bits == coarse.certificate.l_bits.max()
+        fine = optimize(link, p0=p)
+        b = fine.best
+        assert fine.l_bits == evaluate_grid(b.mu, b.nu, b.p_mu, b.p_z_bob, p, link)
+        assert fine.l_bits >= coarse.l_bits
 
     def test_certificate_never_beats_incumbent(self):
         result = optimize(LINK_75, grid=SMALL_GRID)
@@ -273,7 +307,8 @@ class TestScan:
         expected_statistics = rates.expected_statistics
 
         def counting(p, link):
-            calls.append(link.channel_loss_db)
+            if np.ndim(p.mu) == 0:  # grid blocks call it with array intensities
+                calls.append(link.channel_loss_db)
             return expected_statistics(p, link)
 
         monkeypatch.setattr(rates, "expected_statistics", counting)

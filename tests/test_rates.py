@@ -88,18 +88,18 @@ class TestGainAndQber:
 
     def test_dark_only_limit(self):
         assert gain(LINK_75, 0.0) == pytest.approx(dark_total(LINK_75), rel=1e-12)
-        assert qber(LINK_75, 0.0, Basis.Z) == pytest.approx(0.5, rel=1e-12)
+        assert qber(LINK_75, 0.0)[Basis.Z] == pytest.approx(0.5, rel=1e-12)
 
     def test_qber_never_exceeds_half(self):
         for k in (0.0, 1e-6, 0.14, 0.56, 2.0):
             for b in Basis:
-                assert qber(LINK_75, k, b) <= 0.5
+                assert qber(LINK_75, k)[b] <= 0.5
 
     def test_qber_approaches_misalignment_without_dark(self):
         det = DetectorModel(dark_prob_per_gate=0.0)
         link = LinkModel(channel_loss_db=0.0, detector=det)
-        assert qber(link, 0.56, Basis.Z) == pytest.approx(link.e_mis_z, rel=1e-9)
-        assert qber(link, 0.56, Basis.X) == pytest.approx(link.e_mis_x, rel=1e-9)
+        assert qber(link, 0.56)[Basis.Z] == pytest.approx(link.e_mis_z, rel=1e-9)
+        assert qber(link, 0.56)[Basis.X] == pytest.approx(link.e_mis_x, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -141,8 +141,8 @@ class TestExpectedStatistics:
         stats = expected_statistics(p, LINK_B2B)
         for b in Basis:
             pb = p.basis_prob_alice(b) * (p.p_z_bob if b is Basis.Z else 1 - p.p_z_bob)
-            for k in Intensity:
-                expect = p.n_pulses * p.intensity_prob(k) * pb * stats.q(k)
+            for k, q in ((Intensity.SIGNAL, stats.q_mu), (Intensity.DECOY, stats.q_nu)):
+                expect = p.n_pulses * p.intensity_prob(k) * pb * q
                 assert stats.counts.n(b, k) == math.floor(expect + 0.5)
 
     def test_m_never_exceeds_n(self):
@@ -150,11 +150,6 @@ class TestExpectedStatistics:
         for b in Basis:
             for k in Intensity:
                 assert stats.counts.m(b, k) <= stats.counts.n(b, k)
-
-    def test_accessors(self):
-        stats = expected_statistics(ProtocolParams(), LINK_75)
-        assert stats.q(Intensity.SIGNAL) == stats.q_mu
-        assert stats.e(Basis.X, Intensity.DECOY) == stats.e_x_nu
 
     def test_pooled_qber_back_to_back_matches_calibration(self):
         # calibration targets the exact pulse-level model; the closed-form
