@@ -71,7 +71,7 @@ def cmd_keyrate(args) -> int:
     stats = rates.expected_statistics(p, link)
     try:
         report = finitekey.key_length(stats.counts, p)
-    except finitekey.EmptyKeyBasis as exc:
+    except (finitekey.EmptyKeyBasis, finitekey.IntensityDegenerate) as exc:
         raise CliError(str(exc)) from exc
     payload = {
         "report": report.as_dict(),

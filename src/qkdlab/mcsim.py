@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -298,7 +297,12 @@ def _photon_pmfs(p: ProtocolParams) -> list[list[float]]:
 
 
 class _SessionTables:
-    """Precomputed sampling tables for one (params, link) pair.
+    """Precomputed sampling tables for one (params, link) pair, and the
+    chunk work arrays of every session run on them: the gate offsets
+    ``iota`` (0, 1, ...) and ``buffers``, a free list of uint64 hash-buffer
+    pairs, one per chunk running at a time.  The work arrays live exactly
+    as long as the tables, so the windows of a stability run, which share
+    one set, map and fault them in once.
 
     Raises ValueError if the photon or routed-photon cap would clip more
     than ``_CAP_TOLERANCE`` of the gates of either intensity."""
@@ -307,13 +311,16 @@ class _SessionTables:
         eta = link.eta_sys
         dark = link.detector.dark_prob_per_gate
         self.prep_thr = _prep_thr(p)
-        # survivors out of n photons, one table per n (n = 0 has one bin)
+        # survivors out of n photons, row n of one table (n = 0 has one
+        # bin); row n's n + 1 bins are padded with 2^64 - 1 past its last
         binom = [
             [math.comb(n, m) * eta**m * (1 - eta) ** (n - m) for m in range(n + 1)]
             for n in range(_PHOTON_CAP + 1)
         ]
-        self.binom_thr = [_cdf_u64(pmf) for pmf in binom]
-        self.binom_zero = np.array([thr[0] for thr in self.binom_thr], dtype=np.uint64)
+        self.binom_thr = np.full((_PHOTON_CAP + 1, _PHOTON_CAP + 1), _UINT64_MAX)
+        for n, pmf in enumerate(binom):
+            self.binom_thr[n, : n + 1] = _cdf_u64(pmf)
+        self.binom_zero = self.binom_thr[:, 0].copy()
         # photon number, one row per intensity index (0 signal, 1 decoy)
         pmfs = _photon_pmfs(p)
         for k, pmf in zip(Intensity, pmfs):
@@ -336,6 +343,8 @@ class _SessionTables:
             dpmf.append(prob)
         self.dark_thr = _cdf_u64(dpmf)
         self.set_rotation(p, link)
+        self.iota = np.arange(0, dtype=_U64)
+        self.buffers = deque()
 
     def set_rotation(self, p: ProtocolParams, link: LinkModel) -> None:
         """Recompute the rotation-dependent routing tables only; everything
@@ -348,6 +357,16 @@ class _SessionTables:
                 w = optics.detection_weights(state, p.p_z_bob, link.e_mis_z, link.e_mis_x)
                 route.append(_cdf_u64(w))
         self.route_thr = np.stack(route)
+
+
+def _survivors(binom_thr, u, n) -> np.ndarray:
+    """Survivor count of each gate with ``n`` photons and survival uniform
+    ``u``: the bin of ``u`` in row ``n`` of the padded ``binom_thr``, as
+    ``np.searchsorted(binom_thr[n], u)``.  One gathered comparison over
+    the first ``n.max()`` columns; the final bin's threshold and the
+    padding are 2^64 - 1, which no uniform exceeds."""
+    above = u[:, None] > binom_thr[n, : int(n.max(initial=0))]
+    return np.count_nonzero(above, axis=1)
 
 
 def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
@@ -401,11 +420,7 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
     # (mode "clip" writes there directly; n <= _PHOTON_CAP is in range).
     us = uniforms(_SLOT_SURV, every)
     act = np.flatnonzero(us > np.take(tables.binom_zero, nph, out=work[1][:n], mode="clip"))
-    us, nh = us[act], nph[act]
-    surv = np.empty(act.size, dtype=np.uint8)
-    for nv in np.unique(nh):
-        sel = nh == nv
-        surv[sel] = _sample(tables.binom_thr[nv], us[sel])
+    surv = _survivors(tables.binom_thr, us[act], nph[act])
     np.minimum(surv, _MAX_ROUTED, out=surv)
 
     pclick = np.zeros(n, dtype=np.uint8)
@@ -465,8 +480,9 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
 # the time in per-chunk Python glue, which holds the GIL and stops
 # threads from scaling.  Its uint64 arrays (512 KiB: the gate offsets and
 # the two hash buffers) are over glibc's 128 KiB mmap threshold, so every
-# fresh one is mapped and page-faulted in; run_session makes them once per
-# session and worker thread, not per chunk.
+# fresh one is mapped and page-faulted in; they live on _SessionTables and
+# are made once per tables object (per worker, for the buffers), not per
+# chunk or per stability window.
 _DEFAULT_CHUNK = 1 << 16
 
 
@@ -524,15 +540,23 @@ def run_session(
         for s in range(0, n_total, chunk_size)
     ]
     kept = 0
-    iota = np.arange(min(chunk_size, n_total), dtype=np.uint64)
-    local = threading.local()  # dropped, with the buffers, on return
+    if tables.iota.size < min(chunk_size, n_total):
+        tables.iota = np.arange(min(chunk_size, n_total), dtype=np.uint64)
+    iota, free = tables.iota, tables.buffers
 
     def chunk(bound):
-        # each worker's first chunk makes its hash buffers; later ones reuse them
-        work = getattr(local, "work", None)
-        if work is None:
-            work = local.work = (np.empty_like(iota), np.empty_like(iota))
-        return _run_chunk(tables, seed, bound[0], bound[1], keep_records, iota, work)
+        # a free buffer pair long enough for the chunk, else a new one; the
+        # pair goes back on the list for the next chunk or session
+        try:
+            work = free.pop()  # atomic: workers may race for the last pair
+        except IndexError:
+            work = None
+        if work is None or work[0].size < bound[1] - bound[0]:
+            work = (np.empty_like(iota), np.empty_like(iota))
+        try:
+            return _run_chunk(tables, seed, bound[0], bound[1], keep_records, iota, work)
+        finally:
+            free.append(work)
 
     def within_cap(r):
         nonlocal kept

@@ -74,10 +74,14 @@ def gain(link: LinkModel, k):
 def qber(link: LinkModel, k) -> dict:
     """Error probability of a sifted bit from a pulse of mean photon
     number k, per basis: dark-driven clicks err half the time, signal
-    clicks err with the basis's misalignment flip probability."""
+    clicks err with the basis's misalignment flip probability.  Where the
+    gain is 0 (no light and no dark counts) there is no error either, and
+    the QBER is 0."""
     dark = 0.5 * dark_total(link)
     signal = -np.expm1(-link.eta_sys * k)
     q = gain(link, k)
+    # a zero gain has a zero numerator: divide it by 1, not 0
+    q = np.where(q > 0.0, q, 1.0)
     return {b: np.minimum(0.5, (dark + link.e_mis(b) * signal) / q) for b in Basis}
 
 

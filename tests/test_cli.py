@@ -7,6 +7,7 @@ import pytest
 
 from qkdlab import cli, mcsim
 from qkdlab.core import (
+    DetectorModel,
     LinkModel,
     ProtocolParams,
     SimulationSettings,
@@ -69,6 +70,17 @@ class TestKeyrate:
                               "--loss-db", "4.8", "--json")
         assert rc_d == rc_l == cli.EXIT_OK
         assert out_d == out_l
+
+    @pytest.mark.parametrize("dark", [0.0, 8e-6])
+    def test_vacuum_decoy_refused(self, capsys, tmp_path, dark):
+        path = str(tmp_path / "qkd.conf")
+        det = DetectorModel(dark_prob_per_gate=dark)
+        save_config(path, ProtocolParams(nu=0.0), LinkModel(detector=det), SimulationSettings())
+        for argv in ((), ("--json",)):
+            rc, out, err = _run(capsys, "--config", path, "keyrate", *argv)
+            assert rc == cli.EXIT_ERROR
+            assert out == ""
+            assert err == "error: decoy intensity must be positive\n"
 
     def test_conflicting_flags_rejected(self, capsys):
         rc, _, err = _run(capsys, "--config", CONFIG_75, "keyrate",

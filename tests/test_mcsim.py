@@ -2,6 +2,8 @@ import hashlib
 import math
 import os
 import sys
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -182,6 +184,55 @@ class TestWorkBuffers:
             sys.setswitchinterval(interval)
         assert got == want
 
+    def test_shared_tables_equal_fresh_ones(self):
+        # one tables object across sessions whose offsets grow and shrink and
+        # whose free list 1, 2 and 8 workers fill, in both orders
+        cases = [(threads, chunk) for threads in (1, 2, 8) for chunk in (777, 2**13, 2**16)]
+
+        def run(case, tables=None):
+            threads, chunk = case
+            return _session_key(run_session(
+                P_SMALL, LINK_B2B, seed=cases.index(case), n_pulses=2 * 2**16 + 333,
+                keep_records=True, chunk_size=chunk, n_threads=threads, _tables=tables))
+
+        fresh = [run(case) for case in cases]
+        for order in (cases, cases[::-1]):
+            tables = mcsim._SessionTables(P_SMALL, LINK_B2B)
+            for case in order:
+                assert run(case, tables) == fresh[cases.index(case)]
+                assert tables.iota.size == max(c for _, c in order[: order.index(case) + 1])
+            # one buffer pair per chunk that ran at once
+            assert 1 <= len(tables.buffers) <= 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stability_windows_equal_standalone_sessions(self, threads):
+        ppw, seed = 10**5, 12
+        drift = DriftModel(sigma=0.05, theta0=0.1)
+        sched = Schedule(duration_h=0.5)  # 6 windows
+        windows = run_stability(P_SMALL, LINK_75, drift, sched, seed=seed,
+                                pulses_per_window=ppw, n_threads=threads)
+        theta = drift.theta0
+        for w, got in enumerate(windows):
+            if w > 0:
+                theta += drift.sigma * math.sqrt(sched.interval_s) * mcsim._gauss(seed, w)
+            res = run_session(P_SMALL, replace(LINK_75, rotation_angle=theta), seed,
+                              n_pulses=ppw, gate_offset=w * ppw, n_threads=threads)
+            assert got.counts == res.counts
+            assert got.q_mu == res.clicked[Intensity.SIGNAL] / res.sent[Intensity.SIGNAL]
+            assert got.q_nu == res.clicked[Intensity.DECOY] / res.sent[Intensity.DECOY]
+
+    def test_second_session_on_shared_tables_allocates_little(self):
+        # the offsets and hash buffers (3 x 512 KiB) come from the first session
+        tables = mcsim._SessionTables(P_SMALL, LINK_B2B)
+        run_session(P_SMALL, LINK_B2B, seed=1, n_threads=1, _tables=tables)
+        tracemalloc.start()
+        try:
+            run_session(P_SMALL, LINK_B2B, seed=2, n_threads=1, _tables=tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("offset, n", [(-1, 10), (2**64 - 9, 10), (2**64, 1)])
     def test_gates_beyond_uint64_refused(self, offset, n):
         with pytest.raises(ValueError, match=r"not all in 0 \.\. 2\^64 - 1"):
@@ -266,6 +317,25 @@ class TestSampler:
             uu = np.tile(u, len(rows))
             got = mcsim._sample(thr, uu, row=row)
             want = np.concatenate([np.searchsorted(r, u, side="left") for r in rows])
+        assert np.array_equal(got, want)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(link=st.sampled_from([LINK_B2B, LINK_75, LinkModel(
+               channel_loss_db=0.0, receiver_loss_db=0.0, detector=DetectorModel(efficiency=0.9))]),
+           photons=st.sets(st.integers(0, mcsim._PHOTON_CAP), min_size=1),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_survivor_gather_equals_searchsorted(self, link, photons, extra):
+        thr = mcsim._SessionTables(ProtocolParams(), link).binom_thr
+        # every lattice point next to a threshold, in every row drawn: ties
+        points = {0, 2**64 - 1, *extra}
+        for n in range(mcsim._PHOTON_CAP + 1):
+            for t in thr[n, : n + 1].tolist():
+                points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
+        u = np.array(sorted(points), dtype=np.uint64)
+        rows = np.array(sorted(photons), dtype=np.uint8)
+        got = mcsim._survivors(thr, np.tile(u, rows.size), np.repeat(rows, u.size))
+        want = np.concatenate([np.searchsorted(thr[n, : n + 1], u) for n in rows])
         assert np.array_equal(got, want)
 
 

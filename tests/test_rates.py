@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,17 @@ class TestGainAndQber:
         assert qber(link, 0.56)[Basis.Z] == pytest.approx(link.e_mis_z, rel=1e-9)
         assert qber(link, 0.56)[Basis.X] == pytest.approx(link.e_mis_x, rel=1e-9)
 
+    def test_zero_gain_has_zero_qber(self):
+        # no light and no dark counts: 0 clicks, 0 errors, and no 0/0
+        # (a RuntimeWarning fails the suite)
+        link = LinkModel(detector=DetectorModel(dark_prob_per_gate=0.0))
+        assert gain(link, 0.0) == 0.0
+        assert qber(link, 0.0) == {Basis.Z: 0.0, Basis.X: 0.0}
+        grid = qber(link, np.array([0.0, 0.14]))
+        for b in Basis:
+            assert grid[b][0] == 0.0
+            assert grid[b][1] == pytest.approx(qber(link, 0.14)[b], rel=1e-15)
+
     @settings(max_examples=30, deadline=None)
     @given(
         k1=st.floats(min_value=0.001, max_value=1.0),
@@ -144,6 +156,14 @@ class TestExpectedStatistics:
             for k, q in ((Intensity.SIGNAL, stats.q_mu), (Intensity.DECOY, stats.q_nu)):
                 expect = p.n_pulses * p.intensity_prob(k) * pb * q
                 assert stats.counts.n(b, k) == math.floor(expect + 0.5)
+
+    def test_dark_free_vacuum_decoy(self):
+        link = LinkModel(detector=DetectorModel(dark_prob_per_gate=0.0))
+        stats = expected_statistics(ProtocolParams(nu=0.0), link)
+        assert stats.q_nu == stats.e_z_nu == stats.e_x_nu == 0.0
+        for b in Basis:
+            assert stats.counts.n(b, Intensity.DECOY) == stats.counts.m(b, Intensity.DECOY) == 0
+            assert stats.counts.n(b, Intensity.SIGNAL) > 0
 
     def test_m_never_exceeds_n(self):
         stats = expected_statistics(ProtocolParams(n_pulses=1000), LINK_75)
