@@ -211,35 +211,68 @@ def _cdf_u64(probs) -> np.ndarray:
     return thr
 
 
-# leading bins are counted by comparison until the mass above them drops
-# below 2^-6; the rarer uniforms beyond are binary-searched
-_HEAD_LEVEL = _U64(_MASK64 - (_MASK64 >> 6))
+# A guide table splits the uniforms into 2^12 buckets by their top bits; an
+# entry holds the bin of its bucket, or _SPLIT where a threshold cuts it.
+_GUIDE_BITS = 12
+_GUIDE_SHIFT = 64 - _GUIDE_BITS
+_SPLIT = 255
 
 
-def _sample(thr: np.ndarray, u: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
+def _guide(thr: np.ndarray) -> np.ndarray:
+    """Guide table of ``thr`` (one table, or one per row of a 2-D ``thr``,
+    each of fewer than 255 bins) for ``_sample``: entry ``bucket * rows +
+    row``.  Bucket b holds the uniforms b 2^52 .. (b + 1) 2^52 - 1; the
+    bin rises past each threshold t, so the bucket is split iff
+    b 2^52 <= t < (b + 1) 2^52 - 1."""
+    rows = np.atleast_2d(thr)
+    lo = np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(_GUIDE_SHIFT)
+    hi = lo | _U64((1 << _GUIDE_SHIFT) - 1)
+    guide = np.empty((lo.size, len(rows)), dtype=np.uint8)
+    for r, table in enumerate(rows):
+        first = np.searchsorted(table, lo)
+        guide[:, r] = np.where(first == np.searchsorted(table, hi), first, _SPLIT)
+    return guide.ravel()
+
+
+def _sample(thr, u, row=None, guide=None, scratch=None) -> np.ndarray:
     """Bin of each uniform: the number of thresholds below it, which is
-    ``np.searchsorted(thr, u, side="left")``.
+    ``np.searchsorted(thr, u, side="left")``, as uint8.
 
     A 2-D ``thr`` stacks one table per row and ``row`` picks the table of
-    each uniform.  The high-mass leading bins are counted as ``u > thr[i]``
-    over the whole array; only uniforms past them are binary-searched.
+    each uniform.  Two modes, both exact:
+
+    - with ``guide = _guide(thr)``, for draws over every gate: the bin is
+      the entry of the uniform's bucket, and only the uniforms in split
+      buckets (about 0.2 % of them) are compared.  ``scratch``, a uint64
+      buffer as long as ``u`` if given, holds the entry indices;
+    - without, for sparse draws and the guide's fix-up: one gathered
+      comparison of each uniform with its table's thresholds, up to the
+      last one below 2^64 - 1 in any table drawn from (no uniform exceeds
+      2^64 - 1, the last threshold and the padding of every table).
     """
-    if row is not None:
-        out = np.zeros(u.shape, dtype=np.uint8)
-        for r, table in enumerate(thr):
-            out += (row == r) * _sample(table, u)
+    if guide is not None:
+        idx = np.right_shift(u, _GUIDE_SHIFT, out=scratch)
+        if row is not None:
+            idx *= len(thr)
+            idx += row
+        # every index is in range; "wrap" is the fastest mode that skips
+        # take's bounds error
+        out = np.take(guide, idx.view(np.int64), mode="wrap")
+        split = np.flatnonzero(out == _SPLIT)
+        out[split] = _sample(thr, u[split], None if row is None else row[split])
         return out
-    # the last threshold is 2^64 - 1, which no uniform exceeds
-    head = min(len(thr) - 1, int(np.searchsorted(thr, _HEAD_LEVEL)) + 1)
-    out = np.zeros(u.shape, dtype=np.uint8)
-    above = np.empty(u.shape, dtype=bool)
-    for t in thr[:head]:
-        np.greater(u, t, out=above)
-        out += above
-    if head < len(thr) - 1:
-        tail = np.flatnonzero(above)
-        out[tail] = head + np.searchsorted(thr[head:], u[tail])
-    return out
+    below = np.count_nonzero(thr < _UINT64_MAX, axis=-1)
+    if row is None:
+        table = thr[:below]
+    else:
+        table = np.take(thr[:, : np.take(below, row).max(initial=0)], row, axis=0)
+    # a product with ones sums the short rows of comparisons faster than np.sum
+    return (u[:, None] > table).view(np.uint8) @ np.ones(table.shape[-1], dtype=np.uint8)
+
+
+# the survival draw is the gathered mode over the padded binomial table,
+# row n for a gate with n photons
+_survivors = _sample
 
 
 # decision slots
@@ -298,11 +331,16 @@ def _photon_pmfs(p: ProtocolParams) -> list[list[float]]:
 
 class _SessionTables:
     """Precomputed sampling tables for one (params, link) pair, and the
-    chunk work arrays of every session run on them: the gate offsets
-    ``iota`` (0, 1, ...) and ``buffers``, a free list of uint64 hash-buffer
-    pairs, one per chunk running at a time.  The work arrays live exactly
-    as long as the tables, so the windows of a stability run, which share
-    one set, map and fault them in once.
+    chunk work arrays of every session run on them.
+
+    The tables are the thresholds of every draw and, beside the two drawn
+    over every gate, their guides (``prep_guide``, ``pois_guide``; see
+    ``_sample``).  ``set_rotation`` rebuilds only the routing thresholds,
+    whose sparse draw needs no guide, so the guides are made once.  The
+    work arrays are the gate offsets ``iota`` (0, 1, ...) and ``buffers``,
+    a free list of uint64 hash-buffer pairs, one per chunk running at a
+    time.  They live exactly as long as the tables, so the windows of a
+    stability run, which share one set, map and fault them in once.
 
     Raises ValueError if the photon or routed-photon cap would clip more
     than ``_CAP_TOLERANCE`` of the gates of either intensity."""
@@ -342,6 +380,8 @@ class _SessionTables:
                 prob *= dark if mask >> d & 1 else 1.0 - dark
             dpmf.append(prob)
         self.dark_thr = _cdf_u64(dpmf)
+        self.prep_guide = _guide(self.prep_thr)
+        self.pois_guide = _guide(self.pois_thr)
         self.set_rotation(p, link)
         self.iota = np.arange(0, dtype=_U64)
         self.buffers = deque()
@@ -357,16 +397,6 @@ class _SessionTables:
                 w = optics.detection_weights(state, p.p_z_bob, link.e_mis_z, link.e_mis_x)
                 route.append(_cdf_u64(w))
         self.route_thr = np.stack(route)
-
-
-def _survivors(binom_thr, u, n) -> np.ndarray:
-    """Survivor count of each gate with ``n`` photons and survival uniform
-    ``u``: the bin of ``u`` in row ``n`` of the padded ``binom_thr``, as
-    ``np.searchsorted(binom_thr[n], u)``.  One gathered comparison over
-    the first ``n.max()`` columns; the final bin's threshold and the
-    padding are 2^64 - 1, which no uniform exceeds."""
-    above = u[:, None] > binom_thr[n, : int(n.max(initial=0))]
-    return np.count_nonzero(above, axis=1)
 
 
 def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
@@ -410,9 +440,14 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
     def uniforms(slot, index):
         return _uniforms_u64(seed, slot, index, start, work)
 
-    prep = _sample(tables.prep_thr, uniforms(_SLOT_PREP, every))
+    def draw(thr, guide, slot, row=None):
+        # a guided draw over every gate; its entry indices go to the second
+        # hash buffer, free once the uniforms are hashed
+        return _sample(thr, uniforms(slot, every), row, guide, work[1][:n])
+
+    prep = draw(tables.prep_thr, tables.prep_guide, _SLOT_PREP)
     # photon number from the table of the gate's intensity, prep >> 2
-    nph = _sample(tables.pois_thr, uniforms(_SLOT_NPHOT, every), row=prep >> 2)
+    nph = draw(tables.pois_thr, tables.pois_guide, _SLOT_NPHOT, prep >> 2)
 
     # gates with at least one surviving photon, and their survivor counts:
     # uniforms at or below P(no survivor | n) fall in bin 0, as every one
@@ -420,7 +455,7 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
     # (mode "clip" writes there directly; n <= _PHOTON_CAP is in range).
     us = uniforms(_SLOT_SURV, every)
     act = np.flatnonzero(us > np.take(tables.binom_zero, nph, out=work[1][:n], mode="clip"))
-    surv = _survivors(tables.binom_thr, us[act], nph[act])
+    surv = _sample(tables.binom_thr, us[act], nph[act])
     np.minimum(surv, _MAX_ROUTED, out=surv)
 
     pclick = np.zeros(n, dtype=np.uint8)
@@ -430,7 +465,11 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
         # routing class = (basis << 1) | bit, the low bits of prep
         pclick[sub] |= np.uint8(1) << _sample(tables.route_thr, ur, row=prep[sub] & 3)
 
-    dpat = _sample(tables.dark_thr, uniforms(_SLOT_DARK, every))
+    # dark click pattern: uniforms at or below P(no dark click) fall in bin 0
+    ud = uniforms(_SLOT_DARK, every)
+    dark = np.flatnonzero(ud > tables.dark_thr[0])
+    dpat = np.zeros(n, dtype=np.uint8)
+    dpat[dark] = _sample(tables.dark_thr, ud[dark])
 
     clicks = pclick | dpat
     any_idx = np.flatnonzero(clicks != 0)
@@ -442,12 +481,13 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
     abasis = (prep_any >> 1) & 1  # 0 Z, 1 X
     z_sift = sifted & (abasis == 0)
     x_sift = sifted & (abasis == 1)
-    gt = GroundTruth(
-        vacuum_detections=int(np.count_nonzero(z_sift & (nph_any == 0))),
-        single_photon_detections=int(np.count_nonzero(z_sift & (nph_any == 1))),
-        single_photon_detections_x=int(np.count_nonzero(x_sift & (nph_any == 1))),
-        single_photon_errors_x=int(np.count_nonzero(errors & x_sift & (nph_any == 1))),
-    )
+    # the GroundTruth fields, in order
+    gt = np.array([
+        np.count_nonzero(z_sift & (nph_any == 0)),
+        np.count_nonzero(z_sift & (nph_any == 1)),
+        np.count_nonzero(x_sift & (nph_any == 1)),
+        np.count_nonzero(errors & x_sift & (nph_any == 1)),
+    ])
 
     decoys = np.count_nonzero(prep >= 4)  # intensity 1, decoy
     sent = np.array([n - decoys, decoys])
@@ -535,80 +575,73 @@ def run_session(
         )
     workers = _n_threads(n_threads)
     tables = _tables if _tables is not None else _SessionTables(p, link)
-    bounds = [
-        (gate_offset + s, gate_offset + min(s + chunk_size, n_total))
-        for s in range(0, n_total, chunk_size)
-    ]
-    kept = 0
+    end = gate_offset + n_total
+    starts = range(gate_offset, end, chunk_size)
     if tables.iota.size < min(chunk_size, n_total):
         tables.iota = np.arange(min(chunk_size, n_total), dtype=np.uint64)
     iota, free = tables.iota, tables.buffers
 
-    def chunk(bound):
+    def chunk(start):
         # a free buffer pair long enough for the chunk, else a new one; the
         # pair goes back on the list for the next chunk or session
+        stop = min(start + chunk_size, end)
         try:
             work = free.pop()  # atomic: workers may race for the last pair
         except IndexError:
             work = None
-        if work is None or work[0].size < bound[1] - bound[0]:
+        if work is None or work[0].size < stop - start:
             work = (np.empty_like(iota), np.empty_like(iota))
         try:
-            return _run_chunk(tables, seed, bound[0], bound[1], keep_records, iota, work)
+            return _run_chunk(tables, seed, start, stop, keep_records, iota, work)
         finally:
             free.append(work)
 
-    def within_cap(r):
-        nonlocal kept
-        if keep_records:
-            kept += len(r["records"])
-            if kept > record_cap:
-                raise BudgetExceeded(f"{kept} detection records exceed record cap {record_cap}")
-        return r
+    # every chunk result is folded into running totals as it arrives; only
+    # the records are kept, and the cap bounds them
+    total = {}
+    kept = []
+    n_kept = 0
 
-    if workers > 1 and len(bounds) > 1:
+    def fold(r):
+        nonlocal n_kept
+        records = r.pop("records")
+        if keep_records:
+            kept.append((records.gate_index, records.detector_id, records.is_dark))
+            n_kept += len(records)
+            if n_kept > record_cap:
+                raise BudgetExceeded(f"{n_kept} detection records exceed record cap {record_cap}")
+        for key, value in r.items():
+            total[key] = total.get(key, 0) + value
+
+    if workers > 1 and n_total > chunk_size:
         pool = ThreadPoolExecutor(max_workers=workers)
         # chunks run at most two per worker ahead of the result taken next, so
         # finished chunks do not pile up and a run past the cap stops early
         ahead = deque()
-        results = []
         try:
-            for bound in bounds:
-                ahead.append(pool.submit(chunk, bound))
+            for start in starts:
+                ahead.append(pool.submit(chunk, start))
                 if len(ahead) == 2 * workers:
-                    results.append(within_cap(ahead.popleft().result()))
+                    fold(ahead.popleft().result())
             while ahead:
-                results.append(within_cap(ahead.popleft().result()))
+                fold(ahead.popleft().result())
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        results = [within_cap(chunk(bound)) for bound in bounds]
+        for start in starts:
+            fold(chunk(start))
 
-    n_cells = sum(r["n_cells"] for r in results)
-    m_cells = sum(r["m_cells"] for r in results)
-    gt = GroundTruth()
-    for r in results:
-        gt.vacuum_detections += r["gt"].vacuum_detections
-        gt.single_photon_detections += r["gt"].single_photon_detections
-        gt.single_photon_detections_x += r["gt"].single_photon_detections_x
-        gt.single_photon_errors_x += r["gt"].single_photon_errors_x
-    counts = _observed(n_cells, m_cells)
     records = None
     if keep_records:
-        records = RecordSet(
-            np.concatenate([r["records"].gate_index for r in results]),
-            np.concatenate([r["records"].detector_id for r in results]),
-            np.concatenate([r["records"].is_dark for r in results]),
-        )
-    sent = sum(r["sent"] for r in results)
-    clicked = sum(r["clicked"] for r in results)
+        records = RecordSet(*(np.concatenate(c) for c in zip(*kept)))
+    sent, clicked = total["sent"], total["clicked"]
     return SessionResult(
-        counts=counts,
-        ground_truth=gt,
+        counts=_observed(total["n_cells"], total["m_cells"]),
+        ground_truth=GroundTruth(*(int(c) for c in total["gt"])),
         n_pulses=n_total,
-        detection_gates=sum(r["detection_gates"] for r in results),
-        multi_click_gates=sum(r["multi_click_gates"] for r in results),
-        detector_clicks=sum(r["detector_clicks"] for r in results),
+        detection_gates=total["detection_gates"],
+        multi_click_gates=total["multi_click_gates"],
+        detector_clicks=total["detector_clicks"],
         sent={Intensity.SIGNAL: int(sent[0]), Intensity.DECOY: int(sent[1])},
         clicked={Intensity.SIGNAL: int(clicked[0]), Intensity.DECOY: int(clicked[1])},
         records=records,
@@ -893,6 +926,7 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
     if len(records) == 0:
         return ObservedCounts()
     prep_thr = _prep_thr(p)
+    prep_guide = _guide(prep_thr)
     g = records.gate_index
     n_cells, m_cells = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     s = 0
@@ -907,7 +941,7 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
         first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
         gates = block[first]
         cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id[s:e], first)
-        prep = _sample(prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates))
+        prep = _sample(prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates), guide=prep_guide)
         n, m, *_ = _resolve_clicks(seed, gates, cmask, prep)
         n_cells += n
         m_cells += m

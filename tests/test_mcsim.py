@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab import mcsim, rates
-from qkdlab.core import Basis, DetectorModel, Intensity, LinkModel, ObservedCounts, ProtocolParams
+from qkdlab.core import (
+    Basis, DetectorModel, Intensity, LinkModel, ObservedCounts, ProtocolParams, load_config,
+)
 from qkdlab.mcsim import (
     BudgetExceeded,
     DetectionRecord,
@@ -45,6 +49,14 @@ GOLDEN_75KM_COUNTS = ObservedCounts(n_z_mu=792, n_z_nu=108, n_x_mu=15, n_x_nu=0,
                                     m_z_mu=6, m_z_nu=2, m_x_mu=0, m_x_nu=0)
 GOLDEN_75KM_GROUND_TRUTH = GroundTruth(vacuum_detections=10, single_photon_detections=574,
                                        single_photon_detections_x=8, single_photon_errors_x=0)
+
+# SHA-256 of every stream over the three shipped configs (see
+# test_stream_digest_pinned), frozen from the comparison-cascade sampler:
+# preparation, photon number, survival, routing, dark pattern and click
+# choice, and the record-file recount and drifting stability windows built
+# on them.  A sampler or chunking change must leave it as it is.
+STREAM_DIGEST_SHA256 = "8389e93589b074e68148e75cb40b722bcb1e15e7a6656ce07b8bf1a7e273b253"
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +121,40 @@ class TestDeterminism:
         assert res.counts == GOLDEN_75KM_COUNTS
         assert res.ground_truth == GOLDEN_75KM_GROUND_TRUTH
         assert res.detection_gates == 1116
+
+    def test_stream_digest_pinned(self, tmp_path):
+        h = hashlib.sha256()
+
+        def ints(*values):
+            h.update(np.array(values, dtype=np.uint64).tobytes())
+
+        def counts(c):
+            ints(*(cell(b, k) for cell in (c.n, c.m) for b in Basis for k in Intensity))
+
+        for conf in ("back_to_back.conf", "reference_75km.conf", "projection.conf"):
+            p, link, _ = load_config(os.path.join(CONFIG_DIR, conf))
+            # chunks of 777 and 2^16 gates on 1 and 2 threads, far from gate 0
+            for seed, chunk, threads in itertools.product((3, 4), (777, 2**16), (1, 2)):
+                res = run_session(p, link, seed, n_pulses=2**17 + 333, gate_offset=10**12 + 3,
+                                  keep_records=True, chunk_size=chunk, n_threads=threads)
+                counts(res.counts)
+                ints(*dataclasses.astuple(res.ground_truth), res.detection_gates,
+                     res.multi_click_gates, res.detector_clicks, *res.sent.values(),
+                     *res.clicked.values())
+                for col in (res.records.gate_index, res.records.detector_id, res.records.is_dark):
+                    h.update(col.tobytes())
+            path = str(tmp_path / conf)
+            write_records(res.records, path)
+            counts(read_records(path, p, link, seed)[1])
+            for rec in pulse_records(p, seed, [0, 2**64 - 1]):
+                ints(rec.gate_index, rec.alice_basis is Basis.X, rec.alice_bit,
+                     rec.intensity is Intensity.DECOY, rec.photon_number)
+            windows = run_stability(p, link, DriftModel(sigma=0.05, theta0=0.1),
+                                    Schedule(duration_h=0.5), seed, pulses_per_window=2**15)
+            for w in windows:
+                counts(w.counts)
+                h.update(np.array([w.q_mu, w.q_nu, w.e_z, w.e_x]).tobytes())
+        assert h.hexdigest() == STREAM_DIGEST_SHA256
 
 
 def _session_key(res):
@@ -233,6 +279,21 @@ class TestWorkBuffers:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_session_memory_flat_in_chunk_count(self):
+        # chunk results fold into running totals as they arrive, and the
+        # chunk starts are made one at a time: 4x the chunks, the same peak
+        kw = dict(seed=1, chunk_size=256, n_threads=1)
+        run_session(P_SMALL, LINK_75, n_pulses=1000, **kw)
+        peaks = []
+        for chunks in (1024, 4096):
+            tracemalloc.start()
+            try:
+                run_session(P_SMALL, LINK_75, n_pulses=256 * chunks, **kw)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 << 10
+
     @pytest.mark.parametrize("offset, n", [(-1, 10), (2**64 - 9, 10), (2**64, 1)])
     def test_gates_beyond_uint64_refused(self, offset, n):
         with pytest.raises(ValueError, match=r"not all in 0 \.\. 2\^64 - 1"):
@@ -296,6 +357,58 @@ def _sampler_tables():
     return cases
 
 
+def _guided_tables():
+    """(name, thresholds, guide) for the guided preparation draw, dark
+    tables, and corner tables: thresholds next to bucket edges, repeated
+    thresholds (zero-mass bins), a single bin, and two rows that differ."""
+    cases = []
+    for p_z, p_mu in itertools.product((0.5, 0.95), (0.1, 0.95)):
+        t = mcsim._SessionTables(ProtocolParams(p_z_alice=p_z, p_mu=p_mu), LINK_75)
+        cases.append((f"prep p_z={p_z} p_mu={p_mu}", t.prep_thr, t.prep_guide))
+    for dark in (0.0, 0.5):
+        link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
+        thr = mcsim._SessionTables(ProtocolParams(), link).dark_thr
+        cases.append((f"dark={dark}", thr, mcsim._guide(thr)))
+    edge = 1 << 52
+    top = 2**64 - 1
+    corner = [0, 1] + [k * edge + d for k in (1, 2, 4095) for d in (-2, -1, 0, 1)]
+    for name, thr in (
+        ("bucket edges", [*corner, top]),
+        ("zero-mass bins", [3 * edge] * 3 + [3 * edge + 1] * 2 + [top] * 3),
+        ("single bin", [top]),
+        ("two rows", [[edge - 1, 9 * edge, 9 * edge + 5, top], [edge, edge + 1, 4095 * edge, top]]),
+    ):
+        thr = np.array(thr, dtype=np.uint64)
+        cases.append((name, thr, mcsim._guide(thr)))
+    return cases
+
+
+def _check_guided(thr, guide, extra):
+    """The guided draw of every uniform against every row of ``thr`` equals
+    ``np.searchsorted``, and the guide splits exactly the buckets that hold
+    a threshold.  Uniforms: every threshold +-1, both edges of every
+    bucket, 0, 2^64 - 1 and ``extra``."""
+    rows = np.atleast_2d(thr)
+    lo = np.arange(1 << 12, dtype=np.uint64) << np.uint64(52)
+    hi = lo + np.uint64((1 << 52) - 1)
+    points = {0, 2**64 - 1, *extra}
+    for t in rows.ravel().tolist():
+        points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
+    u = np.unique(np.concatenate([np.array(sorted(points), dtype=np.uint64), lo, hi]))
+    for r, table in enumerate(rows):
+        split = np.searchsorted(table, lo) != np.searchsorted(table, hi)
+        assert np.array_equal(guide[r :: len(rows)] == mcsim._SPLIT, split)
+    want = np.concatenate([np.searchsorted(table, u) for table in rows])
+    if thr.ndim == 1:
+        got = mcsim._sample(thr, u, guide=guide)
+    else:
+        row = np.repeat(np.arange(len(rows), dtype=np.uint8), u.size)
+        index = np.empty(row.size, dtype=np.uint64)
+        got = mcsim._sample(thr, np.tile(u, len(rows)), row, guide, index)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
 class TestSampler:
     @settings(max_examples=100, deadline=None)
     @given(case=st.sampled_from(_sampler_tables()),
@@ -337,6 +450,46 @@ class TestSampler:
         got = mcsim._survivors(thr, np.tile(u, rows.size), np.repeat(rows, u.size))
         want = np.concatenate([np.searchsorted(thr[n, : n + 1], u) for n in rows])
         assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(_guided_tables()),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_guide_equals_searchsorted(self, case, extra):
+        _name, thr, guide = case
+        _check_guided(thr, guide, extra)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=st.floats(0.05, 1.5), nu_frac=st.floats(0.0, 0.99),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_guided_photon_number_equals_searchsorted(self, mu, nu_frac, extra):
+        t = mcsim._SessionTables(ProtocolParams(mu=mu, nu=mu * nu_frac), LINK_75)
+        _check_guided(t.pois_thr, t.pois_guide, extra)
+
+    def test_guides_outlive_rotation_updates(self):
+        t = mcsim._SessionTables(P_SMALL, LINK_75)
+        guides = (t.prep_guide, t.pois_guide)
+        t.set_rotation(P_SMALL, replace(LINK_75, rotation_angle=0.3))
+        assert (t.prep_guide, t.pois_guide) == guides
+        assert np.array_equal(t.prep_guide, mcsim._guide(t.prep_thr))
+        assert np.array_equal(t.pois_guide, mcsim._guide(t.pois_thr))
+
+    @settings(max_examples=40, deadline=None)
+    @given(angle=st.floats(0.0, math.pi / 2), p_z=st.sampled_from([0.5, 0.9, 0.95]),
+           classes=st.lists(st.integers(0, 3), min_size=1, max_size=64),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_gathered_routing_equals_per_class_searchsorted(self, angle, p_z, classes, extra):
+        thr = mcsim._SessionTables(ProtocolParams(p_z_bob=p_z),
+                                   replace(LINK_75, rotation_angle=angle)).route_thr
+        points = {0, 2**64 - 1, *extra}
+        for t in thr.ravel().tolist():
+            points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
+        u = np.array(sorted(points), dtype=np.uint64)
+        # each uniform in every class, then the uniforms in a drawn class order
+        row = np.concatenate([np.repeat(np.arange(4, dtype=np.uint8), u.size),
+                              np.resize(np.array(classes, dtype=np.uint8), u.size)])
+        uu = np.concatenate([np.tile(u, 4), u])
+        want = np.array([np.searchsorted(thr[r], x) for r, x in zip(row, uu)])
+        assert np.array_equal(mcsim._sample(thr, uu, row), want)
 
 
 class TestPhysics:
