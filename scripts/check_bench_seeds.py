@@ -5,15 +5,14 @@ For each seed, runs one tiny pass of ``audit_sessions``, ``stability_drift``
 and ``records_roundtrip`` from ``perfbench/workloads.py``: the size of the
 benchmark's set-up probes and warm-up pass, which use the run's seed.  A
 stream change can pass on one seed and fail a check on another, so this
-runs them all.  Prints every failed check and exits 1 if there is one::
+runs them all, seeds 1-100.  Prints every failed check and exits 1 if
+there is one::
 
-    python3 scripts/check_bench_seeds.py               # seeds 1-100
-    python3 scripts/check_bench_seeds.py --seeds 4:40
+    python3 scripts/check_bench_seeds.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
@@ -22,11 +21,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("audit_sessions", "stability_drift", "records_roundtrip")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seeds", default="1:100", help="first:last seed, inclusive (default 1:100)")
-    args = ap.parse_args(argv)
-    first, last = (int(s) for s in args.seeds.split(":"))
+SEEDS = range(1, 101)
+
+
+def main() -> int:
     # as in the harness, which owns the thread setting
     os.environ["QKD_THREADS"] = "1"
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -36,7 +34,7 @@ def main(argv=None) -> int:
     nproc = harness._nproc()
     failed = attempted = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for seed in range(first, last + 1):
+        for seed in SEEDS:
             for name in WORKLOADS:
                 checks = workloads.Checks()
                 workloads.WORKLOADS[name](ROOT, seed, workdir, checks, True, nproc).run_pass()
@@ -44,7 +42,7 @@ def main(argv=None) -> int:
                     print(f"seed {seed} {name}: {failure}")
                 failed += checks.failed
                 attempted += checks.attempted
-    print(f"seeds {first}-{last}: {failed} of {attempted} checks failed")
+    print(f"seeds {SEEDS[0]}-{SEEDS[-1]}: {failed} of {attempted} checks failed")
     return 1 if failed else 0
 
 

@@ -285,7 +285,7 @@ class TestWorkBuffers:
         kw = dict(seed=1, chunk_size=256, n_threads=1)
         run_session(P_SMALL, LINK_75, n_pulses=1000, **kw)
         peaks = []
-        for chunks in (1024, 4096):
+        for chunks in (256, 1024):
             tracemalloc.start()
             try:
                 run_session(P_SMALL, LINK_75, n_pulses=256 * chunks, **kw)
@@ -469,7 +469,7 @@ class TestSampler:
         t = mcsim._SessionTables(P_SMALL, LINK_75)
         guides = (t.prep_guide, t.pois_guide)
         t.set_rotation(P_SMALL, replace(LINK_75, rotation_angle=0.3))
-        assert (t.prep_guide, t.pois_guide) == guides
+        assert t.prep_guide is guides[0] and t.pois_guide is guides[1]
         assert np.array_equal(t.prep_guide, mcsim._guide(t.prep_thr))
         assert np.array_equal(t.pois_guide, mcsim._guide(t.pois_thr))
 
