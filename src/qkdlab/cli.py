@@ -4,8 +4,11 @@ Subcommands: keyrate, simulate, stability, optimize, scan.  All outputs
 are pure functions of (config, flags, seed); numeric output uses 6
 significant digits and every JSON report embeds the fully resolved
 configuration.  Exit codes: 0 success, 1 error, 2 zero secure length.
-Thread use is capped by the QKD_THREADS environment variable; a value that
-is not an integer >= 1 is an error.
+The QKD_THREADS environment variable sets how many worker processes a
+simulation uses (default 1): `simulate` splits its gates into contiguous
+shards, `stability` its windows into contiguous blocks, and results are
+the same for any value.  A value that is not an integer >= 1 is an error,
+and so is one above 1 where the "fork" start method is unavailable.
 """
 
 from __future__ import annotations
@@ -135,9 +138,9 @@ def cmd_stability(args) -> int:
     if args.hours <= 0:
         raise CliError(f"--hours {args.hours} must be positive")
     seed = sim.seed if args.seed is None else args.seed
-    schedule = mcsim.Schedule(duration_h=args.hours)
     drift = mcsim.DriftModel(sigma=sim.sigma, theta0=sim.theta0)
     try:
+        schedule = mcsim.Schedule(duration_h=args.hours)
         windows = mcsim.run_stability(
             p, link, drift, schedule, seed, pulses_per_window=args.pulses_per_window
         )

@@ -3,7 +3,7 @@
 Alice's preparation, the channel, and Bob's passive receiver are simulated
 gate by gate.  All randomness is counter-based: every decision for gate g
 is a pure function of (seed, g, decision slot), so results are identical
-for any chunking or thread count and sessions can be re-derived after the
+for any chunking or worker count and sessions can be re-derived after the
 fact (e.g. to recompute sifted tallies from a detection-record file).
 
 Photon counts are sampled per pulse (ground-truth tags for the finite-key
@@ -16,10 +16,11 @@ click, which also fixes Bob's basis.
 
 from __future__ import annotations
 
+import itertools
 import math
+import multiprocessing
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,10 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.window_s <= 0 or self.interval_s <= 0 or self.duration_h <= 0:
             raise ValueError("schedule durations must be positive")
+        if self.n_windows < 1:
+            raise ValueError(
+                f"{self.duration_h:g} h at one window per {self.interval_s:g} s holds no window"
+            )
 
     @property
     def n_windows(self) -> int:
@@ -270,11 +275,6 @@ def _sample(thr, u, row=None, guide=None, scratch=None) -> np.ndarray:
     return (u[:, None] > table).view(np.uint8) @ np.ones(table.shape[-1], dtype=np.uint8)
 
 
-# the survival draw is the gathered mode over the padded binomial table,
-# row n for a gate with n photons
-_survivors = _sample
-
-
 # decision slots
 _SLOT_PREP = 0
 _SLOT_NPHOT = 1
@@ -337,10 +337,11 @@ class _SessionTables:
     over every gate, their guides (``prep_guide``, ``pois_guide``; see
     ``_sample``).  ``set_rotation`` rebuilds only the routing thresholds,
     whose sparse draw needs no guide, so the guides are made once.  The
-    work arrays are the gate offsets ``iota`` (0, 1, ...) and ``buffers``,
-    a free list of uint64 hash-buffer pairs, one per chunk running at a
-    time.  They live exactly as long as the tables, so the windows of a
-    stability run, which share one set, map and fault them in once.
+    work arrays are the gate offsets ``iota`` (0, 1, ...) and ``work``, one
+    pair of uint64 hash buffers: a process runs one chunk at a time, and a
+    forked worker writes to its own copy.  ``reserve`` grows them.  They
+    live exactly as long as the tables, so the windows of a stability run,
+    which share one set, map and fault them in once.
 
     Raises ValueError if the photon or routed-photon cap would clip more
     than ``_CAP_TOLERANCE`` of the gates of either intensity."""
@@ -384,7 +385,13 @@ class _SessionTables:
         self.pois_guide = _guide(self.pois_thr)
         self.set_rotation(p, link)
         self.iota = np.arange(0, dtype=_U64)
-        self.buffers = deque()
+        self.work = (self.iota, self.iota)
+
+    def reserve(self, n: int) -> None:
+        """Grow the work arrays to hold chunks of ``n`` gates."""
+        if self.iota.size < n:
+            self.iota = np.arange(n, dtype=_U64)
+            self.work = (np.empty(n, _U64), np.empty(n, _U64))
 
     def set_rotation(self, p: ProtocolParams, link: LinkModel) -> None:
         """Recompute the rotation-dependent routing tables only; everything
@@ -517,18 +524,18 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
 
 
 # 2^16 gates keep a chunk's working set in cache; smaller chunks spend
-# the time in per-chunk Python glue, which holds the GIL and stops
-# threads from scaling.  Its uint64 arrays (512 KiB: the gate offsets and
-# the two hash buffers) are over glibc's 128 KiB mmap threshold, so every
-# fresh one is mapped and page-faulted in; they live on _SessionTables and
-# are made once per tables object (per worker, for the buffers), not per
-# chunk or per stability window.
+# the time in per-chunk Python glue.  Its uint64 arrays (512 KiB: the gate
+# offsets and the two hash buffers) are over glibc's 128 KiB mmap
+# threshold, so every fresh one is mapped and page-faulted in; they live
+# on _SessionTables and are made once per tables object, not per chunk or
+# per stability window.
 _DEFAULT_CHUNK = 1 << 16
 
 
 def _n_threads(explicit: int | None) -> int:
-    """Worker count: ``explicit`` if given, else QKD_THREADS, else 1.
-    Raises ValueError on anything but an integer >= 1."""
+    """Worker process count: ``explicit`` if given, else QKD_THREADS, else
+    1.  Raises ValueError on anything but an integer >= 1, and on more than
+    one where the "fork" start method is unavailable."""
     if explicit is not None:
         source, value = "n_threads", explicit
     else:
@@ -537,11 +544,89 @@ def _n_threads(explicit: int | None) -> int:
             return 1
     try:
         n = int(value)
-        if n >= 1:
-            return n
     except ValueError:
-        pass
-    raise ValueError(f"{source}={value!r} must be an integer >= 1")
+        n = 0
+    if n < 1:
+        raise ValueError(f"{source}={value!r} must be an integer >= 1")
+    if n > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError(
+            f"{source}={value!r}: worker processes need the 'fork' start method, "
+            "which this platform lacks"
+        )
+    return n
+
+
+def _split(n: int, parts: int) -> list[int]:
+    """Bounds of min(parts, n) near-equal contiguous blocks of 0 .. n - 1."""
+    parts = min(parts, n)
+    return [n * k // parts for k in range(parts + 1)]
+
+
+def _child(job, arg, conn) -> None:
+    try:
+        reply = (True, job(arg))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+
+
+def _result(proc, conn):
+    try:
+        ok, value = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"worker process exited with code {proc.exitcode} before sending its result"
+        ) from None
+    if not ok:
+        raise value
+    return value
+
+
+@contextmanager
+def _forked(job, args):
+    """Run ``job(a)`` for each of ``args`` in a child process forked for it,
+    and yield an iterator over the results in order; each step waits for
+    its child.  A child inherits ``job`` and everything it refers to, so
+    nothing is pickled on the way in; the result, or the exception ``job``
+    raised, is pickled on the way back.  Every child is stopped and reaped
+    when the block exits, also when it raises."""
+    children = []
+    try:
+        for arg in args:
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, args=(job, arg, send))
+            proc.start()
+            # the child holds the only sending end, so its exit ends the pipe
+            send.close()
+            children.append((proc, recv))
+        yield (_result(proc, recv) for proc, recv in children)
+    finally:
+        for proc, recv in children:
+            proc.terminate()
+            proc.join()
+            recv.close()
+
+
+def _run_shard(tables, seed, start, stop, chunk_size, keep_records, record_cap):
+    """Gates ``start .. stop - 1`` in chunks of ``chunk_size``, run one
+    after another on the tables' work arrays.  Returns the chunk results
+    folded into totals, and the record columns of each chunk; stops after
+    the chunk that brings the kept records past ``record_cap``."""
+    total, kept, n_kept = {}, [], 0
+    for s in range(start, stop, chunk_size):
+        r = _run_chunk(tables, seed, s, min(s + chunk_size, stop), keep_records,
+                       tables.iota, tables.work)
+        records = r.pop("records")
+        for key, value in r.items():
+            total[key] = total.get(key, 0) + value
+        if keep_records:
+            kept.append((records.gate_index, records.detector_id, records.is_dark))
+            n_kept += len(records)
+            if n_kept > record_cap:
+                break
+    return total, kept
 
 
 def run_session(
@@ -559,10 +644,14 @@ def run_session(
     """Simulate a full session of ``n_pulses`` gates (default: p.n_pulses).
 
     Deterministic in (seed, params, link, gate_offset) regardless of chunk
-    size or thread count.  The gates are ``gate_offset`` onwards; a range
-    outside 0 .. 2^64 - 1 raises ValueError.  Raises BudgetExceeded as soon
-    as the records kept so far exceed ``record_cap``; chunks not yet started
-    are dropped.
+    size or worker count.  The gates are ``gate_offset`` onwards; a range
+    outside 0 .. 2^64 - 1 raises ValueError.
+
+    With ``n_threads`` (else QKD_THREADS) above 1 the chunks are split into
+    that many contiguous shards at most: this process runs the first, a
+    forked child process each other one.  Raises BudgetExceeded with the
+    number of records kept up to the chunk, in gate order, that passes
+    ``record_cap``; each shard stops once its own records pass it.
     """
     validate_params(p)
     n_total = int(n_pulses if n_pulses is not None else p.n_pulses)
@@ -575,61 +664,24 @@ def run_session(
         )
     workers = _n_threads(n_threads)
     tables = _tables if _tables is not None else _SessionTables(p, link)
-    end = gate_offset + n_total
-    starts = range(gate_offset, end, chunk_size)
-    if tables.iota.size < min(chunk_size, n_total):
-        tables.iota = np.arange(min(chunk_size, n_total), dtype=np.uint64)
-    iota, free = tables.iota, tables.buffers
+    tables.reserve(min(chunk_size, n_total))
+    cuts = [gate_offset + min(c * chunk_size, n_total)
+            for c in _split(-(-n_total // chunk_size), workers)]
 
-    def chunk(start):
-        # a free buffer pair long enough for the chunk, else a new one; the
-        # pair goes back on the list for the next chunk or session
-        stop = min(start + chunk_size, end)
-        try:
-            work = free.pop()  # atomic: workers may race for the last pair
-        except IndexError:
-            work = None
-        if work is None or work[0].size < stop - start:
-            work = (np.empty_like(iota), np.empty_like(iota))
-        try:
-            return _run_chunk(tables, seed, start, stop, keep_records, iota, work)
-        finally:
-            free.append(work)
+    def shard(k):
+        return _run_shard(tables, seed, cuts[k], cuts[k + 1], chunk_size, keep_records, record_cap)
 
-    # every chunk result is folded into running totals as it arrives; only
-    # the records are kept, and the cap bounds them
-    total = {}
-    kept = []
-    n_kept = 0
-
-    def fold(r):
-        nonlocal n_kept
-        records = r.pop("records")
-        if keep_records:
-            kept.append((records.gate_index, records.detector_id, records.is_dark))
-            n_kept += len(records)
-            if n_kept > record_cap:
-                raise BudgetExceeded(f"{n_kept} detection records exceed record cap {record_cap}")
-        for key, value in r.items():
-            total[key] = total.get(key, 0) + value
-
-    if workers > 1 and n_total > chunk_size:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        # chunks run at most two per worker ahead of the result taken next, so
-        # finished chunks do not pile up and a run past the cap stops early
-        ahead = deque()
-        try:
-            for start in starts:
-                ahead.append(pool.submit(chunk, start))
-                if len(ahead) == 2 * workers:
-                    fold(ahead.popleft().result())
-            while ahead:
-                fold(ahead.popleft().result())
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        for start in starts:
-            fold(chunk(start))
+    # the shards are folded in gate order; only the records are kept
+    total, kept, n_kept = {}, [], 0
+    with _forked(shard, range(1, len(cuts) - 1)) as rest:
+        for part, records in itertools.chain([shard(0)], rest):
+            for columns in records:
+                n_kept += columns[0].size
+                if n_kept > record_cap:
+                    raise BudgetExceeded(f"{n_kept} detection records exceed record cap {record_cap}")
+            kept += records
+            for key, value in part.items():
+                total[key] = total.get(key, 0) + value
 
     records = None
     if keep_records:
@@ -702,49 +754,56 @@ def run_stability(
 ) -> list[WindowStats]:
     """Long-run stability experiment: one short measurement window per
     interval, with the channel rotation angle performing a random walk
-    between windows.  Returns per-window gains and QBERs."""
+    between windows.  Returns per-window gains and QBERs.
+
+    With ``n_threads`` (else QKD_THREADS) above 1 the windows are split
+    into that many contiguous blocks at most: this process runs the first,
+    a forked child process each other one, each window on one worker."""
     ppw = int(pulses_per_window if pulses_per_window is not None else round(schedule.window_s * p.f_rep))
     if ppw < 1:
         raise ValueError(f"pulses_per_window={ppw} must be >= 1")
-    theta = drift.theta0
+    workers = _n_threads(n_threads)
     step_scale = drift.sigma * math.sqrt(schedule.interval_s)
-    out = []
-    tables = None
-    last_theta = None
-    for w in range(schedule.n_windows):
-        if w > 0 and step_scale > 0.0:
+    thetas = [drift.theta0]
+    for w in range(1, schedule.n_windows):
+        theta = thetas[-1]
+        if step_scale > 0.0:
             theta += step_scale * _gauss(seed, w)
-        lk = replace(link, rotation_angle=theta)
-        # the sampling tables depend on the angle only through the routing
-        # thresholds, so reuse them across windows and refresh just that part
-        if tables is None:
-            tables = _SessionTables(p, lk)
-        elif theta != last_theta:
-            tables.set_rotation(p, lk)
-        last_theta = theta
-        res = run_session(
-            p,
-            lk,
-            seed,
-            n_pulses=ppw,
-            gate_offset=w * ppw,
-            n_threads=n_threads,
-            _tables=tables,
-        )
-        c = res.counts
-        n_z, m_z = c.n_total(Basis.Z), c.m_total(Basis.Z)
-        n_x, m_x = c.n_total(Basis.X), c.m_total(Basis.X)
-        out.append(
-            WindowStats(
-                window_start_s=w * schedule.interval_s,
-                q_mu=res.clicked[Intensity.SIGNAL] / max(1, res.sent[Intensity.SIGNAL]),
-                q_nu=res.clicked[Intensity.DECOY] / max(1, res.sent[Intensity.DECOY]),
-                e_z=m_z / n_z if n_z else 0.0,
-                e_x=m_x / n_x if n_x else 0.0,
-                counts=c,
+        thetas.append(theta)
+    # the sampling tables depend on the angle only through the routing
+    # thresholds, so each block reuses them across its windows and
+    # refreshes just that part
+    tables = _SessionTables(p, replace(link, rotation_angle=thetas[0]))
+
+    def block(windows):
+        out = []
+        last_theta = thetas[0]
+        for w in windows:
+            lk = replace(link, rotation_angle=thetas[w])
+            if thetas[w] != last_theta:
+                tables.set_rotation(p, lk)
+                last_theta = thetas[w]
+            res = run_session(p, lk, seed, n_pulses=ppw, gate_offset=w * ppw, n_threads=1,
+                              _tables=tables)
+            c = res.counts
+            n_z, m_z = c.n_total(Basis.Z), c.m_total(Basis.Z)
+            n_x, m_x = c.n_total(Basis.X), c.m_total(Basis.X)
+            out.append(
+                WindowStats(
+                    window_start_s=w * schedule.interval_s,
+                    q_mu=res.clicked[Intensity.SIGNAL] / max(1, res.sent[Intensity.SIGNAL]),
+                    q_nu=res.clicked[Intensity.DECOY] / max(1, res.sent[Intensity.DECOY]),
+                    e_z=m_z / n_z if n_z else 0.0,
+                    e_x=m_x / n_x if n_x else 0.0,
+                    counts=c,
+                )
             )
-        )
-    return out
+        return out
+
+    cuts = _split(len(thetas), workers)
+    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    with _forked(block, blocks[1:]) as rest:
+        return [stats for part in itertools.chain([block(blocks[0])], rest) for stats in part]
 
 
 # --- detection-record files -------------------------------------------------

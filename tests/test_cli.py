@@ -169,6 +169,14 @@ class TestStability:
                           "--hours", "0")
         assert rc == cli.EXIT_ERROR
 
+    def test_schedule_without_windows_is_an_error(self, capsys, small_config):
+        # 0.01 h is 36 s, less than half of one 300 s interval
+        rc, out, err = _run(capsys, "--config", small_config, "stability",
+                            "--hours", "0.01")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "holds no window" in err
+
 
 class TestScan:
     def test_three_losses_decreasing(self, capsys):

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import multiprocessing
 import os
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -247,8 +249,8 @@ class TestWorkBuffers:
             for case in order:
                 assert run(case, tables) == fresh[cases.index(case)]
                 assert tables.iota.size == max(c for _, c in order[: order.index(case) + 1])
-            # one buffer pair per chunk that ran at once
-            assert 1 <= len(tables.buffers) <= 8
+            # one buffer pair per tables object, grown with the offsets
+            assert [b.size for b in tables.work] == [tables.iota.size] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stability_windows_equal_standalone_sessions(self, threads):
@@ -317,6 +319,84 @@ class TestThreadCount:
         monkeypatch.delenv("QKD_THREADS")
         b = run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13)
         assert a.counts == b.counts
+
+
+class TestWorkerProcesses:
+    def test_no_child_outlives_a_call(self, monkeypatch):
+        forked = []
+        real = mcsim._forked
+
+        def counting(job, args):
+            forked.append(len(args))
+            return real(job, args)
+
+        monkeypatch.setattr(mcsim, "_forked", counting)
+        run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13, n_threads=2)
+        assert multiprocessing.active_children() == []
+        run_stability(P_SMALL, LINK_75, DriftModel(sigma=0.05), Schedule(duration_h=0.5), seed=1,
+                      pulses_per_window=10**4, n_threads=2)
+        assert multiprocessing.active_children() == []
+        # the cap is passed in this process's shard, while the children run
+        with pytest.raises(BudgetExceeded):
+            run_session(P_SMALL, LINK_B2B, seed=11, n_pulses=64 * 1024, keep_records=True,
+                        record_cap=30, chunk_size=1024, n_threads=4)
+        assert multiprocessing.active_children() == []
+        # the stability windows each run one shard, and fork nothing
+        assert [n for n in forked if n] == [1, 1, 3]
+
+    def test_one_shard_forks_nothing(self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13, n_threads=1)
+        run_session(P_SMALL, LINK_B2B, seed=1, n_pulses=2**13, chunk_size=2**13, n_threads=4)
+        run_stability(P_SMALL, LINK_B2B, DriftModel(), Schedule(duration_h=0.5), seed=1,
+                      pulses_per_window=1000, n_threads=1)
+
+    @pytest.mark.parametrize("chunk", [1, 40, 62])
+    def test_budget_message_independent_of_workers(self, chunk):
+        # 64 chunks of ~29 records; the cap is passed in chunk 1, 40 or 62:
+        # the first, third or last shard of four
+        kw = dict(seed=11, n_pulses=64 * 1024, keep_records=True, chunk_size=1024)
+        gates = run_session(P_SMALL, LINK_B2B, n_threads=1, **kw).records.gate_index
+        kept = np.cumsum(np.bincount(gates // 1024, minlength=64))
+        cap = int(kept[chunk]) - 1
+        for workers in (1, 2, 4):
+            with pytest.raises(BudgetExceeded) as exc:
+                run_session(P_SMALL, LINK_B2B, record_cap=cap, n_threads=workers, **kw)
+            assert str(exc.value) == f"{kept[chunk]} detection records exceed record cap {cap}"
+
+    def test_fork_required_for_more_than_one_worker(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ValueError, match="^n_threads=2: worker processes need the 'fork'"):
+            run_session(P_SMALL, LINK_B2B, seed=1, n_threads=2)
+        run_session(P_SMALL, LINK_B2B, seed=1, n_threads=1)
+        monkeypatch.setenv("QKD_THREADS", "2")
+        with pytest.raises(ValueError, match="^QKD_THREADS='2': worker processes need the 'fork'"):
+            run_stability(P_SMALL, LINK_B2B, DriftModel(), Schedule(duration_h=0.5), seed=1,
+                          pulses_per_window=1000)
+
+    def test_child_failures_reach_the_caller(self):
+        def job(arg):
+            if arg == "raise":
+                raise KeyError("in the child")
+            if arg == "exit":
+                os._exit(3)
+            time.sleep(arg)
+
+        for arg, error, message in (("raise", KeyError, "in the child"),
+                                    ("exit", RuntimeError, "exited with code 3")):
+            with pytest.raises(error, match=message):
+                with mcsim._forked(job, [arg]) as rest:
+                    list(rest)
+        # leaving the block stops children that are still running
+        t0 = time.perf_counter()
+        with pytest.raises(ZeroDivisionError):
+            with mcsim._forked(job, [30, 30]):
+                1 / 0
+        assert time.perf_counter() - t0 < 10
+        assert multiprocessing.active_children() == []
 
 
 LINK_ETA0 = LinkModel(channel_loss_db=math.inf)
@@ -447,7 +527,7 @@ class TestSampler:
                 points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
         u = np.array(sorted(points), dtype=np.uint64)
         rows = np.array(sorted(photons), dtype=np.uint8)
-        got = mcsim._survivors(thr, np.tile(u, rows.size), np.repeat(rows, u.size))
+        got = mcsim._sample(thr, np.tile(u, rows.size), np.repeat(rows, u.size))
         want = np.concatenate([np.searchsorted(thr[n, : n + 1], u) for n in rows])
         assert np.array_equal(got, want)
 
@@ -616,6 +696,13 @@ class TestStability:
         mean_e_z = np.mean([w.e_z for w in windows])
         # wrapped random walk: sin^2(theta) time-averages to one half
         assert 0.3 < mean_e_z < 0.7
+
+    @pytest.mark.parametrize("hours", [0.01, 150 / 3600])
+    def test_schedule_without_windows_rejected(self, hours):
+        # 36 s and 150 s at one window per 300 s round to no window
+        with pytest.raises(ValueError, match="holds no window"):
+            Schedule(duration_h=hours)
+        assert Schedule(duration_h=151 / 3600).n_windows == 1
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
