@@ -9,7 +9,6 @@ scans), cli (command-line front end).
 from .core import (
     Basis,
     DetectorModel,
-    DoubleClickPolicy,
     Intensity,
     KeyRateReport,
     LinkModel,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis",
     "DetectorModel",
-    "DoubleClickPolicy",
     "Intensity",
     "KeyRateReport",
     "LinkModel",

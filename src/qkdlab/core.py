@@ -49,12 +49,6 @@ class Intensity(enum.Enum):
     DECOY = "decoy"
 
 
-class DoubleClickPolicy(enum.Enum):
-    """How a multi-detector click resolves to a single sifted bit."""
-
-    RANDOM_BIT = "RandomBit"
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """All protocol knobs: intensities, probabilities, pulse budget, clock.
@@ -93,12 +87,12 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Threshold single-photon detector bank at the receiver."""
+    """Threshold single-photon detector bank at the receiver: one detector
+    per analyzer output (four), a multi-click resolving uniformly among
+    the detectors that fired."""
 
     efficiency: float = 0.10
     dark_prob_per_gate: float = 8e-6
-    n_detectors: int = 4
-    double_click_policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM_BIT
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
@@ -107,8 +101,6 @@ class DetectorModel:
             raise ProbabilityOutOfRange(
                 f"dark_prob_per_gate={self.dark_prob_per_gate} outside [0, 1]"
             )
-        if self.n_detectors != 4:
-            raise ParamError(f"n_detectors must be 4, got {self.n_detectors}")
 
 
 # Intra-basis flip probabilities calibrated so the exact pulse-level
@@ -342,8 +334,14 @@ _PROTOCOL_FIELDS = (
     "n_pulses", "f_rep", "f_ec", "eps_sec", "eps_cor",
 )
 _LINK_FIELDS = ("channel_loss_db", "receiver_loss_db", "e_mis_z", "e_mis_x", "rotation_angle")
-_DETECTOR_FIELDS = ("efficiency", "dark_prob_per_gate", "n_detectors", "double_click_policy")
+_DETECTOR_FIELDS = ("efficiency", "dark_prob_per_gate")
 _SIMULATION_FIELDS = ("seed", "sigma", "theta0", "record_cap")
+_SECTIONS = {
+    "protocol": _PROTOCOL_FIELDS,
+    "link": _LINK_FIELDS,
+    "detector": _DETECTOR_FIELDS,
+    "simulation": _SIMULATION_FIELDS,
+}
 
 
 def _parser() -> configparser.ConfigParser:
@@ -352,16 +350,18 @@ def _parser() -> configparser.ConfigParser:
     return cp
 
 
-def _get(cp, section, key, conv, default):
-    if not cp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+def _refuse_unknown(cp: configparser.ConfigParser) -> None:
+    """Raise ConfigError on the first section or key that no field reads,
+    so a misspelling cannot fall back to a default.  A key under [DEFAULT]
+    counts as unknown: configparser would copy it into every section."""
+    for key in cp.defaults():
+        raise ConfigError(f"unknown key [{cp.default_section}] {key}")
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _SECTIONS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
 
 def _int(raw: str) -> int:
@@ -372,50 +372,39 @@ def _int(raw: str) -> int:
     return int(v)
 
 
+def _section(cp: configparser.ConfigParser, section: str, default):
+    """``default`` with the fields that ``section`` sets replaced; a field
+    with an int default reads as a count."""
+    values = {}
+    for key in _SECTIONS[section]:
+        if cp.has_option(section, key):
+            raw = cp.get(section, key)
+            conv = _int if isinstance(getattr(default, key), int) else float
+            try:
+                values[key] = conv(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    return replace(default, **values)
+
+
 def load_config(path: str) -> tuple[ProtocolParams, LinkModel, SimulationSettings]:
-    """Parse a configuration file into validated parameter objects."""
+    """Parse a configuration file into validated parameter objects; a
+    missing key keeps its dataclass default.
+
+    Raises ConfigError on an unreadable or malformed file, on a bad value
+    and on a section or key that is not a field of ``_SECTIONS``."""
     cp = _parser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
-    pdef = ProtocolParams()
-    p = ProtocolParams(
-        mu=_get(cp, "protocol", "mu", float, pdef.mu),
-        nu=_get(cp, "protocol", "nu", float, pdef.nu),
-        p_mu=_get(cp, "protocol", "p_mu", float, pdef.p_mu),
-        p_z_alice=_get(cp, "protocol", "p_z_alice", float, pdef.p_z_alice),
-        p_z_bob=_get(cp, "protocol", "p_z_bob", float, pdef.p_z_bob),
-        n_pulses=_get(cp, "protocol", "n_pulses", _int, pdef.n_pulses),
-        f_rep=_get(cp, "protocol", "f_rep", float, pdef.f_rep),
-        f_ec=_get(cp, "protocol", "f_ec", float, pdef.f_ec),
-        eps_sec=_get(cp, "protocol", "eps_sec", float, pdef.eps_sec),
-        eps_cor=_get(cp, "protocol", "eps_cor", float, pdef.eps_cor),
-    )
-    ddef = DetectorModel()
-    det = DetectorModel(
-        efficiency=_get(cp, "detector", "efficiency", float, ddef.efficiency),
-        dark_prob_per_gate=_get(cp, "detector", "dark_prob_per_gate", float, ddef.dark_prob_per_gate),
-        n_detectors=_get(cp, "detector", "n_detectors", _int, ddef.n_detectors),
-        double_click_policy=_get(
-            cp, "detector", "double_click_policy", DoubleClickPolicy, ddef.double_click_policy
-        ),
-    )
-    ldef = LinkModel()
-    link = LinkModel(
-        channel_loss_db=_get(cp, "link", "channel_loss_db", float, ldef.channel_loss_db),
-        receiver_loss_db=_get(cp, "link", "receiver_loss_db", float, ldef.receiver_loss_db),
-        e_mis_z=_get(cp, "link", "e_mis_z", float, ldef.e_mis_z),
-        e_mis_x=_get(cp, "link", "e_mis_x", float, ldef.e_mis_x),
-        rotation_angle=_get(cp, "link", "rotation_angle", float, ldef.rotation_angle),
-        detector=det,
-    )
-    sdef = SimulationSettings()
-    sim = SimulationSettings(
-        seed=_get(cp, "simulation", "seed", _int, sdef.seed),
-        sigma=_get(cp, "simulation", "sigma", float, sdef.sigma),
-        theta0=_get(cp, "simulation", "theta0", float, sdef.theta0),
-        record_cap=_get(cp, "simulation", "record_cap", _int, sdef.record_cap),
-    )
+    _refuse_unknown(cp)
+    p = _section(cp, "protocol", ProtocolParams())
+    det = _section(cp, "detector", DetectorModel())
+    link = _section(cp, "link", LinkModel(detector=det))
+    sim = _section(cp, "simulation", SimulationSettings())
     validate_params(p)
     return p, link, sim
 
@@ -430,13 +419,7 @@ def save_config(
     cp = _parser()
     cp["protocol"] = {f: repr(getattr(p, f)) for f in _PROTOCOL_FIELDS}
     cp["link"] = {f: repr(getattr(link, f)) for f in _LINK_FIELDS}
-    det = link.detector
-    cp["detector"] = {
-        "efficiency": repr(det.efficiency),
-        "dark_prob_per_gate": repr(det.dark_prob_per_gate),
-        "n_detectors": repr(det.n_detectors),
-        "double_click_policy": det.double_click_policy.value,
-    }
+    cp["detector"] = {f: repr(getattr(link.detector, f)) for f in _DETECTOR_FIELDS}
     cp["simulation"] = {f: repr(getattr(sim, f)) for f in _SIMULATION_FIELDS}
     with open(path, "w", newline="\n") as fh:
         cp.write(fh)
@@ -449,12 +432,7 @@ def resolved_config_dict(
     out = {
         "protocol": {f: getattr(p, f) for f in _PROTOCOL_FIELDS},
         "link": {f: getattr(link, f) for f in _LINK_FIELDS},
-        "detector": {
-            "efficiency": link.detector.efficiency,
-            "dark_prob_per_gate": link.detector.dark_prob_per_gate,
-            "n_detectors": link.detector.n_detectors,
-            "double_click_policy": link.detector.double_click_policy.value,
-        },
+        "detector": {f: getattr(link.detector, f) for f in _DETECTOR_FIELDS},
     }
     if sim is not None:
         out["simulation"] = {f: getattr(sim, f) for f in _SIMULATION_FIELDS}

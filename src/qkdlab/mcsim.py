@@ -33,7 +33,7 @@ from .core import (
     ProtocolParams,
     validate_params,
 )
-from . import optics
+from . import optics, rates
 
 
 class BudgetExceeded(RuntimeError):
@@ -374,13 +374,7 @@ class _SessionTables:
                 )
         self.pois_thr = np.stack([_cdf_u64(pmf) for pmf in pmfs])
         # dark click pattern over the 4 detectors, bitmask-indexed
-        dpmf = []
-        for mask in range(16):
-            prob = 1.0
-            for d in range(4):
-                prob *= dark if mask >> d & 1 else 1.0 - dark
-            dpmf.append(prob)
-        self.dark_thr = _cdf_u64(dpmf)
+        self.dark_thr = _cdf_u64(rates.click_patterns(np.full(4, dark)))
         self.prep_guide = _guide(self.prep_thr)
         self.pois_guide = _guide(self.pois_thr)
         self.set_rotation(p, link)

@@ -7,15 +7,19 @@ finite-key pipeline and the optimizer.  It and the formulas it is built
 from broadcast: a ``ProtocolParams`` whose intensities and probabilities
 are numpy arrays yields arrays, so one parameter point and a whole grid
 block go through the same code.  ``expected_sifted_cells`` enumerates the
-16 detector click patterns exactly and is the oracle the Monte Carlo
-simulator is audited against; the textbook formulas approximate it to about
-a percent (they route dark-only clicks with the splitter ratio rather than
-uniformly over detectors).
+16 detector click patterns exactly (``click_patterns``) and is the oracle
+the Monte Carlo simulator is audited against.
+
+The textbook formulas route dark-only clicks with the splitter ratio,
+where the exact model routes them uniformly over the four detectors, so
+the two part where dark clicks matter.  With the default parameters (exact / textbook), detection
+cells agree to 0.999-1.013 back-to-back but to 0.96-1.33 at 14.6 dB, and
+error cells to 0.90-1.82 and 0.61-4.53.  At 14.6 dB the pooled QBERs are
+1.405 % against 2.046 % in Z and 7.15 % against 2.07 % in X.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,8 +66,7 @@ def tau_n(n: int, p: ProtocolParams):
 
 def dark_total(link: LinkModel) -> float:
     """Probability that at least one of the detectors fires dark in a gate."""
-    det = link.detector
-    return 1.0 - (1.0 - det.dark_prob_per_gate) ** det.n_detectors
+    return 1.0 - (1.0 - link.detector.dark_prob_per_gate) ** len(optics.ANALYZERS)
 
 
 def gain(link: LinkModel, k):
@@ -160,28 +163,27 @@ class ExactCellProbabilities:
     single_x_err: float
 
 
-def _pattern_stats(lam, dark):
-    """Distribution over (chosen detector) for independent per-detector
-    Poisson means ``lam`` and dark probability; multi-click resolved
-    uniformly among clicked detectors.
+# _FIRES[s, d]: detector d fires in click pattern s (bit d of s), over the
+# 16 patterns of the 4 detectors in optics.ANALYZERS order
+_FIRES = np.arange(16)[:, None] >> np.arange(4) & 1 == 1
+# _SHARE[s, d]: probability that pattern s resolves to detector d; a
+# multi-click resolves uniformly among its clicks, pattern 0 to none
+_SHARE = _FIRES / np.maximum(_FIRES.sum(axis=1, keepdims=True), 1)
+_MULTI = _FIRES.sum(axis=1) > 1
+# A pulse of (basis, bit) class c = (basis << 1) | bit, Basis order, that
+# resolves to detector d is sifted (_SIFTED[0][c, d]) when Bob's arm d >> 1
+# is Alice's basis c >> 1, and errs (_SIFTED[1][c, d]) when the low bits
+# then differ
+_SAME_ARM = np.arange(4)[:, None] >> 1 == np.arange(4) >> 1
+_SIFTED = np.stack([_SAME_ARM, _SAME_ARM & ((np.arange(4)[:, None] ^ np.arange(4)) & 1 == 1)])
 
-    Returns (p_chosen[4], p_any, p_multi)."""
-    c = [1.0 - math.exp(-l) * (1.0 - dark) for l in lam]
-    chosen = [0.0, 0.0, 0.0, 0.0]
-    p_any = 0.0
-    p_multi = 0.0
-    for pattern in range(1, 16):
-        members = [d for d in range(4) if pattern >> d & 1]
-        prob = 1.0
-        for d in range(4):
-            prob *= c[d] if pattern >> d & 1 else 1.0 - c[d]
-        p_any += prob
-        if len(members) > 1:
-            p_multi += prob
-        share = prob / len(members)
-        for d in members:
-            chosen[d] += share
-    return chosen, p_any, p_multi
+
+def click_patterns(c):
+    """Probability of each of the 16 click patterns of independent
+    detectors that fire with probabilities ``c`` (a trailing axis of 4, any
+    leading shape): shape ``c.shape[:-1] + (16,)``."""
+    c = np.asarray(c, dtype=np.float64)[..., None, :]
+    return np.where(_FIRES, c, 1.0 - c).prod(axis=-1)
 
 
 def expected_sifted_cells(p: ProtocolParams, link: LinkModel) -> ExactCellProbabilities:
@@ -190,80 +192,49 @@ def expected_sifted_cells(p: ProtocolParams, link: LinkModel) -> ExactCellProbab
     uniform multi-click resolution)."""
     eta = link.eta_sys
     dark = link.detector.dark_prob_per_gate
-    sift = {(b, k): 0.0 for b in Basis for k in Intensity}
-    err = {(b, k): 0.0 for b in Basis for k in Intensity}
-    multi = 0.0
-    any_click = 0.0
-    vac_z = single_z = single_x = single_x_err = 0.0
-    for b, bit, k in itertools.product(Basis, (0, 1), Intensity):
-        weight = p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5
-        state = optics.apply_channel(optics.prepare_state(b, bit), link.rotation_angle)
-        rho = optics.detection_weights(state, p.p_z_bob, link.e_mis_z, link.e_mis_x)
-        mean = eta * p.mean_photons(k)
-        lam = [mean * w for w in rho]
-        chosen, p_any, p_multi = _pattern_stats(lam, dark)
-        any_click += weight * p_any
-        multi += weight * p_multi
-        for d in range(4):
-            bob_basis = Basis.Z if d < 2 else Basis.X
-            if bob_basis is not b:
-                continue
-            sift[b, k] += weight * chosen[d]
-            if d & 1 != bit:
-                err[b, k] += weight * chosen[d]
-        # photon-number-conditioned tallies: P(n emitted photons) times the
-        # chosen-detector distribution given that Poisson composition
-        for n_phot, tag in ((0, "vac"), (1, "one")):
-            p_n = math.exp(-p.mean_photons(k)) * p.mean_photons(k) ** n_phot
-            if n_phot == 0:
-                lam_n = [0.0] * 4
-                chosen_n, _, _ = _pattern_stats(lam_n, dark)
-            else:
-                # one emitted photon: survives with eta and routes by rho
-                chosen_n = [0.0] * 4
-                for route in range(5):  # 4 = lost
-                    if route < 4:
-                        p_route = eta * rho[route]
-                        clicks_base = 1 << route
-                    else:
-                        p_route = 1.0 - eta
-                        clicks_base = 0
-                    if p_route == 0.0:
-                        continue
-                    # overlay dark pattern
-                    for dpat in range(16):
-                        dp = 1.0
-                        for d in range(4):
-                            dp *= dark if dpat >> d & 1 else 1.0 - dark
-                        pat = clicks_base | dpat
-                        if pat == 0:
-                            continue
-                        members = [d for d in range(4) if pat >> d & 1]
-                        share = p_route * dp / len(members)
-                        for d in members:
-                            chosen_n[d] += share
-            for d in range(4):
-                bob_basis = Basis.Z if d < 2 else Basis.X
-                if bob_basis is not b:
-                    continue
-                contrib = weight * p_n * chosen_n[d]
-                if b is Basis.Z:
-                    if n_phot == 0:
-                        vac_z += contrib
-                    else:
-                        single_z += contrib
-                else:
-                    if n_phot == 1:
-                        single_x += contrib
-                        if d & 1 != bit:
-                            single_x_err += contrib
+    classes = [(b, bit) for b in Basis for bit in (0, 1)]
+    # rho[c, d]: where a detected photon of class c lands
+    rho = np.array([
+        optics.detection_weights(
+            optics.apply_channel(optics.prepare_state(b, bit), link.rotation_angle),
+            p.p_z_bob, link.e_mis_z, link.e_mis_x,
+        )
+        for b, bit in classes
+    ])
+    means = np.array([p.mean_photons(k) for k in Intensity])
+    # weight[c, k]: Alice sends class c at intensity k
+    weight = np.array([
+        [p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5 for k in Intensity]
+        for b, _ in classes
+    ])
+    # per-detector click probabilities, then patterns[c, case, s] for the
+    # cases signal, decoy (Poisson light), vacuum and one emitted photon,
+    # which survives with eta and lands on detector r with rho[c, r]
+    light = 1.0 - np.exp(-(eta * means)[:, None] * rho[:, None, :]) * (1.0 - dark)
+    vacuum = click_patterns(np.full(4, dark))
+    forced = click_patterns(np.where(np.eye(4, dtype=bool), 1.0, dark))
+    one = (1.0 - eta) * vacuum + eta * rho @ forced
+    patterns = np.concatenate([
+        click_patterns(light),
+        np.broadcast_to(vacuum, (4, 1, 16)),
+        one[:, None, :],
+    ], axis=1)
+    # each case's weight: the Poisson classes as sent, the photon-number
+    # cases times P(n photons) summed over intensities
+    p_n = [np.exp(-means) * means**n for n in (0, 1)]
+    case_weight = np.concatenate([weight] + [(weight @ pn)[:, None] for pn in p_n], axis=1)
+    chosen = patterns @ _SHARE * case_weight[..., None]
+    # [sifted or erred, basis, case]: summed over the detectors and the bit
+    tally = (chosen * _SIFTED[:, :, None, :]).sum(axis=-1).reshape(2, 2, 2, -1).sum(axis=2)
+    sift, err = tally.tolist()
+    poisson = patterns[:, :2] * weight[..., None]
     return ExactCellProbabilities(
-        sift=sift,
-        err=err,
-        multi_click=multi,
-        any_click=any_click,
-        vacuum_z=vac_z,
-        single_z=single_z,
-        single_x=single_x,
-        single_x_err=single_x_err,
+        sift={(b, k): sift[i][j] for i, b in enumerate(Basis) for j, k in enumerate(Intensity)},
+        err={(b, k): err[i][j] for i, b in enumerate(Basis) for j, k in enumerate(Intensity)},
+        multi_click=float(poisson[..., _MULTI].sum()),
+        any_click=float(poisson[..., 1:].sum()),
+        vacuum_z=sift[0][2],
+        single_z=sift[0][3],
+        single_x=sift[1][3],
+        single_x_err=err[1][3],
     )

@@ -63,6 +63,19 @@ class TestKeyrate:
         assert rc == cli.EXIT_ERROR
         assert "/no/such/file.conf" in err
 
+    @pytest.mark.parametrize("extra, named", [
+        ("[detector]\ndark_prob_per_gat = 0.5\n", "[detector] dark_prob_per_gat"),
+        ("[lnk]\nchannel_loss_db = 4.8\n", "[lnk]"),
+        ("[detector]\nn_detectors = 2\n", "[detector] n_detectors"),
+    ])
+    def test_unknown_config_entry_is_an_error(self, capsys, tmp_path, extra, named):
+        path = tmp_path / "typo.conf"
+        path.write_text("[link]\nchannel_loss_db = 0.0\n" + extra)
+        rc, out, err = _run(capsys, "--config", str(path), "keyrate", "--json")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert named in err
+
     def test_distance_flag(self, capsys):
         rc_d, out_d, _ = _run(capsys, "--config", CONFIG_75, "keyrate",
                               "--distance-km", "25", "--json")

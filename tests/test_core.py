@@ -9,7 +9,6 @@ from qkdlab.core import (
     Basis,
     ConfigError,
     DetectorModel,
-    DoubleClickPolicy,
     E_MIS_X_DEFAULT,
     E_MIS_Z_DEFAULT,
     Intensity,
@@ -35,9 +34,6 @@ class TestEnums:
 
     def test_intensity_has_exactly_two_variants(self):
         assert {k.name for k in Intensity} == {"SIGNAL", "DECOY"}
-
-    def test_double_click_policy(self):
-        assert list(DoubleClickPolicy) == [DoubleClickPolicy.RANDOM_BIT]
 
 
 class TestValidateParams:
@@ -72,10 +68,6 @@ class TestValidateParams:
 
 
 class TestDetectorAndLink:
-    def test_n_detectors_fixed_at_four(self):
-        with pytest.raises(ParamError):
-            DetectorModel(n_detectors=2)
-
     def test_negative_loss_rejected(self):
         with pytest.raises(ParamError):
             LinkModel(channel_loss_db=-1.0)
@@ -177,8 +169,50 @@ class TestConfigRoundTrip:
         p, _, _ = load_config(str(path))
         assert p.n_pulses == 10**7
 
+    @pytest.mark.parametrize("text, named", [
+        ("[detector]\ndark_prob_per_gat = 0.5\n", "[detector] dark_prob_per_gat"),
+        ("[lnk]\nchannel_loss_db = 4.8\n", "[lnk]"),
+        ("[detector]\nefficiency = 0.1\nn_detectors = 4\n", "[detector] n_detectors"),
+        ("[link]\nmu = 0.5\n", "[link] mu"),
+        ("[DEFAULT]\nseed = 2\n[simulation]\nsigma = 0\n", "[DEFAULT] seed"),
+    ])
+    def test_unknown_section_or_key_refused(self, tmp_path, text, named):
+        path = tmp_path / "typo.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert named in str(info.value)
+
+    def test_empty_default_section_accepted(self, tmp_path):
+        path = tmp_path / "default.conf"
+        path.write_text("[DEFAULT]\n[link]\nchannel_loss_db = 4.8\n")
+        assert load_config(str(path))[1].channel_loss_db == 4.8
+
+    @pytest.mark.parametrize("text", [
+        "mu = 0.5\n",
+        "[protocol]\nmu = 0.5\nmu = 0.6\n",
+        "[link]\n[link]\n",
+    ])
+    def test_malformed_file_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "malformed.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="malformed.conf"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("section, key, owner", [
+        ("protocol", "n_pulses", 0), ("simulation", "seed", 2), ("simulation", "record_cap", 2),
+    ])
+    def test_counts_read_as_int(self, tmp_path, section, key, owner):
+        path = tmp_path / "count.conf"
+        path.write_text(f"[{section}]\n{key} = 1e3\n")
+        value = getattr(load_config(str(path))[owner], key)
+        assert value == 1000 and type(value) is int
+        path.write_text(f"[{section}]\n{key} = 1.5\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
     def test_resolved_config_dict_covers_all_sections(self):
         d = resolved_config_dict(ProtocolParams(), LinkModel(), SimulationSettings())
         assert set(d) == {"protocol", "link", "detector", "simulation"}
         assert d["protocol"]["mu"] == 0.56
-        assert d["detector"]["n_detectors"] == 4
+        assert set(d["detector"]) == {"efficiency", "dark_prob_per_gate"}

@@ -418,6 +418,7 @@ class TestCaps:
         run_session(ProtocolParams(mu=8.0, nu=0.1), LINK_75, seed=1, n_pulses=10)
 
 
+
 def _sampler_tables():
     """(name, thresholds) for every table kind the simulator draws from."""
     cases = []
@@ -571,6 +572,20 @@ class TestSampler:
         want = np.array([np.searchsorted(thr[r], x) for r, x in zip(row, uu)])
         assert np.array_equal(mcsim._sample(thr, uu, row), want)
 
+    @pytest.mark.parametrize("dark", [0.0, 1e-9, 8e-6, 3.3e-4, 1e-3, 0.37])
+    def test_dark_pattern_table_equals_loop(self, dark):
+        # the pattern pmf the dark-pattern draw used before it shared
+        # rates.click_patterns; the thresholds, hence the stream, are equal
+        pmf = []
+        for mask in range(16):
+            prob = 1.0
+            for d in range(4):
+                prob *= dark if mask >> d & 1 else 1.0 - dark
+            pmf.append(prob)
+        link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
+        thr = mcsim._SessionTables(ProtocolParams(), link).dark_thr
+        assert np.array_equal(thr, mcsim._cdf_u64(pmf))
+
 
 class TestPhysics:
     def test_no_dark_infinite_loss_yields_nothing(self):
@@ -622,6 +637,20 @@ class TestPhysics:
         c = b2b_session_1e7.counts
         assert gt.single_photon_errors_x <= gt.single_photon_detections_x
         assert gt.vacuum_detections + gt.single_photon_detections <= c.n_total(Basis.Z)
+
+    def test_ground_truth_within_5_sigma_of_exact_model(self, b2b_session_1e7):
+        p = ProtocolParams(n_pulses=10**7)
+        exact = rates.expected_sifted_cells(p, LINK_B2B)
+        gt = b2b_session_1e7.ground_truth
+        for obs, prob in (
+            (gt.vacuum_detections, exact.vacuum_z),
+            (gt.single_photon_detections, exact.single_z),
+            (gt.single_photon_detections_x, exact.single_x),
+            (gt.single_photon_errors_x, exact.single_x_err),
+        ):
+            mean = p.n_pulses * prob
+            sigma = math.sqrt(p.n_pulses * prob * (1 - prob))
+            assert abs(obs - mean) <= 5 * sigma
 
     def test_no_dark_means_no_vacuum_detections(self):
         det = DetectorModel(dark_prob_per_gate=0.0)

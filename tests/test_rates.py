@@ -1,15 +1,20 @@
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab import rates
-from qkdlab.core import Basis, DetectorModel, Intensity, LinkModel, ProtocolParams
+from qkdlab import optics, rates
+from qkdlab.core import (
+    Basis, DetectorModel, Intensity, LinkModel, ProtocolParams, load_config,
+)
 from qkdlab.rates import (
     EntropyDomainError,
     binary_entropy,
+    click_patterns,
     dark_total,
     expected_sifted_cells,
     expected_statistics,
@@ -27,6 +32,34 @@ H_011_REF = 0.499915958164528
 
 LINK_75 = LinkModel(channel_loss_db=14.6)
 LINK_B2B = LinkModel(channel_loss_db=0.0)
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# Every ExactCellProbabilities field at the three shipped configs, frozen
+# from the loop-by-loop pattern enumeration before it was vectorized: sift
+# then err over (Z signal, Z decoy, X signal, X decoy), then multi_click,
+# any_click, vacuum_z, single_z, single_x and single_x_err.  A model change
+# that moves any of them must say which.
+EXACT_CELLS_REF = {
+    "back_to_back.conf": (
+        0.021262571979330014, 0.002783843693109603, 0.00026343522379708396, 3.484966648016376e-05,
+        0.00012810700979869603, 1.857545460357825e-05, 2.115522279392428e-06, 4.795649366537467e-07,
+        0.00012891336901267448, 0.02970124859374256, 9.685032642174862e-06,
+        0.014819812565754525, 0.0001833067487957809, 1.3086663330692858e-06,
+    ),
+    "projection.conf": (
+        0.021511047154062584, 0.002388691690943507, 0.0002656345138475738, 2.9504354998951148e-05,
+        0.00021540586029589228, 2.395733995235426e-05, 2.687207371934112e-06, 3.028261905786779e-07,
+        0.00011254163885072367, 0.02950676543765, 4.6492408795989735e-07,
+        0.01519965578577944, 0.00018766916764564385, 1.8872184656743194e-06,
+    ),
+    "reference_75km.conf": (
+        0.0007609550309612026, 0.00010172479738178551, 1.0332502784929705e-05, 1.7393264436193836e-06,
+        9.112920426949656e-06, 3.009907901231281e-06, 5.841219521120773e-07, 2.792291971415316e-07,
+        1.827319463255309e-07, 0.0010792514423863472, 9.685032642174862e-06,
+        0.0005173674021729604, 6.745908123114508e-06, 2.403701086123035e-07,
+    ),
+}
+_SCALAR_FIELDS = ("multi_click", "any_click", "vacuum_z", "single_z", "single_x", "single_x_err")
 
 
 class TestBinaryEntropy:
@@ -186,7 +219,119 @@ class TestExpectedStatistics:
         assert stats.pooled_qber(Basis.X) == pytest.approx(0.0087, abs=2.5e-3)
 
 
+class TestClickPatterns:
+    def test_independent_detectors(self):
+        c = np.array([0.1, 0.2, 0.3, 0.4])
+        probs = click_patterns(c)
+        assert probs.shape == (16,)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+        # pattern 0b0101: detectors 0 and 2 fire, 1 and 3 do not
+        assert probs[0b0101] == pytest.approx(0.1 * 0.8 * 0.3 * 0.6, rel=1e-15)
+
+    def test_broadcasts_over_leading_axes(self):
+        c = np.random.default_rng(1).random((3, 2, 4))
+        probs = click_patterns(c)
+        assert probs.shape == (3, 2, 16)
+        assert np.array_equal(probs[2, 1], click_patterns(c[2, 1]))
+
+
+def _loop_chosen(c):
+    """Chosen-detector distribution, P(>= 1 click) and P(>= 2 clicks) of
+    independent detectors firing with probabilities ``c``, one pattern at a
+    time: the loop the numpy pattern model replaced."""
+    chosen = [0.0] * 4
+    p_any = p_multi = 0.0
+    for pattern in range(1, 16):
+        members = [d for d in range(4) if pattern >> d & 1]
+        prob = 1.0
+        for d in range(4):
+            prob *= c[d] if pattern >> d & 1 else 1.0 - c[d]
+        p_any += prob
+        p_multi += prob if len(members) > 1 else 0.0
+        for d in members:
+            chosen[d] += prob / len(members)
+    return chosen, p_any, p_multi
+
+
+def _loop_sifted_cells(p, link):
+    """Reference for expected_sifted_cells: sift, err and a dict of the
+    scalar fields, class by class, with the one-photon case enumerated as
+    (route or loss) x dark pattern."""
+    eta, dark = link.eta_sys, link.detector.dark_prob_per_gate
+    sift = dict.fromkeys(itertools.product(Basis, Intensity), 0.0)
+    err = dict(sift)
+    out = dict.fromkeys(_SCALAR_FIELDS, 0.0)
+    vacuum = _loop_chosen([dark] * 4)[0]
+    for b, bit, k in itertools.product(Basis, (0, 1), Intensity):
+        weight = p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5
+        state = optics.apply_channel(optics.prepare_state(b, bit), link.rotation_angle)
+        rho = optics.detection_weights(state, p.p_z_bob, link.e_mis_z, link.e_mis_x)
+        mean = p.mean_photons(k)
+        c = [1.0 - math.exp(-(eta * mean) * w) * (1.0 - dark) for w in rho]
+        chosen, p_any, p_multi = _loop_chosen(c)
+        out["any_click"] += weight * p_any
+        out["multi_click"] += weight * p_multi
+        one = [0.0] * 4
+        for route, p_route in enumerate([eta * w for w in rho] + [1.0 - eta]):
+            for dpat in range(16):
+                members = [d for d in range(4) if (dpat | 1 << route) >> d & 1]
+                prob = p_route
+                for d in range(4):
+                    prob *= dark if dpat >> d & 1 else 1.0 - dark
+                for d in members:
+                    one[d] += prob / len(members)
+        p0, p1 = math.exp(-mean), math.exp(-mean) * mean
+        for d in range(4):
+            if (Basis.Z if d < 2 else Basis.X) is not b:
+                continue
+            wrong = d & 1 != bit
+            sift[b, k] += weight * chosen[d]
+            err[b, k] += weight * chosen[d] if wrong else 0.0
+            if b is Basis.Z:
+                out["vacuum_z"] += weight * p0 * vacuum[d]
+                out["single_z"] += weight * p1 * one[d]
+            else:
+                out["single_x"] += weight * p1 * one[d]
+                out["single_x_err"] += weight * p1 * one[d] if wrong else 0.0
+    return sift, err, out
+
+
 class TestExactCells:
+    def test_equals_loop_enumeration_over_random_links(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            mu = rng.uniform(0.05, 1.0)
+            p = ProtocolParams(
+                mu=mu, nu=rng.uniform(0.0, 0.99 * mu), p_mu=rng.uniform(0.01, 0.99),
+                p_z_alice=rng.uniform(0.01, 0.99), p_z_bob=rng.uniform(0.01, 0.99),
+            )
+            det = DetectorModel(efficiency=rng.uniform(0.01, 1.0),
+                                dark_prob_per_gate=10 ** rng.uniform(-9, -3))
+            link = LinkModel(
+                channel_loss_db=rng.uniform(0.0, 50.0), receiver_loss_db=rng.uniform(0.0, 3.0),
+                e_mis_z=rng.uniform(0.0, 0.5), e_mis_x=rng.uniform(0.0, 0.5),
+                rotation_angle=rng.uniform(-math.pi, math.pi), detector=det,
+            )
+            exact = expected_sifted_cells(p, link)
+            sift, err, out = _loop_sifted_cells(p, link)
+            # summation order differs, and exp near 0 cancels in 1 - e^-x (1 - d),
+            # so the match is absolute: cells near 1e-9 agree to ~1e-8 relative
+            for cell in sift:
+                assert exact.sift[cell] == pytest.approx(sift[cell], rel=0, abs=1e-15)
+                assert exact.err[cell] == pytest.approx(err[cell], rel=0, abs=1e-15)
+            for f in _SCALAR_FIELDS:
+                assert getattr(exact, f) == pytest.approx(out[f], rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_CELLS_REF))
+    def test_pinned_at_shipped_configs(self, name):
+        p, link, _ = load_config(os.path.join(CONFIG_DIR, name))
+        exact = expected_sifted_cells(p, link)
+        cells = [(b, k) for b in Basis for k in Intensity]
+        assert list(exact.sift) == list(exact.err) == cells
+        got = [exact.sift[c] for c in cells] + [exact.err[c] for c in cells]
+        got += [getattr(exact, f) for f in _SCALAR_FIELDS]
+        assert got == pytest.approx(EXACT_CELLS_REF[name], rel=0, abs=1e-15)
+
     def test_close_to_textbook_formulas(self):
         p = ProtocolParams()
         stats = expected_statistics(p, LINK_75)
@@ -197,7 +342,8 @@ class TestExactCells:
                 # dark-driven clicks route uniformly over detectors in the
                 # exact model but with the splitter ratio in the textbook
                 # formulas; the discrepancy grows with the dark share of
-                # the cell (largest for the decoy X cell at high loss)
+                # the cell.  Here exact / textbook is 0.99 and 0.96 for
+                # the Z cells, 1.09 and 1.33 for the X cells (signal, decoy)
                 rel = 0.12 if b is Basis.Z else 0.5
                 assert exact.sift[(b, k)] == pytest.approx(simple, rel=rel)
 
