@@ -61,10 +61,13 @@ class CliError(Exception):
 def _apply_loss(link, args):
     if args.loss_db is not None and args.distance_km is not None:
         raise CliError("give only one of --loss-db / --distance-km")
-    if args.loss_db is not None:
-        return link.with_channel_loss(args.loss_db)
-    if args.distance_km is not None:
-        return link.with_channel_loss(args.distance_km * optimizer.DB_PER_KM)
+    try:
+        if args.loss_db is not None:
+            return link.with_channel_loss(args.loss_db)
+        if args.distance_km is not None:
+            return link.with_channel_loss(args.distance_km * optimizer.DB_PER_KM)
+    except ParamError as exc:
+        raise CliError(str(exc)) from exc
     return link
 
 

@@ -127,8 +127,13 @@ class LinkModel:
     detector: DetectorModel = field(default_factory=DetectorModel)
 
     def __post_init__(self) -> None:
-        if self.channel_loss_db < 0 or self.receiver_loss_db < 0:
-            raise ParamError("losses must be non-negative")
+        for name in ("channel_loss_db", "receiver_loss_db"):
+            v = getattr(self, name)
+            # +inf is a blocked link; the comparison is false for NaN
+            if not v >= 0:
+                raise ParamError(f"{name}={v} must be non-negative")
+        if not math.isfinite(self.rotation_angle):
+            raise ParamError(f"rotation_angle={self.rotation_angle} must be finite")
         for name in ("e_mis_z", "e_mis_x"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
@@ -257,8 +262,10 @@ class SimulationSettings:
     record_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ParamError("sigma must be non-negative")
+        if not 0 <= self.sigma < math.inf:
+            raise ParamError(f"sigma={self.sigma} must be non-negative and finite")
+        if not math.isfinite(self.theta0):
+            raise ParamError(f"theta0={self.theta0} must be finite")
         if self.record_cap < 0:
             raise ParamError("record_cap must be non-negative")
 
@@ -267,8 +274,12 @@ def validate_params(p: ProtocolParams) -> ProtocolParams:
     """Check every ProtocolParams invariant; returns the same values.
 
     Pure and idempotent.  A signal intensity above one photon per pulse is
-    legal but suspicious, so it only warns.
+    legal but suspicious, so it only warns.  Every float must be finite.
     """
+    for name in ("mu", "nu", "f_rep", "f_ec"):
+        v = getattr(p, name)
+        if not math.isfinite(v):
+            raise ParamError(f"{name}={v} must be finite")
     if not p.nu < p.mu:
         raise InvalidIntensityOrder(f"need nu < mu, got nu={p.nu}, mu={p.mu}")
     if p.nu < 0:
@@ -382,7 +393,8 @@ def _section(cp: configparser.ConfigParser, section: str, default):
             conv = _int if isinstance(getattr(default, key), int) else float
             try:
                 values[key] = conv(raw)
-            except ValueError as exc:
+            # int() of an infinite count overflows
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     return replace(default, **values)
 

@@ -60,8 +60,10 @@ class DriftModel:
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma={self.sigma} must be >= 0 and finite")
+        if not math.isfinite(self.theta0):
+            raise ValueError(f"theta0={self.theta0} must be finite")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ class Schedule:
     duration_h: float = 48.0
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0 or self.interval_s <= 0 or self.duration_h <= 0:
-            raise ValueError("schedule durations must be positive")
+        if not all(0 < v < math.inf for v in (self.window_s, self.interval_s, self.duration_h)):
+            raise ValueError("schedule durations must be positive and finite")
         if self.n_windows < 1:
             raise ValueError(
                 f"{self.duration_h:g} h at one window per {self.interval_s:g} s holds no window"
@@ -391,13 +393,8 @@ class _SessionTables:
         """Recompute the rotation-dependent routing tables only; everything
         else is unchanged by a channel-angle update."""
         # photon routing per (basis, bit) class, after channel rotation
-        route = []
-        for b in Basis:
-            for bit in (0, 1):
-                state = optics.apply_channel(optics.prepare_state(b, bit), link.rotation_angle)
-                w = optics.detection_weights(state, p.p_z_bob, link.e_mis_z, link.e_mis_x)
-                route.append(_cdf_u64(w))
-        self.route_thr = np.stack(route)
+        rho = optics.routing_weights(link.rotation_angle, p.p_z_bob, link.e_mis_z, link.e_mis_x)
+        self.route_thr = np.stack([_cdf_u64(w) for w in rho])
 
 
 def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
@@ -411,7 +408,7 @@ def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
     cell = (basis << 1) | intensity, then the per-gate sifted, error and
     multi-click masks."""
     cpop = _POPCOUNT[cmask]
-    kth = np.zeros(index.size, dtype=np.int64)
+    kth = np.zeros(index.size, dtype=np.uint8)
     multi = cpop > 1
     if multi.any():
         uc = _uniforms_u64(seed, _SLOT_DCLICK, index[multi], start, work)
@@ -424,7 +421,7 @@ def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
     sifted = bob_x == abasis
     errors = sifted & ((chosen & 1) != (prep & 1))
 
-    cell = (abasis.astype(np.int64) << 1) | (prep >> 2)
+    cell = (abasis << 1) | (prep >> 2)
     n_cells = np.bincount(cell[sifted], minlength=4)
     m_cells = np.bincount(cell[errors], minlength=4)
     return n_cells, m_cells, sifted, errors, multi
@@ -810,10 +807,15 @@ _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 # a 20-digit gate fits in uint64 iff it leads with 0, or with 1 and the
 # other 19 digits are at most this
 _TOP_REST = _MASK64 - 10**19
-# Rows per block of the record-file kernels: a block's per-row temporaries
-# stay at or under 512 KiB; beyond them a read holds the file's bytes, one
-# offset per line and the parsed columns.
+# Rows per block of the writer and of the recount: a block's per-row
+# temporaries stay at or under 512 KiB.
 _BLOCK_ROWS = 1 << 16
+# Bytes per read of a record file.  The reader parses the complete lines of
+# each piece together, so beside the columns it holds a few times this.
+_READ_BYTES = 1 << 18
+# A line longer than this cannot be a row (at most 24 bytes): the reader
+# refuses it once it has seen this much of it, and a message quotes no more.
+_MAX_LINE = 64
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 
 
@@ -869,10 +871,11 @@ def write_records(records: RecordSet, path: str) -> None:
             os.unlink(tmp)
 
 
-def _parse_rows(body: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Parse the rows ``body[start:end]`` (no newline): the gate, detector
-    and dark columns, a mask of rows that match the grammar and a mask of
-    gates below 2^64.  Values of rows outside the grammar are garbage."""
+def _parse_rows(body: np.ndarray, start: np.ndarray, end: np.ndarray, gate, det, dark):
+    """Parse the rows ``body[start:end]`` (no newline) into the gate,
+    detector and dark columns ``gate``, ``det`` and ``dark``, one element
+    per row.  Returns a mask of rows that match the grammar and a mask of
+    gates below 2^64; values of rows outside the grammar are garbage."""
 
     def at(i):
         # bytes of short rows lie before them, or before the body's start
@@ -880,11 +883,12 @@ def _parse_rows(body: np.ndarray, start: np.ndarray, end: np.ndarray):
 
     comma = end - 4  # the comma after the gate of a row that matches
     width = comma - start
-    det = at(comma + 1) - _ZERO  # uint8: bytes below "0" wrap above 9
-    dark = at(comma + 3) - _ZERO
-    ok = (width >= 1) & (width <= _MAX_DIGITS) & (det <= 3) & (dark <= 1)
+    np.subtract(at(comma + 1), _ZERO, out=det)  # uint8: bytes below "0" wrap above 9
+    flag = at(comma + 3) - _ZERO
+    np.equal(flag, 1, out=dark)
+    ok = (width >= 1) & (width <= _MAX_DIGITS) & (det <= 3) & (flag <= 1)
     ok &= (at(comma) == _COMMA) & (at(comma + 2) == _COMMA)
-    gate = np.zeros(start.size, dtype=np.uint64)
+    gate[:] = 0
     fits = np.ones(start.size, dtype=bool)
     for j in range(min(int(width.max()), _MAX_DIGITS)):  # j-th digit from the right
         has = width > j
@@ -894,7 +898,89 @@ def _parse_rows(body: np.ndarray, start: np.ndarray, end: np.ndarray):
         if j == _MAX_DIGITS - 1:
             fits = (d == 0) | ((d == 1) & (gate <= _TOP_REST))
         gate += np.multiply(d, _POW10[j], dtype=np.uint64)
-    return gate, det, dark == 1, ok, fits
+    return ok, fits
+
+
+def _bad_row(row: bytes) -> str:
+    shown = repr(row[:_MAX_LINE]) + ("..." if len(row) > _MAX_LINE else "")
+    return f"row {shown} does not match {_ROW_GRAMMAR}"
+
+
+def _count_lines(fh, buf) -> tuple[int, int]:
+    """Bytes and lines from ``fh``'s position to its end, read into
+    ``buf`` ``_READ_BYTES`` at a time; a last line without LF counts."""
+    size = lines = 0
+    last = _NEWLINE
+    view = memoryview(buf)[:_READ_BYTES]
+    while got := fh.readinto(view):
+        size += got
+        lines += buf.count(b"\n", 0, got)
+        last = buf[got - 1]
+    return size, lines + (last != _NEWLINE)
+
+
+def _read_rows(fh, path: str) -> RecordSet:
+    """The rows from ``fh``'s position, just past the header, to its end.
+
+    Pass 1 counts the lines, which sizes the columns.  Pass 2 parses the
+    complete lines of each piece into them, and carries a partial last line
+    over to the front of the next piece."""
+    buf = bytearray(_MAX_LINE + _READ_BYTES)
+    body_start = fh.tell()
+    size, capacity = _count_lines(fh, buf)
+    fh.seek(body_start)
+    columns = (np.empty(capacity, np.uint64), np.empty(capacity, np.uint8),
+               np.empty(capacity, bool))
+    n = 0  # rows stored
+    line = 2  # file line of the line at buf[0]
+    held = seen = 0  # bytes of the partial line at buf[0]; bytes read
+    last = None  # (gate, detector) of the last row read
+    while True:
+        got = fh.readinto(memoryview(buf)[held : held + _READ_BYTES])
+        seen += got
+        if seen > size or (not got and seen < size):
+            raise IoError(f"{path} changed while its records were read")
+        end = held + got
+        if not got:  # end of file: the last line may lack its LF
+            buf[end] = _NEWLINE
+            end += 1
+        cut = buf.rfind(b"\n", 0, end) + 1
+        if cut:
+            body = np.frombuffer(buf, np.uint8, cut)
+            # body line k, file line line + k, ends at ends[k]
+            ends = np.flatnonzero(body == _NEWLINE)
+            start = np.empty_like(ends)
+            start[0] = 0
+            start[1:] = ends[:-1] + 1
+            rows = np.flatnonzero(ends != start)
+            if n + rows.size > capacity:
+                raise IoError(f"{path} changed while its records were read")
+            if rows.size:
+                gate, det, dark = (c[n : n + rows.size] for c in columns)
+                ok, fits = _parse_rows(body, start[rows], ends[rows], gate, det, dark)
+                later = np.empty(rows.size, dtype=bool)
+                later[1:] = (gate[1:] > gate[:-1]) | ((gate[1:] == gate[:-1]) & (det[1:] > det[:-1]))
+                later[0] = last is None or (int(gate[0]), int(det[0])) > last
+                bad = ~(ok & fits & later)
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    row = body[start[rows[k]] : ends[rows[k]]].tobytes()
+                    if not ok[k]:
+                        message = _bad_row(row)
+                    elif not fits[k]:
+                        message = f"gate {row.split(b',')[0].decode()} exceeds 2^64 - 1"
+                    else:
+                        message = "row not after the previous one in (gate, detector) order"
+                    raise FormatError(message, line + int(rows[k]))
+                last = (int(gate[-1]), int(det[-1]))
+                n += rows.size
+            line += ends.size
+            buf[: end - cut] = buf[cut:end]
+        held = end - cut
+        if held > _MAX_LINE:
+            raise FormatError(_bad_row(bytes(buf[:held])), line)
+        if not got:
+            return RecordSet(*(c[:n] for c in columns))
 
 
 def read_records(
@@ -910,7 +996,17 @@ def read_records(
     rows strictly increasing in (gate, detector) as ``run_session`` keeps
     them.  Lines end with LF, the last one optionally; blank lines are
     skipped but counted.  Anything else (CR, spaces, signs, non-ASCII
-    bytes) raises FormatError naming the file line of the first bad row.
+    bytes) raises FormatError naming the file line of the first bad row,
+    and quoting at most ``_MAX_LINE`` bytes of it.
+
+    The file is read in pieces of ``_READ_BYTES``, twice: once to count its
+    lines, which sizes the columns at 10 bytes a line, then to parse each
+    piece's complete lines into them.  Beside the columns a read holds one
+    piece and its per-line temporaries, about 2 MiB for a file that
+    ``write_records`` wrote, and the recount as much for its block of
+    ``_BLOCK_ROWS`` rows; neither grows with the file.  The file must be
+    seekable.  IoError is raised if it cannot be read, or if it changes
+    between the two passes.
 
     When (params, link, seed) of the originating session are supplied, the
     sifted tallies are recomputed by re-deriving Alice's per-gate choices
@@ -919,44 +1015,17 @@ def read_records(
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            head = fh.read(len(_RECORD_HEADER))
+            if head == _RECORD_HEADER:
+                records = _read_rows(fh, path)
+            elif head == _RECORD_HEADER[:-1]:  # the whole file
+                records = RecordSet()
+            else:
+                raise FormatError(f"expected header {_RECORD_HEADER[:-1].decode()!r}", 1)
+    except IoError:
+        raise
     except OSError as exc:
         raise IoError(f"cannot read records from {path}: {exc}") from exc
-    if not (data.startswith(_RECORD_HEADER) or data == _RECORD_HEADER[:-1]):
-        raise FormatError(f"expected header {_RECORD_HEADER[:-1].decode()!r}", 1)
-    body = np.frombuffer(data, dtype=np.uint8)[len(_RECORD_HEADER):]
-    # body line k, file line k + 2, ends at ends[k]
-    ends = np.flatnonzero(body == _NEWLINE)
-    if body.size and body[-1] != _NEWLINE:
-        ends = np.append(ends, body.size)
-    columns = []
-    last = None  # (gate, detector) of the last row read
-    for first in range(0, ends.size, _BLOCK_ROWS):
-        end = ends[first : first + _BLOCK_ROWS]
-        start = np.empty_like(end)
-        start[0] = ends[first - 1] + 1 if first else 0
-        start[1:] = end[:-1] + 1
-        rows = np.flatnonzero(end != start)
-        if rows.size == 0:
-            continue
-        gate, det, dark, ok, fits = _parse_rows(body, start[rows], end[rows])
-        later = np.empty(rows.size, dtype=bool)
-        later[1:] = (gate[1:] > gate[:-1]) | ((gate[1:] == gate[:-1]) & (det[1:] > det[:-1]))
-        later[0] = last is None or (int(gate[0]), int(det[0])) > last
-        bad = ~(ok & fits & later)
-        if bad.any():
-            k = int(np.argmax(bad))
-            row = body[start[rows[k]] : end[rows[k]]].tobytes()
-            if not ok[k]:
-                message = f"row {row!r} does not match {_ROW_GRAMMAR}"
-            elif not fits[k]:
-                message = f"gate {row.split(b',')[0].decode()} exceeds 2^64 - 1"
-            else:
-                message = "row not after the previous one in (gate, detector) order"
-            raise FormatError(message, first + int(rows[k]) + 2)
-        last = (int(gate[-1]), int(det[-1]))
-        columns.append((gate, det, dark))
-    records = RecordSet(*(np.concatenate(c) for c in zip(*columns))) if columns else RecordSet()
     counts = None
     if p is not None and link is not None and seed is not None:
         counts = _counts_from_clicks(records, p, seed)
@@ -994,6 +1063,7 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
         first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
         gates = block[first]
         cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id[s:e], first)
+        del first  # freed before the hashing, where the block peaks
         prep = _sample(prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates), guide=prep_guide)
         n, m, *_ = _resolve_clicks(seed, gates, cmask, prep)
         n_cells += n

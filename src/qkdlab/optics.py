@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Basis
 
 _NORM_TOL = 1e-12
@@ -146,3 +148,17 @@ def detection_weights(
         px * ((1.0 - e_mis_x) * qx1 + e_mis_x * qx0),
     )
 
+
+def routing_weights(
+    rotation_angle: float,
+    p_z_bob: float,
+    e_mis_z: float,
+    e_mis_x: float,
+) -> np.ndarray:
+    """``detection_weights`` of each (basis, bit) class after the channel:
+    row c = (basis << 1) | bit, in ``Basis`` order, is where a detected
+    photon of class c lands.  The state of class c is ``ANALYZERS[c]``."""
+    return np.array([
+        detection_weights(apply_channel(state, rotation_angle), p_z_bob, e_mis_z, e_mis_x)
+        for state in ANALYZERS
+    ])

@@ -192,20 +192,14 @@ def expected_sifted_cells(p: ProtocolParams, link: LinkModel) -> ExactCellProbab
     uniform multi-click resolution)."""
     eta = link.eta_sys
     dark = link.detector.dark_prob_per_gate
-    classes = [(b, bit) for b in Basis for bit in (0, 1)]
-    # rho[c, d]: where a detected photon of class c lands
-    rho = np.array([
-        optics.detection_weights(
-            optics.apply_channel(optics.prepare_state(b, bit), link.rotation_angle),
-            p.p_z_bob, link.e_mis_z, link.e_mis_x,
-        )
-        for b, bit in classes
-    ])
+    # rho[c, d]: where a detected photon of (basis, bit) class c lands
+    rho = optics.routing_weights(link.rotation_angle, p.p_z_bob, link.e_mis_z, link.e_mis_x)
     means = np.array([p.mean_photons(k) for k in Intensity])
     # weight[c, k]: Alice sends class c at intensity k
     weight = np.array([
         [p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5 for k in Intensity]
-        for b, _ in classes
+        for b in Basis
+        for _bit in (0, 1)
     ])
     # per-detector click probabilities, then patterns[c, case, s] for the
     # cases signal, decoy (Poisson light), vacuum and one emitted photon,

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qkdlab import cli, mcsim
+from qkdlab import cli, core, mcsim
 from qkdlab.core import (
     DetectorModel,
     LinkModel,
@@ -28,6 +28,17 @@ def small_config(tmp_path):
         SimulationSettings(seed=3),
     )
     return path
+
+
+# every config field with every non-finite value, but a loss of +inf: a
+# blocked link is a valid config
+_NON_FINITE = [
+    pytest.param(section, key, value, id=f"{key}={value}")
+    for section, keys in core._SECTIONS.items()
+    for key in keys
+    for value in ("nan", "inf", "-inf")
+    if not (key.endswith("_loss_db") and value == "inf")
+]
 
 
 def _run(capsys, *argv):
@@ -99,6 +110,28 @@ class TestKeyrate:
         rc, _, err = _run(capsys, "--config", CONFIG_75, "keyrate",
                           "--loss-db", "5", "--distance-km", "20")
         assert rc == cli.EXIT_ERROR
+
+    @pytest.mark.parametrize("section, key, value", _NON_FINITE)
+    def test_non_finite_config_value_refused(self, capsys, tmp_path, section, key, value):
+        path = tmp_path / "non_finite.conf"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        rc, out, err = _run(capsys, "--config", str(path), "keyrate", "--json")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("flag", ["--loss-db", "--distance-km"])
+    def test_non_finite_loss_flag_refused(self, capsys, flag):
+        rc, out, err = _run(capsys, "--config", CONFIG_75, "keyrate", flag, "nan")
+        assert rc == cli.EXIT_ERROR
+        assert err == "error: channel_loss_db=nan must be non-negative\n"
+
+    def test_blocked_link_is_a_zero_key(self, capsys, tmp_path):
+        path = tmp_path / "blocked.conf"
+        path.write_text("[link]\nchannel_loss_db = inf\n")
+        rc, out, _ = _run(capsys, "--config", str(path), "keyrate", "--json")
+        assert rc == cli.EXIT_ZERO_KEY
+        assert json.loads(out)["report"]["l_bits"] == 0.0
 
 
 class TestSimulate:
@@ -181,6 +214,12 @@ class TestStability:
         rc, _, err = _run(capsys, "--config", small_config, "stability",
                           "--hours", "0")
         assert rc == cli.EXIT_ERROR
+
+    @pytest.mark.parametrize("hours", ["nan", "inf"])
+    def test_non_finite_hours_rejected(self, capsys, small_config, hours):
+        rc, out, err = _run(capsys, "--config", small_config, "stability", "--hours", hours)
+        assert rc == cli.EXIT_ERROR
+        assert err == "error: schedule durations must be positive and finite\n"
 
     def test_schedule_without_windows_is_an_error(self, capsys, small_config):
         # 0.01 h is 36 s, less than half of one 300 s interval

@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
 import tracemalloc
@@ -739,6 +740,15 @@ class TestStability:
         with pytest.raises(ValueError):
             DriftModel(sigma=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (Schedule, "window_s"), (Schedule, "interval_s"), (Schedule, "duration_h"),
+        (DriftModel, "sigma"), (DriftModel, "theta0"),
+    ])
+    def test_non_finite_value_rejected(self, make, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(**{field: value})
+
 
 class TestRecordFiles:
     def test_round_trip_identity(self, tmp_path):
@@ -911,11 +921,14 @@ def record_dir(tmp_path_factory):
 class TestRecordFileKernels:
     @settings(max_examples=200, deadline=None)
     @given(records=_record_sets(), block=st.sampled_from([1, 2, 3, 7, 1 << 16]),
+           piece=st.sampled_from([1, 2, 3, 7, 64, 1 << 18]),
            blank_after=st.sets(st.integers(0, 60), max_size=5), final_lf=st.booleans())
-    def test_matches_per_row_format_and_reads_back(self, record_dir, records, block,
+    def test_matches_per_row_format_and_reads_back(self, record_dir, records, block, piece,
                                                    blank_after, final_lf):
+        # pieces of a few bytes split the header, rows and blank lines
         path = record_dir / "kernel.csv"
-        with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+        with mock.patch.object(mcsim, "_BLOCK_ROWS", block), \
+                mock.patch.object(mcsim, "_READ_BYTES", piece):
             write_records(records, str(path))
             data = path.read_bytes()
             assert data == _reference_bytes(records)
@@ -932,18 +945,18 @@ class TestRecordFileKernels:
         gates = sorted({10**k + j for k in range(19) for j in (0, 1)} | {2**64 - 1, 0, 9})
         records = RecordSet(gates, [g % 4 for g in gates], [g % 3 == 0 for g in gates])
         path = record_dir / "widths.csv"
-        with mock.patch.object(mcsim, "_BLOCK_ROWS", 7):
+        with mock.patch.object(mcsim, "_BLOCK_ROWS", 7), mock.patch.object(mcsim, "_READ_BYTES", 7):
             write_records(records, str(path))
             assert path.read_bytes() == _reference_bytes(records)
             assert read_records(str(path))[0] == records
 
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_order_checked_across_blocks(self, record_dir, block):
+    @pytest.mark.parametrize("piece", [1, 2, 7])
+    def test_order_checked_across_blocks(self, record_dir, piece):
         path = record_dir / "order.csv"
         for rows, line in ((b"3,2,1\n9,0,0\n\n9,0,1\n", 5), (b"3,2,1\n9,0,0\n4,1,0\n", 4),
                            (b"3,2,1\n9,2,0\n9,1,0\n", 4)):
             path.write_bytes(b"gate_index,detector_id,is_dark\n" + rows)
-            with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+            with mock.patch.object(mcsim, "_READ_BYTES", piece):
                 with pytest.raises(FormatError, match=f"^line {line}: row not after"):
                     read_records(str(path))
 
@@ -962,13 +975,72 @@ class TestRecordFileKernels:
         b"7\xc3\xa9,1,0",  # non-ASCII
     ])
     @pytest.mark.parametrize("blank", [False, True])
-    @pytest.mark.parametrize("block", [1, 1 << 16])
-    def test_malformed_row_reports_line(self, record_dir, row, blank, block):
+    @pytest.mark.parametrize("piece", [1, 3, 1 << 16])
+    def test_malformed_row_reports_line(self, record_dir, row, blank, piece):
         path = record_dir / "bad.csv"
         path.write_bytes(b"gate_index,detector_id,is_dark\n3,2,1\n"
                          + (b"\n" if blank else b"") + row + b"\n8,0,0\n")
         line = 4 if blank else 3
-        with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+        with mock.patch.object(mcsim, "_READ_BYTES", piece):
             with pytest.raises(FormatError, match=f"^line {line}: ") as exc:
                 read_records(str(path))
         assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: row {row!r} does not match [0-9]{{1,20}},[0-3],[01]"
+
+    @pytest.mark.parametrize("piece", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("final_lf", [False, True])
+    def test_long_line_quoted_to_its_limit(self, record_dir, piece, final_lf):
+        # refused unread past the limit when it spans pieces, parsed whole
+        # when it does not: the message is the same
+        path = record_dir / "long.csv"
+        long = b"1" * 1000 + b",1,0"
+        path.write_bytes(b"gate_index,detector_id,is_dark\n3,2,1\n" + long
+                         + (b"\n" if final_lf else b""))
+        shown = repr(long[: mcsim._MAX_LINE]) + "..."
+        with mock.patch.object(mcsim, "_READ_BYTES", piece):
+            with pytest.raises(FormatError, match=f"^line 3: row {re.escape(shown)} does not"):
+                read_records(str(path))
+
+    @pytest.mark.parametrize("change, tail", [
+        ("append", b"2222222,0,0\n"),  # grows by a row
+        ("append", b"\n"),  # grows by a blank line
+        ("rewrite", b"3,0,0\n4,0,0\n5,0,0\n"),  # same size, more rows than counted
+        ("rewrite", b"3,0,0\n"),  # shrinks
+    ])
+    def test_file_changed_between_passes_refused(self, record_dir, monkeypatch, change, tail):
+        path = record_dir / "changing.csv"
+        header = b"gate_index,detector_id,is_dark\n"
+        path.write_bytes(header + b"3,2,1\n1111111,3,0\n")
+        count_lines = mcsim._count_lines
+
+        def then_change(*args):
+            counted = count_lines(*args)
+            if change == "append":
+                with open(path, "ab") as fh:
+                    fh.write(tail)
+            else:
+                path.write_bytes(header + tail)
+            return counted
+
+        monkeypatch.setattr(mcsim, "_count_lines", then_change)
+        with pytest.raises(mcsim.IoError, match="changed while its records were read"):
+            read_records(str(path))
+
+    def test_read_holds_one_piece_beside_the_columns(self, record_dir):
+        # 250k rows, 2.8 MB: about 11 pieces of 256 KiB, each of which
+        # takes about 2 MiB with its per-line temporaries.  A whole-file
+        # parse holds the file, a newline mask, an offset per line and a
+        # second copy of the columns: 8 MiB here.
+        gates = np.arange(250_000, dtype=np.uint64) * 37
+        records = RecordSet(gates, (gates % 4).astype(np.uint8), gates % 3 == 0)
+        path = str(record_dir / "pieces.csv")
+        write_records(records, path)
+        columns = records.gate_index.nbytes + records.detector_id.nbytes + records.is_dark.nbytes
+        tracemalloc.start()
+        try:
+            read = read_records(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == records
+        assert peak < columns + (3 << 20)
