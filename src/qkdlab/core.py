@@ -152,57 +152,72 @@ class LinkModel:
         return replace(self, channel_loss_db=loss_db)
 
 
-@dataclass(frozen=True)
-class ObservedCounts:
-    """Sifted detection (n) and error (m) tallies per basis x intensity.
+# Tally arrays are indexed [basis, intensity] in Basis and Intensity order,
+# so the flat cell of (b, k) is (b << 1) | k; these are the names the
+# cells carry in JSON, in that order.
+_CELL_NAMES = ("z_mu", "z_nu", "x_mu", "x_nu")
+_INDEX = {m: i for kind in (Basis, Intensity) for i, m in enumerate(kind)}
 
-    A cell may be a numpy array, one tally per point of a parameter grid;
-    the cells then broadcast against each other like the parameters they
-    were computed from.
+
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a).view()
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class ObservedCounts:
+    """Sifted detection (``sift``, n) and error (``err``, m) tallies: two
+    read-only arrays indexed [basis, intensity] in ``Basis`` and
+    ``Intensity`` order.
+
+    Axes after the first two, if any, are a parameter grid with one tally
+    per point; ``sift`` and ``err`` then broadcast against each other like
+    the parameters they were computed from.
     """
 
-    n_z_mu: int = 0
-    n_z_nu: int = 0
-    n_x_mu: int = 0
-    n_x_nu: int = 0
-    m_z_mu: int = 0
-    m_z_nu: int = 0
-    m_x_mu: int = 0
-    m_x_nu: int = 0
+    sift: np.ndarray = field(default_factory=lambda: np.zeros((2, 2), dtype=np.int64))
+    err: np.ndarray = field(default_factory=lambda: np.zeros((2, 2), dtype=np.int64))
 
     def __post_init__(self) -> None:
-        for cell in ("z_mu", "z_nu", "x_mu", "x_nu"):
-            n, m = getattr(self, "n_" + cell), getattr(self, "m_" + cell)
-            # 0 <= m <= n also rules out n < 0
-            if np.logical_or(m < 0, m > n).any():
-                raise ParamError(f"invalid cell {cell}: n={n}, m={m}")
+        n, m = _read_only(self.sift), _read_only(self.err)
+        object.__setattr__(self, "sift", n)
+        object.__setattr__(self, "err", m)
+        # 0 <= m <= n also rules out n < 0
+        bad = np.logical_or(m < 0, m > n).reshape(4, -1).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            cell = divmod(i, 2)
+            raise ParamError(f"invalid cell {_CELL_NAMES[i]}: n={n[cell]}, m={m[cell]}")
 
-    def n(self, b: Basis, k: Intensity) -> int:
-        if b is Basis.Z:
-            return self.n_z_mu if k is Intensity.SIGNAL else self.n_z_nu
-        return self.n_x_mu if k is Intensity.SIGNAL else self.n_x_nu
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObservedCounts):
+            return NotImplemented
+        return bool(np.array_equal(self.sift, other.sift) and np.array_equal(self.err, other.err))
 
-    def m(self, b: Basis, k: Intensity) -> int:
-        if b is Basis.Z:
-            return self.m_z_mu if k is Intensity.SIGNAL else self.m_z_nu
-        return self.m_x_mu if k is Intensity.SIGNAL else self.m_x_nu
+    def n(self, b: Basis, k: Intensity):
+        return self.sift[_INDEX[b], _INDEX[k]]
 
-    def n_total(self, b: Basis) -> int:
-        return self.n(b, Intensity.SIGNAL) + self.n(b, Intensity.DECOY)
+    def m(self, b: Basis, k: Intensity):
+        return self.err[_INDEX[b], _INDEX[k]]
 
-    def m_total(self, b: Basis) -> int:
-        return self.m(b, Intensity.SIGNAL) + self.m(b, Intensity.DECOY)
+    def n_total(self, b: Basis):
+        n = self.sift[_INDEX[b]]
+        return n[0] + n[1]
 
-    def total_sifted(self) -> int:
+    def m_total(self, b: Basis):
+        m = self.err[_INDEX[b]]
+        return m[0] + m[1]
+
+    def total_sifted(self):
         return self.n_total(Basis.Z) + self.n_total(Basis.X)
 
     def as_dict(self) -> dict:
+        """The eight tallies as ints, named ``n_z_mu`` ... ``m_x_nu``."""
         return {
-            f: getattr(self, f)
-            for f in (
-                "n_z_mu", "n_z_nu", "n_x_mu", "n_x_nu",
-                "m_z_mu", "m_z_nu", "m_x_mu", "m_x_nu",
-            )
+            f"{tally}_{cell}": int(v)
+            for tally, a in (("n", self.sift), ("m", self.err))
+            for cell, v in zip(_CELL_NAMES, a.reshape(4))
         }
 
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import Basis, Intensity, KeyRateReport, ObservedCounts, ProtocolParams
+from .core import Basis, KeyRateReport, ObservedCounts, ProtocolParams
 from .rates import binary_entropy, tau_n
 
 
@@ -82,123 +81,66 @@ class DecoyFactors:
     """
 
     def __init__(self, p: ProtocolParams) -> None:
-        if np.less(p.mu - p.nu, _MIN_INTENSITY_GAP).any():
-            raise IntensityDegenerate(f"mu - nu = {p.mu - p.nu} too small")
+        self.gap = p.mu - p.nu  # which the bounds divide by
+        if np.less(self.gap, _MIN_INTENSITY_GAP).any():
+            raise IntensityDegenerate(f"mu - nu = {self.gap} too small")
         if np.less_equal(p.nu, 0.0).any():
             raise IntensityDegenerate("decoy intensity must be positive")
         self.p = p
         self.tau0 = tau_n(0, p)
         self.tau1 = tau_n(1, p)
-        # e^k / p_k, the Poisson rescaling of each intensity's tallies
-        self.scale_mu = np.exp(p.mu) / p.p_mu
-        self.scale_nu = np.exp(p.nu) / p.p_nu
+        # e^k / p_k, the Poisson rescaling of each intensity's tallies, in
+        # Intensity order
+        self.scale = (np.exp(p.mu) / p.p_mu, np.exp(p.nu) / p.p_nu)
         # the single-photon bound's weights of the signal estimator and of
         # the vacuum term, and its overall scale tau1 mu / (nu (mu - nu))
         mu2, nu2 = p.mu * p.mu, p.nu * p.nu
         self.signal_weight = nu2 / mu2
         self.vacuum_weight = (mu2 - nu2) / mu2
-        self.single_photon_scale = self.tau1 * (p.mu / (p.nu * (p.mu - p.nu)))
+        self.single_photon_scale = self.tau1 * (p.mu / (p.nu * self.gap))
 
 
-def _estimator(tally: str, k: Intensity, lower: bool) -> cached_property:
-    """A ScaledCountBounds field: (e^k / p_k)(x - delta), clamped at zero,
-    if ``lower``, else (e^k / p_k)(x + delta), for the tally x ("n" or "m")
-    of intensity k."""
-    tag = "mu" if k is Intensity.SIGNAL else "nu"
-    scale_name, x_name, delta_name = "scale_" + tag, f"{tally}_{tag}", "d_" + tally
+# The bounds below read one basis's tallies: a row x of ``ObservedCounts.sift``
+# (n) or ``.err`` (m), indexed by intensity in Intensity order, with the
+# Hoeffding deviation ``delta`` of the row's total.  The deviation uses the
+# basis totals, as the whole basis sample fluctuates jointly.
 
-    def value(self):
-        scale = getattr(self.factors, scale_name)
-        x, delta = getattr(self, x_name), getattr(self, delta_name)
-        return np.maximum(0.0, scale * (x - delta)) if lower else scale * (x + delta)
-
-    return cached_property(value)
+def upper_estimate(f: DecoyFactors, x, k: int, delta):
+    """(e^k / p_k)(x[k] + delta): the Poisson-rescaled upper estimator of
+    intensity k's tally."""
+    return f.scale[k] * (x[k] + delta)
 
 
-@dataclass(frozen=True)
-class ScaledCountBounds:
-    """Poisson-rescaled count estimators (e^k / p_k)(x +- delta) for the
-    tallies x of one basis; lower estimators clamp at zero.
-
-    The deviation delta uses the basis totals (detections for n, errors for
-    m), as the whole basis sample fluctuates jointly.  The error deviation
-    and the estimators are computed on first read and then kept, so the
-    bounds built on one instance share them and skip those they never read.
-    """
-
-    factors: DecoyFactors
-    eps: float
-    n_mu: object  # the basis's tallies
-    n_nu: object
-    m_mu: object
-    m_nu: object
-    n_total: object
-    m_total: object
-    d_n: object  # deviation of n_total
-
-    @cached_property
-    def d_m(self):
-        return hoeffding_delta(self.m_total, self.eps)
-
-    n_plus_mu = _estimator("n", Intensity.SIGNAL, lower=False)
-    n_minus_mu = _estimator("n", Intensity.SIGNAL, lower=True)
-    n_plus_nu = _estimator("n", Intensity.DECOY, lower=False)
-    n_minus_nu = _estimator("n", Intensity.DECOY, lower=True)
-    m_plus_mu = _estimator("m", Intensity.SIGNAL, lower=False)
-    m_minus_mu = _estimator("m", Intensity.SIGNAL, lower=True)
-    m_plus_nu = _estimator("m", Intensity.DECOY, lower=False)
-    m_minus_nu = _estimator("m", Intensity.DECOY, lower=True)
-
-    def n_plus(self, k: Intensity):
-        return self.n_plus_mu if k is Intensity.SIGNAL else self.n_plus_nu
-
-    def n_minus(self, k: Intensity):
-        return self.n_minus_mu if k is Intensity.SIGNAL else self.n_minus_nu
-
-    def m_plus(self, k: Intensity):
-        return self.m_plus_mu if k is Intensity.SIGNAL else self.m_plus_nu
-
-    def m_minus(self, k: Intensity):
-        return self.m_minus_mu if k is Intensity.SIGNAL else self.m_minus_nu
+def lower_estimate(f: DecoyFactors, x, k: int, delta):
+    """(e^k / p_k)(x[k] - delta), clamped at zero: the Poisson-rescaled
+    lower estimator of intensity k's tally."""
+    return np.maximum(0.0, f.scale[k] * (x[k] - delta))
 
 
-def scaled_count_bounds(
-    counts: ObservedCounts, basis: Basis, factors: DecoyFactors, eps: float
-) -> ScaledCountBounds:
-    """The scaled-count estimators of ``basis`` at concentration budget
-    ``eps``."""
-    n_mu, n_nu = counts.n(basis, Intensity.SIGNAL), counts.n(basis, Intensity.DECOY)
-    m_mu, m_nu = counts.m(basis, Intensity.SIGNAL), counts.m(basis, Intensity.DECOY)
-    n_total = n_mu + n_nu
-    return ScaledCountBounds(
-        factors, eps, n_mu, n_nu, m_mu, m_nu,
-        n_total=n_total,
-        m_total=m_mu + m_nu,
-        d_n=hoeffding_delta(n_total, eps),
-    )
-
-
-def vacuum_upper_bound(sb: ScaledCountBounds):
+def vacuum_upper_bound(n_total, m_total, d_n):
     """Upper bound on the sifted events of one basis caused by empty
-    pulses, from the error tally: every vacuum detection errs with
-    probability one half."""
-    return np.minimum(sb.n_total, 2.0 * (sb.m_total + sb.d_n))
+    pulses, from its detection and error totals: every vacuum detection
+    errs with probability one half."""
+    return np.minimum(n_total, 2.0 * (m_total + d_n))
 
 
-def vacuum_lower_bound(sb: ScaledCountBounds):
+def vacuum_lower_bound(f: DecoyFactors, n, d_n):
     """Lower bound on the sifted events of one basis caused by empty
-    pulses, from the decoy estimators."""
-    f = sb.factors
+    pulses, from the decoy estimators of its detections ``n``."""
     p = f.p
-    low = f.tau0 * (p.mu * sb.n_minus_nu - p.nu * f.scale_mu * (sb.n_mu + sb.d_n)) / (p.mu - p.nu)
-    return np.maximum(0.0, low)
+    low = f.tau0 * (p.mu * lower_estimate(f, n, 1, d_n) - p.nu * f.scale[0] * (n[0] + d_n))
+    return np.maximum(0.0, low / f.gap)
 
 
-def single_photon_bound(sb: ScaledCountBounds, s0_up):
+def single_photon_bound(f: DecoyFactors, n, d_n, s0_up):
     """Lower bound on the sifted events of one basis caused by
-    single-photon pulses; ``s0_up`` is the basis's vacuum upper bound."""
-    f = sb.factors
-    inner = sb.n_minus_nu - f.signal_weight * sb.n_plus_mu - f.vacuum_weight * (s0_up / f.tau0)
+    single-photon pulses, from its detections ``n``; ``s0_up`` is the
+    basis's vacuum upper bound."""
+    inner = (
+        lower_estimate(f, n, 1, d_n)
+        - f.signal_weight * upper_estimate(f, n, 0, d_n)
+        - f.vacuum_weight * (s0_up / f.tau0)
+    )
     return np.maximum(0.0, f.single_photon_scale * inner)
 
 
@@ -224,21 +166,21 @@ class PhaseErrorBound:
 
 
 def phase_error_bound(
-    sb_x: ScaledCountBounds, eps_sec: float, s_z1_low, s_x1_low
+    f: DecoyFactors, m_x, d_m, eps_sec: float, s_z1_low, s_x1_low
 ) -> PhaseErrorBound:
     """Upper bound on the phase error rate of the Z single-photon events,
-    from the X-basis estimators ``sb_x``.
+    from the X-basis errors ``m_x`` and the deviation ``d_m`` of their
+    total.
 
     With no single-photon test statistics the bound degrades to maximal
     ignorance (1/2) and the report is flagged.  An error ratio of one also
     gives 1/2, unflagged.
     """
-    f = sb_x.factors
     tested = np.minimum(s_x1_low, s_z1_low) > 0.0
     # placeholder sizes keep untested points finite
     s_x = np.where(tested, s_x1_low, 1.0)
     s_z = np.where(tested, s_z1_low, 1.0)
-    v = f.tau1 * (sb_x.m_plus_mu - sb_x.m_minus_nu) / (f.p.mu - f.p.nu)
+    v = f.tau1 * (upper_estimate(f, m_x, 0, d_m) - lower_estimate(f, m_x, 1, d_m)) / f.gap
     v = np.minimum(np.maximum(v, 0.0), s_x)
     ratio = v / s_x
     phi = np.minimum(0.5, ratio + _gamma(eps_sec, ratio, s_x, s_z))
@@ -253,21 +195,23 @@ def _secure_length(counts: ObservedCounts, p: ProtocolParams) -> dict:
     """Every bound and the secure length of ``counts`` under ``p``, keyed
     by their ``KeyRateReport`` field names; arrays in either broadcast.
 
-    Each basis's totals, deviations and estimators, and each intensity
-    factor, are computed once.  A sample with no key-basis detections
-    scores zero.
+    Each basis's totals and deviations, and each intensity factor, are
+    computed once.  A sample with no key-basis detections scores zero.
     """
     eps = EpsilonBudget.from_params(p)
-    factors = DecoyFactors(p)
-    z = scaled_count_bounds(counts, Basis.Z, factors, eps.eps_pe)
-    x = scaled_count_bounds(counts, Basis.X, factors, eps.eps_pe)
-    s_z0_low = vacuum_lower_bound(z)
-    s_z0_up = vacuum_upper_bound(z)
-    s_z1 = single_photon_bound(z, s_z0_up)
-    s_x1 = single_photon_bound(x, vacuum_upper_bound(x))
-    phase = phase_error_bound(x, eps.eps_sec, s_z1, s_x1)
+    f = DecoyFactors(p)
+    (n_z, n_x), m_x = counts.sift, counts.err[1]
+    # each basis's detection and error totals, [basis, *grid]
+    n, m = counts.sift.sum(axis=1), counts.err.sum(axis=1)
+    d_z = hoeffding_delta(n[0], eps.eps_pe)
+    d_x = hoeffding_delta(n[1], eps.eps_pe)
+    s_z0_low = vacuum_lower_bound(f, n_z, d_z)
+    s_z0_up = vacuum_upper_bound(n[0], m[0], d_z)
+    s_z1 = single_photon_bound(f, n_z, d_z, s_z0_up)
+    s_x1 = single_photon_bound(f, n_x, d_x, vacuum_upper_bound(n[1], m[1], d_x))
+    phase = phase_error_bound(f, m_x, hoeffding_delta(m[1], eps.eps_pe), eps.eps_sec, s_z1, s_x1)
     # an empty key basis has m = 0, so its error rate reads 0 / 1
-    lambda_ec = p.f_ec * z.n_total * binary_entropy(z.m_total / np.maximum(z.n_total, 1.0))
+    lambda_ec = p.f_ec * n[0] * binary_entropy(m[0] / np.maximum(n[0], 1.0))
     l = (
         s_z0_low
         + s_z1 * (1.0 - binary_entropy(phase.phi_z_up))
@@ -293,7 +237,7 @@ def key_length(counts: ObservedCounts, p: ProtocolParams) -> KeyRateReport:
 
     Pure and deterministic in (counts, params).
     """
-    n_z, m_z = counts.n_total(Basis.Z), counts.m_total(Basis.Z)
+    n_z, m_z = int(counts.n_total(Basis.Z)), int(counts.m_total(Basis.Z))
     if n_z == 0:
         raise EmptyKeyBasis("no sifted key-basis detections")
     terms = _secure_length(counts, p)

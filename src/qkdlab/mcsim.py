@@ -776,9 +776,7 @@ def run_stability(
                 last_theta = thetas[w]
             res = run_session(p, lk, seed, n_pulses=ppw, gate_offset=w * ppw, n_threads=1,
                               _tables=tables)
-            c = res.counts
-            n_z, m_z = c.n_total(Basis.Z), c.m_total(Basis.Z)
-            n_x, m_x = c.n_total(Basis.X), c.m_total(Basis.X)
+            (n_z, n_x), (m_z, m_x) = res.counts.sift.sum(axis=1), res.counts.err.sum(axis=1)
             out.append(
                 WindowStats(
                     window_start_s=w * schedule.interval_s,
@@ -786,7 +784,7 @@ def run_stability(
                     q_nu=res.clicked[Intensity.DECOY] / max(1, res.sent[Intensity.DECOY]),
                     e_z=m_z / n_z if n_z else 0.0,
                     e_x=m_x / n_x if n_x else 0.0,
-                    counts=c,
+                    counts=res.counts,
                 )
             )
         return out
@@ -907,14 +905,17 @@ def _bad_row(row: bytes) -> str:
 
 
 def _count_lines(fh, buf) -> tuple[int, int]:
-    """Bytes and lines from ``fh``'s position to its end, read into
-    ``buf`` ``_READ_BYTES`` at a time; a last line without LF counts."""
+    """Bytes and non-blank lines from ``fh``'s position, just past a LF, to
+    its end, read into ``buf`` ``_READ_BYTES`` at a time; a last line
+    without LF counts."""
     size = lines = 0
     last = _NEWLINE
     view = memoryview(buf)[:_READ_BYTES]
     while got := fh.readinto(view):
         size += got
-        lines += buf.count(b"\n", 0, got)
+        # a line ends at a LF, and is blank if the byte before is a LF too
+        lf = np.frombuffer(buf, np.uint8, got) == _NEWLINE
+        lines += int(np.count_nonzero(lf[1:] > lf[:-1])) + bool(lf[0] and last != _NEWLINE)
         last = buf[got - 1]
     return size, lines + (last != _NEWLINE)
 
@@ -922,9 +923,9 @@ def _count_lines(fh, buf) -> tuple[int, int]:
 def _read_rows(fh, path: str) -> RecordSet:
     """The rows from ``fh``'s position, just past the header, to its end.
 
-    Pass 1 counts the lines, which sizes the columns.  Pass 2 parses the
-    complete lines of each piece into them, and carries a partial last line
-    over to the front of the next piece."""
+    Pass 1 counts the non-blank lines, which sizes the columns.  Pass 2
+    parses the complete lines of each piece into them, and carries a
+    partial last line over to the front of the next piece."""
     buf = bytearray(_MAX_LINE + _READ_BYTES)
     body_start = fh.tell()
     size, capacity = _count_lines(fh, buf)
@@ -951,7 +952,7 @@ def _read_rows(fh, path: str) -> RecordSet:
             ends = np.flatnonzero(body == _NEWLINE)
             start = np.empty_like(ends)
             start[0] = 0
-            start[1:] = ends[:-1] + 1
+            np.add(ends[:-1], 1, out=start[1:])
             rows = np.flatnonzero(ends != start)
             if n + rows.size > capacity:
                 raise IoError(f"{path} changed while its records were read")
@@ -975,6 +976,7 @@ def _read_rows(fh, path: str) -> RecordSet:
                 last = (int(gate[-1]), int(det[-1]))
                 n += rows.size
             line += ends.size
+            del ends, start  # before the next piece makes its own
             buf[: end - cut] = buf[cut:end]
         held = end - cut
         if held > _MAX_LINE:
@@ -1000,11 +1002,12 @@ def read_records(
     and quoting at most ``_MAX_LINE`` bytes of it.
 
     The file is read in pieces of ``_READ_BYTES``, twice: once to count its
-    lines, which sizes the columns at 10 bytes a line, then to parse each
-    piece's complete lines into them.  Beside the columns a read holds one
-    piece and its per-line temporaries, about 2 MiB for a file that
-    ``write_records`` wrote, and the recount as much for its block of
-    ``_BLOCK_ROWS`` rows; neither grows with the file.  The file must be
+    non-blank lines, which sizes the columns at 10 bytes a row, then to
+    parse each piece's complete lines into them.  Beside the columns a read
+    holds one piece and its per-line temporaries, about 2 MiB for a file
+    that ``write_records`` wrote and 4.5 MiB for one of blank lines, and
+    the recount as much for its block of ``_BLOCK_ROWS`` rows; neither
+    grows with the file.  The file must be
     seekable.  IoError is raised if it cannot be read, or if it changes
     between the two passes.
 
@@ -1033,12 +1036,8 @@ def read_records(
 
 
 def _observed(n_cells, m_cells) -> ObservedCounts:
-    return ObservedCounts(
-        n_z_mu=int(n_cells[0]), n_z_nu=int(n_cells[1]),
-        n_x_mu=int(n_cells[2]), n_x_nu=int(n_cells[3]),
-        m_z_mu=int(m_cells[0]), m_z_nu=int(m_cells[1]),
-        m_x_mu=int(m_cells[2]), m_x_nu=int(m_cells[3]),
-    )
+    # the flat cell (basis << 1) | intensity is ObservedCounts' layout
+    return ObservedCounts(n_cells.reshape(2, 2), m_cells.reshape(2, 2))
 
 
 def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:

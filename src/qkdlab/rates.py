@@ -90,14 +90,10 @@ def qber(link: LinkModel, k) -> dict:
 
 @dataclass(frozen=True)
 class ExpectedStatistics:
-    """Gains, QBERs and expected sifted tallies for a parameter set."""
+    """Gains and expected sifted tallies for a parameter set."""
 
     q_mu: float
     q_nu: float
-    e_z_mu: float
-    e_z_nu: float
-    e_x_mu: float
-    e_x_nu: float
     counts: ObservedCounts
 
     def pooled_qber(self, b: Basis) -> float:
@@ -106,40 +102,26 @@ class ExpectedStatistics:
         return c.m_total(b) / n if n else 0.5
 
 
-def _round_half_up(x):
-    return np.floor(x + 0.5)
-
-
 def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistics:
     """Expected gains, QBERs and sifted tallies for n_pulses emitted pulses.
 
-    Cell tallies follow n[b][k] = N p_k p_b^A p_b^B q_k and m = e n,
-    rounded half-up; m <= n since e <= 1/2.  A cell computed from scalars
-    is a Python int.
+    Cell tallies follow n[b, k] = N p_k p_b^A p_b^B q_k and m = e n,
+    rounded half-up; m <= n since e <= 1/2.  Each intensity's cells are
+    computed on the sub-grid its parameters span, then broadcast into the
+    tally arrays, which have the shape of all the parameters.
     """
-    mean = {"mu": p.mu, "nu": p.nu}
-    p_k = {"mu": p.p_mu, "nu": p.p_nu}
-    q = {k: gain(link, mean[k]) for k in mean}
-    e = {k: qber(link, mean[k]) for k in mean}
-    cells = {}
-    for b, basis, p_b in (
-        ("z", Basis.Z, p.p_z_alice * p.p_z_bob),
-        ("x", Basis.X, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob)),
-    ):
-        for k in mean:
-            expected = p.n_pulses * p_k[k] * p_b * q[k]
-            cells[f"n_{b}_{k}"] = _round_half_up(expected)
-            cells[f"m_{b}_{k}"] = _round_half_up(expected * e[k][basis])
-    cells = {name: v if isinstance(v, np.ndarray) else int(v) for name, v in cells.items()}
-    return ExpectedStatistics(
-        q_mu=q["mu"],
-        q_nu=q["nu"],
-        e_z_mu=e["mu"][Basis.Z],
-        e_z_nu=e["nu"][Basis.Z],
-        e_x_mu=e["mu"][Basis.X],
-        e_x_nu=e["nu"][Basis.X],
-        counts=ObservedCounts(**cells),
-    )
+    intensities = ((p.mu, p.p_mu), (p.nu, p.p_nu))
+    p_b = (p.p_z_alice * p.p_z_bob, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob))
+    q = [gain(link, mean) for mean, _ in intensities]
+    shape = np.broadcast(p.mu, p.nu, p.p_mu, p.p_z_alice, p.p_z_bob).shape
+    tally = np.empty((2, 2, 2) + shape)  # [n or m, basis, intensity, *grid]
+    for k, (mean, p_k) in enumerate(intensities):
+        # qber's values are in Basis order
+        for b, e in enumerate(qber(link, mean).values()):
+            expected = p.n_pulses * p_k * p_b[b] * q[k]
+            tally[0, b, k] = np.floor(expected + 0.5)
+            tally[1, b, k] = np.floor(expected * e + 0.5)
+    return ExpectedStatistics(q_mu=q[0], q_nu=q[1], counts=ObservedCounts(*tally))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,26 +91,56 @@ class TestDetectorAndLink:
 
 class TestObservedCounts:
     def test_errors_cannot_exceed_detections(self):
-        with pytest.raises(ParamError):
-            ObservedCounts(n_z_mu=5, m_z_mu=6)
+        with pytest.raises(ParamError, match="invalid cell z_mu: n=5, m=6"):
+            ObservedCounts(sift=[[5, 0], [0, 0]], err=[[6, 0], [0, 0]])
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ParamError):
-            ObservedCounts(n_z_mu=-1)
+        with pytest.raises(ParamError, match="invalid cell z_mu"):
+            ObservedCounts(sift=[[-1, 0], [0, 0]])
 
     def test_accessors_and_totals(self):
-        c = ObservedCounts(n_z_mu=10, n_z_nu=4, n_x_mu=2, n_x_nu=1,
-                           m_z_mu=3, m_z_nu=1, m_x_mu=1, m_x_nu=0)
+        c = ObservedCounts(sift=[[10, 4], [2, 1]], err=[[3, 1], [1, 0]])
         assert c.n(Basis.Z, Intensity.SIGNAL) == 10
         assert c.m(Basis.Z, Intensity.DECOY) == 1
         assert c.n_total(Basis.Z) == 14
         assert c.m_total(Basis.X) == 1
         assert c.total_sifted() == 17
 
+    def test_cell_index_is_basis_then_intensity(self):
+        c = ObservedCounts(sift=np.arange(4).reshape(2, 2))
+        for b in Basis:
+            for k in Intensity:
+                flat = (list(Basis).index(b) << 1) | list(Intensity).index(k)
+                assert c.n(b, k) == flat
+
+    def test_as_dict_names_and_ints(self):
+        c = ObservedCounts(sift=np.array([[10.0, 4.0], [2.0, 1.0]]), err=[[3, 1], [1, 0]])
+        d = c.as_dict()
+        assert list(d) == ["n_z_mu", "n_z_nu", "n_x_mu", "n_x_nu",
+                           "m_z_mu", "m_z_nu", "m_x_mu", "m_x_nu"]
+        assert list(d.values()) == [10, 4, 2, 1, 3, 1, 1, 0]
+        assert all(type(v) is int for v in d.values())
+
+    def test_equality_is_a_bool(self):
+        a = ObservedCounts(sift=[[10, 4], [2, 1]])
+        assert (a == ObservedCounts(sift=np.array([[10.0, 4.0], [2.0, 1.0]]))) is True
+        assert (a == ObservedCounts()) is False
+        assert (a != ObservedCounts()) is True
+
+    def test_grid_cells_broadcast(self):
+        c = ObservedCounts(sift=np.full((2, 2, 3), 5), err=np.zeros((2, 2, 1)))
+        assert c.n_total(Basis.Z).tolist() == [10, 10, 10]
+        err = np.zeros((2, 2, 3))
+        err[1, 1, 2] = 6  # one point's x_nu errors outnumber its detections
+        with pytest.raises(ParamError, match="invalid cell x_nu"):
+            ObservedCounts(sift=np.full((2, 2, 3), 5), err=err)
+
     def test_immutable(self):
         c = ObservedCounts()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            c.n_z_mu = 1
+            c.sift = np.ones((2, 2))
+        with pytest.raises(ValueError):
+            c.sift[0, 0] = 1
 
 
 class TestCalibration:

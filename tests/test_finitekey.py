@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkdlab import finitekey, rates
@@ -14,9 +14,10 @@ from qkdlab.finitekey import (
     IntensityDegenerate,
     hoeffding_delta,
     key_length,
+    lower_estimate,
     phase_error_bound,
-    scaled_count_bounds,
     single_photon_bound,
+    upper_estimate,
     vacuum_lower_bound,
     vacuum_upper_bound,
 )
@@ -27,11 +28,12 @@ EPS_PE = 1e-9 / 19.0
 F_REF = DecoyFactors(P_REF)
 
 # Frozen by an independent script evaluating the closed forms directly,
-# before the module was written.  Inputs: n_z_mu=7.0e6, n_z_nu=1.1e6,
-# m_z_mu=4.0e4, m_z_nu=9.0e3, (mu, nu, p_mu) = (0.56, 0.14, 0.66),
-# eps = 1e-9/19.
-ORACLE_COUNTS = ObservedCounts(n_z_mu=7_000_000, n_z_nu=1_100_000,
-                               m_z_mu=40_000, m_z_nu=9_000)
+# before the module was written.  Inputs: Z-basis detections 7.0e6
+# (signal) and 1.1e6 (decoy), errors 4.0e4 and 9.0e3, no X-basis tallies,
+# (mu, nu, p_mu) = (0.56, 0.14, 0.66), eps = 1e-9/19.  The "m_" values
+# treat the Z errors as the row the estimators read.
+ORACLE_COUNTS = ObservedCounts(sift=[[7_000_000, 1_100_000], [0, 0]],
+                               err=[[40_000, 9_000], [0, 0]])
 ORACLE = {
     "n_plus_mu": 18593708.317096,
     "n_minus_mu": 18541768.96191221,
@@ -89,53 +91,69 @@ class TestHoeffdingDelta:
         assert d <= n or n < 30 * math.log(1 / eps)
 
 
+def _rows(counts: ObservedCounts, b: int, eps: float):
+    """Basis b's detection and error rows, their totals, and the deviations
+    of the two totals at budget eps."""
+    n, m = counts.sift[b], counts.err[b]
+    n_total, m_total = n.sum(), m.sum()
+    return n, m, n_total, m_total, hoeffding_delta(n_total, eps), hoeffding_delta(m_total, eps)
+
+
+def _estimates(x, delta):
+    """Lower and upper estimators of row x's two intensities."""
+    return ([lower_estimate(F_REF, x, k, delta) for k in (0, 1)],
+            [upper_estimate(F_REF, x, k, delta) for k in (0, 1)])
+
+
 class TestScaledCountBounds:
     def test_frozen_oracle_values(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
-        assert sb.n_plus_mu == pytest.approx(ORACLE["n_plus_mu"], rel=1e-12)
-        assert sb.n_minus_mu == pytest.approx(ORACLE["n_minus_mu"], rel=1e-12)
-        assert sb.n_plus_nu == pytest.approx(ORACLE["n_plus_nu"], rel=1e-12)
-        assert sb.n_minus_nu == pytest.approx(ORACLE["n_minus_nu"], rel=1e-12)
-        assert sb.m_plus_mu == pytest.approx(ORACLE["m_plus_mu"], rel=1e-12)
-        assert sb.m_minus_nu == pytest.approx(ORACLE["m_minus_nu"], rel=1e-12)
+        n, m, _, _, d_n, d_m = _rows(ORACLE_COUNTS, 0, EPS_PE)
+        assert upper_estimate(F_REF, n, 0, d_n) == pytest.approx(ORACLE["n_plus_mu"], rel=1e-12)
+        assert lower_estimate(F_REF, n, 0, d_n) == pytest.approx(ORACLE["n_minus_mu"], rel=1e-12)
+        assert upper_estimate(F_REF, n, 1, d_n) == pytest.approx(ORACLE["n_plus_nu"], rel=1e-12)
+        assert lower_estimate(F_REF, n, 1, d_n) == pytest.approx(ORACLE["n_minus_nu"], rel=1e-12)
+        assert upper_estimate(F_REF, m, 0, d_m) == pytest.approx(ORACLE["m_plus_mu"], rel=1e-12)
+        assert lower_estimate(F_REF, m, 1, d_m) == pytest.approx(ORACLE["m_minus_nu"], rel=1e-12)
 
     def test_vanishing_fluctuation_limit(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, 1.0 - 1e-12)
-        for k, n in ((Intensity.SIGNAL, 7_000_000), (Intensity.DECOY, 1_100_000)):
+        n, _, _, _, d_n, _ = _rows(ORACLE_COUNTS, 0, 1.0 - 1e-12)
+        lower, upper = _estimates(n, d_n)
+        for i, (k, tally) in enumerate(zip(Intensity, (7_000_000, 1_100_000))):
             scale = math.exp(P_REF.mean_photons(k)) / P_REF.intensity_prob(k)
-            assert sb.n_plus(k) == pytest.approx(scale * n, rel=1e-6)
-            assert sb.n_minus(k) == pytest.approx(scale * n, rel=1e-6)
+            assert upper[i] == pytest.approx(scale * tally, rel=1e-6)
+            assert lower[i] == pytest.approx(scale * tally, rel=1e-6)
 
     def test_all_zero_counts(self):
-        sb = scaled_count_bounds(ObservedCounts(), Basis.Z, F_REF, EPS_PE)
-        for k in Intensity:
-            assert sb.n_plus(k) == 0.0
-            assert sb.n_minus(k) == 0.0
-            assert sb.m_plus(k) == 0.0
-            assert sb.m_minus(k) == 0.0
+        n, m, _, _, d_n, d_m = _rows(ObservedCounts(), 0, EPS_PE)
+        for x, delta in ((n, d_n), (m, d_m)):
+            lower, upper = _estimates(x, delta)
+            assert lower == upper == [0.0, 0.0]
 
     @settings(max_examples=30, deadline=None)
     @given(n_mu=st.integers(min_value=0, max_value=10**7),
            n_nu=st.integers(min_value=0, max_value=10**6))
     def test_ordering(self, n_mu, n_nu):
-        c = ObservedCounts(n_z_mu=n_mu, n_z_nu=n_nu)
-        sb = scaled_count_bounds(c, Basis.Z, F_REF, EPS_PE)
-        for k in Intensity:
-            assert 0.0 <= sb.n_minus(k) <= sb.n_plus(k)
+        c = ObservedCounts(sift=[[n_mu, n_nu], [0, 0]])
+        n, _, _, _, d_n, _ = _rows(c, 0, EPS_PE)
+        lower, upper = _estimates(n, d_n)
+        for k in (0, 1):
+            assert 0.0 <= lower[k] <= upper[k]
 
 
 class TestVacuumBounds:
     def test_frozen_s0_up(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
-        assert vacuum_upper_bound(sb) == pytest.approx(ORACLE["s0_up"], rel=1e-12)
+        _, _, n_total, m_total, d_n, _ = _rows(ORACLE_COUNTS, 0, EPS_PE)
+        s0_up = vacuum_upper_bound(n_total, m_total, d_n)
+        assert s0_up == pytest.approx(ORACLE["s0_up"], rel=1e-12)
 
     def test_lower_clamped_at_zero(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
-        assert vacuum_lower_bound(sb) == 0.0
+        n, _, _, _, d_n, _ = _rows(ORACLE_COUNTS, 0, EPS_PE)
+        assert vacuum_lower_bound(F_REF, n, d_n) == 0.0
 
     def test_random_channel_upper_clamps_to_n(self):
-        c = ObservedCounts(n_z_mu=10_000, m_z_mu=5_000)
-        assert vacuum_upper_bound(scaled_count_bounds(c, Basis.Z, F_REF, EPS_PE)) == 10_000
+        c = ObservedCounts(sift=[[10_000, 0], [0, 0]], err=[[5_000, 0], [0, 0]])
+        _, _, n_total, m_total, d_n, _ = _rows(c, 0, EPS_PE)
+        assert vacuum_upper_bound(n_total, m_total, d_n) == 10_000
 
     def test_degenerate_intensities_rejected(self):
         with pytest.raises(IntensityDegenerate):
@@ -144,25 +162,23 @@ class TestVacuumBounds:
 
 class TestSinglePhotonBound:
     def test_frozen_oracle_value(self):
-        sb = scaled_count_bounds(ORACLE_COUNTS, Basis.Z, F_REF, EPS_PE)
-        s1 = single_photon_bound(sb, vacuum_upper_bound(sb))
+        n, _, n_total, m_total, d_n, _ = _rows(ORACLE_COUNTS, 0, EPS_PE)
+        s1 = single_photon_bound(F_REF, n, d_n, vacuum_upper_bound(n_total, m_total, d_n))
         assert s1 == pytest.approx(ORACLE["s_z1"], rel=1e-12)
 
     def test_all_zero_counts(self):
-        sb = scaled_count_bounds(ObservedCounts(), Basis.Z, F_REF, EPS_PE)
-        assert single_photon_bound(sb, 0.0) == 0.0
+        n, _, _, _, d_n, _ = _rows(ObservedCounts(), 0, EPS_PE)
+        assert single_photon_bound(F_REF, n, d_n, 0.0) == 0.0
 
     def test_single_photon_source_recovered(self):
         # Counts constructed as if every pulse carried exactly one photon
         # with yield y; in the no-fluctuation limit with s0_up = 0 the
         # bound recovers the full detection count tau1 * N * y.
         N, y = 10**9, 0.01
-        cells = {}
-        for tag, k, pk in (("mu", P_REF.mu, P_REF.p_mu), ("nu", P_REF.nu, P_REF.p_nu)):
-            cells[f"n_z_{tag}"] = round(N * pk * k * math.exp(-k) * y)
-        c = ObservedCounts(**cells)
-        sb = scaled_count_bounds(c, Basis.Z, F_REF, 1.0 - 1e-12)
-        s1 = single_photon_bound(sb, 0.0)
+        row = [round(N * pk * k * math.exp(-k) * y)
+               for k, pk in ((P_REF.mu, P_REF.p_mu), (P_REF.nu, P_REF.p_nu))]
+        n, _, _, _, d_n, _ = _rows(ObservedCounts(sift=[row, [0, 0]]), 0, 1.0 - 1e-12)
+        s1 = single_photon_bound(F_REF, n, d_n, 0.0)
         assert s1 == pytest.approx(rates.tau_n(1, P_REF) * N * y, rel=1e-4)
 
     def test_zero_decoy_rejected(self):
@@ -170,25 +186,23 @@ class TestSinglePhotonBound:
             DecoyFactors(replace(P_REF, nu=0.0))
 
     def test_never_negative(self):
-        c = ObservedCounts(n_z_mu=10**6, n_z_nu=1)
-        sb = scaled_count_bounds(c, Basis.Z, F_REF, EPS_PE)
-        assert single_photon_bound(sb, 10**5) >= 0.0
+        n, _, _, _, d_n, _ = _rows(ObservedCounts(sift=[[10**6, 1], [0, 0]]), 0, EPS_PE)
+        assert single_photon_bound(F_REF, n, d_n, 10**5) >= 0.0
 
 
 class TestPhaseErrorBound:
     def test_error_free_x_basis(self):
-        c = ObservedCounts(n_z_mu=10**6, n_z_nu=10**5,
-                           n_x_mu=10**4, n_x_nu=10**3)
+        c = ObservedCounts(sift=[[10**6, 10**5], [10**4, 10**3]])
         # zero X errors with a vanishing fluctuation share drives the
         # ratio to zero, where the correction term vanishes
-        sb = scaled_count_bounds(c, Basis.X, F_REF, 1.0 - 1e-12)
-        pb = phase_error_bound(sb, 1e-9, 10**5, 10**4)
+        _, m_x, _, _, _, d_m = _rows(c, 1, 1.0 - 1e-12)
+        pb = phase_error_bound(F_REF, m_x, d_m, 1e-9, 10**5, 10**4)
         assert pb.phi_z_up == pytest.approx(0.0, abs=1e-6)
         assert not pb.insufficient_test_statistics
 
     def test_no_test_statistics_flagged(self):
-        sb = scaled_count_bounds(ObservedCounts(), Basis.X, F_REF, EPS_PE)
-        pb = phase_error_bound(sb, 1e-9, 1000.0, 0.0)
+        _, m_x, _, _, _, d_m = _rows(ObservedCounts(), 1, EPS_PE)
+        pb = phase_error_bound(F_REF, m_x, d_m, 1e-9, 1000.0, 0.0)
         assert pb.phi_z_up == 0.5
         assert pb.insufficient_test_statistics
 
@@ -220,8 +234,7 @@ class TestKeyLength:
             key_length(ObservedCounts(), P_REF)
 
     def test_noise_dominated_sample_clamps_to_zero(self):
-        c = ObservedCounts(n_z_mu=1000, n_z_nu=300, m_z_mu=450, m_z_nu=140,
-                           n_x_mu=100, n_x_nu=30, m_x_mu=45, m_x_nu=14)
+        c = ObservedCounts(sift=[[1000, 300], [100, 30]], err=[[450, 140], [45, 14]])
         report = key_length(c, P_REF)
         assert report.l_bits == 0.0
 
@@ -276,3 +289,72 @@ class TestKeyLength:
         )
         limit = tau1 * p.mu / (p.nu * (p.mu - p.nu)) * inner
         assert report.s_z1_low / p.n_pulses == pytest.approx(limit, rel=0.01)
+
+
+# A parameter point and a link anywhere in the space the optimizer and the
+# configs use, and the expected tallies there.
+_points = st.fixed_dictionaries({
+    "mu": st.floats(0.05, 1.0),
+    "nu_frac": st.floats(0.02, 0.95),
+    "p_mu": st.floats(0.05, 0.95),
+    "p_z": st.floats(0.5, 0.95),
+    "n_pulses": st.integers(6, 12).map(lambda e: 10**e),
+    "loss_db": st.floats(0.0, 45.0),
+    "dark": st.floats(1e-9, 1e-4),
+    "e_mis": st.floats(0.0, 0.05),
+})
+
+
+def _point(d):
+    p = replace(P_REF, mu=d["mu"], nu=d["mu"] * d["nu_frac"], p_mu=d["p_mu"],
+                p_z_alice=d["p_z"], p_z_bob=d["p_z"], n_pulses=d["n_pulses"])
+    link = LinkModel(channel_loss_db=d["loss_db"], e_mis_z=d["e_mis"], e_mis_x=d["e_mis"],
+                     detector=DetectorModel(dark_prob_per_gate=d["dark"]))
+    return p, link
+
+
+def _length(counts, p):
+    try:
+        return key_length(counts, p).l_bits
+    except EmptyKeyBasis:
+        return 0.0
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(point=_points, k=st.sampled_from([0, 1]), grow=st.floats(0.0, 1.0))
+    def test_length_non_increasing_in_key_errors(self, point, k, grow):
+        p, link = _point(point)
+        counts = rates.expected_statistics(p, link).counts
+        # more errors in one Z cell, the basis's QBER kept at most 1/2
+        room = min(counts.sift[0, k] - counts.err[0, k],
+                   counts.n_total(Basis.Z) / 2 - counts.m_total(Basis.Z))
+        err = counts.err.copy()
+        err[0, k] += math.floor(grow * max(room, 0.0))
+        assert _length(ObservedCounts(counts.sift, err), p) <= _length(counts, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=_points, more_db=st.floats(0.01, 10.0))
+    def test_length_non_increasing_in_loss(self, point, more_db):
+        # Only beyond the rounding of the tallies: each rounds half-up to a
+        # whole count, and one that rounds the other way moves l_bits by up
+        # to tens of bits, so steps under about 1e-3 dB can raise it (+1.8
+        # bits at mu 1, nu 0.5, p_mu 0.5, p_z 0.5, 1e9 pulses, dark 1e-9,
+        # no misalignment, 0 -> 1.2e-7 dB).  Unrounded tallies showed no
+        # rise in 20,000 random points and steps.
+        p, link = _point(point)
+        lossier = link.with_channel_loss(link.channel_loss_db + more_db)
+        assert (_length(rates.expected_statistics(p, lossier).counts, p)
+                <= _length(rates.expected_statistics(p, link).counts, p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=_points)
+    def test_bounds_in_range(self, point):
+        p, link = _point(point)
+        counts = rates.expected_statistics(p, link).counts
+        assume(counts.n_total(Basis.Z) > 0)
+        r = key_length(counts, p)
+        assert 0.0 <= r.s_z0_low <= r.s_z0_up <= r.n_z
+        assert 0.0 <= r.s_z1_low <= r.n_z
+        assert r.v_x1_up >= 0.0
+        assert 0.0 <= r.phi_z_up <= 0.5

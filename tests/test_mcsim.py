@@ -48,8 +48,7 @@ GOLDEN_RECORDS_SHA256 = "570581434c4b418074394f5e68226cb623163fc5de60486d903f25e
 # seed=11, 2^20 pulses), frozen from the plain-searchsorted sampler with
 # 2^21-gate chunks; pins the lossy-link streams as the hash above pins the
 # back-to-back ones.
-GOLDEN_75KM_COUNTS = ObservedCounts(n_z_mu=792, n_z_nu=108, n_x_mu=15, n_x_nu=0,
-                                    m_z_mu=6, m_z_nu=2, m_x_mu=0, m_x_nu=0)
+GOLDEN_75KM_COUNTS = ObservedCounts(sift=[[792, 108], [15, 0]], err=[[6, 2], [0, 0]])
 GOLDEN_75KM_GROUND_TRUTH = GroundTruth(vacuum_detections=10, single_photon_detections=574,
                                        single_photon_detections_x=8, single_photon_errors_x=0)
 
@@ -1044,3 +1043,31 @@ class TestRecordFileKernels:
             tracemalloc.stop()
         assert read == records
         assert peak < columns + (3 << 20)
+
+    @pytest.mark.parametrize("every", [1_000_000, 10])
+    def test_columns_sized_by_rows_not_lines(self, record_dir, every):
+        # a million lines, one in ``every`` a row and the rest blank: the
+        # columns take 10 bytes a row, not 10 bytes a line (10 MB)
+        path = record_dir / "blank.csv"
+        gates = range(1_000_000 // every)
+        body = b"".join(b"\n" * (every - 1) + b"%d,1,0\n" % g for g in gates)
+        path.write_bytes(b"gate_index,detector_id,is_dark\n" + body)
+        tracemalloc.start()
+        try:
+            read = read_records(str(path))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read.gate_index.tolist() == list(gates)
+        assert peak < len(gates) * 10 + (6 << 20)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(st.sampled_from([b"", b"7,1,0", b"12345,0,1"]), max_size=40),
+           final_lf=st.booleans(), piece=st.integers(min_value=1, max_value=9))
+    def test_line_count_skips_blank_lines(self, tmp_path_factory, lines, final_lf, piece):
+        body = b"\n".join(lines) + (b"\n" if final_lf and lines else b"")
+        path = tmp_path_factory.mktemp("count") / "lines.csv"
+        path.write_bytes(body)
+        with mock.patch.object(mcsim, "_READ_BYTES", piece), open(path, "rb") as fh:
+            size, rows = mcsim._count_lines(fh, bytearray(piece + mcsim._MAX_LINE))
+        assert (size, rows) == (len(body), sum(1 for line in lines if line))

@@ -193,7 +193,7 @@ class TestExpectedStatistics:
     def test_dark_free_vacuum_decoy(self):
         link = LinkModel(detector=DetectorModel(dark_prob_per_gate=0.0))
         stats = expected_statistics(ProtocolParams(nu=0.0), link)
-        assert stats.q_nu == stats.e_z_nu == stats.e_x_nu == 0.0
+        assert stats.q_nu == 0.0
         for b in Basis:
             assert stats.counts.n(b, Intensity.DECOY) == stats.counts.m(b, Intensity.DECOY) == 0
             assert stats.counts.n(b, Intensity.SIGNAL) > 0
@@ -332,29 +332,28 @@ class TestExactCells:
         got += [getattr(exact, f) for f in _SCALAR_FIELDS]
         assert got == pytest.approx(EXACT_CELLS_REF[name], rel=0, abs=1e-15)
 
-    def test_close_to_textbook_formulas(self):
-        p = ProtocolParams()
-        stats = expected_statistics(p, LINK_75)
-        exact = expected_sifted_cells(p, LINK_75)
-        for b in Basis:
-            for k in Intensity:
-                simple = stats.counts.n(b, k) / p.n_pulses
-                # dark-driven clicks route uniformly over detectors in the
-                # exact model but with the splitter ratio in the textbook
-                # formulas; the discrepancy grows with the dark share of
-                # the cell.  Here exact / textbook is 0.99 and 0.96 for
-                # the Z cells, 1.09 and 1.33 for the X cells (signal, decoy)
-                rel = 0.12 if b is Basis.Z else 0.5
-                assert exact.sift[(b, k)] == pytest.approx(simple, rel=rel)
+    # exact / textbook per-pulse probability of each cell, (n, m) per cell
+    # in (Z signal, Z decoy, X signal, X decoy) order, at the default
+    # parameters.  Dark-driven clicks route uniformly over the detectors in
+    # the exact model but with the splitter ratio in the textbook formulas,
+    # so the gap grows with a cell's dark share: small back-to-back, large
+    # at 14.6 dB and largest in the X error cells, which the 90:10 splitter
+    # starves of light.
+    TEXTBOOK_RATIOS = {
+        0.0: [(0.9996, 0.9706), (0.9986, 0.9041), (1.0032, 1.2418), (1.0126, 1.8214)],
+        14.6: [(0.9901, 0.7054), (0.9629, 0.6058), (1.0890, 3.6035), (1.3336, 4.5256)],
+    }
 
-    def test_matches_textbook_formulas_when_dark_negligible(self):
+    def test_textbook_ratios_per_cell(self):
         p = ProtocolParams()
-        stats = expected_statistics(p, LINK_B2B)
-        exact = expected_sifted_cells(p, LINK_B2B)
-        for b in Basis:
-            for k in Intensity:
-                simple = stats.counts.n(b, k) / p.n_pulses
-                assert exact.sift[(b, k)] == pytest.approx(simple, rel=0.02)
+        for loss, ratios in self.TEXTBOOK_RATIOS.items():
+            link = LinkModel(channel_loss_db=loss)
+            counts = expected_statistics(p, link).counts
+            exact = expected_sifted_cells(p, link)
+            for (b, k), (n, m) in zip(itertools.product(Basis, Intensity), ratios):
+                cell = f"{loss} dB, {b.value} {k.value}"
+                assert exact.sift[b, k] * p.n_pulses / counts.n(b, k) == pytest.approx(n, rel=1e-3), cell
+                assert exact.err[b, k] * p.n_pulses / counts.m(b, k) == pytest.approx(m, rel=1e-3), cell
 
     def test_probabilities_are_consistent(self):
         exact = expected_sifted_cells(ProtocolParams(), LINK_B2B)
