@@ -339,21 +339,24 @@ class TestExactCells:
     # so the gap grows with a cell's dark share: small back-to-back, large
     # at 14.6 dB and largest in the X error cells, which the 90:10 splitter
     # starves of light.
-    TEXTBOOK_RATIOS = {
-        0.0: [(0.9996, 0.9706), (0.9986, 0.9041), (1.0032, 1.2418), (1.0126, 1.8214)],
-        14.6: [(0.9901, 0.7054), (0.9629, 0.6058), (1.0890, 3.6035), (1.3336, 4.5256)],
-    }
+    RATIOS_B2B = [(0.9996, 0.9706), (0.9986, 0.9041), (1.0032, 1.2418), (1.0126, 1.8214)]
+    RATIOS_75 = [(0.9901, 0.7054), (0.9629, 0.6058), (1.0890, 3.6035), (1.3336, 4.5256)]
 
-    def test_textbook_ratios_per_cell(self):
+    @staticmethod
+    def _assert_textbook_ratios(link, ratios):
         p = ProtocolParams()
-        for loss, ratios in self.TEXTBOOK_RATIOS.items():
-            link = LinkModel(channel_loss_db=loss)
-            counts = expected_statistics(p, link).counts
-            exact = expected_sifted_cells(p, link)
-            for (b, k), (n, m) in zip(itertools.product(Basis, Intensity), ratios):
-                cell = f"{loss} dB, {b.value} {k.value}"
-                assert exact.sift[b, k] * p.n_pulses / counts.n(b, k) == pytest.approx(n, rel=1e-3), cell
-                assert exact.err[b, k] * p.n_pulses / counts.m(b, k) == pytest.approx(m, rel=1e-3), cell
+        counts = expected_statistics(p, link).counts
+        exact = expected_sifted_cells(p, link)
+        for (b, k), (n, m) in zip(itertools.product(Basis, Intensity), ratios):
+            cell = f"{b.value} {k.value}"
+            assert exact.sift[b, k] * p.n_pulses / counts.n(b, k) == pytest.approx(n, rel=1e-3), cell
+            assert exact.err[b, k] * p.n_pulses / counts.m(b, k) == pytest.approx(m, rel=1e-3), cell
+
+    def test_close_to_textbook_formulas(self):
+        self._assert_textbook_ratios(LINK_75, self.RATIOS_75)
+
+    def test_matches_textbook_formulas_when_dark_negligible(self):
+        self._assert_textbook_ratios(LINK_B2B, self.RATIOS_B2B)
 
     def test_probabilities_are_consistent(self):
         exact = expected_sifted_cells(ProtocolParams(), LINK_B2B)
