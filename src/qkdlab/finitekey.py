@@ -68,7 +68,9 @@ def hoeffding_delta(n_total, eps: float):
         raise ValueError(f"n_total={n_total} must be >= 0")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
-    return np.sqrt(n_total / 2.0 * math.log(1.0 / eps))
+    d = np.asarray(np.divide(n_total, 2.0))
+    d *= math.log(1.0 / eps)
+    return np.sqrt(d, out=d)[()]
 
 
 class DecoyFactors:

@@ -46,12 +46,14 @@ class GridSpec:
             raise ValueError("mu range upper end must exceed nu range lower end")
 
 
-# Points scored per block.  On a warm `scan --losses 1:45:1 --optimize
-# --free-p-z` of configs/projection.conf (1,502 blocks; 2-vCPU Xeon, numpy
-# 2.4) the blocks take about 10 minor page faults each, 15k of the scan's
-# 28k (getrusage), and the scan 3.3-3.7 s.  Blocks of 2^15 points took 630
-# faults each and 5.3 s; blocks of 2^13 almost none, but 4.0 s with twice
-# the per-block Python overhead.
+# Points scored per block.  optimize's free-p_z grid is one block per p_mu
+# row: 10 p_z values times 1,609 scorable (mu, nu) pairs, 16,090 points.  A
+# warm `scan --losses 1:45:1 --optimize --free-p-z` of
+# configs/projection.conf (962 blocks, 810 of them grid rows; 2-vCPU Xeon,
+# numpy 2.4) takes 7 minor page faults in all (getrusage) and 2.85-3.06 s.
+# Under the earlier (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took
+# 630 faults each and 5.3 s; blocks of 2^13 almost none, but 4.0 s with
+# twice the per-block Python overhead.
 _BLOCK_POINTS = 1 << 14
 
 
@@ -71,10 +73,11 @@ def evaluate_grid(
 
     It is filled in blocks of at most ``_BLOCK_POINTS`` points: runs of rows
     of the first axis, or one row at a time (recursively) when a row is
-    larger.  Each term is computed on the sub-grid its inputs span, so with
-    per-axis inputs the gains and QBERs cost mu and nu points, a sifted
-    cell (p_z, p_mu, mu) or (p_z, p_mu, nu) points, and only the totals and
-    bounds run at full size."""
+    larger.  Each term is computed on the sub-grid its inputs span: with
+    per-axis inputs (mu, nu) the gains and QBERs cost mu and nu points, and
+    with ``optimize``'s (p_mu, p_z, pair) layout, where mu and nu share the
+    pair axis, the intensity factors of the bounds cost one point per pair
+    and block, whatever the number of p_z values."""
     arrays = [np.asarray(a, dtype=np.float64) for a in (mu, nu, p_mu, p_z)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     if not shape:
@@ -98,15 +101,20 @@ def _fill(out: np.ndarray, arrays: list, p0: ProtocolParams, link: LinkModel) ->
         out[rows] = _block(*(a[rows] if len(a) > 1 else a for a in arrays), p0, link)
 
 
+def _scorable(mu, nu):
+    """Where the (mu, nu) pairs are inside the decoy bounds' domain: mu - nu
+    clears the minimum gap and nu > 0.  Elsewhere a point scores zero."""
+    return (mu - nu >= finitekey._MIN_INTENSITY_GAP) & (nu > 0.0)
+
+
 def _block(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel) -> np.ndarray:
     """evaluate_grid on one block."""
-    positive = nu > 0.0
-    valid = (mu - nu >= finitekey._MIN_INTENSITY_GAP) & positive
+    valid = _scorable(mu, nu)
     # Masked points get placeholder intensities inside every bound's domain:
     # nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so that the
     # counts keep mu on its own axis.  A point with no key-basis detections
     # needs no mask: it already scores zero.
-    nu = np.where(positive, nu, 1.0)
+    nu = np.where(nu > 0.0, nu, 1.0)
     p = replace(p0, mu=mu, nu=nu, p_mu=p_mu, p_z_alice=p_z, p_z_bob=p_z)
     counts = rates.expected_statistics(p, link).counts
     masked = replace(p, mu=np.where(valid, mu, nu + 1.0))
@@ -117,9 +125,10 @@ def _block(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel) -> np.ndarray
 class GridCertificate:
     """Full dump of the evaluated coarse grid, proving the incumbent is
     never beaten by any evaluated point.  Every field has the grid's shape
-    (len(mu_values), len(nu_values), len(p_mu_values), len(p_z_values)) and
-    is a view: the axes are broadcast, the scores transposed from the
-    evaluation layout."""
+    (len(mu_values), len(nu_values), len(p_mu_values), len(p_z_values)).
+    The axes are broadcast views; the scores are scattered from the
+    (p_mu, p_z, pair) evaluation layout, zero where the (mu, nu) pair is
+    not scorable (nu >= mu or nu <= 0)."""
 
     mu: np.ndarray
     nu: np.ndarray
@@ -181,21 +190,27 @@ def optimize(
         np.asarray(v, dtype=np.float64)
         for v in (grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values)
     )
-    # Evaluation layout (p_z, p_mu, mu, nu): the longest axis, nu, is
-    # contiguous, and evaluate_grid blocks over whole (p_z, p_mu) rows.
-    l = evaluate_grid(
-        mu[:, None], nu, pm[:, None, None], pz[:, None, None, None], p0, link
-    )
+    # Only the scorable (mu, nu) pairs are evaluated, in the layout
+    # (p_mu, p_z, pair): evaluate_grid blocks over whole p_mu rows, and the
+    # intensity factors span (1, 1, pair), so a block computes them once for
+    # all its p_z values.  The rest of the grid scores zero.
+    mu_i, nu_j = np.nonzero(_scorable(mu[:, None], nu))
+    if not len(mu_i):
+        raise EmptyFeasibleSet("no (mu, nu) pair on the grid is scorable")
+    pairs = evaluate_grid(mu[mu_i], nu[nu_j], pm[:, None, None], pz[:, None], p0, link)
+    if not (pairs > 0.0).any():
+        raise EmptyFeasibleSet("no grid point yields a positive secure length")
     shape = (len(mu), len(nu), len(pm), len(pz))
+    l = np.zeros(shape)
+    l[mu_i, nu_j] = pairs.transpose(2, 0, 1)
+    del pairs
     cert = GridCertificate(
         mu=np.broadcast_to(mu[:, None, None, None], shape),
         nu=np.broadcast_to(nu[:, None, None], shape),
         p_mu=np.broadcast_to(pm[:, None], shape),
         p_z=np.broadcast_to(pz, shape),
-        l_bits=l.transpose(2, 3, 1, 0),
+        l_bits=l,
     )
-    if not (l > 0.0).any():
-        raise EmptyFeasibleSet("no grid point yields a positive secure length")
     i = _best_index(cert.l_bits, cert.mu, cert.nu, cert.p_mu, cert.p_z)
     point = [float(cert.mu[i]), float(cert.nu[i]), float(cert.p_mu[i]), float(cert.p_z[i])]
     best_l = float(cert.l_bits[i])
@@ -301,10 +316,14 @@ def scan(
                 raise ValueError(f"p must be ProtocolParams or 'optimize', got {p!r}")
             try:
                 result = optimize(link, p0=p0, grid=grid)
-                params, l_bits, skr, stats = result.best, result.l_bits, result.skr_bps, result.stats
             except EmptyFeasibleSet:
                 params, l_bits, skr = p0, 0.0, 0.0
                 stats = rates.expected_statistics(params, link)
+            else:
+                params, l_bits, skr, stats = result.best, result.l_bits, result.skr_bps, result.stats
+                # its certificate holds the whole grid's scores: free them
+                # before the next loss's grid is scored
+                del result
         else:
             params = p
             stats = rates.expected_statistics(params, link)

@@ -41,10 +41,19 @@ def binary_entropy(x):
     x = np.asarray(x)
     if not (x.min() >= 0.0 and x.max() <= 1.0):
         raise EntropyDomainError(f"binary_entropy argument {x} outside [0, 1]")
-    inner = np.minimum(np.maximum(x, 1e-300), 1.0 - 1e-16)
-    outer = 1.0 - inner
-    h = -inner * np.log2(inner) - outer * np.log2(outer)
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, h)[()]
+    # new arrays, 0-d for a 0-d x, that the steps below work in
+    inner = np.asarray(np.maximum(x, 1e-300))
+    np.minimum(inner, 1.0 - 1e-16, out=inner)
+    outer = np.subtract(1.0, inner, out=np.empty_like(inner))
+    # -(a b + c d), which equals -a b - c d bit for bit
+    h = np.log2(inner, out=np.empty_like(inner))
+    h *= inner
+    cd = np.log2(outer, out=inner)  # inner's buffer is free now
+    cd *= outer
+    h += cd
+    np.negative(h, out=h)
+    np.copyto(h, 0.0, where=(x <= 0.0) | (x >= 1.0))
+    return h[()]
 
 
 def tau_n(n: int, p: ProtocolParams):
@@ -106,9 +115,10 @@ def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistic
     """Expected gains, QBERs and sifted tallies for n_pulses emitted pulses.
 
     Cell tallies follow n[b, k] = N p_k p_b^A p_b^B q_k and m = e n,
-    rounded half-up; m <= n since e <= 1/2.  Each intensity's cells are
-    computed on the sub-grid its parameters span, then broadcast into the
-    tally arrays, which have the shape of all the parameters.
+    rounded half-up; m <= n since e <= 1/2.  The factors other than q_k
+    are multiplied on the sub-grid they span; the product with q_k, the
+    QBER product and the rounding run in the cell's slot of the tally
+    array, which has the shape of all the parameters.
     """
     intensities = ((p.mu, p.p_mu), (p.nu, p.p_nu))
     p_b = (p.p_z_alice * p.p_z_bob, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob))
@@ -118,9 +128,14 @@ def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistic
     for k, (mean, p_k) in enumerate(intensities):
         # qber's values are in Basis order
         for b, e in enumerate(qber(link, mean).values()):
-            expected = p.n_pulses * p_k * p_b[b] * q[k]
-            tally[0, b, k] = np.floor(expected + 0.5)
-            tally[1, b, k] = np.floor(expected * e + 0.5)
+            # each cell is computed in its slot (`...` keeps a 0-d slot a
+            # view), and m from n before n is rounded
+            n, m = tally[0, b, k, ...], tally[1, b, k, ...]
+            np.multiply(p.n_pulses * p_k * p_b[b], q[k], out=n)
+            np.multiply(n, e, out=m)
+            for cell in (n, m):
+                cell += 0.5
+                np.floor(cell, out=cell)
     return ExpectedStatistics(q_mu=q[0], q_nu=q[1], counts=ObservedCounts(*tally))
 
 

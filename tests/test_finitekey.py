@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qkdlab import finitekey, rates
 from qkdlab.core import Basis, DetectorModel, Intensity, LinkModel, ObservedCounts, ProtocolParams
@@ -89,6 +91,30 @@ class TestHoeffdingDelta:
         d = hoeffding_delta(n, eps)
         assert d >= 0.0
         assert d <= n or n < 30 * math.log(1 / eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(0, 10**15),
+            st.sampled_from([0.0, 5e-324, 1e-310, 1.0]),
+            st.floats(0.0, 1e15),
+            hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                       elements=st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0]),
+                                          st.floats(0.0, 1e15))),
+            hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=5),
+                       elements=st.integers(0, 10**15)),
+        ),
+        eps=st.one_of(st.just(1e-9 / 19.0), st.floats(1e-300, 0.999)),
+    )
+    def test_equals_reference_expression(self, n, eps):
+        # the out-of-place expression it must equal bit for bit
+        before = np.array(n, copy=True)
+        d, ref = hoeffding_delta(n, eps), np.sqrt(n / 2.0 * math.log(1.0 / eps))
+        assert type(d) is type(ref)
+        assert np.asarray(d).tobytes() == np.asarray(ref).tobytes()
+        assert np.asarray(n).tobytes() == before.tobytes()
+        if np.ndim(n) == 0:
+            assert isinstance(d, np.float64)
 
 
 def _rows(counts: ObservedCounts, b: int, eps: float):

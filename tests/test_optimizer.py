@@ -1,5 +1,6 @@
 import hashlib
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -158,6 +159,74 @@ class TestVectorizedEvaluator:
         whole = evaluate_grid(mu, nu, p_mu[:, None, None], 0.9, ProtocolParams(), LINK_75)
         rows = [evaluate_grid(mu, nu, pm, 0.9, ProtocolParams(), LINK_75) for pm in p_mu]
         assert whole.tobytes() == np.stack(rows).tobytes()
+
+
+def _rectangular(grid, p0, link):
+    """evaluate_grid over the whole grid in (mu, nu, p_mu, p_z) order."""
+    mu, nu, pm, pz = (np.asarray(v, dtype=np.float64) for v in (
+        grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values))
+    return evaluate_grid(mu[:, None, None, None], nu[:, None, None], pm[:, None], pz, p0, link)
+
+
+class TestPairLayout:
+    """optimize scores only the scorable (mu, nu) pairs; its certificate
+    must equal the rectangular grid bit for bit."""
+
+    def _check(self, grid, link, p0=ProtocolParams()):
+        whole = _rectangular(grid, p0, link)
+        if not (whole > 0.0).any():
+            with pytest.raises(EmptyFeasibleSet):
+                optimize(link, p0=p0, grid=grid, refine=False)
+            return whole
+        cert = optimize(link, p0=p0, grid=grid, refine=False).certificate
+        assert cert.l_bits.shape == whole.shape
+        assert cert.l_bits.tobytes() == whole.tobytes()
+        return whole
+
+    @pytest.mark.parametrize("grid_name", ["default", "free"])
+    @pytest.mark.parametrize("loss", [1.0, 23.0, 38.0])
+    def test_projection_grids(self, grid_name, loss):
+        p, link, _ = load_config(CONFIG_PROJ)
+        grid = GridSpec(p_z_values=FREE_P_Z if grid_name == "free" else (p.p_z_bob,))
+        self._check(grid, link.with_channel_loss(loss), p)
+
+    def test_permuted_grid(self):
+        grid = GridSpec(
+            mu_values=tuple(reversed(SMALL_GRID.mu_values)),
+            nu_values=(0.2, 0.05, 0.3, 0.1, 0.25, 0.15),
+            p_mu_values=(0.8, 0.4, 0.66, 0.55),
+            p_z_values=(0.7, 0.95, 0.5),
+        )
+        assert (self._check(grid, LINK_75) > 0.0).any()
+
+    def test_mu_rows_without_a_scorable_nu(self):
+        # mu = 0.03 and 0.05 are below or at every nu; nu = 0 and -0.1 are
+        # never scorable
+        grid = GridSpec(
+            mu_values=(0.03, 0.4, 0.05, 0.6),
+            nu_values=(0.05, 0.0, 0.1, -0.1, 0.2),
+            p_mu_values=(0.5, 0.8),
+            p_z_values=(0.9, 0.6),
+        )
+        whole = self._check(grid, LINK_75)
+        assert (whole[[0, 2]] == 0.0).all() and (whole[:, [1, 3]] == 0.0).all()
+        assert (whole > 0.0).any()
+
+    def test_pair_axis_split_into_blocks(self, monkeypatch):
+        # 5-point blocks: every (p_mu, p_z) row of 13 pairs is split
+        monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 5)
+        grid = GridSpec(
+            mu_values=(0.3, 0.5, 0.7, 0.1),
+            nu_values=(0.05, 0.15, 0.25, 0.35),
+            p_mu_values=(0.5, 0.8),
+            p_z_values=(0.9, 0.6, 0.75),
+        )
+        assert (self._check(grid, LINK_75) > 0.0).any()
+
+    def test_no_positive_nu(self):
+        grid = GridSpec(nu_values=(0.0, -0.1), p_mu_values=(0.5,))
+        with pytest.raises(EmptyFeasibleSet):
+            optimize(LINK_75, grid=grid)
 
 
 class TestOptimize:
@@ -320,6 +389,21 @@ class TestScan:
         assert calls == [14.6, 60.0]
         stats = expected_statistics(optimize(LINK_75, grid=SMALL_GRID).best, LINK_75)
         assert (rows[0].e_z, rows[0].e_x) == (stats.pooled_qber(Basis.Z), stats.pooled_qber(Basis.X))
+
+    def test_previous_result_freed_before_next_loss(self, monkeypatch):
+        # the previous loss's certificate would otherwise stay alive while
+        # the next loss's grid is scored
+        results = []
+
+        def tracking(*args, **kwargs):
+            assert all(r() is None for r in results)
+            result = optimize(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(optimizer, "optimize", tracking)
+        rows = scan(LINK_75, [4.8, 9.6, 14.6], p="optimize", grid=SMALL_GRID)
+        assert len(results) == 3 and all(r.l_bits > 0.0 for r in rows)
 
     def test_csv_format(self):
         rows = scan(LINK_75, [4.8], p=ProtocolParams())

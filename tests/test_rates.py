@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qkdlab import optics, rates
 from qkdlab.core import (
@@ -84,6 +85,95 @@ class TestBinaryEntropy:
         h = binary_entropy(x)
         assert 0.0 <= h <= 1.0
         assert h == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
+
+
+def _entropy_reference(x):
+    """The out-of-place expression binary_entropy must equal bit for bit."""
+    x = np.asarray(x)
+    inner = np.minimum(np.maximum(x, 1e-300), 1.0 - 1e-16)
+    outer = 1.0 - inner
+    h = -inner * np.log2(inner) - outer * np.log2(outer)
+    return np.where((x <= 0.0) | (x >= 1.0), 0.0, h)[()]
+
+
+def _tallies_reference(p, link):
+    """expected_statistics' [n or m, basis, intensity, *grid] tallies from
+    out-of-place expressions, which its in-slot cells must equal bit for bit."""
+    intensities = ((p.mu, p.p_mu), (p.nu, p.p_nu))
+    p_b = (p.p_z_alice * p.p_z_bob, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob))
+    q = [gain(link, mean) for mean, _ in intensities]
+    shape = np.broadcast(p.mu, p.nu, p.p_mu, p.p_z_alice, p.p_z_bob).shape
+    tally = np.empty((2, 2, 2) + shape)
+    for k, (mean, p_k) in enumerate(intensities):
+        for b, e in enumerate(qber(link, mean).values()):
+            expected = p.n_pulses * p_k * p_b[b] * q[k]
+            tally[0, b, k] = np.floor(expected + 0.5)
+            tally[1, b, k] = np.floor(expected * e + 0.5)
+    return tally
+
+
+# exact 0 and 1, subnormals, the clip bounds and their neighbours
+_EDGES = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+          1.0 - 1e-16, 1.0 - 2**-53, 0.5]
+
+
+def _unit_floats():
+    return st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))
+
+
+class TestInPlaceMatchesReference:
+    """The in-place entropy and tallies equal the expressions they replaced
+    bit for bit, leave their inputs alone and return scalars for 0-d
+    inputs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(
+        _unit_floats(),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                   elements=_unit_floats()),
+    ))
+    def test_binary_entropy(self, x):
+        before = np.array(x, copy=True)
+        h, ref = binary_entropy(x), _entropy_reference(x)
+        assert type(h) is type(ref)
+        assert np.asarray(h).tobytes() == np.asarray(ref).tobytes()
+        assert np.asarray(x).tobytes() == before.tobytes()
+        if np.ndim(x) == 0:
+            assert isinstance(h, np.float64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        shapes=hnp.mutually_broadcastable_shapes(num_shapes=5, max_dims=3, max_side=3),
+        loss=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+        dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+        n_pulses=st.sampled_from([1, 1000, 10**10]),
+    )
+    def test_expected_tallies(self, data, shapes, loss, dark, n_pulses):
+        intensity = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0]), st.floats(0.0, 2.0))
+        probability = _unit_floats()
+        fields = {
+            name: data.draw(hnp.arrays(np.float64, shape, elements=elements), label=name)
+            for name, shape, elements in zip(
+                ("mu", "nu", "p_mu", "p_z_alice", "p_z_bob"), shapes.input_shapes,
+                (intensity, intensity, probability, probability, probability))
+        }
+        before = {name: a.copy() for name, a in fields.items()}
+        p = ProtocolParams(n_pulses=n_pulses, **fields)
+        link = LinkModel(channel_loss_db=loss, detector=DetectorModel(dark_prob_per_gate=dark))
+        counts = expected_statistics(p, link).counts
+        tally = np.stack([counts.sift, counts.err])
+        ref = _tallies_reference(p, link)
+        assert tally.shape == ref.shape == (2, 2, 2) + shapes.result_shape
+        assert tally.tobytes() == ref.tobytes()
+        for name, a in fields.items():
+            assert a.tobytes() == before[name].tobytes()
+
+    def test_scalar_params_give_2x2_tallies(self):
+        p = ProtocolParams()
+        counts = expected_statistics(p, LINK_75).counts
+        assert counts.sift.shape == counts.err.shape == (2, 2)
+        assert np.stack([counts.sift, counts.err]).tobytes() == _tallies_reference(p, LINK_75).tobytes()
 
 
 class TestTauN:
