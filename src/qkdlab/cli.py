@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 from . import finitekey, mcsim, optimizer, rates
 from .core import (
@@ -80,7 +81,7 @@ def cmd_keyrate(args) -> int:
     except (finitekey.EmptyKeyBasis, finitekey.IntensityDegenerate) as exc:
         raise CliError(str(exc)) from exc
     payload = {
-        "report": report.as_dict(),
+        "report": asdict(report),
         "expected": {
             "q_mu": stats.q_mu,
             "q_nu": stats.q_nu,
@@ -93,7 +94,7 @@ def cmd_keyrate(args) -> int:
         _emit_json(payload)
     else:
         print(f"{'channel loss':<30}{link.channel_loss_db:.6g} dB")
-        for key, value in sorted(report.as_dict().items()):
+        for key, value in sorted(asdict(report).items()):
             print(f"{key:<30}{value:.6g}" if isinstance(value, float) else f"{key:<30}{value}")
     return EXIT_OK if report.l_bits > 0 else EXIT_ZERO_KEY
 
@@ -124,12 +125,7 @@ def cmd_simulate(args) -> int:
         "counts": res.counts.as_dict(),
         "detection_gates": res.detection_gates,
         "multi_click_gates": res.multi_click_gates,
-        "ground_truth": {
-            "vacuum_detections": res.ground_truth.vacuum_detections,
-            "single_photon_detections": res.ground_truth.single_photon_detections,
-            "single_photon_detections_x": res.ground_truth.single_photon_detections_x,
-            "single_photon_errors_x": res.ground_truth.single_photon_errors_x,
-        },
+        "ground_truth": asdict(res.ground_truth),
         "config": resolved_config_dict(p, link, sim),
     }
     _emit_json(payload)
@@ -189,7 +185,8 @@ def _parse_losses(text: str) -> list:
     try:
         if ":" in text:
             a, b, step = (float(x) for x in text.split(":"))
-            if step <= 0 or b < a:
+            # an infinite bound or step would never end the range
+            if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
                 raise ValueError
             out = []
             v = a
@@ -207,10 +204,13 @@ def cmd_scan(args) -> int:
     losses = _parse_losses(args.losses)
     if not losses:
         raise CliError("loss list is empty")
-    if args.optimize:
-        rows = optimizer.scan(link, losses, p="optimize", grid=_grid(p, args.free_p_z), p0=p)
-    else:
-        rows = optimizer.scan(link, losses, p=p)
+    try:
+        if args.optimize:
+            rows = optimizer.scan(link, losses, p="optimize", grid=_grid(p, args.free_p_z), p0=p)
+        else:
+            rows = optimizer.scan(link, losses, p=p)
+    except ParamError as exc:
+        raise CliError(str(exc)) from exc
     out = optimizer.format_scan_csv(rows)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:

@@ -247,25 +247,6 @@ class KeyRateReport:
         if not 0.0 <= self.phi_z_up <= 0.5:
             raise ParamError(f"phi_z_up={self.phi_z_up} outside [0, 0.5]")
 
-    def as_dict(self) -> dict:
-        return {
-            "s_z0_low": self.s_z0_low,
-            "s_z0_up": self.s_z0_up,
-            "s_z1_low": self.s_z1_low,
-            "s_x1_low": self.s_x1_low,
-            "v_x1_up": self.v_x1_up,
-            "phi_z_up": self.phi_z_up,
-            "lambda_ec": self.lambda_ec,
-            "l_bits": self.l_bits,
-            "skr_bps": self.skr_bps,
-            "n_z": self.n_z,
-            "m_z": self.m_z,
-            "eps_sec": self.eps_sec,
-            "eps_cor": self.eps_cor,
-            "eps_pe": self.eps_pe,
-            "insufficient_test_statistics": self.insufficient_test_statistics,
-        }
-
 
 @dataclass(frozen=True)
 class SimulationSettings:

@@ -16,11 +16,9 @@ click, which also fixes Bob's basis.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -427,13 +425,21 @@ def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
     return n_cells, m_cells, sifted, errors, multi
 
 
-def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
+# A chunk's tallies, one int64 vector that chunks, shards and sessions sum:
+# n cells (4), m cells (4), the GroundTruth fields (4), detection gates,
+# multi-click gates, detector clicks, then sent (2) and clicked (2) per
+# intensity index.  A cell is (basis << 1) | intensity.
+_TALLY = 19
+
+
+def _run_chunk(tables, seed, start, stop, keep_records):
     """Gates ``start .. stop - 1``, each addressed by its offset from
-    ``start``: only the gates kept as records are formed.  ``iota`` holds
-    the offsets 0, 1, ... and ``work`` is the worker's pair of hash
-    buffers, all at least ``stop - start`` long."""
+    ``start`` on the tables' work arrays (at least ``stop - start`` long):
+    only the gates kept as records are formed.  Returns the ``_TALLY``
+    vector and, with ``keep_records``, the (gate, detector, dark) record
+    columns, else None."""
     n = stop - start
-    every = iota[:n]
+    every, work = tables.iota[:n], tables.work
 
     def uniforms(slot, index):
         return _uniforms_u64(seed, slot, index, start, work)
@@ -479,39 +485,30 @@ def _run_chunk(tables, seed, start, stop, keep_records, iota, work):
     abasis = (prep_any >> 1) & 1  # 0 Z, 1 X
     z_sift = sifted & (abasis == 0)
     x_sift = sifted & (abasis == 1)
-    # the GroundTruth fields, in order
-    gt = np.array([
+    decoys = np.count_nonzero(prep >= 4)  # intensity 1, decoy
+    # slots, not a list: _POPCOUNT's uint64 sum beside int64 would make floats
+    tally = np.empty(_TALLY, np.int64)
+    tally[0:4], tally[4:8] = n_cells, m_cells
+    tally[8:12] = (
         np.count_nonzero(z_sift & (nph_any == 0)),
         np.count_nonzero(z_sift & (nph_any == 1)),
         np.count_nonzero(x_sift & (nph_any == 1)),
         np.count_nonzero(errors & x_sift & (nph_any == 1)),
-    ])
+    )
+    tally[12] = any_idx.size
+    tally[13] = np.count_nonzero(multi)
+    tally[14] = _POPCOUNT[cmask].sum()
+    tally[15:17] = n - decoys, decoys
+    tally[17:19] = np.bincount(prep_any >> 2, minlength=2)
 
-    decoys = np.count_nonzero(prep >= 4)  # intensity 1, decoy
-    sent = np.array([n - decoys, decoys])
-    clicked = np.bincount(prep_any >> 2, minlength=2)
-
-    records = None
+    columns = None
     if keep_records:
         # one row per click; row-major nonzero sorts by gate, then detector
         hit, det = np.nonzero((cmask[:, None] >> _DETECTORS) & 1)
         dark_only = dpat[any_idx] & ~pclick[any_idx]
-        records = RecordSet(
-            any_idx[hit].astype(np.uint64) + start, det.astype(np.uint8),
-            (dark_only[hit] >> det) & 1 == 1,
-        )
-
-    return {
-        "n_cells": n_cells,
-        "m_cells": m_cells,
-        "gt": gt,
-        "detection_gates": int(any_idx.size),
-        "multi_click_gates": int(np.count_nonzero(multi)),
-        "detector_clicks": int(_POPCOUNT[cmask].sum()),
-        "sent": sent,
-        "clicked": clicked,
-        "records": records,
-    }
+        columns = (any_idx[hit].astype(np.uint64) + start, det.astype(np.uint8),
+                   (dark_only[hit] >> det) & 1 == 1)
+    return tally, columns
 
 
 # 2^16 gates keep a chunk's working set in cache; smaller chunks spend
@@ -547,12 +544,6 @@ def _n_threads(explicit: int | None) -> int:
     return n
 
 
-def _split(n: int, parts: int) -> list[int]:
-    """Bounds of min(parts, n) near-equal contiguous blocks of 0 .. n - 1."""
-    parts = min(parts, n)
-    return [n * k // parts for k in range(parts + 1)]
-
-
 def _child(job, arg, conn) -> None:
     try:
         reply = (True, job(arg))
@@ -574,50 +565,35 @@ def _result(proc, conn):
     return value
 
 
-@contextmanager
-def _forked(job, args):
-    """Run ``job(a)`` for each of ``args`` in a child process forked for it,
-    and yield an iterator over the results in order; each step waits for
-    its child.  A child inherits ``job`` and everything it refers to, so
-    nothing is pickled on the way in; the result, or the exception ``job``
-    raised, is pickled on the way back.  Every child is stopped and reaped
-    when the block exits, also when it raises."""
+def _in_workers(job, n: int, n_threads: int | None) -> list:
+    """``job(block)`` for each of at most ``_n_threads(n_threads)``
+    near-equal contiguous blocks of ``range(n)``, ``n >= 1``; returns the
+    results in block order.
+
+    A child process is forked for each block after the first, then this
+    process runs block 0.  A child inherits ``job`` and everything it refers
+    to, so nothing is pickled on the way in; the result, or the exception
+    ``job`` raised, is pickled on the way back and re-raised here.  Every
+    child is stopped and reaped on return, also when a block raises."""
+    parts = min(_n_threads(n_threads), n)
+    cuts = [n * k // parts for k in range(parts + 1)]
+    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     children = []
     try:
-        for arg in args:
+        for block in blocks[1:]:
             ctx = multiprocessing.get_context("fork")
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child, args=(job, arg, send))
+            proc = ctx.Process(target=_child, args=(job, block, send))
             proc.start()
             # the child holds the only sending end, so its exit ends the pipe
             send.close()
             children.append((proc, recv))
-        yield (_result(proc, recv) for proc, recv in children)
+        return [job(blocks[0])] + [_result(proc, recv) for proc, recv in children]
     finally:
         for proc, recv in children:
             proc.terminate()
             proc.join()
             recv.close()
-
-
-def _run_shard(tables, seed, start, stop, chunk_size, keep_records, record_cap):
-    """Gates ``start .. stop - 1`` in chunks of ``chunk_size``, run one
-    after another on the tables' work arrays.  Returns the chunk results
-    folded into totals, and the record columns of each chunk; stops after
-    the chunk that brings the kept records past ``record_cap``."""
-    total, kept, n_kept = {}, [], 0
-    for s in range(start, stop, chunk_size):
-        r = _run_chunk(tables, seed, s, min(s + chunk_size, stop), keep_records,
-                       tables.iota, tables.work)
-        records = r.pop("records")
-        for key, value in r.items():
-            total[key] = total.get(key, 0) + value
-        if keep_records:
-            kept.append((records.gate_index, records.detector_id, records.is_dark))
-            n_kept += len(records)
-            if n_kept > record_cap:
-                break
-    return total, kept
 
 
 def run_session(
@@ -640,9 +616,10 @@ def run_session(
 
     With ``n_threads`` (else QKD_THREADS) above 1 the chunks are split into
     that many contiguous shards at most: this process runs the first, a
-    forked child process each other one.  Raises BudgetExceeded with the
-    number of records kept up to the chunk, in gate order, that passes
-    ``record_cap``; each shard stops once its own records pass it.
+    forked child process each other one.  Each shard stops once its own
+    records pass ``record_cap``; once every shard has returned,
+    BudgetExceeded is raised with the number of records kept up to the
+    chunk, in gate order, that passes it.
     """
     validate_params(p)
     n_total = int(n_pulses if n_pulses is not None else p.n_pulses)
@@ -653,41 +630,48 @@ def run_session(
         raise ValueError(
             f"gates {gate_offset} .. {gate_offset + n_total - 1} are not all in 0 .. 2^64 - 1"
         )
-    workers = _n_threads(n_threads)
     tables = _tables if _tables is not None else _SessionTables(p, link)
     tables.reserve(min(chunk_size, n_total))
-    cuts = [gate_offset + min(c * chunk_size, n_total)
-            for c in _split(-(-n_total // chunk_size), workers)]
+    stop = gate_offset + n_total
 
-    def shard(k):
-        return _run_shard(tables, seed, cuts[k], cuts[k + 1], chunk_size, keep_records, record_cap)
-
-    # the shards are folded in gate order; only the records are kept
-    total, kept, n_kept = {}, [], 0
-    with _forked(shard, range(1, len(cuts) - 1)) as rest:
-        for part, records in itertools.chain([shard(0)], rest):
-            for columns in records:
+    def shard(chunks):
+        # a shard stops after the chunk that brings its records past the cap
+        total, kept, n_kept = np.zeros(_TALLY, np.int64), [], 0
+        for c in chunks:
+            s = gate_offset + c * chunk_size
+            tally, columns = _run_chunk(tables, seed, s, min(s + chunk_size, stop), keep_records)
+            total += tally
+            if keep_records:
+                kept.append(columns)
                 n_kept += columns[0].size
                 if n_kept > record_cap:
-                    raise BudgetExceeded(f"{n_kept} detection records exceed record cap {record_cap}")
-            kept += records
-            for key, value in part.items():
-                total[key] = total.get(key, 0) + value
+                    break
+        return total, kept
 
-    records = None
-    if keep_records:
-        records = RecordSet(*(np.concatenate(c) for c in zip(*kept)))
-    sent, clicked = total["sent"], total["clicked"]
+    shards = _in_workers(shard, -(-n_total // chunk_size), n_threads)
+    # the cap is checked again in gate order, so the message names the same
+    # count for any worker count
+    kept, n_kept = [], 0
+    for _, shard_kept in shards:
+        for columns in shard_kept:
+            n_kept += columns[0].size
+            if n_kept > record_cap:
+                raise BudgetExceeded(f"{n_kept} detection records exceed record cap {record_cap}")
+            kept.append(columns)
+
+    total = sum(tally for tally, _ in shards)
+    n_cells, m_cells, gt, (gates, multi, clicks), sent, clicked = np.split(
+        total, [4, 8, 12, 15, 17])
     return SessionResult(
-        counts=_observed(total["n_cells"], total["m_cells"]),
-        ground_truth=GroundTruth(*(int(c) for c in total["gt"])),
+        counts=_observed(n_cells, m_cells),
+        ground_truth=GroundTruth(*(int(c) for c in gt)),
         n_pulses=n_total,
-        detection_gates=total["detection_gates"],
-        multi_click_gates=total["multi_click_gates"],
-        detector_clicks=total["detector_clicks"],
+        detection_gates=int(gates),
+        multi_click_gates=int(multi),
+        detector_clicks=int(clicks),
         sent={Intensity.SIGNAL: int(sent[0]), Intensity.DECOY: int(sent[1])},
         clicked={Intensity.SIGNAL: int(clicked[0]), Intensity.DECOY: int(clicked[1])},
-        records=records,
+        records=RecordSet(*(np.concatenate(c) for c in zip(*kept))) if keep_records else None,
     )
 
 
@@ -753,7 +737,6 @@ def run_stability(
     ppw = int(pulses_per_window if pulses_per_window is not None else round(schedule.window_s * p.f_rep))
     if ppw < 1:
         raise ValueError(f"pulses_per_window={ppw} must be >= 1")
-    workers = _n_threads(n_threads)
     step_scale = drift.sigma * math.sqrt(schedule.interval_s)
     thetas = [drift.theta0]
     for w in range(1, schedule.n_windows):
@@ -789,10 +772,7 @@ def run_stability(
             )
         return out
 
-    cuts = _split(len(thetas), workers)
-    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    with _forked(block, blocks[1:]) as rest:
-        return [stats for part in itertools.chain([block(blocks[0])], rest) for stats in part]
+    return [stats for part in _in_workers(block, len(thetas), n_threads) for stats in part]
 
 
 # --- detection-record files -------------------------------------------------

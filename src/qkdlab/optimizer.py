@@ -143,8 +143,8 @@ class OptimizeResult:
     l_bits: float
     skr_bps: float
     certificate: GridCertificate
-    # expected statistics at ``best``; None when rescored by simulation
-    stats: rates.ExpectedStatistics | None = None
+    # expected statistics at ``best``
+    stats: rates.ExpectedStatistics
 
 
 def _with_point(p0: ProtocolParams, mu, nu, p_mu, p_z) -> ProtocolParams:
@@ -173,16 +173,12 @@ def optimize(
     p0: ProtocolParams | None = None,
     grid: GridSpec | None = None,
     refine: bool = True,
-    rescore_with_simulation: bool = False,
-    seed: int = 1,
-    sim_pulses: int | None = None,
 ) -> OptimizeResult:
     """Exhaustive grid search maximizing secure length, with one
     10x-finer coordinate-refinement pass around the incumbent.
 
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
-    epsilons).  With ``rescore_with_simulation`` the returned value comes
-    from a Monte Carlo session at the incumbent instead of expected counts.
+    epsilons).
     """
     p0 = p0 if p0 is not None else ProtocolParams()
     grid = grid if grid is not None else GridSpec()
@@ -238,15 +234,8 @@ def optimize(
                 point[axis] = float(cols[axis][j])
 
     best = _with_point(p0, *point)
-    stats = None
-    if rescore_with_simulation:
-        from . import mcsim
-
-        res = mcsim.run_session(best, link, seed, n_pulses=sim_pulses)
-        report = finitekey.key_length(res.counts, best)
-    else:
-        stats = rates.expected_statistics(best, link)
-        report = finitekey.key_length(stats.counts, best)
+    stats = rates.expected_statistics(best, link)
+    report = finitekey.key_length(stats.counts, best)
     return OptimizeResult(
         best=best,
         l_bits=report.l_bits,

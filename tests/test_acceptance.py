@@ -188,7 +188,7 @@ def test_criterion_8_thread_determinism(capsys, monkeypatch, tmp_path):
         ])
         assert rc == cli.EXIT_OK
         outputs.append(capsys.readouterr().out)
-        record_bytes.append(open(rec_path, "rb").read())
+        record_bytes.append((tmp_path / f"rec_{threads}.csv").read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2] and \
         record_bytes[0] == record_bytes[1] == record_bytes[2]
     with capsys.disabled():

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import signal
 import time
 
 import pytest
@@ -273,6 +274,35 @@ class TestScan:
                           "--losses", "10:1:banana")
         assert rc == cli.EXIT_ERROR
         assert "malformed" in err
+
+    @pytest.mark.parametrize("losses", ["1:inf:1", "-inf:1:1", "1:nan:1", "1:5:inf", "nan:5:1"])
+    def test_non_finite_range_rejected(self, capsys, losses):
+        # an infinite range once looped forever: fail instead of hanging
+        signal.signal(signal.SIGALRM, lambda *_: pytest.fail("range did not end"))
+        signal.alarm(10)
+        try:
+            rc, out, err = _run(capsys, "--config", CONFIG_75, "scan", f"--losses={losses}")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: malformed loss range")
+
+    @pytest.mark.parametrize("losses", ["-1,2", "nan"])
+    def test_invalid_loss_is_an_error(self, capsys, losses):
+        rc, out, err = _run(capsys, "--config", CONFIG_75, "scan", f"--losses={losses}")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: channel_loss_db=")
+
+    def test_infinite_loss_in_a_list_is_a_blocked_link(self, capsys):
+        rc, out, _ = _run(capsys, "--config", CONFIG_75, "scan", "--losses", "1,inf")
+        assert rc == cli.EXIT_OK
+        header, first, blocked = out.strip().split("\n")
+        fields = dict(zip(header.split(","), blocked.split(",")))
+        assert (fields["loss_db"], fields["l_bits"]) == ("inf", "0")
+        assert float(dict(zip(header.split(","), first.split(",")))["l_bits"]) > 0
 
 
 class TestOptimize:

@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import re
-import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -206,7 +205,8 @@ class TestWorkBuffers:
                 P_SMALL, link, seed=seed, n_pulses=2 * 2**16 + 333, gate_offset=offset,
                 keep_records=True, chunk_size=chunk, n_threads=threads))
 
-        # each reference on fresh worker threads, hence fresh buffers
+        # each reference with a forked worker, whose writes to the work
+        # arrays stay in its own copy
         fresh = [run(case, 2) for case in cases]
         for order in (cases, cases[::-1]):
             for case in order:
@@ -221,20 +221,15 @@ class TestWorkBuffers:
             assert not np.shares_memory(getattr(a.records, col), getattr(b.records, col))
 
     def test_workers_never_share_buffers(self):
-        # more workers than cores, switching threads as often as possible
+        # more workers than cores
         kw = dict(seed=9, keep_records=True, chunk_size=4096)
         want = _session_key(run_session(P_SMALL, LINK_B2B, n_threads=1, **kw))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = _session_key(run_session(P_SMALL, LINK_B2B, n_threads=8, **kw))
-        finally:
-            sys.setswitchinterval(interval)
+        got = _session_key(run_session(P_SMALL, LINK_B2B, n_threads=8, **kw))
         assert got == want
 
     def test_shared_tables_equal_fresh_ones(self):
-        # one tables object across sessions whose offsets grow and shrink and
-        # whose free list 1, 2 and 8 workers fill, in both orders
+        # one tables object across sessions on 1, 2 and 8 workers whose work
+        # arrays grow and are reused, in both orders
         cases = [(threads, chunk) for threads in (1, 2, 8) for chunk in (777, 2**13, 2**16)]
 
         def run(case, tables=None):
@@ -324,19 +319,20 @@ class TestThreadCount:
 class TestWorkerProcesses:
     def test_no_child_outlives_a_call(self, monkeypatch):
         forked = []
-        real = mcsim._forked
+        real = mcsim._in_workers
 
-        def counting(job, args):
-            forked.append(len(args))
-            return real(job, args)
+        def counting(job, n, n_threads):
+            blocks = real(job, n, n_threads)
+            forked.append(len(blocks) - 1)
+            return blocks
 
-        monkeypatch.setattr(mcsim, "_forked", counting)
+        monkeypatch.setattr(mcsim, "_in_workers", counting)
         run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13, n_threads=2)
         assert multiprocessing.active_children() == []
         run_stability(P_SMALL, LINK_75, DriftModel(sigma=0.05), Schedule(duration_h=0.5), seed=1,
                       pulses_per_window=10**4, n_threads=2)
         assert multiprocessing.active_children() == []
-        # the cap is passed in this process's shard, while the children run
+        # the cap is passed in this process's shard
         with pytest.raises(BudgetExceeded):
             run_session(P_SMALL, LINK_B2B, seed=11, n_pulses=64 * 1024, keep_records=True,
                         record_cap=30, chunk_size=1024, n_threads=4)
@@ -378,24 +374,37 @@ class TestWorkerProcesses:
                           pulses_per_window=1000)
 
     def test_child_failures_reach_the_caller(self):
-        def job(arg):
-            if arg == "raise":
+        def job(block, child):
+            # block 0 runs in this process, block 1 in a child
+            if block.start == 0:
+                return "parent"
+            if child == "raise":
                 raise KeyError("in the child")
-            if arg == "exit":
-                os._exit(3)
-            time.sleep(arg)
+            os._exit(3)
 
-        for arg, error, message in (("raise", KeyError, "in the child"),
-                                    ("exit", RuntimeError, "exited with code 3")):
+        for child, error, message in (("raise", KeyError, "in the child"),
+                                      ("exit", RuntimeError, "exited with code 3")):
             with pytest.raises(error, match=message):
-                with mcsim._forked(job, [arg]) as rest:
-                    list(rest)
-        # leaving the block stops children that are still running
+                mcsim._in_workers(lambda block: job(block, child), 2, 2)
+        assert multiprocessing.active_children() == []
+
+        def fail_here(block):
+            if block.start == 0:
+                1 / 0
+            time.sleep(30)
+
+        # a failure in this process stops the children that are still running
         t0 = time.perf_counter()
         with pytest.raises(ZeroDivisionError):
-            with mcsim._forked(job, [30, 30]):
-                1 / 0
+            mcsim._in_workers(fail_here, 3, 3)
         assert time.perf_counter() - t0 < 10
+        assert multiprocessing.active_children() == []
+
+    def test_blocks_are_contiguous_and_in_order(self):
+        got = mcsim._in_workers(lambda block: (block, os.getpid()), 7, 3)
+        assert [block for block, _ in got] == [range(0, 2), range(2, 4), range(4, 7)]
+        assert [pid == os.getpid() for _, pid in got] == [True, False, False]
+        assert mcsim._in_workers(list, 2, 4) == [[0], [1]]
         assert multiprocessing.active_children() == []
 
 
@@ -762,7 +771,7 @@ class TestRecordFiles:
     def test_empty_set_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         write_records(RecordSet(), path)
-        assert open(path).read() == "gate_index,detector_id,is_dark\n"
+        assert (tmp_path / "empty.csv").read_text() == "gate_index,detector_id,is_dark\n"
         records, counts = read_records(path)
         assert len(records) == 0
         assert counts is None
@@ -772,7 +781,7 @@ class TestRecordFiles:
                           seed=11, keep_records=True)
         path = str(tmp_path / "golden.csv")
         write_records(res.records, path)
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        digest = hashlib.sha256((tmp_path / "golden.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_RECORDS_SHA256
 
     def test_bad_header_reports_line_1(self, tmp_path):

@@ -326,13 +326,6 @@ class TestOptimize:
         assert result.l_bits == float.fromhex(l_hex)
         assert hashlib.sha256(result.certificate.l_bits.tobytes()).hexdigest() == digest
 
-    def test_simulation_rescore(self):
-        result = optimize(
-            LINK_75, grid=SMALL_GRID, refine=False,
-            rescore_with_simulation=True, seed=3, sim_pulses=10**6,
-        )
-        assert result.l_bits >= 0.0
-
 
 class TestScan:
     def test_measured_losses_strictly_decreasing(self):
