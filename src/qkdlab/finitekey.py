@@ -76,7 +76,7 @@ def hoeffding_delta(n_total, eps: float):
 class DecoyFactors:
     """The factors of the decoy-state bounds that depend only on the
     intensities and their probabilities in ``p``, computed once so that
-    the bounds of both bases share them.
+    the bounds of both bases, and every p_z value of a grid, share them.
 
     Raises IntensityDegenerate unless mu - nu clears the minimum gap and
     nu > 0.
@@ -88,7 +88,7 @@ class DecoyFactors:
             raise IntensityDegenerate(f"mu - nu = {self.gap} too small")
         if np.less_equal(p.nu, 0.0).any():
             raise IntensityDegenerate("decoy intensity must be positive")
-        self.p = p
+        self.mu, self.nu = p.mu, p.nu
         self.tau0 = tau_n(0, p)
         self.tau1 = tau_n(1, p)
         # e^k / p_k, the Poisson rescaling of each intensity's tallies, in
@@ -101,11 +101,22 @@ class DecoyFactors:
         self.vacuum_weight = (mu2 - nu2) / mu2
         self.single_photon_scale = self.tau1 * (p.mu / (p.nu * self.gap))
 
+    def part(self, take) -> "DecoyFactors":
+        """These factors with ``take`` applied to each array, such as a
+        grid block's share of them."""
+        f = object.__new__(type(self))
+        vars(f).update(
+            (name, tuple(map(take, v)) if isinstance(v, tuple) else take(v))
+            for name, v in vars(self).items()
+        )
+        return f
 
-# The bounds below read one basis's tallies: a row x of ``ObservedCounts.sift``
-# (n) or ``.err`` (m), indexed by intensity in Intensity order, with the
-# Hoeffding deviation ``delta`` of the row's total.  The deviation uses the
-# basis totals, as the whole basis sample fluctuates jointly.
+
+# The bounds below read tallies indexed by intensity in Intensity order: one
+# basis's row x of ``ObservedCounts.sift`` (n) or ``.err`` (m), or both bases'
+# rows as x[intensity, basis, ...], with the Hoeffding deviation ``delta`` of
+# each row's total.  The deviation uses the basis totals, as the whole basis
+# sample fluctuates jointly.
 
 def upper_estimate(f: DecoyFactors, x, k: int, delta):
     """(e^k / p_k)(x[k] + delta): the Poisson-rescaled upper estimator of
@@ -120,24 +131,23 @@ def lower_estimate(f: DecoyFactors, x, k: int, delta):
 
 
 def vacuum_upper_bound(n_total, m_total, d_n):
-    """Upper bound on the sifted events of one basis caused by empty
-    pulses, from its detection and error totals: every vacuum detection
-    errs with probability one half."""
+    """Upper bound on the sifted events of a basis caused by empty pulses,
+    from its detection and error totals (or each basis's, as arrays):
+    every vacuum detection errs with probability one half."""
     return np.minimum(n_total, 2.0 * (m_total + d_n))
 
 
 def vacuum_lower_bound(f: DecoyFactors, n, d_n):
     """Lower bound on the sifted events of one basis caused by empty
     pulses, from the decoy estimators of its detections ``n``."""
-    p = f.p
-    low = f.tau0 * (p.mu * lower_estimate(f, n, 1, d_n) - p.nu * f.scale[0] * (n[0] + d_n))
+    low = f.tau0 * (f.mu * lower_estimate(f, n, 1, d_n) - f.nu * f.scale[0] * (n[0] + d_n))
     return np.maximum(0.0, low / f.gap)
 
 
 def single_photon_bound(f: DecoyFactors, n, d_n, s0_up):
-    """Lower bound on the sifted events of one basis caused by
-    single-photon pulses, from its detections ``n``; ``s0_up`` is the
-    basis's vacuum upper bound."""
+    """Lower bound on the sifted events caused by single-photon pulses,
+    from the detections ``n`` of one basis or of both; ``s0_up`` is the
+    vacuum upper bound of each."""
     inner = (
         lower_estimate(f, n, 1, d_n)
         - f.signal_weight * upper_estimate(f, n, 0, d_n)
@@ -193,39 +203,47 @@ def phase_error_bound(
     )
 
 
-def _secure_length(counts: ObservedCounts, p: ProtocolParams) -> dict:
-    """Every bound and the secure length of ``counts`` under ``p``, keyed
-    by their ``KeyRateReport`` field names; arrays in either broadcast.
+def _secure_length(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
+    """Every bound and the secure length of the tallies ``tally``, indexed
+    [n or m, basis, intensity, *grid], under the decoy factors ``f`` of
+    their intensities, keyed by their ``KeyRateReport`` field names; ``p``
+    supplies f_ec and the epsilons.  Arrays in either broadcast.
 
-    Each basis's totals and deviations, and each intensity factor, are
-    computed once.  A sample with no key-basis detections scores zero.
+    The totals, their deviations, the vacuum upper bounds and the
+    single-photon bounds are computed once for both bases, on [basis,
+    *grid] arrays.  A sample with no key-basis detections scores zero.
     """
     eps = EpsilonBudget.from_params(p)
-    f = DecoyFactors(p)
-    (n_z, n_x), m_x = counts.sift, counts.err[1]
-    # each basis's detection and error totals, [basis, *grid]
-    n, m = counts.sift.sum(axis=1), counts.err.sum(axis=1)
-    d_z = hoeffding_delta(n[0], eps.eps_pe)
-    d_x = hoeffding_delta(n[1], eps.eps_pe)
-    s_z0_low = vacuum_lower_bound(f, n_z, d_z)
-    s_z0_up = vacuum_upper_bound(n[0], m[0], d_z)
-    s_z1 = single_photon_bound(f, n_z, d_z, s_z0_up)
-    s_x1 = single_photon_bound(f, n_x, d_x, vacuum_upper_bound(n[1], m[1], d_x))
-    phase = phase_error_bound(f, m_x, hoeffding_delta(m[1], eps.eps_pe), eps.eps_sec, s_z1, s_x1)
+    # the detection (n) and error (m) totals of each basis, [basis, *grid]
+    n, m = tally.sum(axis=2)
+    d_n = hoeffding_delta(n, eps.eps_pe)
+    s_z0_low = vacuum_lower_bound(f, tally[0, 0], d_n[0])
+    s_0_up = vacuum_upper_bound(n, m, d_n)
     # an empty key basis has m = 0, so its error rate reads 0 / 1
     lambda_ec = p.f_ec * n[0] * binary_entropy(m[0] / np.maximum(n[0], 1.0))
+    d_m = hoeffding_delta(m[1], eps.eps_pe)
+    # The two bounds below hold the most temporaries at once, so each runs
+    # with only what it reads alive: then the factors a grid holds for a
+    # whole call add nothing to a block's peak.  The caller holds no other
+    # reference to the tallies.
+    del n, m
+    # both bases' detections as rows [intensity, basis, *grid]
+    s_1 = single_photon_bound(f, tally[0].swapaxes(0, 1), d_n, s_0_up)
+    m_x = tally[1, 1].copy()
+    del tally, d_n
+    phase = phase_error_bound(f, m_x, d_m, eps.eps_sec, s_1[0], s_1[1])
     l = (
         s_z0_low
-        + s_z1 * (1.0 - binary_entropy(phase.phi_z_up))
+        + s_1[0] * (1.0 - binary_entropy(phase.phi_z_up))
         - lambda_ec
         - 6.0 * math.log2(19.0 / eps.eps_sec)
         - math.log2(2.0 / eps.eps_cor)
     )
     return {
         "s_z0_low": s_z0_low,
-        "s_z0_up": s_z0_up,
-        "s_z1_low": s_z1,
-        "s_x1_low": s_x1,
+        "s_z0_up": s_0_up[0],
+        "s_z1_low": s_1[0],
+        "s_x1_low": s_1[1],
         "v_x1_up": phase.v_x1_up,
         "phi_z_up": phase.phi_z_up,
         "lambda_ec": lambda_ec,
@@ -242,7 +260,7 @@ def key_length(counts: ObservedCounts, p: ProtocolParams) -> KeyRateReport:
     n_z, m_z = int(counts.n_total(Basis.Z)), int(counts.m_total(Basis.Z))
     if n_z == 0:
         raise EmptyKeyBasis("no sifted key-basis detections")
-    terms = _secure_length(counts, p)
+    terms = _secure_length(np.stack((counts.sift, counts.err)), DecoyFactors(p), p)
     flagged = bool(terms.pop("insufficient_test_statistics"))
     terms = {name: float(v) for name, v in terms.items()}
     eps = EpsilonBudget.from_params(p)

@@ -94,13 +94,6 @@ class PulseRecord:
     photon_number: int
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    gate_index: int
-    detector_id: int
-    is_dark: bool
-
-
 class RecordSet:
     """Column store of detection records (one row per detector click)."""
 
@@ -111,13 +104,6 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.gate_index)
-
-    def __getitem__(self, i: int) -> DetectionRecord:
-        return DetectionRecord(int(self.gate_index[i]), int(self.detector_id[i]), bool(self.is_dark[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         return (

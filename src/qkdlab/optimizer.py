@@ -1,11 +1,10 @@
 """Grid search over protocol parameters and key-rate-versus-loss scans.
 
 The objective is the secure length evaluated on the closed-form expected
-statistics.  ``evaluate_grid`` puts broadcast per-axis parameter arrays
-into one ``ProtocolParams`` and scores them through the same
-``rates.expected_statistics`` and ``finitekey`` composition as a single
-point, so a grid score and ``finitekey.key_length`` at that point are the
-same number.  Ties resolve to the lexicographically smallest
+statistics.  ``evaluate_grid`` scores broadcast per-axis parameter arrays
+through the same ``rates`` tallies and ``finitekey`` composition as a
+single point, so a grid score and ``finitekey.key_length`` at that point
+are the same number.  Ties resolve to the lexicographically smallest
 (mu, nu, p_mu, p_z), so any evaluation order yields the same incumbent.
 """
 
@@ -16,7 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Basis, LinkModel, ProtocolParams
+from .core import (
+    Basis, InvalidIntensityOrder, LinkModel, ParamError, ProbabilityOutOfRange, ProtocolParams,
+)
 from . import finitekey, rates
 
 
@@ -31,7 +32,10 @@ def _steps(lo: float, hi: float, step: float) -> tuple:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grid; p_z is fixed to a single value by default."""
+    """Search grid; p_z is fixed to a single value by default.
+
+    Every value must be one ``validate_params`` would accept on its axis:
+    finite, mu > 0, nu >= 0, and p_mu and p_z inside (0, 1)."""
 
     mu_values: tuple = _steps(0.10, 0.90, 0.02)
     nu_values: tuple = _steps(0.01, 0.50, 0.01)
@@ -40,20 +44,32 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("mu_values", "nu_values", "p_mu_values", "p_z_values"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(map(math.isfinite, values)):
+                raise ParamError(f"{name}={values} holds a non-finite value")
+        if min(self.mu_values) <= 0.0:
+            raise ParamError(f"mu_values={self.mu_values} must be positive")
+        if min(self.nu_values) < 0.0:
+            raise InvalidIntensityOrder(f"nu_values={self.nu_values} must be >= 0")
+        for name in ("p_mu_values", "p_z_values"):
+            values = getattr(self, name)
+            if not 0.0 < min(values) <= max(values) < 1.0:
+                raise ProbabilityOutOfRange(f"{name}={values} outside (0, 1)")
         if max(self.mu_values) <= min(self.nu_values):
             raise ValueError("mu range upper end must exceed nu range lower end")
 
 
-# Points scored per block.  optimize's free-p_z grid is one block per p_mu
-# row: 10 p_z values times 1,609 scorable (mu, nu) pairs, 16,090 points.  A
-# warm `scan --losses 1:45:1 --optimize --free-p-z` of
-# configs/projection.conf (962 blocks, 810 of them grid rows; 2-vCPU Xeon,
-# numpy 2.4) takes 7 minor page faults in all (getrusage) and 2.85-3.06 s.
-# Under the earlier (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took
-# 630 faults each and 5.3 s; blocks of 2^13 almost none, but 4.0 s with
-# twice the per-block Python overhead.
+# Points scored per block.  optimize's free-p_z grid is scored in blocks of
+# 10 p_mu rows times 1,609 scorable (mu, nu) pairs at one p_z, 16,090
+# points, and 8 rows for the rest of each p_z.  The terms that do not
+# depend on p_z are computed once per call on the (p_mu, pair) plane, so
+# each block's share of them has the block's own shape.  Under the
+# earlier (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took 630 page
+# faults each and 5.3 s for `scan --losses 1:45:1 --optimize --free-p-z`;
+# blocks of 2^13 almost none, but 4.0 s with twice the per-block Python
+# overhead (2-vCPU Xeon, numpy 2.4).
 _BLOCK_POINTS = 1 << 14
 
 
@@ -71,34 +87,61 @@ def evaluate_grid(
     exactly ``key_length(expected_statistics(point)).l_bits``; points that
     ``key_length`` rejects (nu >= mu, nu <= 0, empty key basis) score zero.
 
-    It is filled in blocks of at most ``_BLOCK_POINTS`` points: runs of rows
-    of the first axis, or one row at a time (recursively) when a row is
-    larger.  Each term is computed on the sub-grid its inputs span: with
-    per-axis inputs (mu, nu) the gains and QBERs cost mu and nu points, and
-    with ``optimize``'s (p_mu, p_z, pair) layout, where mu and nu share the
-    pair axis, the intensity factors of the bounds cost one point per pair
-    and block, whatever the number of p_z values."""
+    What does not depend on p_z is computed once per call, on the sub-grid
+    its inputs span: the masking of unscorable (mu, nu) pairs, the gains
+    and QBERs (mu and nu points), and the decoy factors of the bounds
+    ((mu, nu, p_mu) points).  The grid is then filled in blocks of at most
+    ``_BLOCK_POINTS`` points: runs of rows of the first axis, or one row
+    at a time (recursively) when a row is larger.  A block takes its share
+    of those terms, rounds its tallies and runs the count-dependent bounds.
+    ``optimize``'s (p_z, p_mu, pair) layout, where mu and nu share the
+    pair axis, makes each block one p_z value over whole (p_mu, pair)
+    rows."""
     arrays = [np.asarray(a, dtype=np.float64) for a in (mu, nu, p_mu, p_z)]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    if not shape:
-        return _block(*arrays, p0, link)
-    out = np.empty(shape)
-    _fill(out, [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays], p0, link)
-    return out
+    # every term gets the grid's rank, at least one, so that a block takes
+    # its share of each by the same indices
+    rank = max(1, len(shape))
+    mu, nu, p_mu, p_z = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in arrays)
+    # the scores first: the terms below and the blocks' temporaries are
+    # then freed as one region above them, which optimize's certificate
+    # reuses (peak RSS of a scan 0.3 MiB lower than the other order)
+    out = np.empty(shape or (1,))
+    # Masked points get placeholder intensities inside every bound's domain:
+    # nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so that the
+    # counts keep mu on its own axis.  A point with no key-basis detections
+    # needs no mask: it already scores zero.
+    masked = ~_scorable(mu, nu)
+    nu = np.where(nu > 0.0, nu, 1.0)
+    q, e = rates.intensity_terms(link, mu, nu)
+    f = finitekey.DecoyFactors(replace(p0, mu=np.where(masked, nu + 1.0, mu), nu=nu, p_mu=p_mu))
+    _fill(out, (p_mu, p_z, q, e, f), p0)
+    # a point key_length rejects scores zero
+    np.copyto(out, 0.0, where=masked)
+    return out.reshape(shape)
 
 
-def _fill(out: np.ndarray, arrays: list, p0: ProtocolParams, link: LinkModel) -> None:
-    """Score ``arrays`` (each of ``out``'s rank, broadcastable to it) into
-    ``out`` block by block."""
+def _part(terms: tuple, take) -> tuple:
+    """``take`` applied to each array of evaluate_grid's ``terms``."""
+    p_mu, p_z, q, e, f = terms
+    return (
+        take(p_mu), take(p_z), tuple(map(take, q)),
+        tuple(tuple(map(take, e_k)) for e_k in e), f.part(take),
+    )
+
+
+def _fill(out: np.ndarray, terms: tuple, p0: ProtocolParams) -> None:
+    """Score into ``out`` block by block, from ``terms`` whose arrays each
+    have ``out``'s rank and broadcast to it."""
     row = math.prod(out.shape[1:])
     if out.ndim > 1 and row > _BLOCK_POINTS:
         for i in range(out.shape[0]):
-            _fill(out[i], [a[i] if len(a) > 1 else a[0] for a in arrays], p0, link)
+            _fill(out[i], _part(terms, lambda a: a[i] if len(a) > 1 else a[0]), p0)
         return
     step = max(1, _BLOCK_POINTS // max(1, row))
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
-        out[rows] = _block(*(a[rows] if len(a) > 1 else a for a in arrays), p0, link)
+        _block(out[rows], _part(terms, lambda a: a[rows] if len(a) > 1 else a), p0)
 
 
 def _scorable(mu, nu):
@@ -107,18 +150,13 @@ def _scorable(mu, nu):
     return (mu - nu >= finitekey._MIN_INTENSITY_GAP) & (nu > 0.0)
 
 
-def _block(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel) -> np.ndarray:
-    """evaluate_grid on one block."""
-    valid = _scorable(mu, nu)
-    # Masked points get placeholder intensities inside every bound's domain:
-    # nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so that the
-    # counts keep mu on its own axis.  A point with no key-basis detections
-    # needs no mask: it already scores zero.
-    nu = np.where(nu > 0.0, nu, 1.0)
-    p = replace(p0, mu=mu, nu=nu, p_mu=p_mu, p_z_alice=p_z, p_z_bob=p_z)
-    counts = rates.expected_statistics(p, link).counts
-    masked = replace(p, mu=np.where(valid, mu, nu + 1.0))
-    return np.where(valid, finitekey._secure_length(counts, masked)["l_bits"], 0.0)
+def _block(out: np.ndarray, terms: tuple, p0: ProtocolParams) -> None:
+    """Score one block into ``out`` from its share of the terms."""
+    p_mu, p_z, q, e, f = terms
+    # _secure_length holds the only reference to the tallies, and frees them
+    out[...] = finitekey._secure_length(
+        rates.expected_tallies(p0.n_pulses, p_mu, p_z, p_z, q, e), f, p0
+    )["l_bits"]
 
 
 @dataclass(frozen=True)
@@ -127,7 +165,7 @@ class GridCertificate:
     never beaten by any evaluated point.  Every field has the grid's shape
     (len(mu_values), len(nu_values), len(p_mu_values), len(p_z_values)).
     The axes are broadcast views; the scores are scattered from the
-    (p_mu, p_z, pair) evaluation layout, zero where the (mu, nu) pair is
+    (p_z, p_mu, pair) evaluation layout, zero where the (mu, nu) pair is
     not scorable (nu >= mu or nu <= 0)."""
 
     mu: np.ndarray
@@ -162,7 +200,7 @@ def _best_index(l: np.ndarray, mu, nu, p_mu, p_z) -> tuple:
     """Index (one entry per axis of ``l``) of the maximal l; exact ties
     resolve to the smallest (mu, nu, p_mu, p_z), which are broadcast to
     ``l``'s shape."""
-    tied = np.nonzero(l == l.max())
+    tied = np.unravel_index(np.flatnonzero(l == l.max()), l.shape)
     keys = [np.broadcast_to(a, l.shape)[tied] for a in (p_z, p_mu, nu, mu)]
     k = np.lexsort(keys)[0]
     return tuple(int(t[k]) for t in tied)
@@ -178,7 +216,9 @@ def optimize(
     10x-finer coordinate-refinement pass around the incumbent.
 
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
-    epsilons).
+    epsilons).  The coarse grid is scored over its scorable (mu, nu)
+    pairs in the (p_z, p_mu, pair) layout, the incumbent taken from those
+    scores; the certificate holds the whole grid, zero elsewhere.
     """
     p0 = p0 if p0 is not None else ProtocolParams()
     grid = grid if grid is not None else GridSpec()
@@ -187,18 +227,23 @@ def optimize(
         for v in (grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values)
     )
     # Only the scorable (mu, nu) pairs are evaluated, in the layout
-    # (p_mu, p_z, pair): evaluate_grid blocks over whole p_mu rows, and the
-    # intensity factors span (1, 1, pair), so a block computes them once for
-    # all its p_z values.  The rest of the grid scores zero.
+    # (p_z, p_mu, pair): the terms that do not depend on p_z span
+    # (1, p_mu, pair), and a block is p_mu rows at one p_z.  The rest of
+    # the grid scores zero.
     mu_i, nu_j = np.nonzero(_scorable(mu[:, None], nu))
     if not len(mu_i):
         raise EmptyFeasibleSet("no (mu, nu) pair on the grid is scorable")
-    pairs = evaluate_grid(mu[mu_i], nu[nu_j], pm[:, None, None], pz[:, None], p0, link)
+    coords = (mu[mu_i], nu[nu_j], pm[:, None], pz[:, None, None])
+    pairs = evaluate_grid(*coords, p0, link)
     if not (pairs > 0.0).any():
         raise EmptyFeasibleSet("no grid point yields a positive secure length")
+    # the maximum is positive, so no unscored point can be the incumbent
+    z, m, pair = _best_index(pairs, *coords)
+    point = [float(mu[mu_i[pair]]), float(nu[nu_j[pair]]), float(pm[m]), float(pz[z])]
+    best_l = float(pairs[z, m, pair])
     shape = (len(mu), len(nu), len(pm), len(pz))
     l = np.zeros(shape)
-    l[mu_i, nu_j] = pairs.transpose(2, 0, 1)
+    l[mu_i, nu_j] = pairs.transpose(2, 1, 0)
     del pairs
     cert = GridCertificate(
         mu=np.broadcast_to(mu[:, None, None, None], shape),
@@ -207,9 +252,6 @@ def optimize(
         p_z=np.broadcast_to(pz, shape),
         l_bits=l,
     )
-    i = _best_index(cert.l_bits, cert.mu, cert.nu, cert.p_mu, cert.p_z)
-    point = [float(cert.mu[i]), float(cert.nu[i]), float(cert.p_mu[i]), float(cert.p_z[i])]
-    best_l = float(cert.l_bits[i])
 
     if refine:
         axes = (

@@ -3,12 +3,14 @@ threshold-detector model.
 
 Two levels are provided.  ``expected_statistics`` uses the standard
 decoy-state textbook formulas (gain and QBER per intensity) and drives the
-finite-key pipeline and the optimizer.  It and the formulas it is built
-from broadcast: a ``ProtocolParams`` whose intensities and probabilities
-are numpy arrays yields arrays, so one parameter point and a whole grid
-block go through the same code.  ``expected_sifted_cells`` enumerates the
-16 detector click patterns exactly (``click_patterns``) and is the oracle
-the Monte Carlo simulator is audited against.
+finite-key pipeline; the optimizer calls its two steps,
+``intensity_terms`` and ``expected_tallies``, itself.  They and the
+formulas they are built from broadcast: a ``ProtocolParams`` whose
+intensities and probabilities are numpy arrays yields arrays, so one
+parameter point and a whole grid block go through the same code.
+``expected_sifted_cells`` enumerates the 16 detector click patterns
+exactly (``click_patterns``) and is the oracle the Monte Carlo simulator
+is audited against.
 
 The textbook formulas route dark-only clicks with the splitter ratio,
 where the exact model routes them uniformly over the four detectors, so
@@ -111,31 +113,50 @@ class ExpectedStatistics:
         return c.m_total(b) / n if n else 0.5
 
 
-def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistics:
-    """Expected gains, QBERs and sifted tallies for n_pulses emitted pulses.
+def intensity_terms(link: LinkModel, mu, nu) -> tuple:
+    """The factors of the expected tallies that the link and the
+    intensities give: ``(q, e)``, the gain ``q[k]`` and the per-basis QBERs
+    ``e[k][b]`` of each intensity, in Intensity and Basis order.  They are
+    free of the probabilities, so a grid computes them once for every
+    p_mu and p_z value."""
+    means = (mu, nu)
+    return (
+        tuple(gain(link, k) for k in means),
+        tuple(tuple(qber(link, k).values()) for k in means),
+    )
+
+
+def expected_tallies(n_pulses, p_mu, p_z_alice, p_z_bob, q, e) -> np.ndarray:
+    """The expected sifted tallies, ``[n or m, basis, intensity, *grid]``,
+    for n_pulses pulses from the probabilities and ``intensity_terms``.
 
     Cell tallies follow n[b, k] = N p_k p_b^A p_b^B q_k and m = e n,
     rounded half-up; m <= n since e <= 1/2.  The factors other than q_k
-    are multiplied on the sub-grid they span; the product with q_k, the
-    QBER product and the rounding run in the cell's slot of the tally
-    array, which has the shape of all the parameters.
+    are multiplied on the sub-grid they span; the product with q_k and the
+    QBER product run in the cell's slot of the tally array, which has the
+    shape of all the inputs.
     """
-    intensities = ((p.mu, p.p_mu), (p.nu, p.p_nu))
-    p_b = (p.p_z_alice * p.p_z_bob, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob))
-    q = [gain(link, mean) for mean, _ in intensities]
-    shape = np.broadcast(p.mu, p.nu, p.p_mu, p.p_z_alice, p.p_z_bob).shape
-    tally = np.empty((2, 2, 2) + shape)  # [n or m, basis, intensity, *grid]
-    for k, (mean, p_k) in enumerate(intensities):
-        # qber's values are in Basis order
-        for b, e in enumerate(qber(link, mean).values()):
-            # each cell is computed in its slot (`...` keeps a 0-d slot a
-            # view), and m from n before n is rounded
+    p_k = (p_mu, 1.0 - p_mu)
+    p_b = (p_z_alice * p_z_bob, (1.0 - p_z_alice) * (1.0 - p_z_bob))
+    # each QBER has the shape of its intensity's gain
+    shape = np.broadcast_shapes(*map(np.shape, (p_mu, p_z_alice, p_z_bob, *q)))
+    tally = np.empty((2, 2, 2) + shape)
+    for k in range(2):
+        for b in range(2):
+            # `...` keeps a 0-d slot a view; m is taken from n before the
+            # whole array is rounded
             n, m = tally[0, b, k, ...], tally[1, b, k, ...]
-            np.multiply(p.n_pulses * p_k * p_b[b], q[k], out=n)
-            np.multiply(n, e, out=m)
-            for cell in (n, m):
-                cell += 0.5
-                np.floor(cell, out=cell)
+            np.multiply(n_pulses * p_k[k] * p_b[b], q[k], out=n)
+            np.multiply(n, e[k][b], out=m)
+    tally += 0.5
+    return np.floor(tally, out=tally)
+
+
+def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistics:
+    """Expected gains, QBERs and sifted tallies for n_pulses emitted pulses
+    (``expected_tallies`` of ``intensity_terms``)."""
+    q, e = intensity_terms(link, p.mu, p.nu)
+    tally = expected_tallies(p.n_pulses, p.p_mu, p.p_z_alice, p.p_z_bob, q, e)
     return ExpectedStatistics(q_mu=q[0], q_nu=q[1], counts=ObservedCounts(*tally))
 
 

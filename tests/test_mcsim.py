@@ -21,7 +21,6 @@ from qkdlab.core import (
 )
 from qkdlab.mcsim import (
     BudgetExceeded,
-    DetectionRecord,
     DriftModel,
     FormatError,
     GroundTruth,
@@ -629,6 +628,25 @@ class TestPhysics:
                     obs = getattr(res.counts, attr)(b, k)
                     assert abs(obs - mean) <= 5 * sigma
 
+    @pytest.mark.parametrize("p, link", [
+        (ProtocolParams(),
+         LinkModel(channel_loss_db=0.0, detector=DetectorModel(dark_prob_per_gate=0.0))),
+        (ProtocolParams(), LinkModel(channel_loss_db=14.6, rotation_angle=math.pi / 4)),
+        (ProtocolParams(p_z_alice=0.5, p_z_bob=0.5), LINK_B2B),
+        (ProtocolParams(p_z_alice=0.95, p_z_bob=0.95), LINK_75),
+        (ProtocolParams(), LinkModel(channel_loss_db=0.0, receiver_loss_db=0.0,
+                                     detector=DetectorModel(efficiency=1.0))),
+    ], ids=["dark-0", "rotation-pi/4", "p_z-0.5", "p_z-0.95", "eta-1"])
+    def test_cells_within_5_sigma_of_exact_model_across_links(self, p, link):
+        # every sifted and error cell of a 2^21-pulse session
+        n_pulses = 2**21
+        res = run_session(p, link, seed=5, n_pulses=n_pulses)
+        exact = rates.expected_sifted_cells(p, link)
+        for (b, k), prob in exact.sift.items():
+            for obs, q in ((res.counts.n(b, k), prob), (res.counts.m(b, k), exact.err[(b, k)])):
+                sigma = max(1.0, math.sqrt(n_pulses * q * (1 - q)))
+                assert abs(obs - n_pulses * q) <= 5 * sigma, (b, k, obs, n_pulses * q)
+
     def test_double_click_rate_matches_model(self, b2b_session_1e7):
         p = ProtocolParams(n_pulses=10**7)
         exact = rates.expected_sifted_cells(p, LINK_B2B)
@@ -896,13 +914,20 @@ class TestRecordFiles:
 
     def test_record_set_indexing(self):
         rs = RecordSet([5, 9], [1, 3], [False, True])
-        assert rs[1] == DetectionRecord(9, 3, True)
-        assert list(rs)[0].gate_index == 5
+        assert len(rs) == 2
+        assert (int(rs.gate_index[1]), int(rs.detector_id[1]), bool(rs.is_dark[1])) == (9, 3, True)
+        assert int(rs.gate_index[0]) == 5
+        assert (rs.gate_index.dtype, rs.detector_id.dtype, rs.is_dark.dtype) == (
+            np.uint64, np.uint8, np.bool_)
 
 
 def _reference_bytes(records: RecordSet) -> bytes:
     """The record file as one f-string per row, the format's definition."""
-    rows = "".join(f"{r.gate_index},{r.detector_id},{int(r.is_dark)}\n" for r in records)
+    rows = "".join(
+        f"{gate},{det},{int(dark)}\n"
+        for gate, det, dark in zip(records.gate_index.tolist(), records.detector_id.tolist(),
+                                   records.is_dark.tolist())
+    )
     return ("gate_index,detector_id,is_dark\n" + rows).encode()
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab import finitekey, optimizer, rates
-from qkdlab.core import Basis, DetectorModel, LinkModel, ProtocolParams, load_config
+from qkdlab.core import (
+    Basis, DetectorModel, InvalidIntensityOrder, LinkModel, ParamError, ProbabilityOutOfRange,
+    ProtocolParams, load_config,
+)
 from qkdlab.optimizer import (
     EmptyFeasibleSet,
     GridSpec,
@@ -150,6 +155,64 @@ class TestVectorizedEvaluator:
         assert whole.tobytes() == points.tobytes()
         assert (whole > 0.0).any()
 
+    def test_p_z_free_terms_made_once_per_call(self, monkeypatch):
+        # 5-point blocks over a (p_z, p_mu, pair) grid: many blocks, one
+        # set of decoy factors, gains and QBERs
+        monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 5)
+        calls = {"factors": 0, "terms": 0, "blocks": 0}
+
+        class CountingFactors(finitekey.DecoyFactors):
+            def __init__(self, p):
+                calls["factors"] += 1
+                super().__init__(p)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(finitekey, "DecoyFactors", CountingFactors)
+        monkeypatch.setattr(rates, "intensity_terms", counting("terms", rates.intensity_terms))
+        monkeypatch.setattr(optimizer, "_block", counting("blocks", optimizer._block))
+        mu = np.array([0.3, 0.5, 0.7, 0.5])
+        nu = np.array([0.05, 0.15, 0.25, 0.6])
+        grid = evaluate_grid(mu, nu, np.array([0.5, 0.8])[:, None],
+                             np.array([0.9, 0.6, 0.75])[:, None, None], ProtocolParams(), LINK_75)
+        assert grid.shape == (3, 2, 4)
+        assert calls == {"factors": 1, "terms": 1, "blocks": 6}
+        assert (grid[..., :3] > 0.0).any() and (grid[..., 3] == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # nu = mu * fraction: nu = 0 and nu >= mu are not scorable
+        pairs=st.lists(st.tuples(st.floats(0.02, 1.0), st.one_of(
+            st.just(0.0), st.floats(0.01, 0.99), st.floats(1.0, 2.0))), min_size=1, max_size=4),
+        p_mu=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+        p_z=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+        loss_db=st.floats(0.0, 45.0),
+        dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+        block=st.sampled_from([3, 1 << 14]),
+    )
+    def test_pair_layouts_equal_scalar_pipeline(self, pairs, p_mu, p_z, loss_db, dark, block):
+        # the (p_mu, p_z, pair) and (p_z, p_mu, pair) layouts, with pairs
+        # that are not scorable (nu >= mu, nu = 0), score what key_length
+        # gives point by point
+        link = LinkModel(channel_loss_db=loss_db, detector=DetectorModel(dark_prob_per_gate=dark))
+        p0 = ProtocolParams()
+        mu, nu_frac = np.array(pairs).T
+        nu = mu * nu_frac
+        pm, pz = np.array(p_mu), np.array(p_z)
+        with mock.patch.object(optimizer, "_BLOCK_POINTS", block):
+            by_p_mu = evaluate_grid(mu, nu, pm[:, None, None], pz[:, None], p0, link)
+            by_p_z = evaluate_grid(mu, nu, pm[:, None], pz[:, None, None], p0, link)
+        points = np.array([
+            _scalar_l(mu[k], nu[k], pm[i], pz[j], p0, link)
+            for i, j, k in np.ndindex(len(pm), len(pz), len(mu))
+        ]).reshape(len(pm), len(pz), len(mu))
+        assert by_p_mu.tobytes() == points.tobytes()
+        assert by_p_z.tobytes() == points.transpose(1, 0, 2).tobytes()
+
     def test_default_blocks_match_rows(self):
         # 19 rows of 2050 points at 7 rows a block: blocks of 7, 7 and 5 rows
         grid = GridSpec()
@@ -200,11 +263,11 @@ class TestPairLayout:
         assert (self._check(grid, LINK_75) > 0.0).any()
 
     def test_mu_rows_without_a_scorable_nu(self):
-        # mu = 0.03 and 0.05 are below or at every nu; nu = 0 and -0.1 are
-        # never scorable
+        # mu = 0.03 and 0.05 are below or at every nu; nu = 0 is never
+        # scorable (GridSpec refuses nu < 0)
         grid = GridSpec(
             mu_values=(0.03, 0.4, 0.05, 0.6),
-            nu_values=(0.05, 0.0, 0.1, -0.1, 0.2),
+            nu_values=(0.05, 0.0, 0.1, 0.0, 0.2),
             p_mu_values=(0.5, 0.8),
             p_z_values=(0.9, 0.6),
         )
@@ -224,7 +287,7 @@ class TestPairLayout:
         assert (self._check(grid, LINK_75) > 0.0).any()
 
     def test_no_positive_nu(self):
-        grid = GridSpec(nu_values=(0.0, -0.1), p_mu_values=(0.5,))
+        grid = GridSpec(nu_values=(0.0,), p_mu_values=(0.5,))
         with pytest.raises(EmptyFeasibleSet):
             optimize(LINK_75, grid=grid)
 
@@ -282,6 +345,25 @@ class TestOptimize:
         with pytest.raises(ValueError):
             GridSpec(mu_values=(0.1,), nu_values=(0.2, 0.3))
 
+    # values validate_params refuses; at 10 dB they gave a p_mu of
+    # 1.0000000000000004 with 1.98e20 bits, a p_z of 1.5 with 2.6e7 bits,
+    # or an error deep in the refinement or in binary_entropy
+    @pytest.mark.parametrize("axis, values, error", [
+        ("mu_values", (0.5, math.nan), ParamError),
+        ("nu_values", (0.1, math.inf), ParamError),
+        ("p_z_values", (-math.inf,), ParamError),
+        ("mu_values", (-0.2, 0.5), ParamError),
+        ("mu_values", (0.0, 0.5), ParamError),
+        ("nu_values", (-0.01, 0.2), InvalidIntensityOrder),
+        ("p_mu_values", (0.5, 1.0), ProbabilityOutOfRange),
+        ("p_mu_values", (0.0, 0.5), ProbabilityOutOfRange),
+        ("p_z_values", (1.5,), ProbabilityOutOfRange),
+        ("p_z_values", (0.0, 0.9), ProbabilityOutOfRange),
+    ])
+    def test_values_outside_the_parameter_domain_rejected(self, axis, values, error):
+        with pytest.raises(error, match=f"^{axis}="):
+            GridSpec(**{axis: values})
+
     def test_refinement_never_hurts(self):
         coarse = optimize(LINK_75, grid=SMALL_GRID, refine=False)
         fine = optimize(LINK_75, grid=SMALL_GRID, refine=True)
@@ -300,6 +382,21 @@ class TestOptimize:
         assert cert.l_bits[2, 1, 3, 0] == evaluate_grid(
             SMALL_GRID.mu_values[2], SMALL_GRID.nu_values[1], SMALL_GRID.p_mu_values[3],
             0.9, ProtocolParams(), LINK_75)
+
+    @pytest.mark.parametrize("key", sorted(k for k, pin in PROJECTION_PINS.items() if pin))
+    def test_incumbent_from_pairs_is_certificate_best(self, key):
+        # optimize takes its incumbent from the scored pairs; it must be
+        # the point _best_index picks over the whole certificate
+        grid_name, loss = key
+        p, link, _ = load_config(CONFIG_PROJ)
+        grid = GridSpec(p_z_values=FREE_P_Z if grid_name == "free" else (p.p_z_bob,))
+        result = optimize(link.with_channel_loss(loss), p0=p, grid=grid, refine=False)
+        cert = result.certificate
+        i = optimizer._best_index(cert.l_bits, cert.mu, cert.nu, cert.p_mu, cert.p_z)
+        b = result.best
+        assert (b.mu, b.nu, b.p_mu, b.p_z_bob) == tuple(
+            a[i] for a in (cert.mu, cert.nu, cert.p_mu, cert.p_z))
+        assert result.l_bits == cert.l_bits[i] == cert.l_bits.max()
 
     def test_ties_resolve_to_smallest_values(self):
         # maxima at (mu, nu) = (0.3, 0.01), (0.1, 0.05), (0.2, 0.05)
