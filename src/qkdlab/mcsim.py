@@ -157,26 +157,25 @@ def _stream_key(seed: int, slot: int) -> int:
     return _mix_scalar((seed & _MASK64) ^ _mix_scalar(slot * 0xD1B54A32D192ED03))
 
 
+def _folded_key(seed: int, slot: int) -> int:
+    """The stream key plus the golden gamma mod 2^64: the hash input of
+    gate 0, to which a gate's index is added."""
+    return (_stream_key(seed, slot) + _MIX_GOLD) & _MASK64
+
+
 _NP_M1, _NP_M2 = _U64(_MIX_M1), _U64(_MIX_M2)
+_RUN = 1 << 30  # the first xorshift's x >> 30 is constant on aligned runs of this many
 
 
-def _uniforms_u64(seed: int, slot: int, index: np.ndarray, start: int = 0, work=None) -> np.ndarray:
-    """64-bit uniforms for (seed, slot, gate), gate = start + index (an
-    int64 or uint64 array); pure and order-independent.
-
-    The splitmix64 finalizer of (gate + key), computed in place.  With
-    ``work``, a pair of uint64 buffers at least ``index.size`` long, the
-    result is a view of the first buffer, valid until the next call on it;
-    without, it is a new array."""
-    n = index.size
+def _hash_buffers(n: int, work):
     if work is None:
         work = (np.empty(n, _U64), np.empty(n, _U64))
-    x, t = work[0][:n], work[1][:n]
-    # fold key + golden gamma + start mod 2^64 as a Python int: the sum of
-    # np.uint64 scalars would raise an overflow warning
-    np.add(index.view(_U64), (_stream_key(seed, slot) + _MIX_GOLD + start) & _MASK64, out=x)
-    np.right_shift(x, 30, out=t)
-    x ^= t
+    return work[0][:n], work[1][:n]
+
+
+def _finish(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer's rounds after its first xorshift, in place
+    on ``x``, with ``t`` as scratch."""
     x *= _NP_M1
     np.right_shift(x, 27, out=t)
     x ^= t
@@ -184,6 +183,42 @@ def _uniforms_u64(seed: int, slot: int, index: np.ndarray, start: int = 0, work=
     np.right_shift(x, 31, out=t)
     x ^= t
     return x
+
+
+def _uniforms_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
+    """64-bit uniforms of the hash inputs ``c + index`` mod 2^64, ``index``
+    an int64 or uint64 array: the splitmix64 finalizer, computed in place.
+    With ``work``, a pair of uint64 buffers at least ``index.size`` long,
+    the result is a view of the first buffer, valid until the next call on
+    it; without, it is a new array."""
+    x, t = _hash_buffers(index.size, work)
+    np.add(index.view(_U64), c & _MASK64, out=x)
+    np.right_shift(x, 30, out=t)
+    x ^= t
+    return _finish(x, t)
+
+
+def _uniforms_range(c: int, iota: np.ndarray, work=None) -> np.ndarray:
+    """``_uniforms_at(c, iota, work)`` for the offsets ``iota`` = 0, 1, ...,
+    n - 1.  The inputs x = c + iota mod 2^64 share x >> 30 on each run
+    between multiples of 2^30, so the first xorshift is one XOR with that
+    constant per run: one run, or two, for a chunk of up to 2^30 gates."""
+    x, t = _hash_buffers(iota.size, work)
+    c &= _MASK64
+    np.add(iota, c, out=x)
+    a = 0
+    while a < x.size:
+        v = (c + a) & _MASK64
+        b = a + _RUN - (v & (_RUN - 1))
+        x[a:b] ^= _U64(v >> 30)
+        a = b
+    return _finish(x, t)
+
+
+def _uniforms_u64(seed: int, slot: int, gates: np.ndarray) -> np.ndarray:
+    """64-bit uniforms for (seed, slot, gate) of each gate of ``gates`` (an
+    int64 or uint64 array), as a new array; pure and order-independent."""
+    return _uniforms_at(_folded_key(seed, slot), gates)
 
 
 _UINT64_MAX = _U64(_MASK64)
@@ -225,12 +260,21 @@ def _guide(thr: np.ndarray) -> np.ndarray:
     return guide.ravel()
 
 
-def _sample(thr, u, row=None, guide=None, scratch=None) -> np.ndarray:
+def _width(thr):
+    """The sparse-draw width of ``thr`` for ``_sample``: the number of
+    thresholds below 2^64 - 1 in each table, and a ones vector as long as
+    the largest of them."""
+    below = np.count_nonzero(thr < _UINT64_MAX, axis=-1)
+    return below, np.ones(int(below.max(initial=0)), dtype=np.uint8)
+
+
+def _sample(thr, u, row=None, guide=None, scratch=None, width=None) -> np.ndarray:
     """Bin of each uniform: the number of thresholds below it, which is
     ``np.searchsorted(thr, u, side="left")``, as uint8.
 
     A 2-D ``thr`` stacks one table per row and ``row`` picks the table of
-    each uniform.  Two modes, both exact:
+    each uniform.  ``width`` is ``_width(thr)``, made here if not given.
+    Two modes, both exact:
 
     - with ``guide = _guide(thr)``, for draws over every gate: the bin is
       the entry of the uniform's bucket, and only the uniforms in split
@@ -239,7 +283,8 @@ def _sample(thr, u, row=None, guide=None, scratch=None) -> np.ndarray:
     - without, for sparse draws and the guide's fix-up: one gathered
       comparison of each uniform with its table's thresholds, up to the
       last one below 2^64 - 1 in any table drawn from (no uniform exceeds
-      2^64 - 1, the last threshold and the padding of every table).
+      2^64 - 1, the last threshold and the padding of every table).  An
+      empty draw compares nothing.
     """
     if guide is not None:
         idx = np.right_shift(u, _GUIDE_SHIFT, out=scratch)
@@ -250,15 +295,17 @@ def _sample(thr, u, row=None, guide=None, scratch=None) -> np.ndarray:
         # take's bounds error
         out = np.take(guide, idx.view(np.int64), mode="wrap")
         split = np.flatnonzero(out == _SPLIT)
-        out[split] = _sample(thr, u[split], None if row is None else row[split])
+        out[split] = _sample(thr, u[split], None if row is None else row[split], width=width)
         return out
-    below = np.count_nonzero(thr < _UINT64_MAX, axis=-1)
+    if not u.size:
+        return np.zeros(0, dtype=np.uint8)
+    below, ones = width if width is not None else _width(thr)
     if row is None:
         table = thr[:below]
     else:
-        table = np.take(thr[:, : np.take(below, row).max(initial=0)], row, axis=0)
+        table = np.take(thr[:, : np.take(below, row).max()], row, axis=0)
     # a product with ones sums the short rows of comparisons faster than np.sum
-    return (u[:, None] > table).view(np.uint8) @ np.ones(table.shape[-1], dtype=np.uint8)
+    return (u[:, None] > table).view(np.uint8) @ ones[: table.shape[-1]]
 
 
 # decision slots
@@ -317,17 +364,19 @@ def _photon_pmfs(p: ProtocolParams) -> list[list[float]]:
 
 class _SessionTables:
     """Precomputed sampling tables for one (params, link) pair, and the
-    chunk work arrays of every session run on them.
+    chunk work arrays and stream keys of every session run on them.
 
-    The tables are the thresholds of every draw and, beside the two drawn
-    over every gate, their guides (``prep_guide``, ``pois_guide``; see
-    ``_sample``).  ``set_rotation`` rebuilds only the routing thresholds,
-    whose sparse draw needs no guide, so the guides are made once.  The
-    work arrays are the gate offsets ``iota`` (0, 1, ...) and ``work``, one
-    pair of uint64 hash buffers: a process runs one chunk at a time, and a
+    The tables are the thresholds of every draw, each with its sparse-draw
+    width (``*_width``), and beside the two drawn over every gate, their
+    guides (``prep_guide``, ``pois_guide``; see ``_sample``).
+    ``set_rotation`` rebuilds only the routing thresholds and width, whose
+    sparse draw needs no guide, so the guides are made once.  The work
+    arrays are the gate offsets ``iota`` (0, 1, ...) and ``work``, one pair
+    of uint64 hash buffers: a process runs one chunk at a time, and a
     forked worker writes to its own copy.  ``reserve`` grows them.  They
     live exactly as long as the tables, so the windows of a stability run,
-    which share one set, map and fault them in once.
+    which share one set, map and fault them in once.  ``keys`` folds the
+    stream keys of a seed once, for every chunk and window run with it.
 
     Raises ValueError if the photon or routed-photon cap would clip more
     than ``_CAP_TOLERANCE`` of the gates of either intensity."""
@@ -363,9 +412,14 @@ class _SessionTables:
         self.dark_thr = _cdf_u64(rates.click_patterns(np.full(4, dark)))
         self.prep_guide = _guide(self.prep_thr)
         self.pois_guide = _guide(self.pois_thr)
+        self.prep_width = _width(self.prep_thr)
+        self.pois_width = _width(self.pois_thr)
+        self.binom_width = _width(self.binom_thr)
+        self.dark_width = _width(self.dark_thr)
         self.set_rotation(p, link)
         self.iota = np.arange(0, dtype=_U64)
         self.work = (self.iota, self.iota)
+        self._seed, self._keys = None, None
 
     def reserve(self, n: int) -> None:
         """Grow the work arrays to hold chunks of ``n`` gates."""
@@ -373,17 +427,27 @@ class _SessionTables:
             self.iota = np.arange(n, dtype=_U64)
             self.work = (np.empty(n, _U64), np.empty(n, _U64))
 
+    def keys(self, seed: int) -> list[int]:
+        """``_folded_key(seed, slot)`` of every slot below the last routing
+        slot, made once per seed in a row."""
+        if self._seed != seed:
+            self._keys = [_folded_key(seed, s) for s in range(_SLOT_ROUTE0 + _MAX_ROUTED)]
+            self._seed = seed
+        return self._keys
+
     def set_rotation(self, p: ProtocolParams, link: LinkModel) -> None:
         """Recompute the rotation-dependent routing tables only; everything
         else is unchanged by a channel-angle update."""
         # photon routing per (basis, bit) class, after channel rotation
         rho = optics.routing_weights(link.rotation_angle, p.p_z_bob, link.e_mis_z, link.e_mis_x)
         self.route_thr = np.stack([_cdf_u64(w) for w in rho])
+        self.route_width = _width(self.route_thr)
 
 
-def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
+def _resolve_clicks(key, index, cmask, prep, start=0, work=None):
     """Click resolution and sifting for gates with at least one click, the
-    gates ``start + index`` (uniforms drawn as by ``_uniforms_u64``).
+    gates ``start + index``; ``key`` is the click-choice slot's
+    ``_folded_key``.
 
     ``cmask`` is each gate's 4-bit click pattern and ``prep`` Alice's
     (intensity, basis, bit) choice.  A multi-click gate resolves to one of
@@ -395,7 +459,7 @@ def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
     kth = np.zeros(index.size, dtype=np.uint8)
     multi = cpop > 1
     if multi.any():
-        uc = _uniforms_u64(seed, _SLOT_DCLICK, index[multi], start, work)
+        uc = _uniforms_at(key + start, index[multi], work)
         kf = (uc.astype(np.float64) * 2.0**-64 * cpop[multi]).astype(np.int64)
         kth[multi] = np.minimum(kf, cpop[multi] - 1)
     chosen = _CHOICE[cmask, kth]
@@ -418,54 +482,57 @@ def _resolve_clicks(seed, index, cmask, prep, start=0, work=None):
 _TALLY = 19
 
 
-def _run_chunk(tables, seed, start, stop, keep_records):
+def _run_chunk(tables, keys, start, stop, keep_records):
     """Gates ``start .. stop - 1``, each addressed by its offset from
     ``start`` on the tables' work arrays (at least ``stop - start`` long):
-    only the gates kept as records are formed.  Returns the ``_TALLY``
-    vector and, with ``keep_records``, the (gate, detector, dark) record
-    columns, else None."""
+    only the gates kept as records are formed.  ``keys`` is
+    ``tables.keys(seed)``.  Returns the ``_TALLY`` vector and, with
+    ``keep_records``, the (gate, detector, dark) record columns, else
+    None."""
     n = stop - start
     every, work = tables.iota[:n], tables.work
 
-    def uniforms(slot, index):
-        return _uniforms_u64(seed, slot, index, start, work)
+    def uniforms(slot):
+        # a draw over every gate
+        return _uniforms_range(keys[slot] + start, every, work)
 
-    def draw(thr, guide, slot, row=None):
+    def draw(thr, guide, width, slot, row=None):
         # a guided draw over every gate; its entry indices go to the second
         # hash buffer, free once the uniforms are hashed
-        return _sample(thr, uniforms(slot, every), row, guide, work[1][:n])
+        return _sample(thr, uniforms(slot), row, guide, work[1][:n], width)
 
-    prep = draw(tables.prep_thr, tables.prep_guide, _SLOT_PREP)
+    prep = draw(tables.prep_thr, tables.prep_guide, tables.prep_width, _SLOT_PREP)
     # photon number from the table of the gate's intensity, prep >> 2
-    nph = draw(tables.pois_thr, tables.pois_guide, _SLOT_NPHOT, prep >> 2)
+    nph = draw(tables.pois_thr, tables.pois_guide, tables.pois_width, _SLOT_NPHOT, prep >> 2)
 
     # gates with at least one surviving photon, and their survivor counts:
     # uniforms at or below P(no survivor | n) fall in bin 0, as every one
     # does at n = 0.  The thresholds go to the free second hash buffer
     # (mode "clip" writes there directly; n <= _PHOTON_CAP is in range).
-    us = uniforms(_SLOT_SURV, every)
+    us = uniforms(_SLOT_SURV)
     act = np.flatnonzero(us > np.take(tables.binom_zero, nph, out=work[1][:n], mode="clip"))
-    surv = _sample(tables.binom_thr, us[act], nph[act])
+    surv = _sample(tables.binom_thr, us[act], nph[act], width=tables.binom_width)
     np.minimum(surv, _MAX_ROUTED, out=surv)
 
     pclick = np.zeros(n, dtype=np.uint8)
     for j in range(int(surv.max(initial=0))):
         sub = act[surv > j]
-        ur = uniforms(_SLOT_ROUTE0 + j, sub)
+        ur = _uniforms_at(keys[_SLOT_ROUTE0 + j] + start, sub, work)
         # routing class = (basis << 1) | bit, the low bits of prep
-        pclick[sub] |= np.uint8(1) << _sample(tables.route_thr, ur, row=prep[sub] & 3)
+        pclick[sub] |= np.uint8(1) << _sample(tables.route_thr, ur, prep[sub] & 3,
+                                              width=tables.route_width)
 
     # dark click pattern: uniforms at or below P(no dark click) fall in bin 0
-    ud = uniforms(_SLOT_DARK, every)
+    ud = uniforms(_SLOT_DARK)
     dark = np.flatnonzero(ud > tables.dark_thr[0])
     dpat = np.zeros(n, dtype=np.uint8)
-    dpat[dark] = _sample(tables.dark_thr, ud[dark])
+    dpat[dark] = _sample(tables.dark_thr, ud[dark], width=tables.dark_width)
 
     clicks = pclick | dpat
     any_idx = np.flatnonzero(clicks != 0)
     cmask, prep_any, nph_any = clicks[any_idx], prep[any_idx], nph[any_idx]
     n_cells, m_cells, sifted, errors, multi = _resolve_clicks(
-        seed, any_idx, cmask, prep_any, start, work
+        keys[_SLOT_DCLICK], any_idx, cmask, prep_any, start, work
     )
 
     abasis = (prep_any >> 1) & 1  # 0 Z, 1 X
@@ -498,11 +565,14 @@ def _run_chunk(tables, seed, start, stop, keep_records):
 
 
 # 2^16 gates keep a chunk's working set in cache; smaller chunks spend
-# the time in per-chunk Python glue.  Its uint64 arrays (512 KiB: the gate
-# offsets and the two hash buffers) are over glibc's 128 KiB mmap
-# threshold, so every fresh one is mapped and page-faulted in; they live
-# on _SessionTables and are made once per tables object, not per chunk or
-# per stability window.
+# the time in per-chunk Python glue.  In-process medians on a 2-vCPU Xeon
+# (numpy 2.4.6), chunks of 2^15 / 2^16 / 2^17 gates: a 2^22-pulse session
+# 139 / 129 / 144 ms back-to-back and 103 / 101 / 112 ms at 14.6 dB, a
+# 1e5-pulse stability window 4.67 / 4.16 / 4.02 ms.  Its uint64 arrays
+# (512 KiB: the gate offsets and the two hash buffers) are over glibc's
+# 128 KiB mmap threshold, so every fresh one is mapped and page-faulted
+# in; they live on _SessionTables and are made once per tables object,
+# not per chunk or per stability window.
 _DEFAULT_CHUNK = 1 << 16
 
 
@@ -618,6 +688,7 @@ def run_session(
         )
     tables = _tables if _tables is not None else _SessionTables(p, link)
     tables.reserve(min(chunk_size, n_total))
+    keys = tables.keys(seed)
     stop = gate_offset + n_total
 
     def shard(chunks):
@@ -625,7 +696,7 @@ def run_session(
         total, kept, n_kept = np.zeros(_TALLY, np.int64), [], 0
         for c in chunks:
             s = gate_offset + c * chunk_size
-            tally, columns = _run_chunk(tables, seed, s, min(s + chunk_size, stop), keep_records)
+            tally, columns = _run_chunk(tables, keys, s, min(s + chunk_size, stop), keep_records)
             total += tally
             if keep_records:
                 kept.append(columns)
@@ -890,8 +961,8 @@ def _read_rows(fh, path: str) -> RecordSet:
     """The rows from ``fh``'s position, just past the header, to its end.
 
     Pass 1 counts the non-blank lines, which sizes the columns.  Pass 2
-    parses the complete lines of each piece into them, and carries a
-    partial last line over to the front of the next piece."""
+    parses the complete non-blank lines of each piece into them, and
+    carries a partial last line over to the front of the next piece."""
     buf = bytearray(_MAX_LINE + _READ_BYTES)
     body_start = fh.tell()
     size, capacity = _count_lines(fh, buf)
@@ -914,35 +985,39 @@ def _read_rows(fh, path: str) -> RecordSet:
         cut = buf.rfind(b"\n", 0, end) + 1
         if cut:
             body = np.frombuffer(buf, np.uint8, cut)
-            # body line k, file line line + k, ends at ends[k]
-            ends = np.flatnonzero(body == _NEWLINE)
+            lf = body == _NEWLINE
+            # a non-blank line ends at a LF after another byte, and starts
+            # at the first byte or after a LF, at a byte that is not one
+            ends = np.flatnonzero(lf[1:] > lf[:-1]) + 1
             start = np.empty_like(ends)
-            start[0] = 0
-            np.add(ends[:-1], 1, out=start[1:])
-            rows = np.flatnonzero(ends != start)
-            if n + rows.size > capacity:
+            first = int(not lf[0])
+            start[:first] = 0
+            start[first:] = np.flatnonzero(lf[:-1] > lf[1:]) + 1
+            rows = ends.size
+            if n + rows > capacity:
                 raise IoError(f"{path} changed while its records were read")
-            if rows.size:
-                gate, det, dark = (c[n : n + rows.size] for c in columns)
-                ok, fits = _parse_rows(body, start[rows], ends[rows], gate, det, dark)
-                later = np.empty(rows.size, dtype=bool)
+            if rows:
+                gate, det, dark = (c[n : n + rows] for c in columns)
+                ok, fits = _parse_rows(body, start, ends, gate, det, dark)
+                later = np.empty(rows, dtype=bool)
                 later[1:] = (gate[1:] > gate[:-1]) | ((gate[1:] == gate[:-1]) & (det[1:] > det[:-1]))
                 later[0] = last is None or (int(gate[0]), int(det[0])) > last
                 bad = ~(ok & fits & later)
                 if bad.any():
                     k = int(np.argmax(bad))
-                    row = body[start[rows[k]] : ends[rows[k]]].tobytes()
+                    row = body[start[k] : ends[k]].tobytes()
                     if not ok[k]:
                         message = _bad_row(row)
                     elif not fits[k]:
                         message = f"gate {row.split(b',')[0].decode()} exceeds 2^64 - 1"
                     else:
                         message = "row not after the previous one in (gate, detector) order"
-                    raise FormatError(message, line + int(rows[k]))
+                    # the row's file line: buf[0]'s, plus the LFs before the row
+                    raise FormatError(message, line + int(np.count_nonzero(lf[: start[k]])))
                 last = (int(gate[-1]), int(det[-1]))
-                n += rows.size
-            line += ends.size
-            del ends, start  # before the next piece makes its own
+                n += rows
+            line += int(np.count_nonzero(lf))
+            del lf, ends, start  # before the next piece makes its own
             buf[: end - cut] = buf[cut:end]
         held = end - cut
         if held > _MAX_LINE:
@@ -970,11 +1045,10 @@ def read_records(
     The file is read in pieces of ``_READ_BYTES``, twice: once to count its
     non-blank lines, which sizes the columns at 10 bytes a row, then to
     parse each piece's complete lines into them.  Beside the columns a read
-    holds one piece and its per-line temporaries, about 2 MiB for a file
-    that ``write_records`` wrote and 4.5 MiB for one of blank lines, and
-    the recount as much for its block of ``_BLOCK_ROWS`` rows; neither
-    grows with the file.  The file must be
-    seekable.  IoError is raised if it cannot be read, or if it changes
+    holds one piece, its LF mask and the offsets of its rows, about 1.7 MiB
+    for a file that ``write_records`` wrote and 0.8 MiB for one of blank
+    lines, and the recount about 2 MiB for its block of ``_BLOCK_ROWS``
+    rows; neither grows with the file.  The file must be seekable.  IoError is raised if it cannot be read, or if it changes
     between the two passes.
 
     When (params, link, seed) of the originating session are supplied, the
@@ -1013,7 +1087,8 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
     if len(records) == 0:
         return ObservedCounts()
     prep_thr = _prep_thr(p)
-    prep_guide = _guide(prep_thr)
+    prep_guide, prep_width = _guide(prep_thr), _width(prep_thr)
+    prep_key, click_key = _folded_key(seed, _SLOT_PREP), _folded_key(seed, _SLOT_DCLICK)
     g = records.gate_index
     n_cells, m_cells = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     s = 0
@@ -1029,8 +1104,9 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
         gates = block[first]
         cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id[s:e], first)
         del first  # freed before the hashing, where the block peaks
-        prep = _sample(prep_thr, _uniforms_u64(seed, _SLOT_PREP, gates), guide=prep_guide)
-        n, m, *_ = _resolve_clicks(seed, gates, cmask, prep)
+        prep = _sample(prep_thr, _uniforms_at(prep_key, gates), guide=prep_guide,
+                       width=prep_width)
+        n, m, *_ = _resolve_clicks(click_key, gates, cmask, prep)
         n_cells += n
         m_cells += m
         s = e

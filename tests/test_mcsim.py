@@ -177,11 +177,62 @@ class TestWorkBuffers:
         gates = np.array([start + int(i) for i in index], dtype=np.uint64)
         # longer than the index and holding stale values, as between chunks
         work = (np.full(1000, 2**64 - 1, dtype=np.uint64), np.arange(1000, dtype=np.uint64))
-        got = mcsim._uniforms_u64(seed, slot, index, start, work)
+        got = mcsim._uniforms_at(mcsim._folded_key(seed, slot) + start, index, work)
         assert np.shares_memory(got, work[0])
         assert np.array_equal(got, mcsim._uniforms_u64(seed, slot, gates))
         key = mcsim._stream_key(seed, slot)
         assert got.tolist() == [mcsim._mix_scalar((key + g) % 2**64) for g in gates.tolist()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), slot=st.integers(0, 24), n=st.integers(1, 3000),
+           carry=st.sampled_from(["first", "mid", "last", "top"]),
+           lap=st.one_of(st.sampled_from([0, 1, 2**34 - 1]), st.integers(0, 2**34 - 1)))
+    def test_range_uniforms_equal_gathered_and_scalar(self, seed, slot, n, carry, lap):
+        # the hash input of gate g is c + g: place a multiple of 2^30 (2^64
+        # at lap 0) on the range's first gate, a middle one or its last, or
+        # end the range at gate 2^64 - 1
+        c = mcsim._folded_key(seed, slot)
+        if carry == "top":
+            start = 2**64 - n
+        else:
+            at = {"first": 0, "mid": n // 2, "last": n - 1}[carry]
+            start = (lap * 2**30 - c - at) % 2**64
+        gates = [(start + i) % 2**64 for i in range(n)]
+        work = (np.full(n + 7, 2**64 - 1, dtype=np.uint64), np.arange(n + 7, dtype=np.uint64))
+        got = mcsim._uniforms_range(c + start, np.arange(n, dtype=np.uint64), work)
+        assert np.shares_memory(got, work[0])
+        want = mcsim._uniforms_u64(seed, slot, np.array(gates, dtype=np.uint64))
+        assert np.array_equal(got, want)
+        key = mcsim._stream_key(seed, slot)
+        assert got.tolist() == [mcsim._mix_scalar((key + g) % 2**64) for g in gates]
+
+    def test_set_up_made_once_per_tables_and_seed(self, monkeypatch):
+        # stream keys and sparse-draw widths: as many for 256 chunks as for
+        # one, and for 6 stability windows as for one
+        calls = {"keys": 0, "widths": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(mcsim, "_stream_key", counting("keys", mcsim._stream_key))
+        monkeypatch.setattr(mcsim, "_width", counting("widths", mcsim._width))
+
+        def made(n_pulses=None, windows=None):
+            calls.update(keys=0, widths=0)
+            if windows is None:
+                run_session(P_SMALL, LINK_B2B, seed=4, n_pulses=n_pulses, chunk_size=256,
+                            n_threads=1)
+            else:
+                run_stability(P_SMALL, LINK_B2B, DriftModel(), Schedule(duration_h=windows / 12),
+                              seed=4, pulses_per_window=1000, n_threads=1)
+            return dict(calls)
+
+        once = {"keys": mcsim._SLOT_ROUTE0 + mcsim._MAX_ROUTED, "widths": 5}
+        assert made(n_pulses=256) == made(n_pulses=256 * 256) == once
+        assert made(windows=1) == made(windows=6) == once
 
     @pytest.mark.parametrize("offset", [2**63 - 5, 2**64 - 3 * 2**16 - 5])
     def test_offsets_near_the_top_match_chunk_777(self, offset):
@@ -1094,6 +1145,20 @@ class TestRecordFileKernels:
             tracemalloc.stop()
         assert read.gate_index.tolist() == list(gates)
         assert peak < len(gates) * 10 + (6 << 20)
+
+    def test_blank_lines_hold_no_line_offsets(self, record_dir):
+        # line offsets are made for rows only: a piece of blank lines holds
+        # its LF mask, not 16 bytes of offsets a line (4.5 MiB a piece)
+        path = record_dir / "blank_lines.csv"
+        path.write_bytes(b"gate_index,detector_id,is_dark\n" + b"\n" * 3_000_000 + b"7,1,0\n")
+        tracemalloc.start()
+        try:
+            read = read_records(str(path))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read.gate_index.tolist() == [7]
+        assert peak < 1.5 * 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(lines=st.lists(st.sampled_from([b"", b"7,1,0", b"12345,0,1"]), max_size=40),
