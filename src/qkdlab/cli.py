@@ -160,7 +160,15 @@ def cmd_stability(args) -> int:
 
 
 def _grid(p, free_p_z: bool) -> optimizer.GridSpec:
-    """The default grid at the config's p_z, or with p_z free in 0.5..0.95."""
+    """The default grid at the config's p_z, or with p_z free in 0.5..0.95.
+    The grid sets one p_z for both sides, so without --free-p-z the
+    config's two must be equal."""
+    if not free_p_z and p.p_z_alice != p.p_z_bob:
+        raise CliError(
+            f"the search grid shares one p_z between both sides, but the config "
+            f"has p_z_alice={p.p_z_alice} and p_z_bob={p.p_z_bob}; make them "
+            f"equal or pass --free-p-z"
+        )
     return optimizer.GridSpec(
         p_z_values=optimizer._steps(0.5, 0.95, 0.05) if free_p_z else (p.p_z_bob,)
     )
@@ -266,10 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (mcsim.FormatError, mcsim.IoError, OSError) as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -101,16 +101,6 @@ class DecoyFactors:
         self.vacuum_weight = (mu2 - nu2) / mu2
         self.single_photon_scale = self.tau1 * (p.mu / (p.nu * self.gap))
 
-    def part(self, take) -> "DecoyFactors":
-        """These factors with ``take`` applied to each array, such as a
-        grid block's share of them."""
-        f = object.__new__(type(self))
-        vars(f).update(
-            (name, tuple(map(take, v)) if isinstance(v, tuple) else take(v))
-            for name, v in vars(self).items()
-        )
-        return f
-
 
 # The bounds below read tallies indexed by intensity in Intensity order: one
 # basis's row x of ``ObservedCounts.sift`` (n) or ``.err`` (m), or both bases'

@@ -1051,10 +1051,11 @@ def read_records(
     rows; neither grows with the file.  The file must be seekable.  IoError is raised if it cannot be read, or if it changes
     between the two passes.
 
-    When (params, link, seed) of the originating session are supplied, the
-    sifted tallies are recomputed by re-deriving Alice's per-gate choices
-    and the multi-click resolution from the counter-based streams; they
-    equal the original session counts.
+    When the params ``p`` and ``seed`` of the originating session are
+    supplied, the sifted tallies are recomputed by re-deriving Alice's
+    per-gate choices and the multi-click resolution from the counter-based
+    streams; they equal the original session counts.  The recount does not
+    read ``link``, which is accepted for callers that pass it positionally.
     """
     try:
         with open(path, "rb") as fh:
@@ -1070,7 +1071,7 @@ def read_records(
     except OSError as exc:
         raise IoError(f"cannot read records from {path}: {exc}") from exc
     counts = None
-    if p is not None and link is not None and seed is not None:
+    if p is not None and seed is not None:
         counts = _counts_from_clicks(records, p, seed)
     return records, counts
 

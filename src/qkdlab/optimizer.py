@@ -1,11 +1,12 @@
 """Grid search over protocol parameters and key-rate-versus-loss scans.
 
 The objective is the secure length evaluated on the closed-form expected
-statistics.  ``evaluate_grid`` scores broadcast per-axis parameter arrays
-through the same ``rates`` tallies and ``finitekey`` composition as a
-single point, so a grid score and ``finitekey.key_length`` at that point
-are the same number.  Ties resolve to the lexicographically smallest
-(mu, nu, p_mu, p_z), so any evaluation order yields the same incumbent.
+statistics.  ``evaluate_grid`` scores a run of (mu, nu) pairs at each
+p_mu and p_z value through the same ``rates`` tallies and ``finitekey``
+composition as a single point, so a grid score and
+``finitekey.key_length`` at that point are the same number.  Ties resolve
+to the lexicographically smallest (mu, nu, p_mu, p_z), so any evaluation
+order yields the same incumbent.
 """
 
 from __future__ import annotations
@@ -63,13 +64,11 @@ class GridSpec:
 
 # Points scored per block.  optimize's free-p_z grid is scored in blocks of
 # 10 p_mu rows times 1,609 scorable (mu, nu) pairs at one p_z, 16,090
-# points, and 8 rows for the rest of each p_z.  The terms that do not
-# depend on p_z are computed once per call on the (p_mu, pair) plane, so
-# each block's share of them has the block's own shape.  Under the
-# earlier (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took 630 page
-# faults each and 5.3 s for `scan --losses 1:45:1 --optimize --free-p-z`;
-# blocks of 2^13 almost none, but 4.0 s with twice the per-block Python
-# overhead (2-vCPU Xeon, numpy 2.4).
+# points, and 8 rows for the rest of each p_z.  Under the earlier
+# (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took 630 page faults
+# each and 5.3 s for `scan --losses 1:45:1 --optimize --free-p-z`; blocks
+# of 2^13 almost none, but 4.0 s with twice the per-block Python overhead
+# (2-vCPU Xeon, numpy 2.4).
 _BLOCK_POINTS = 1 << 14
 
 
@@ -81,82 +80,60 @@ def evaluate_grid(
     p0: ProtocolParams,
     link: LinkModel,
 ) -> np.ndarray:
-    """Secure length at each parameter tuple, broadcasting the four inputs
-    against each other; the result has the broadcast shape.  Each point is
-    scored by the composition ``finitekey.key_length`` uses, so a score is
-    exactly ``key_length(expected_statistics(point)).l_bits``; points that
+    """Secure length of each (mu[i], nu[i]) pair at each p_mu and p_z
+    value, shape (len(p_z), len(p_mu), len(mu)).  ``mu`` and ``nu`` are
+    1-D of one length, ``p_mu`` and ``p_z`` 1-D axes; a scalar counts as
+    one value.  Each point is scored by the composition
+    ``finitekey.key_length`` uses, so a score is exactly
+    ``key_length(expected_statistics(point)).l_bits``; points that
     ``key_length`` rejects (nu >= mu, nu <= 0, empty key basis) score zero.
 
-    What does not depend on p_z is computed once per call, on the sub-grid
-    its inputs span: the masking of unscorable (mu, nu) pairs, the gains
-    and QBERs (mu and nu points), and the decoy factors of the bounds
-    ((mu, nu, p_mu) points).  The grid is then filled in blocks of at most
-    ``_BLOCK_POINTS`` points: runs of rows of the first axis, or one row
-    at a time (recursively) when a row is larger.  A block takes its share
-    of those terms, rounds its tallies and runs the count-dependent bounds.
-    ``optimize``'s (p_z, p_mu, pair) layout, where mu and nu share the
-    pair axis, makes each block one p_z value over whole (p_mu, pair)
-    rows."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in (mu, nu, p_mu, p_z)]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    # every term gets the grid's rank, at least one, so that a block takes
-    # its share of each by the same indices
-    rank = max(1, len(shape))
-    mu, nu, p_mu, p_z = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in arrays)
+    Blocks hold at most ``_BLOCK_POINTS`` points: a run of pairs (all of
+    them when they fit), times a run of p_mu rows (all when they fit),
+    times a run of p_z values.  The loops run in that order, so each term
+    is made once per call on the points it depends on: the gains and
+    QBERs (``rates.intensity_terms``) once per run of pairs, the bounds'
+    decoy factors (``finitekey.DecoyFactors``) once per run of p_mu rows,
+    and the tallies and count-dependent bounds once per block."""
+    mu, nu, p_mu, p_z = (
+        np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (mu, nu, p_mu, p_z)
+    )
     # the scores first: the terms below and the blocks' temporaries are
     # then freed as one region above them, which optimize's certificate
     # reuses (peak RSS of a scan 0.3 MiB lower than the other order)
-    out = np.empty(shape or (1,))
-    # Masked points get placeholder intensities inside every bound's domain:
-    # nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so that the
-    # counts keep mu on its own axis.  A point with no key-basis detections
-    # needs no mask: it already scores zero.
-    masked = ~_scorable(mu, nu)
+    out = np.empty((len(p_z), len(p_mu), len(mu)))
+    # Unscorable pairs get placeholder intensities inside every bound's
+    # domain: nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so
+    # that the counts keep mu.  A point with no key-basis detections needs
+    # no mask: it already scores zero.
+    scorable = _scorable(mu, nu)
     nu = np.where(nu > 0.0, nu, 1.0)
-    q, e = rates.intensity_terms(link, mu, nu)
-    f = finitekey.DecoyFactors(replace(p0, mu=np.where(masked, nu + 1.0, mu), nu=nu, p_mu=p_mu))
-    _fill(out, (p_mu, p_z, q, e, f), p0)
+    mu_bounds = np.where(scorable, mu, nu + 1.0)
+    pairs = max(1, min(len(mu), _BLOCK_POINTS))
+    rows = max(1, min(len(p_mu), _BLOCK_POINTS // pairs))
+    values = _BLOCK_POINTS // (pairs * rows)
+    for i in range(0, len(mu), pairs):
+        run = slice(i, i + pairs)
+        q, e = rates.intensity_terms(link, mu[run], nu[run])
+        for j in range(0, len(p_mu), rows):
+            pm = p_mu[j:j + rows, None]
+            f = finitekey.DecoyFactors(replace(p0, mu=mu_bounds[run], nu=nu[run], p_mu=pm))
+            for k in range(0, len(p_z), values):
+                pz = p_z[k:k + values, None, None]
+                # _secure_length holds the only reference to the tallies,
+                # and frees them
+                out[k:k + values, j:j + rows, run] = finitekey._secure_length(
+                    rates.expected_tallies(p0.n_pulses, pm, pz, pz, q, e), f, p0
+                )["l_bits"]
     # a point key_length rejects scores zero
-    np.copyto(out, 0.0, where=masked)
-    return out.reshape(shape)
-
-
-def _part(terms: tuple, take) -> tuple:
-    """``take`` applied to each array of evaluate_grid's ``terms``."""
-    p_mu, p_z, q, e, f = terms
-    return (
-        take(p_mu), take(p_z), tuple(map(take, q)),
-        tuple(tuple(map(take, e_k)) for e_k in e), f.part(take),
-    )
-
-
-def _fill(out: np.ndarray, terms: tuple, p0: ProtocolParams) -> None:
-    """Score into ``out`` block by block, from ``terms`` whose arrays each
-    have ``out``'s rank and broadcast to it."""
-    row = math.prod(out.shape[1:])
-    if out.ndim > 1 and row > _BLOCK_POINTS:
-        for i in range(out.shape[0]):
-            _fill(out[i], _part(terms, lambda a: a[i] if len(a) > 1 else a[0]), p0)
-        return
-    step = max(1, _BLOCK_POINTS // max(1, row))
-    for r in range(0, out.shape[0], step):
-        rows = slice(r, r + step)
-        _block(out[rows], _part(terms, lambda a: a[rows] if len(a) > 1 else a), p0)
+    np.copyto(out, 0.0, where=~scorable)
+    return out
 
 
 def _scorable(mu, nu):
     """Where the (mu, nu) pairs are inside the decoy bounds' domain: mu - nu
     clears the minimum gap and nu > 0.  Elsewhere a point scores zero."""
     return (mu - nu >= finitekey._MIN_INTENSITY_GAP) & (nu > 0.0)
-
-
-def _block(out: np.ndarray, terms: tuple, p0: ProtocolParams) -> None:
-    """Score one block into ``out`` from its share of the terms."""
-    p_mu, p_z, q, e, f = terms
-    # _secure_length holds the only reference to the tallies, and frees them
-    out[...] = finitekey._secure_length(
-        rates.expected_tallies(p0.n_pulses, p_mu, p_z, p_z, q, e), f, p0
-    )["l_bits"]
 
 
 @dataclass(frozen=True)
@@ -217,8 +194,8 @@ def optimize(
 
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
     epsilons).  The coarse grid is scored over its scorable (mu, nu)
-    pairs in the (p_z, p_mu, pair) layout, the incumbent taken from those
-    scores; the certificate holds the whole grid, zero elsewhere.
+    pairs, the incumbent taken from those scores; the certificate holds
+    the whole grid, zero elsewhere.
     """
     p0 = p0 if p0 is not None else ProtocolParams()
     grid = grid if grid is not None else GridSpec()
@@ -226,20 +203,18 @@ def optimize(
         np.asarray(v, dtype=np.float64)
         for v in (grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values)
     )
-    # Only the scorable (mu, nu) pairs are evaluated, in the layout
-    # (p_z, p_mu, pair): the terms that do not depend on p_z span
-    # (1, p_mu, pair), and a block is p_mu rows at one p_z.  The rest of
-    # the grid scores zero.
+    # Only the scorable (mu, nu) pairs are evaluated; the rest of the grid
+    # scores zero.
     mu_i, nu_j = np.nonzero(_scorable(mu[:, None], nu))
     if not len(mu_i):
         raise EmptyFeasibleSet("no (mu, nu) pair on the grid is scorable")
-    coords = (mu[mu_i], nu[nu_j], pm[:, None], pz[:, None, None])
-    pairs = evaluate_grid(*coords, p0, link)
+    pair_mu, pair_nu = mu[mu_i], nu[nu_j]
+    pairs = evaluate_grid(pair_mu, pair_nu, pm, pz, p0, link)
     if not (pairs > 0.0).any():
         raise EmptyFeasibleSet("no grid point yields a positive secure length")
     # the maximum is positive, so no unscored point can be the incumbent
-    z, m, pair = _best_index(pairs, *coords)
-    point = [float(mu[mu_i[pair]]), float(nu[nu_j[pair]]), float(pm[m]), float(pz[z])]
+    z, m, pair = _best_index(pairs, pair_mu, pair_nu, pm[:, None], pz[:, None, None])
+    point = [float(pair_mu[pair]), float(pair_nu[pair]), float(pm[m]), float(pz[z])]
     best_l = float(pairs[z, m, pair])
     shape = (len(mu), len(nu), len(pm), len(pz))
     l = np.zeros(shape)
@@ -266,14 +241,17 @@ def optimize(
             step = (max(values) - min(values)) / (len(values) - 1)
             lo = max(min(values), point[axis] - step)
             hi = min(max(values), point[axis] + step)
-            fine = np.arange(lo, hi + step / 20.0, step / 10.0)
-            cols = [np.full_like(fine, point[a]) for a in range(4)]
-            cols[axis] = fine
-            lf = evaluate_grid(cols[0], cols[1], cols[2], cols[3], p0, link)
-            j = _best_index(lf, cols[0], cols[1], cols[2], cols[3])
+            line = list(point)
+            line[axis] = np.arange(lo, hi + step / 20.0, step / 10.0)
+            if axis < 2:
+                # a mu or nu line is a run of pairs
+                line[1 - axis] = np.full_like(line[axis], point[1 - axis])
+            # one of the three axes has the line's length
+            lf = evaluate_grid(*line, p0, link).ravel()
+            j = _best_index(lf, *line)
             if lf[j] > best_l:
                 best_l = float(lf[j])
-                point[axis] = float(cols[axis][j])
+                point[axis] = float(line[axis][j])
 
     best = _with_point(p0, *point)
     stats = rates.expected_statistics(best, link)

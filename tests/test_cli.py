@@ -313,6 +313,20 @@ class TestOptimize:
         assert lines[0].startswith("loss_db,")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("argv", [("optimize",), ("scan", "--losses", "14.6", "--optimize")])
+    def test_unequal_p_z_needs_free_p_z(self, capsys, tmp_path, argv):
+        # the grid searches one p_z for both sides: it once replaced
+        # p_z_alice = 0.6 with p_z_bob = 0.9 without a word
+        path = tmp_path / "unequal.conf"
+        path.write_text("[protocol]\np_z_alice = 0.6\np_z_bob = 0.9\n")
+        rc, out, err = _run(capsys, "--config", str(path), *argv)
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "p_z_alice=0.6" in err and "p_z_bob=0.9" in err
+        rc, out, _ = _run(capsys, "--config", str(path), *argv, "--free-p-z")
+        assert rc == cli.EXIT_OK
+        assert len(out.strip().split("\n")) == 2
+
 
 CONFIG_B2B = os.path.join(os.path.dirname(__file__), "..", "configs", "back_to_back.conf")
 

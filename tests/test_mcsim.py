@@ -837,6 +837,14 @@ class TestRecordFiles:
         assert records == res.records
         assert counts == res.counts
 
+    def test_recount_needs_no_link(self, tmp_path):
+        # the recount reads only the params and the seed; without a link it
+        # once returned no counts
+        res = run_session(P_SMALL, LINK_B2B, seed=11, keep_records=True)
+        path = str(tmp_path / "records.csv")
+        write_records(res.records, path)
+        assert read_records(path, P_SMALL, seed=11)[1] == res.counts
+
     def test_empty_set_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         write_records(RecordSet(), path)

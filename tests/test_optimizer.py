@@ -71,25 +71,23 @@ def _scalar_l(mu, nu, p_mu, p_z, p0, link):
 
 class TestVectorizedEvaluator:
     def test_matches_scalar_pipeline(self):
+        # five pairs, three p_mu and two p_z values: the result is indexed
+        # [p_z, p_mu, pair]
         p0 = ProtocolParams()
-        pts = [
-            (0.56, 0.14, 0.66, 0.9),
-            (0.3, 0.05, 0.4, 0.9),
-            (0.7, 0.3, 0.8, 0.9),
-            (0.5, 0.22, 0.8, 0.5),
-            (0.2, 0.19, 0.55, 0.9),
-        ]
-        arr = np.array(pts).T
-        vec = evaluate_grid(arr[0], arr[1], arr[2], arr[3], p0, LINK_75)
-        for i, pt in enumerate(pts):
-            assert vec[i] == _scalar_l(*pt, p0, LINK_75)
+        mu = np.array([0.56, 0.3, 0.7, 0.5, 0.2])
+        nu = np.array([0.14, 0.05, 0.3, 0.22, 0.19])
+        p_mu = np.array([0.66, 0.4, 0.8])
+        p_z = np.array([0.9, 0.5])
+        vec = evaluate_grid(mu, nu, p_mu, p_z, p0, LINK_75)
+        assert vec.shape == (2, 3, 5)
+        for z, m, i in np.ndindex(vec.shape):
+            assert vec[z, m, i] == _scalar_l(mu[i], nu[i], p_mu[m], p_z[z], p0, LINK_75)
 
     def test_infeasible_points_score_zero(self):
-        p0 = ProtocolParams()
         vec = evaluate_grid(
-            np.array([0.2, 0.2]), np.array([0.2, 0.3]),
-            np.array([0.66, 0.66]), np.array([0.9, 0.9]), p0, LINK_75,
+            np.array([0.2, 0.2]), np.array([0.2, 0.3]), 0.66, 0.9, ProtocolParams(), LINK_75,
         )
+        assert vec.shape == (1, 1, 2)
         assert (vec == 0.0).all()
 
     @settings(max_examples=200, deadline=None)
@@ -107,81 +105,114 @@ class TestVectorizedEvaluator:
         p0 = ProtocolParams()
         nu = mu * nu_frac
         vec = evaluate_grid(mu, nu, p_mu, p_z, p0, link)
-        assert vec.shape == ()
-        assert float(vec) == _scalar_l(mu, nu, p_mu, p_z, p0, link)
+        assert vec.shape == (1, 1, 1)
+        assert vec[0, 0, 0] == _scalar_l(mu, nu, p_mu, p_z, p0, link)
 
     @pytest.mark.parametrize("link", [
         LINK_75, LinkModel(channel_loss_db=35.0, detector=DetectorModel(dark_prob_per_gate=1e-8)),
     ])
-    def test_broadcast_grid_equals_key_length(self, link):
-        # a random (p_z, p_mu, mu, nu) grid with infeasible points (nu >= mu,
-        # nu = 0) and keyless ones scores exactly what key_length gives point
-        # by point, and 0.0 where it raises
+    def test_pair_grid_equals_key_length(self, link):
+        # every pair of 6 random mu and 7 nu values, at random p_mu and p_z
+        # values, with infeasible pairs (nu >= mu, nu = 0) and keyless
+        # points, scores exactly what key_length gives point by point, and
+        # 0.0 where it raises
         rng = np.random.default_rng(11)
-        mu = rng.uniform(0.02, 1.0, 6)[:, None]
-        nu = np.append(rng.uniform(0.0, 0.6, 6), 0.0)
-        p_mu = rng.uniform(0.05, 0.95, 4)[:, None, None]
-        p_z = rng.uniform(0.05, 0.95, 3)[:, None, None, None]
+        mu = np.repeat(rng.uniform(0.02, 1.0, 6), 7)
+        nu = np.tile(np.append(rng.uniform(0.0, 0.6, 6), 0.0), 6)
+        p_mu = rng.uniform(0.05, 0.95, 4)
+        p_z = rng.uniform(0.05, 0.95, 3)
         p0 = ProtocolParams()
         grid = evaluate_grid(mu, nu, p_mu, p_z, p0, link)
-        assert grid.shape == (3, 4, 6, 7)
+        assert grid.shape == (3, 4, 42)
         points = np.array([
-            _scalar_l(mu[k, 0], nu[l], p_mu[j, 0, 0], p_z[i, 0, 0, 0], p0, link)
-            for i, j, k, l in np.ndindex(grid.shape)
+            _scalar_l(mu[k], nu[k], p_mu[j], p_z[i], p0, link)
+            for i, j, k in np.ndindex(grid.shape)
         ]).reshape(grid.shape)
         assert grid.tobytes() == points.tobytes()
         assert (grid > 0.0).any() and (grid == 0.0).any()
 
-    def test_broadcast_shape(self):
-        vec = evaluate_grid(np.array([0.4, 0.5, 0.6])[:, None], np.array([0.1, 0.2]),
-                            0.66, 0.9, ProtocolParams(), LINK_75)
-        assert vec.shape == (3, 2)
-        assert vec[1, 0] == evaluate_grid(0.5, 0.1, 0.66, 0.9, ProtocolParams(), LINK_75)
-
     def test_blocks_match_point_by_point(self, monkeypatch):
-        # 16-point blocks over a (2, 3, 7, 5) grid: each (p_z, p_mu) row of 35
-        # points is split into mu runs of 3, 3 and 1 rows
+        # 16-point blocks over 35 pairs: runs of 16, 16 and 3 pairs, one
+        # p_mu row each
         monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 16)
-        mu = np.linspace(0.3, 0.7, 7)[:, None]
-        nu = np.linspace(0.05, 0.35, 5)
-        p_mu = np.array([0.4, 0.6, 0.8])[:, None, None]
-        p_z = np.array([0.6, 0.9])[:, None, None, None]
+        mu = np.repeat(np.linspace(0.3, 0.7, 7), 5)
+        nu = np.tile(np.linspace(0.05, 0.35, 5), 7)
+        p_mu = np.array([0.4, 0.6, 0.8])
+        p_z = np.array([0.6, 0.9])
         whole = evaluate_grid(mu, nu, p_mu, p_z, ProtocolParams(), LINK_75)
-        assert whole.shape == (2, 3, 7, 5)
+        assert whole.shape == (2, 3, 35)
         points = np.array([
-            evaluate_grid(mu[k, 0], nu[l], p_mu[j, 0, 0], p_z[i, 0, 0, 0], ProtocolParams(), LINK_75)
-            for i, j, k, l in np.ndindex(whole.shape)
+            evaluate_grid(mu[k], nu[k], p_mu[j], p_z[i], ProtocolParams(), LINK_75)[0, 0, 0]
+            for i, j, k in np.ndindex(whole.shape)
         ]).reshape(whole.shape)
         assert whole.tobytes() == points.tobytes()
         assert (whole > 0.0).any()
 
+    # four pairs, the last not scorable, at two p_mu and three p_z values:
+    # 3-point blocks split them into runs of 3 and 1 pairs, one p_mu row
+    # each
+    _MU = np.array([0.3, 0.5, 0.7, 0.5])
+    _NU = np.array([0.05, 0.15, 0.25, 0.6])
+    _P_MU = np.array([0.5, 0.8])
+    _P_Z = np.array([0.9, 0.6, 0.75])
+
+    def _counted_grid(self, monkeypatch):
+        """evaluate_grid over the arrays above in 3-point blocks."""
+        monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 3)
+        grid = evaluate_grid(self._MU, self._NU, self._P_MU, self._P_Z, ProtocolParams(), LINK_75)
+        assert grid.shape == (3, 2, 4)
+        assert (grid[..., :3] > 0.0).any() and (grid[..., 3] == 0.0).all()
+
     def test_p_z_free_terms_made_once_per_call(self, monkeypatch):
-        # 5-point blocks over a (p_z, p_mu, pair) grid: many blocks, one
-        # set of decoy factors, gains and QBERs
-        monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 5)
-        calls = {"factors": 0, "terms": 0, "blocks": 0}
+        # each (pair, p_mu) point reaches the decoy factors once, whatever
+        # the number of p_z values and blocks
+        seen = []
 
         class CountingFactors(finitekey.DecoyFactors):
             def __init__(self, p):
-                calls["factors"] += 1
+                seen.extend(zip(*(a.ravel() for a in np.broadcast_arrays(p.nu, p.p_mu))))
                 super().__init__(p)
 
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
         monkeypatch.setattr(finitekey, "DecoyFactors", CountingFactors)
-        monkeypatch.setattr(rates, "intensity_terms", counting("terms", rates.intensity_terms))
-        monkeypatch.setattr(optimizer, "_block", counting("blocks", optimizer._block))
-        mu = np.array([0.3, 0.5, 0.7, 0.5])
-        nu = np.array([0.05, 0.15, 0.25, 0.6])
-        grid = evaluate_grid(mu, nu, np.array([0.5, 0.8])[:, None],
-                             np.array([0.9, 0.6, 0.75])[:, None, None], ProtocolParams(), LINK_75)
-        assert grid.shape == (3, 2, 4)
-        assert calls == {"factors": 1, "terms": 1, "blocks": 6}
-        assert (grid[..., :3] > 0.0).any() and (grid[..., 3] == 0.0).all()
+        self._counted_grid(monkeypatch)
+        assert sorted(seen) == sorted((n, pm) for n in self._NU for pm in self._P_MU)
+
+    def test_each_pair_gets_its_gains_once(self, monkeypatch):
+        # each pair reaches intensity_terms once, and each point the tallies
+        seen = {"pairs": [], "points": []}
+        terms, tallies = rates.intensity_terms, rates.expected_tallies
+
+        def counting_terms(link, mu, nu):
+            seen["pairs"].extend(zip(mu, nu))
+            return terms(link, mu, nu)
+
+        def counting_tallies(n_pulses, p_mu, p_z_alice, p_z_bob, q, e):
+            out = tallies(n_pulses, p_mu, p_z_alice, p_z_bob, q, e)
+            seen["points"].append(out[0, 0, 0].size)
+            return out
+
+        monkeypatch.setattr(rates, "intensity_terms", counting_terms)
+        monkeypatch.setattr(rates, "expected_tallies", counting_tallies)
+        self._counted_grid(monkeypatch)
+        assert seen["pairs"] == list(zip(self._MU, self._NU))
+        assert seen["points"] == [3] * 6 + [1] * 6
+
+    def test_a_line_of_p_mu_or_p_z_is_one_block(self, monkeypatch):
+        # refinement scores 21 values of one axis at one pair: one block
+        # each, as a line of pairs is
+        blocks = []
+        tallies = rates.expected_tallies
+
+        def counting_tallies(*args):
+            out = tallies(*args)
+            blocks.append(out.shape[3:])
+            return out
+
+        monkeypatch.setattr(rates, "expected_tallies", counting_tallies)
+        line = np.linspace(0.5, 0.9, 21)
+        evaluate_grid(0.5, 0.2, line, 0.9, ProtocolParams(), LINK_75)
+        evaluate_grid(0.5, 0.2, 0.6, line, ProtocolParams(), LINK_75)
+        assert blocks == [(1, 21, 1), (21, 1, 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -192,51 +223,51 @@ class TestVectorizedEvaluator:
         p_z=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
         loss_db=st.floats(0.0, 45.0),
         dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
-        block=st.sampled_from([3, 1 << 14]),
+        # 3-5 points split the pairs, or the p_mu rows, into blocks
+        block=st.sampled_from([3, 4, 5, 1 << 14]),
     )
     def test_pair_layouts_equal_scalar_pipeline(self, pairs, p_mu, p_z, loss_db, dark, block):
-        # the (p_mu, p_z, pair) and (p_z, p_mu, pair) layouts, with pairs
-        # that are not scorable (nu >= mu, nu = 0), score what key_length
-        # gives point by point
+        # pairs that are not scorable (nu >= mu, nu = 0) among them, every
+        # point scores what key_length gives it, in blocks of any size
         link = LinkModel(channel_loss_db=loss_db, detector=DetectorModel(dark_prob_per_gate=dark))
         p0 = ProtocolParams()
         mu, nu_frac = np.array(pairs).T
         nu = mu * nu_frac
         pm, pz = np.array(p_mu), np.array(p_z)
         with mock.patch.object(optimizer, "_BLOCK_POINTS", block):
-            by_p_mu = evaluate_grid(mu, nu, pm[:, None, None], pz[:, None], p0, link)
-            by_p_z = evaluate_grid(mu, nu, pm[:, None], pz[:, None, None], p0, link)
+            grid = evaluate_grid(mu, nu, pm, pz, p0, link)
         points = np.array([
-            _scalar_l(mu[k], nu[k], pm[i], pz[j], p0, link)
-            for i, j, k in np.ndindex(len(pm), len(pz), len(mu))
-        ]).reshape(len(pm), len(pz), len(mu))
-        assert by_p_mu.tobytes() == points.tobytes()
-        assert by_p_z.tobytes() == points.transpose(1, 0, 2).tobytes()
+            _scalar_l(mu[k], nu[k], pm[j], pz[i], p0, link)
+            for i, j, k in np.ndindex(len(pz), len(pm), len(mu))
+        ]).reshape(len(pz), len(pm), len(mu))
+        assert grid.tobytes() == points.tobytes()
 
     def test_default_blocks_match_rows(self):
-        # 19 rows of 2050 points at 7 rows a block: blocks of 7, 7 and 5 rows
+        # 19 rows of 2050 pairs at 7 rows a block: blocks of 7, 7 and 5 rows
         grid = GridSpec()
-        mu = np.array(grid.mu_values)[:, None]
-        nu = np.array(grid.nu_values)
+        mu, nu = (a.ravel() for a in np.meshgrid(grid.mu_values, grid.nu_values, indexing="ij"))
         p_mu = np.linspace(0.1, 0.95, 19)
-        whole = evaluate_grid(mu, nu, p_mu[:, None, None], 0.9, ProtocolParams(), LINK_75)
+        whole = evaluate_grid(mu, nu, p_mu, 0.9, ProtocolParams(), LINK_75)
         rows = [evaluate_grid(mu, nu, pm, 0.9, ProtocolParams(), LINK_75) for pm in p_mu]
-        assert whole.tobytes() == np.stack(rows).tobytes()
+        assert whole.tobytes() == np.concatenate(rows, axis=1).tobytes()
 
 
-def _rectangular(grid, p0, link):
-    """evaluate_grid over the whole grid in (mu, nu, p_mu, p_z) order."""
+def _all_pairs(grid, p0, link):
+    """evaluate_grid over every (mu, nu) pair of the grid, in the
+    certificate's (mu, nu, p_mu, p_z) order."""
     mu, nu, pm, pz = (np.asarray(v, dtype=np.float64) for v in (
         grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values))
-    return evaluate_grid(mu[:, None, None, None], nu[:, None, None], pm[:, None], pz, p0, link)
+    pair_mu, pair_nu = (a.ravel() for a in np.meshgrid(mu, nu, indexing="ij"))
+    l = evaluate_grid(pair_mu, pair_nu, pm, pz, p0, link)
+    return l.reshape(len(pz), len(pm), len(mu), len(nu)).transpose(2, 3, 1, 0)
 
 
 class TestPairLayout:
     """optimize scores only the scorable (mu, nu) pairs; its certificate
-    must equal the rectangular grid bit for bit."""
+    must equal all the grid's pairs scored, bit for bit."""
 
     def _check(self, grid, link, p0=ProtocolParams()):
-        whole = _rectangular(grid, p0, link)
+        whole = _all_pairs(grid, p0, link)
         if not (whole > 0.0).any():
             with pytest.raises(EmptyFeasibleSet):
                 optimize(link, p0=p0, grid=grid, refine=False)
@@ -309,7 +340,7 @@ class TestOptimize:
         assert coarse.l_bits == coarse.certificate.l_bits.max()
         fine = optimize(link, p0=p)
         b = fine.best
-        assert fine.l_bits == evaluate_grid(b.mu, b.nu, b.p_mu, b.p_z_bob, p, link)
+        assert fine.l_bits == evaluate_grid(b.mu, b.nu, b.p_mu, b.p_z_bob, p, link)[0, 0, 0]
         assert fine.l_bits >= coarse.l_bits
 
     def test_certificate_never_beats_incumbent(self):
@@ -369,6 +400,26 @@ class TestOptimize:
         fine = optimize(LINK_75, grid=SMALL_GRID, refine=True)
         assert fine.l_bits >= coarse.l_bits - 1e-6
 
+    def test_refinement_line_across_nu_ge_mu_scores_zero(self, monkeypatch):
+        # the coarse incumbent (mu, nu) = (0.6, 0.25) refines mu over
+        # 0.2..1.0 as a run of pairs, two of them with mu <= nu
+        lines = []
+
+        def spy(mu, nu, p_mu, p_z, p0, link):
+            l = evaluate_grid(mu, nu, p_mu, p_z, p0, link)
+            lines.append((np.atleast_1d(mu), np.atleast_1d(nu), l))
+            return l
+
+        monkeypatch.setattr(optimizer, "evaluate_grid", spy)
+        grid = GridSpec(mu_values=(0.2, 0.6, 1.0), nu_values=(0.15, 0.25), p_mu_values=(0.5, 0.8))
+        result = optimize(LINK_75, grid=grid)
+        mu, nu, l = lines[1]
+        crossed = nu >= mu
+        assert l.shape == (1, 1, 21) and crossed.sum() == 2
+        assert (l[..., crossed] == 0.0).all() and (l > 0.0).any()
+        assert result.best.mu not in mu[crossed]
+        assert result.best.nu < result.best.mu and result.l_bits > 0.0
+
     def test_certificate_is_grid_shaped(self):
         result = optimize(LINK_75, grid=SMALL_GRID, refine=False)
         cert = result.certificate
@@ -381,7 +432,7 @@ class TestOptimize:
         assert cert.p_mu[2, 1, 3, 0] == SMALL_GRID.p_mu_values[3]
         assert cert.l_bits[2, 1, 3, 0] == evaluate_grid(
             SMALL_GRID.mu_values[2], SMALL_GRID.nu_values[1], SMALL_GRID.p_mu_values[3],
-            0.9, ProtocolParams(), LINK_75)
+            0.9, ProtocolParams(), LINK_75)[0, 0, 0]
 
     @pytest.mark.parametrize("key", sorted(k for k, pin in PROJECTION_PINS.items() if pin))
     def test_incumbent_from_pairs_is_certificate_best(self, key):
