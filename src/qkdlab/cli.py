@@ -136,6 +136,9 @@ def cmd_stability(args) -> int:
     p, link, sim = _load(args)
     if args.hours <= 0:
         raise CliError(f"--hours {args.hours} must be positive")
+    if link.rotation_angle != sim.theta0:
+        raise CliError(f"[link] rotation_angle={link.rotation_angle} must equal "
+                       f"[simulation] theta0={sim.theta0}, where the drift walk starts")
     seed = sim.seed if args.seed is None else args.seed
     drift = mcsim.DriftModel(sigma=sim.sigma, theta0=sim.theta0)
     try:
@@ -217,7 +220,7 @@ def cmd_scan(args) -> int:
             rows = optimizer.scan(link, losses, p="optimize", grid=_grid(p, args.free_p_z), p0=p)
         else:
             rows = optimizer.scan(link, losses, p=p)
-    except ParamError as exc:
+    except (ParamError, finitekey.IntensityDegenerate) as exc:
         raise CliError(str(exc)) from exc
     out = optimizer.format_scan_csv(rows)
     if args.out:

@@ -258,6 +258,8 @@ class SimulationSettings:
     record_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 1 << 64:
+            raise ParamError(f"seed={self.seed} is not in 0 .. 2^64 - 1")
         if not 0 <= self.sigma < math.inf:
             raise ParamError(f"sigma={self.sigma} must be non-negative and finite")
         if not math.isfinite(self.theta0):
@@ -372,8 +374,8 @@ def _refuse_unknown(cp: configparser.ConfigParser) -> None:
 
 
 def _int(raw: str) -> int:
-    # accept 1e10-style counts
-    v = float(raw)
+    # a plain integer reads exactly (a seed above 2^53 too), 1e10 via float
+    v = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
     if v != int(v):
         raise ValueError(raw)
     return int(v)

@@ -154,7 +154,10 @@ def _mix_scalar(x: int) -> int:
 
 
 def _stream_key(seed: int, slot: int) -> int:
-    return _mix_scalar((seed & _MASK64) ^ _mix_scalar(slot * 0xD1B54A32D192ED03))
+    # every stream folds its seed here: refuse one that would alias mod 2^64
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} is not in 0 .. 2^64 - 1")
+    return _mix_scalar(seed ^ _mix_scalar(slot * 0xD1B54A32D192ED03))
 
 
 def _folded_key(seed: int, slot: int) -> int:
@@ -323,25 +326,16 @@ _PHOTON_CAP = 40  # photons per pulse
 # cap (and would be clipped to it); tables beyond it are refused
 _CAP_TOLERANCE = 1e-12
 
-_DETECTORS = np.arange(4, dtype=np.uint8)
-_POPCOUNT = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
-# k-th set bit of each 4-bit mask, padded by repeating the last member
-_CHOICE = np.zeros((16, 4), dtype=np.uint8)
-for _mask in range(1, 16):
-    _members = [d for d in range(4) if _mask >> d & 1]
-    for _k in range(4):
-        _CHOICE[_mask, _k] = _members[min(_k, len(_members) - 1)]
+# clicks of each pattern of rates._FIRES, and its k-th click at _CHOICE[s, k]
+# for k below that count: the detectors that rates._SHARE resolves it to
+_POPCOUNT = rates._FIRES.sum(axis=1).astype(np.uint8)
+_CHOICE = np.argsort(~rates._FIRES, axis=1, kind="stable").astype(np.uint8)
 
 
 def _prep_thr(p: ProtocolParams) -> np.ndarray:
-    """Thresholds of Alice's joint (intensity, basis, bit) choice,
-    index = (k << 2) | (basis << 1) | bit."""
-    prep = []
-    for k in Intensity:
-        for b in Basis:
-            for _bit in (0, 1):
-                prep.append(p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5)
-    return _cdf_u64(prep)
+    """Thresholds of Alice's joint (intensity, basis, bit) choice from
+    ``rates.preparation_weights``, index = (k << 2) | (basis << 1) | bit."""
+    return _cdf_u64(rates.preparation_weights(p).T.ravel())
 
 
 def _photon_pmfs(p: ProtocolParams) -> list[list[float]]:
@@ -450,11 +444,11 @@ def _resolve_clicks(key, index, cmask, prep, start=0, work=None):
     ``_folded_key``.
 
     ``cmask`` is each gate's 4-bit click pattern and ``prep`` Alice's
-    (intensity, basis, bit) choice.  A multi-click gate resolves to one of
-    its clicks, drawn uniformly; the chosen detector fixes Bob's basis and
-    bit.  Returns the sifted and error tallies per (basis, intensity) cell,
-    cell = (basis << 1) | intensity, then the per-gate sifted, error and
-    multi-click masks."""
+    (intensity, basis, bit) choice.  A gate resolves to one of its clicks
+    as ``rates._SHARE`` has it, drawn uniformly, and is sifted and errs as
+    ``rates._SIFTED`` has it.  Returns the sifted and error tallies per
+    (basis, intensity) cell, cell = (basis << 1) | intensity, then the
+    per-gate sifted, error and multi-click masks."""
     cpop = _POPCOUNT[cmask]
     kth = np.zeros(index.size, dtype=np.uint8)
     multi = cpop > 1
@@ -462,14 +456,12 @@ def _resolve_clicks(key, index, cmask, prep, start=0, work=None):
         uc = _uniforms_at(key + start, index[multi], work)
         kf = (uc.astype(np.float64) * 2.0**-64 * cpop[multi]).astype(np.int64)
         kth[multi] = np.minimum(kf, cpop[multi] - 1)
-    chosen = _CHOICE[cmask, kth]
+    # _CHOICE[cmask, kth] and rates._SIFTED[:, prep & 3, chosen] at flat
+    # indices: a take is several times faster than a fancy index by uint8s
+    chosen = _CHOICE.take(cmask << 2 | kth)
+    sifted, errors = rates._SIFTED.reshape(2, 16).take((prep & 3) << 2 | chosen, axis=1)
 
-    abasis = (prep >> 1) & 1  # 0 Z, 1 X
-    bob_x = (chosen >= 2).astype(np.uint8)
-    sifted = bob_x == abasis
-    errors = sifted & ((chosen & 1) != (prep & 1))
-
-    cell = (abasis << 1) | (prep >> 2)
+    cell = prep & 2 | prep >> 2  # (basis << 1) | intensity
     n_cells = np.bincount(cell[sifted], minlength=4)
     m_cells = np.bincount(cell[errors], minlength=4)
     return n_cells, m_cells, sifted, errors, multi
@@ -535,19 +527,15 @@ def _run_chunk(tables, keys, start, stop, keep_records):
         keys[_SLOT_DCLICK], any_idx, cmask, prep_any, start, work
     )
 
-    abasis = (prep_any >> 1) & 1  # 0 Z, 1 X
-    z_sift = sifted & (abasis == 0)
-    x_sift = sifted & (abasis == 1)
     decoys = np.count_nonzero(prep >= 4)  # intensity 1, decoy
     # slots, not a list: _POPCOUNT's uint64 sum beside int64 would make floats
     tally = np.empty(_TALLY, np.int64)
     tally[0:4], tally[4:8] = n_cells, m_cells
-    tally[8:12] = (
-        np.count_nonzero(z_sift & (nph_any == 0)),
-        np.count_nonzero(z_sift & (nph_any == 1)),
-        np.count_nonzero(x_sift & (nph_any == 1)),
-        np.count_nonzero(errors & x_sift & (nph_any == 1)),
-    )
+    # ground truth: sifted Z gates of 0 and 1 photons, X of 1, X errors of 1
+    x, one = prep_any & 2 == 2, nph_any == 1
+    z_sift, x_one = sifted & ~x, x & one
+    tally[8:12] = [np.count_nonzero(g) for g in
+                   (z_sift & (nph_any == 0), z_sift & one, sifted & x_one, errors & x_one)]
     tally[12] = any_idx.size
     tally[13] = np.count_nonzero(multi)
     tally[14] = _POPCOUNT[cmask].sum()
@@ -556,11 +544,12 @@ def _run_chunk(tables, keys, start, stop, keep_records):
 
     columns = None
     if keep_records:
-        # one row per click; row-major nonzero sorts by gate, then detector
-        hit, det = np.nonzero((cmask[:, None] >> _DETECTORS) & 1)
+        # one row per click; row-major nonzero sorts by gate, then detector.
+        # rates._FIRES[s, d] is taken at its flat index (s << 2) | d
+        hit, det = np.nonzero(rates._FIRES.take(cmask, axis=0))
         dark_only = dpat[any_idx] & ~pclick[any_idx]
         columns = (any_idx[hit].astype(np.uint64) + start, det.astype(np.uint8),
-                   (dark_only[hit] >> det) & 1 == 1)
+                   rates._FIRES.ravel().take(dark_only[hit] << 2 | det))
     return tally, columns
 
 
@@ -1042,14 +1031,14 @@ def read_records(
     bytes) raises FormatError naming the file line of the first bad row,
     and quoting at most ``_MAX_LINE`` bytes of it.
 
-    The file is read in pieces of ``_READ_BYTES``, twice: once to count its
-    non-blank lines, which sizes the columns at 10 bytes a row, then to
-    parse each piece's complete lines into them.  Beside the columns a read
-    holds one piece, its LF mask and the offsets of its rows, about 1.7 MiB
-    for a file that ``write_records`` wrote and 0.8 MiB for one of blank
-    lines, and the recount about 2 MiB for its block of ``_BLOCK_ROWS``
-    rows; neither grows with the file.  The file must be seekable.  IoError is raised if it cannot be read, or if it changes
-    between the two passes.
+    The file, which must be seekable, is read in pieces of ``_READ_BYTES``,
+    twice: once to count its non-blank lines, which sizes the columns at 10
+    bytes a row, then to parse each piece's complete lines into them.
+    Beside the columns a read holds one piece, its LF mask and the offsets
+    of its rows, about 1.7 MiB for a file that ``write_records`` wrote and
+    0.8 MiB for one of blank lines, and the recount about 2 MiB for its
+    block of ``_BLOCK_ROWS`` rows; neither grows with the file.  IoError is
+    raised if it cannot be read, or if it changes between the two passes.
 
     When the params ``p`` and ``seed`` of the originating session are
     supplied, the sifted tallies are recomputed by re-deriving Alice's
@@ -1085,11 +1074,11 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
     """Sifted tallies of the session that produced ``records``, which are
     sorted by gate.  Walks the rows in blocks of at most ``_BLOCK_ROWS``,
     each ending at a gate boundary."""
+    prep_key, click_key = _folded_key(seed, _SLOT_PREP), _folded_key(seed, _SLOT_DCLICK)
     if len(records) == 0:
         return ObservedCounts()
     prep_thr = _prep_thr(p)
     prep_guide, prep_width = _guide(prep_thr), _width(prep_thr)
-    prep_key, click_key = _folded_key(seed, _SLOT_PREP), _folded_key(seed, _SLOT_DCLICK)
     g = records.gate_index
     n_cells, m_cells = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     s = 0

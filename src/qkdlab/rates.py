@@ -8,16 +8,19 @@ finite-key pipeline; the optimizer calls its two steps,
 formulas they are built from broadcast: a ``ProtocolParams`` whose
 intensities and probabilities are numpy arrays yields arrays, so one
 parameter point and a whole grid block go through the same code.
-``expected_sifted_cells`` enumerates the 16 detector click patterns
-exactly (``click_patterns``) and is the oracle the Monte Carlo simulator
-is audited against.
+``expected_sifted_cells`` enumerates the 16 detector click patterns exactly
+(``click_patterns``) and is the oracle the Monte Carlo simulator is audited
+against.  The simulator samples the rule the oracle sums over: Alice's
+classes from ``preparation_weights``, and each gate's click resolution and
+sifting from the pattern tables ``_FIRES``, ``_SHARE`` and ``_SIFTED``.
 
-The textbook formulas route dark-only clicks with the splitter ratio,
-where the exact model routes them uniformly over the four detectors, so
-the two part where dark clicks matter.  With the default parameters (exact / textbook), detection
-cells agree to 0.999-1.013 back-to-back but to 0.96-1.33 at 14.6 dB, and
-error cells to 0.90-1.82 and 0.61-4.53.  At 14.6 dB the pooled QBERs are
-1.405 % against 2.046 % in Z and 7.15 % against 2.07 % in X.
+The textbook formulas route dark-only clicks with the splitter ratio, where
+the exact model routes them uniformly over the four detectors, so the two
+part where dark clicks matter.  With the default parameters (exact /
+textbook), detection cells agree to 0.999-1.013 back-to-back but to
+0.96-1.33 at 14.6 dB, and error cells to 0.90-1.82 and 0.61-4.53.  At
+14.6 dB the pooled QBERs are 1.405 % against 2.046 % in Z and 7.15 %
+against 2.07 % in X.
 """
 
 from __future__ import annotations
@@ -204,6 +207,13 @@ def click_patterns(c):
     return np.where(_FIRES, c, 1.0 - c).prod(axis=-1)
 
 
+def preparation_weights(p: ProtocolParams) -> np.ndarray:
+    """``weight[c, k]``: the probability that Alice sends (basis, bit) class
+    c = (basis << 1) | bit, Basis order, at intensity k, Intensity order."""
+    return np.array([[p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5 for k in Intensity]
+                     for b in Basis for _bit in (0, 1)])
+
+
 def expected_sifted_cells(p: ProtocolParams, link: LinkModel) -> ExactCellProbabilities:
     """Exact per-pulse cell probabilities for the pulse-level detection
     model (independent Poisson streams per detector, threshold squashing,
@@ -213,12 +223,7 @@ def expected_sifted_cells(p: ProtocolParams, link: LinkModel) -> ExactCellProbab
     # rho[c, d]: where a detected photon of (basis, bit) class c lands
     rho = optics.routing_weights(link.rotation_angle, p.p_z_bob, link.e_mis_z, link.e_mis_x)
     means = np.array([p.mean_photons(k) for k in Intensity])
-    # weight[c, k]: Alice sends class c at intensity k
-    weight = np.array([
-        [p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5 for k in Intensity]
-        for b in Basis
-        for _bit in (0, 1)
-    ])
+    weight = preparation_weights(p)
     # per-detector click probabilities, then patterns[c, case, s] for the
     # cases signal, decoy (Poisson light), vacuum and one emitted photon,
     # which survives with eta and lands on detector r with rho[c, r]

@@ -102,8 +102,8 @@ class TestKeyrate:
         path = str(tmp_path / "qkd.conf")
         det = DetectorModel(dark_prob_per_gate=dark)
         save_config(path, ProtocolParams(nu=0.0), LinkModel(detector=det), SimulationSettings())
-        for argv in ((), ("--json",)):
-            rc, out, err = _run(capsys, "--config", path, "keyrate", *argv)
+        for argv in (("keyrate",), ("keyrate", "--json"), ("scan", "--losses", "1:2:1")):
+            rc, out, err = _run(capsys, "--config", path, *argv)
             assert rc == cli.EXIT_ERROR
             assert out == ""
             assert err == "error: decoy intensity must be positive\n"
@@ -162,6 +162,25 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: QKD_THREADS='many'")
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551621"])
+    def test_out_of_range_seed_refused(self, capsys, small_config, seed):
+        # folded mod 2^64, 2^64 + 5 would print the counts of seed 5
+        for argv in (("simulate",),
+                     ("stability", "--hours", "0.25", "--pulses-per-window", "1000")):
+            rc, out, err = _run(capsys, "--config", small_config, *argv, "--seed", seed)
+            assert rc == cli.EXIT_ERROR
+            assert out == ""
+            assert err == f"error: seed {seed} is not in 0 .. 2^64 - 1\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_config_seed_refused(self, capsys, tmp_path, seed):
+        path = tmp_path / "seed.conf"
+        path.write_text(f"[simulation]\nseed = {seed}\n")
+        rc, out, err = _run(capsys, "--config", str(path), "simulate", "--pulses", "1000")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: seed={seed} is not in 0 .. 2^64 - 1\n"
+
     def test_record_file_written(self, capsys, small_config, tmp_path):
         out_path = str(tmp_path / "rec.csv")
         rc, _, _ = _run(capsys, "--config", small_config, "simulate",
@@ -211,6 +230,24 @@ class TestStability:
         assert rc == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error: QKD_THREADS='0'")
+
+    def test_rotation_angle_must_equal_theta0(self, capsys, tmp_path):
+        # the drift walk starts at theta0, so the link's angle would go unread
+        path = str(tmp_path / "rotated.conf")
+        save_config(path, ProtocolParams(), LinkModel(rotation_angle=0.7853981633974483),
+                    SimulationSettings())
+        rc, out, err = _run(capsys, "--config", path, "stability", "--hours", "0.25",
+                            "--pulses-per-window", "1000")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "theta0=0.0" in err and "rotation_angle=0.7853981633974483" in err
+        save_config(path, ProtocolParams(), LinkModel(rotation_angle=0.5),
+                    SimulationSettings(theta0=0.5))
+        rc, out, _ = _run(capsys, "--config", path, "stability", "--hours", "0.25",
+                          "--pulses-per-window", "1000")
+        assert rc == cli.EXIT_OK
+        assert len(out.strip().split("\n")) == 1 + 3
 
     def test_zero_hours_rejected(self, capsys, small_config):
         rc, _, err = _run(capsys, "--config", small_config, "stability",

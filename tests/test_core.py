@@ -194,6 +194,18 @@ class TestConfigRoundTrip:
         assert p == ProtocolParams()
         assert link.channel_loss_db == 4.8
 
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+    def test_large_seed_reads_exactly(self, tmp_path, seed):
+        # through a float these would read as 2^53 and 2^64
+        path = tmp_path / "seed.conf"
+        path.write_text(f"[simulation]\nseed = {seed}\n")
+        assert load_config(str(path))[2].seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_out_of_range_seed_refused(self, seed):
+        with pytest.raises(ParamError, match="not in 0 .. 2"):
+            SimulationSettings(seed=seed)
+
     def test_scientific_notation_counts(self, tmp_path):
         path = tmp_path / "sci.conf"
         path.write_text("[protocol]\nn_pulses = 1e7\n")

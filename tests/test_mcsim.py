@@ -156,6 +156,81 @@ class TestDeterminism:
                 h.update(np.array([w.q_mu, w.q_nu, w.e_z, w.e_x]).tobytes())
         assert h.hexdigest() == STREAM_DIGEST_SHA256
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_out_of_range_seed_refused(self, seed, tmp_path):
+        # folded mod 2^64 such a seed would replay another seed's streams
+        match = "not in 0 .. 2\\^64 - 1"
+        with pytest.raises(ValueError, match=match):
+            run_session(P_SMALL, LINK_B2B, seed=seed, n_pulses=1000)
+        with pytest.raises(ValueError, match=match):
+            run_stability(P_SMALL, LINK_B2B, DriftModel(), Schedule(duration_h=0.25), seed,
+                          pulses_per_window=1000)
+        with pytest.raises(ValueError, match=match):
+            pulse_records(P_SMALL, seed, [0])
+        # the recount, also of a file without rows
+        for n_pulses in (1000, 1):
+            path = str(tmp_path / "rec.csv")
+            records = run_session(P_SMALL, LINK_B2B, seed=5, n_pulses=n_pulses,
+                                  keep_records=True).records
+            write_records(records, path)
+            with pytest.raises(ValueError, match=match):
+                read_records(path, P_SMALL, seed=seed)
+
+    def test_seed_range_ends_are_streams(self):
+        ends = [run_session(P_SMALL, LINK_B2B, seed=s, n_pulses=2**12).counts
+                for s in (0, 2**64 - 1)]
+        assert ends[0] != ends[1]
+
+
+class TestReceiverRule:
+    """The simulator resolves and sifts clicks, and draws Alice's classes,
+    with the oracle's own tables, checked exactly over every click pattern
+    and (basis, bit) class."""
+
+    def test_choice_lists_the_share_detectors(self):
+        for s in range(1, 16):
+            members = np.flatnonzero(rates._SHARE[s])
+            assert mcsim._POPCOUNT[s] == members.size
+            np.testing.assert_array_equal(mcsim._CHOICE[s, : members.size], members)
+
+    def test_resolved_flags_are_the_sifting_table(self):
+        # every non-zero pattern with every class and intensity, 64 gates
+        # each, so that each detector of a multi-click gets chosen
+        s, c, k, _ = np.meshgrid(np.arange(1, 16), np.arange(4), np.arange(2), np.arange(64),
+                                 indexing="ij")
+        s, c, k = (a.ravel().astype(np.uint8) for a in (s, c, k))
+        index = np.arange(s.size, dtype=np.int64) * 7919 + 3
+        key = mcsim._folded_key(9, mcsim._SLOT_DCLICK)
+        n_cells, m_cells, sifted, errors, multi = mcsim._resolve_clicks(
+            key, index, s, k << 2 | c)
+        # the chosen detector: the kth click of the pattern, k drawn from
+        # the click-choice stream on multi-click gates only
+        cpop = mcsim._POPCOUNT[s].astype(np.int64)
+        u = mcsim._uniforms_at(key, index).astype(np.float64) * 2.0**-64
+        kth = np.where(cpop > 1, np.minimum((u * cpop).astype(np.int64), cpop - 1), 0)
+        chosen = np.array([np.flatnonzero(rates._SHARE[x])[j] for x, j in zip(s, kth)])
+        assert {(x, d) for x, d in zip(s, chosen)} == set(zip(*np.nonzero(rates._SHARE)))
+        np.testing.assert_array_equal(multi, cpop > 1)
+        np.testing.assert_array_equal(sifted, rates._SIFTED[0, c, chosen])
+        np.testing.assert_array_equal(errors, rates._SIFTED[1, c, chosen])
+        cell = (c >> 1) * 2 + k
+        np.testing.assert_array_equal(n_cells, np.bincount(cell[sifted], minlength=4))
+        np.testing.assert_array_equal(m_cells, np.bincount(cell[errors], minlength=4))
+
+    @pytest.mark.parametrize("conf", ["back_to_back.conf", "reference_75km.conf",
+                                      "projection.conf"])
+    def test_preparation_bins_are_the_class_weights(self, conf):
+        p, _, _ = load_config(os.path.join(CONFIG_DIR, conf))
+        thr = mcsim._prep_thr(p)
+        weight = rates.preparation_weights(p)
+        # bin (k << 2) | c is Alice's class c at intensity k
+        widths = np.diff(thr, prepend=np.uint64(0)).astype(np.float64) * 2.0**-64
+        np.testing.assert_allclose(widths, weight.T.ravel(), rtol=0, atol=2.0**-50)
+        # and the thresholds are those of the factors multiplied one by one
+        loop = [p.intensity_prob(k) * p.basis_prob_alice(b) * 0.5
+                for k in Intensity for b in Basis for _bit in (0, 1)]
+        np.testing.assert_array_equal(thr, mcsim._cdf_u64(loop))
+
 
 def _session_key(res):
     """Everything a session returns, records included, as comparable values."""
