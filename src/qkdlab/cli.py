@@ -211,6 +211,8 @@ def _parse_losses(text: str) -> list:
 
 
 def cmd_scan(args) -> int:
+    if args.free_p_z and not args.optimize:
+        raise CliError("--free-p-z frees p_z in the search grid, which only --optimize searches")
     p, link, sim = _load(args)
     losses = _parse_losses(args.losses)
     if not losses:

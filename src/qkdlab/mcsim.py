@@ -176,33 +176,47 @@ def _hash_buffers(n: int, work):
     return work[0][:n], work[1][:n]
 
 
-def _finish(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer's rounds after its first xorshift, in place
-    on ``x``, with ``t`` as scratch."""
+def _mix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer's rounds after its first xorshift and
+    before its last, in place on ``x``, with ``t`` as scratch: the
+    unfinished hash, whose uniform is u = x ^ (x >> 31) (``_finish``).
+    u's top 31 bits are x's."""
     x *= _NP_M1
     np.right_shift(x, 27, out=t)
     x ^= t
     x *= _NP_M2
-    np.right_shift(x, 31, out=t)
-    x ^= t
     return x
 
 
-def _uniforms_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
-    """64-bit uniforms of the hash inputs ``c + index`` mod 2^64, ``index``
-    an int64 or uint64 array: the splitmix64 finalizer, computed in place.
-    With ``work``, a pair of uint64 buffers at least ``index.size`` long,
-    the result is a view of the first buffer, valid until the next call on
-    it; without, it is a new array."""
+def _finish(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """The finalizer's last xorshift, in place on ``x``, with ``t`` as
+    scratch if given: x becomes its uniform."""
+    x ^= np.right_shift(x, 31, out=t)
+    return x
+
+
+def _hashes_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
+    """Unfinished hashes (see ``_mix``) of the inputs ``c + index`` mod
+    2^64, ``index`` an int64 or uint64 array.  With ``work``, a pair of
+    uint64 buffers at least ``index.size`` long, the result is a view of
+    the first buffer, valid until the next call on it; without, it is a
+    new array."""
     x, t = _hash_buffers(index.size, work)
     np.add(index.view(_U64), c & _MASK64, out=x)
     np.right_shift(x, 30, out=t)
     x ^= t
-    return _finish(x, t)
+    return _mix(x, t)
 
 
-def _uniforms_range(c: int, iota: np.ndarray, work=None) -> np.ndarray:
-    """``_uniforms_at(c, iota, work)`` for the offsets ``iota`` = 0, 1, ...,
+def _uniforms_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
+    """64-bit uniforms of the hash inputs ``c + index`` mod 2^64: the
+    splitmix64 finalizer, computed in place as ``_hashes_at`` is."""
+    work = _hash_buffers(index.size, work)
+    return _finish(_hashes_at(c, index, work), work[1])
+
+
+def _hashes_range(c: int, iota: np.ndarray, work=None) -> np.ndarray:
+    """``_hashes_at(c, iota, work)`` for the offsets ``iota`` = 0, 1, ...,
     n - 1.  The inputs x = c + iota mod 2^64 share x >> 30 on each run
     between multiples of 2^30, so the first xorshift is one XOR with that
     constant per run: one run, or two, for a chunk of up to 2^30 gates."""
@@ -215,7 +229,7 @@ def _uniforms_range(c: int, iota: np.ndarray, work=None) -> np.ndarray:
         b = a + _RUN - (v & (_RUN - 1))
         x[a:b] ^= _U64(v >> 30)
         a = b
-    return _finish(x, t)
+    return _mix(x, t)
 
 
 def _uniforms_u64(seed: int, slot: int, gates: np.ndarray) -> np.ndarray:
@@ -279,15 +293,17 @@ def _sample(thr, u, row=None, guide=None, scratch=None, width=None) -> np.ndarra
     each uniform.  ``width`` is ``_width(thr)``, made here if not given.
     Two modes, both exact:
 
-    - with ``guide = _guide(thr)``, for draws over every gate: the bin is
-      the entry of the uniform's bucket, and only the uniforms in split
-      buckets (about 0.2 % of them) are compared.  ``scratch``, a uint64
-      buffer as long as ``u`` if given, holds the entry indices;
-    - without, for sparse draws and the guide's fix-up: one gathered
-      comparison of each uniform with its table's thresholds, up to the
-      last one below 2^64 - 1 in any table drawn from (no uniform exceeds
-      2^64 - 1, the last threshold and the padding of every table).  An
-      empty draw compares nothing.
+    - with ``guide = _guide(thr)``, for draws over every gate, ``u`` holds
+      the unfinished hashes (see ``_mix``), whose top bits are the
+      uniforms': the bin is the entry of the uniform's bucket, and only the
+      hashes in split buckets (about 0.2 % of them) are finished and
+      compared.  ``scratch``, a uint64 buffer as long as ``u`` if given,
+      holds the entry indices;
+    - without, for sparse draws and the guide's fix-up, ``u`` holds the
+      uniforms: one gathered comparison of each with its table's
+      thresholds, up to the last one below 2^64 - 1 in any table drawn from
+      (no uniform exceeds 2^64 - 1, the last threshold and the padding of
+      every table).  An empty draw compares nothing.
     """
     if guide is not None:
         idx = np.right_shift(u, _GUIDE_SHIFT, out=scratch)
@@ -298,7 +314,8 @@ def _sample(thr, u, row=None, guide=None, scratch=None, width=None) -> np.ndarra
         # take's bounds error
         out = np.take(guide, idx.view(np.int64), mode="wrap")
         split = np.flatnonzero(out == _SPLIT)
-        out[split] = _sample(thr, u[split], None if row is None else row[split], width=width)
+        out[split] = _sample(thr, _finish(u[split]), None if row is None else row[split],
+                             width=width)
         return out
     if not u.size:
         return np.zeros(0, dtype=np.uint8)
@@ -365,9 +382,12 @@ class _SessionTables:
     guides (``prep_guide``, ``pois_guide``; see ``_sample``).
     ``set_rotation`` rebuilds only the routing thresholds and width, whose
     sparse draw needs no guide, so the guides are made once.  The work
-    arrays are the gate offsets ``iota`` (0, 1, ...) and ``work``, one pair
-    of uint64 hash buffers: a process runs one chunk at a time, and a
-    forked worker writes to its own copy.  ``reserve`` grows them.  They
+    arrays are the gate offsets ``iota`` (0, 1, ...), ``work``, one pair
+    of uint64 hash buffers, and ``photons``, the intp photon counts of the
+    gates with photons (``_survivors``): a process runs one chunk at a
+    time, and a forked worker writes to its own copy.  ``reserve`` grows
+    them; a chunk touches only as much of ``photons`` as it has gates with
+    photons.  They
     live exactly as long as the tables, so the windows of a stability run,
     which share one set, map and fault them in once.  ``keys`` folds the
     stream keys of a seed once, for every chunk and window run with it.
@@ -413,6 +433,7 @@ class _SessionTables:
         self.set_rotation(p, link)
         self.iota = np.arange(0, dtype=_U64)
         self.work = (self.iota, self.iota)
+        self.photons = np.empty(0, np.intp)
         self._seed, self._keys = None, None
 
     def reserve(self, n: int) -> None:
@@ -420,6 +441,7 @@ class _SessionTables:
         if self.iota.size < n:
             self.iota = np.arange(n, dtype=_U64)
             self.work = (np.empty(n, _U64), np.empty(n, _U64))
+            self.photons = np.empty(n, np.intp)
 
     def keys(self, seed: int) -> list[int]:
         """``_folded_key(seed, slot)`` of every slot below the last routing
@@ -474,6 +496,58 @@ def _resolve_clicks(key, index, cmask, prep, start=0, work=None):
 _TALLY = 19
 
 
+def _above(x: np.ndarray, thr: int):
+    """The offsets, and the uniforms, of the unfinished hashes ``x`` whose
+    uniform u exceeds ``thr``.  u's top 31 bits are x's, so u > thr holds
+    where x >> 33 > thr >> 33 and fails where it is below: only the hashes
+    at or above ``(thr >> 33) << 33`` are finished and compared."""
+    cand = np.flatnonzero(x >= _U64(thr >> 33 << 33))
+    u = _finish(x[cand])
+    over = u > thr
+    return cand[over], u[over]
+
+
+def _survivors(tables, key, nph, work):
+    """The offsets of the gates with at least one surviving photon, and
+    their survivor counts, at most ``_MAX_ROUTED``; ``key`` is the survival
+    slot's ``_folded_key`` plus the chunk's first gate.
+
+    Only the gates with photons are hashed: a gate without one has no
+    survivor, its bin-0 threshold being 2^64 - 1.  Their photon counts
+    pass through the tables' intp buffer ``photons``, so the threshold
+    gather makes no intp copy of them; uniforms at or below P(no survivor
+    | n) fall in bin 0."""
+    lit = np.flatnonzero(nph != 0)  # of the bool mask: several times faster
+    us = _uniforms_at(key, lit, work)
+    n_lit = nph.take(lit)
+    rows = tables.photons[: lit.size]
+    rows[...] = n_lit
+    # survivors by index, not by bool mask: a masked copy scans the whole
+    # mask each time
+    live = np.flatnonzero(us > np.take(tables.binom_zero, rows, out=work[1][: lit.size],
+                                       mode="clip"))
+    act, u, n_live = lit.take(live), us.take(live), n_lit.take(live)
+    del lit, n_lit, live  # before the survivor counts, where the chunk peaks
+    surv = _sample(tables.binom_thr, u, n_live, width=tables.binom_width)
+    return act, np.minimum(surv, _MAX_ROUTED, out=surv)
+
+
+def _photon_clicks(tables, keys, start, act, surv, cls):
+    """The photon click pattern of each gate ``start + act``, from its
+    ``surv`` survivors and its routing class ``cls`` = (basis << 1) | bit.
+    Photon j of a gate is routed by routing slot j; the photons of all the
+    gates are drawn at once, and a gate's pattern ORs its photons' clicks."""
+    ends = np.cumsum(surv, dtype=np.intp)
+    first = ends - surv  # each gate's photon 0
+    slot = np.arange(ends[-1] if ends.size else 0) - np.repeat(first, surv)
+    # each photon's hash input: its slot's key plus its gate
+    x = (np.array(keys[_SLOT_ROUTE0:], dtype=_U64) + _U64(start & _MASK64)).take(slot)
+    x += np.repeat(act, surv).view(_U64)
+    det = _sample(tables.route_thr, _uniforms_at(0, x), np.repeat(cls, surv),
+                  width=tables.route_width)
+    return np.bitwise_or.reduceat(np.uint8(1) << det, first)
+
+
 def _run_chunk(tables, keys, start, stop, keep_records):
     """Gates ``start .. stop - 1``, each addressed by its offset from
     ``start`` on the tables' work arrays (at least ``stop - start`` long):
@@ -484,50 +558,41 @@ def _run_chunk(tables, keys, start, stop, keep_records):
     n = stop - start
     every, work = tables.iota[:n], tables.work
 
-    def uniforms(slot):
-        # a draw over every gate
-        return _uniforms_range(keys[slot] + start, every, work)
+    def hashes(slot):
+        # the unfinished hashes of a draw over every gate
+        return _hashes_range(keys[slot] + start, every, work)
 
     def draw(thr, guide, width, slot, row=None):
         # a guided draw over every gate; its entry indices go to the second
-        # hash buffer, free once the uniforms are hashed
-        return _sample(thr, uniforms(slot), row, guide, work[1][:n], width)
+        # hash buffer, free once the hashes are made
+        return _sample(thr, hashes(slot), row, guide, work[1][:n], width)
 
     prep = draw(tables.prep_thr, tables.prep_guide, tables.prep_width, _SLOT_PREP)
-    # photon number from the table of the gate's intensity, prep >> 2
-    nph = draw(tables.pois_thr, tables.pois_guide, tables.pois_width, _SLOT_NPHOT, prep >> 2)
+    # photon number from the table of the gate's intensity, prep >> 2 (1 is
+    # the decoy)
+    decoy = prep >> 2
+    decoys = np.count_nonzero(decoy)
+    nph = draw(tables.pois_thr, tables.pois_guide, tables.pois_width, _SLOT_NPHOT, decoy)
+    del decoy  # before the survival draw, where the chunk peaks
 
-    # gates with at least one surviving photon, and their survivor counts:
-    # uniforms at or below P(no survivor | n) fall in bin 0, as every one
-    # does at n = 0.  The thresholds go to the free second hash buffer
-    # (mode "clip" writes there directly; n <= _PHOTON_CAP is in range).
-    us = uniforms(_SLOT_SURV)
-    act = np.flatnonzero(us > np.take(tables.binom_zero, nph, out=work[1][:n], mode="clip"))
-    surv = _sample(tables.binom_thr, us[act], nph[act], width=tables.binom_width)
-    np.minimum(surv, _MAX_ROUTED, out=surv)
-
-    pclick = np.zeros(n, dtype=np.uint8)
-    for j in range(int(surv.max(initial=0))):
-        sub = act[surv > j]
-        ur = _uniforms_at(keys[_SLOT_ROUTE0 + j] + start, sub, work)
-        # routing class = (basis << 1) | bit, the low bits of prep
-        pclick[sub] |= np.uint8(1) << _sample(tables.route_thr, ur, prep[sub] & 3,
-                                              width=tables.route_width)
+    act, surv = _survivors(tables, keys[_SLOT_SURV] + start, nph, work)
+    # routing class = (basis << 1) | bit, the low bits of prep
+    pclick = _photon_clicks(tables, keys, start, act, surv, prep.take(act) & 3)
 
     # dark click pattern: uniforms at or below P(no dark click) fall in bin 0
-    ud = uniforms(_SLOT_DARK)
-    dark = np.flatnonzero(ud > tables.dark_thr[0])
-    dpat = np.zeros(n, dtype=np.uint8)
-    dpat[dark] = _sample(tables.dark_thr, ud[dark], width=tables.dark_width)
+    dark, ud = _above(hashes(_SLOT_DARK), int(tables.dark_thr[0]))
+    dpat = _sample(tables.dark_thr, ud, width=tables.dark_width)
 
-    clicks = pclick | dpat
+    clicks = np.zeros(n, dtype=np.uint8)
+    clicks[act] = pclick
+    dark_only = dpat & ~clicks[dark]
+    clicks[dark] |= dpat
     any_idx = np.flatnonzero(clicks != 0)
-    cmask, prep_any, nph_any = clicks[any_idx], prep[any_idx], nph[any_idx]
+    cmask, prep_any, nph_any = clicks.take(any_idx), prep.take(any_idx), nph.take(any_idx)
     n_cells, m_cells, sifted, errors, multi = _resolve_clicks(
         keys[_SLOT_DCLICK], any_idx, cmask, prep_any, start, work
     )
 
-    decoys = np.count_nonzero(prep >= 4)  # intensity 1, decoy
     # slots, not a list: _POPCOUNT's uint64 sum beside int64 would make floats
     tally = np.empty(_TALLY, np.int64)
     tally[0:4], tally[4:8] = n_cells, m_cells
@@ -545,20 +610,25 @@ def _run_chunk(tables, keys, start, stop, keep_records):
     columns = None
     if keep_records:
         # one row per click; row-major nonzero sorts by gate, then detector.
-        # rates._FIRES[s, d] is taken at its flat index (s << 2) | d
+        # rates._FIRES[s, d] is taken at its flat index (s << 2) | d; the
+        # dark gates are among any_idx, in order
         hit, det = np.nonzero(rates._FIRES.take(cmask, axis=0))
-        dark_only = dpat[any_idx] & ~pclick[any_idx]
+        only = np.zeros(any_idx.size, dtype=np.uint8)
+        only[np.searchsorted(any_idx, dark)] = dark_only
         columns = (any_idx[hit].astype(np.uint64) + start, det.astype(np.uint8),
-                   rates._FIRES.ravel().take(dark_only[hit] << 2 | det))
+                   rates._FIRES.ravel().take(only[hit] << 2 | det))
     return tally, columns
 
 
 # 2^16 gates keep a chunk's working set in cache; smaller chunks spend
 # the time in per-chunk Python glue.  In-process medians on a 2-vCPU Xeon
-# (numpy 2.4.6), chunks of 2^15 / 2^16 / 2^17 gates: a 2^22-pulse session
-# 139 / 129 / 144 ms back-to-back and 103 / 101 / 112 ms at 14.6 dB, a
-# 1e5-pulse stability window 4.67 / 4.16 / 4.02 ms.  Its uint64 arrays
-# (512 KiB: the gate offsets and the two hash buffers) are over glibc's
+# (numpy 2.4.6), chunks of 2^15 / 2^16 / 2^17 gates alternated, ranges
+# over two runs: a 2^22-pulse session 138-152 / 123-133 / 120-126 ms
+# back-to-back and 112-128 / 102-112 / 103-107 ms at 14.6 dB, a 1e5-pulse
+# stability window 3.40-3.93 / 2.92-3.35 / 2.74-3.12 ms.  2^17 ties the
+# sessions but doubles the work arrays, each fresh page of which faults
+# once per tables object.  The uint64 and intp ones (512 KiB: the gate
+# offsets, the two hash buffers and the photon counts) are over glibc's
 # 128 KiB mmap threshold, so every fresh one is mapped and page-faulted
 # in; they live on _SessionTables and are made once per tables object,
 # not per chunk or per stability window.
@@ -1094,7 +1164,7 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
         gates = block[first]
         cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id[s:e], first)
         del first  # freed before the hashing, where the block peaks
-        prep = _sample(prep_thr, _uniforms_at(prep_key, gates), guide=prep_guide,
+        prep = _sample(prep_thr, _hashes_at(prep_key, gates), guide=prep_guide,
                        width=prep_width)
         n, m, *_ = _resolve_clicks(click_key, gates, cmask, prep)
         n_cells += n

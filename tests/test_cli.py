@@ -297,6 +297,15 @@ class TestScan:
         assert out_s == out_o
         assert len(out_s.strip().split("\n")) == 2
 
+    def test_free_p_z_needs_optimize(self, capsys):
+        # without --optimize there is no grid to free p_z in: the flag was
+        # once ignored, and the row printed at the config's p_z
+        rc, out, err = _run(capsys, "--config", CONFIG_PROJ, "scan",
+                            "--losses", "9.6", "--free-p-z")
+        assert rc == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "--optimize" in err
+
     def test_infeasible_rows_report_config(self, capsys):
         rc, out, _ = _run(capsys, "--config", CONFIG_PROJ, "scan",
                           "--losses", "60", "--optimize")

@@ -274,8 +274,11 @@ class TestWorkBuffers:
             start = (lap * 2**30 - c - at) % 2**64
         gates = [(start + i) % 2**64 for i in range(n)]
         work = (np.full(n + 7, 2**64 - 1, dtype=np.uint64), np.arange(n + 7, dtype=np.uint64))
-        got = mcsim._uniforms_range(c + start, np.arange(n, dtype=np.uint64), work)
+        index = np.arange(n, dtype=np.uint64)
+        got = mcsim._hashes_range(c + start, index, work)
         assert np.shares_memory(got, work[0])
+        assert np.array_equal(got, mcsim._hashes_at(c + start, index))
+        got = mcsim._finish(got)
         want = mcsim._uniforms_u64(seed, slot, np.array(gates, dtype=np.uint64))
         assert np.array_equal(got, want)
         key = mcsim._stream_key(seed, slot)
@@ -390,7 +393,8 @@ class TestWorkBuffers:
             assert got.q_nu == res.clicked[Intensity.DECOY] / res.sent[Intensity.DECOY]
 
     def test_second_session_on_shared_tables_allocates_little(self):
-        # the offsets and hash buffers (3 x 512 KiB) come from the first session
+        # the offsets, hash buffers and photon counts (4 x 512 KiB) come from
+        # the first session
         tables = mcsim._SessionTables(P_SMALL, LINK_B2B)
         run_session(P_SMALL, LINK_B2B, seed=1, n_threads=1, _tables=tables)
         tracemalloc.start()
@@ -400,6 +404,26 @@ class TestWorkBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("conf", ["back_to_back.conf", "reference_75km.conf"])
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_chunk_temporaries_bounded(self, conf, keep_records):
+        # beside the work arrays, a warm 2^16-gate chunk allocates no more
+        # than 641.6 KiB at once, the peak when the survival draw hashed
+        # every gate and gathered its thresholds through an intp copy of the
+        # photon counts
+        p, link, _ = load_config(os.path.join(CONFIG_DIR, conf))
+        tables, n = mcsim._SessionTables(p, link), 1 << 16
+        tables.reserve(n)
+        keys = tables.keys(7)
+        mcsim._run_chunk(tables, keys, 0, n, keep_records)
+        tracemalloc.start()
+        try:
+            mcsim._run_chunk(tables, keys, n, 2 * n, keep_records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 641.6 * 1024
 
     def test_session_memory_flat_in_chunk_count(self):
         # chunk results fold into running totals as they arrive, and the
@@ -598,11 +622,20 @@ def _guided_tables():
     return cases
 
 
+def _unfinished(u):
+    """The unfinished hashes whose uniforms are ``u``: x = u ^ (u >> 31) ^
+    (u >> 62) inverts the finalizer's last xorshift u = x ^ (x >> 31)."""
+    x = u ^ (u >> np.uint64(31)) ^ (u >> np.uint64(62))
+    assert np.array_equal(mcsim._finish(x.copy()), u)
+    return x
+
+
 def _check_guided(thr, guide, extra):
-    """The guided draw of every uniform against every row of ``thr`` equals
-    ``np.searchsorted``, and the guide splits exactly the buckets that hold
-    a threshold.  Uniforms: every threshold +-1, both edges of every
-    bucket, 0, 2^64 - 1 and ``extra``."""
+    """The guided draw of the unfinished hash of every uniform, against
+    every row of ``thr``, equals ``np.searchsorted`` of the uniform, and the
+    guide splits exactly the buckets that hold a threshold.  Uniforms:
+    every threshold +-1, both edges of every bucket, 0, 2^64 - 1 and
+    ``extra``."""
     rows = np.atleast_2d(thr)
     lo = np.arange(1 << 12, dtype=np.uint64) << np.uint64(52)
     hi = lo + np.uint64((1 << 52) - 1)
@@ -614,12 +647,13 @@ def _check_guided(thr, guide, extra):
         split = np.searchsorted(table, lo) != np.searchsorted(table, hi)
         assert np.array_equal(guide[r :: len(rows)] == mcsim._SPLIT, split)
     want = np.concatenate([np.searchsorted(table, u) for table in rows])
+    x = _unfinished(u)
     if thr.ndim == 1:
-        got = mcsim._sample(thr, u, guide=guide)
+        got = mcsim._sample(thr, x, guide=guide)
     else:
         row = np.repeat(np.arange(len(rows), dtype=np.uint8), u.size)
         index = np.empty(row.size, dtype=np.uint64)
-        got = mcsim._sample(thr, np.tile(u, len(rows)), row, guide, index)
+        got = mcsim._sample(thr, np.tile(x, len(rows)), row, guide, index)
     assert got.dtype == np.uint8
     assert np.array_equal(got, want)
 
@@ -679,6 +713,29 @@ class TestSampler:
     def test_guided_photon_number_equals_searchsorted(self, mu, nu_frac, extra):
         t = mcsim._SessionTables(ProtocolParams(mu=mu, nu=mu * nu_frac), LINK_75)
         _check_guided(t.pois_thr, t.pois_guide, extra)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dark=st.sampled_from([0.0, 1e-9, 8e-6, 3.3e-4, 0.37]),
+           thr=st.one_of(st.none(), st.integers(0, 2**64 - 1),
+                         st.integers(0, 2**31 - 1).map(lambda t: t << 33)),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    def test_dark_rule_equals_exact_comparison(self, dark, thr, extra):
+        # the dark gates of unfinished hashes are those whose uniform
+        # exceeds P(no dark click), also where the top 31 bits tie
+        if thr is None:
+            link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
+            thr = int(mcsim._SessionTables(ProtocolParams(), link).dark_thr[0])
+        top = thr >> 33 << 33
+        points = {0, 2**64 - 1, *extra}
+        for t in (thr, top, top + (1 << 33) - 1, top + (1 << 33)):
+            points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
+        # the tie: uniforms that share the threshold's top 31 bits
+        points.update(top | (x & ((1 << 33) - 1)) for x in extra)
+        u = np.array(sorted(points), dtype=np.uint64)
+        index, got = mcsim._above(_unfinished(u), thr)
+        want = np.flatnonzero(u > np.uint64(thr))
+        assert np.array_equal(index, want)
+        assert np.array_equal(got, u[want])
 
     def test_guides_outlive_rotation_updates(self):
         t = mcsim._SessionTables(P_SMALL, LINK_75)
