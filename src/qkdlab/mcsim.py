@@ -171,7 +171,8 @@ _RUN = 1 << 30  # the first xorshift's x >> 30 is constant on aligned runs of th
 
 
 def _hash_buffers(n: int, work):
-    if work is None:
+    # the first n of each work buffer, or new buffers past their length
+    if work is None or work[0].size < n:
         work = (np.empty(n, _U64), np.empty(n, _U64))
     return work[0][:n], work[1][:n]
 
@@ -199,8 +200,8 @@ def _hashes_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
     """Unfinished hashes (see ``_mix``) of the inputs ``c + index`` mod
     2^64, ``index`` an int64 or uint64 array.  With ``work``, a pair of
     uint64 buffers at least ``index.size`` long, the result is a view of
-    the first buffer, valid until the next call on it; without, it is a
-    new array."""
+    the first buffer, valid until the next call on it; without, or with
+    shorter ones, it is a new array."""
     x, t = _hash_buffers(index.size, work)
     np.add(index.view(_U64), c & _MASK64, out=x)
     np.right_shift(x, 30, out=t)
@@ -215,14 +216,24 @@ def _uniforms_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
     return _finish(_hashes_at(c, index, work), work[1])
 
 
-def _hashes_range(c: int, iota: np.ndarray, work=None) -> np.ndarray:
-    """``_hashes_at(c, iota, work)`` for the offsets ``iota`` = 0, 1, ...,
-    n - 1.  The inputs x = c + iota mod 2^64 share x >> 30 on each run
-    between multiples of 2^30, so the first xorshift is one XOR with that
-    constant per run: one run, or two, for a chunk of up to 2^30 gates."""
-    x, t = _hash_buffers(iota.size, work)
+_OFFSETS = np.arange(1 << 12, dtype=_U64)
+
+
+def _hashes_range(c: int, n: int, work=None) -> np.ndarray:
+    """``_hashes_at(c, index, work)`` for the offsets ``index`` = 0, 1,
+    ..., n - 1, written into the first buffer: ``_OFFSETS`` plus c, then
+    each filled prefix plus its length after it.  The inputs x = c + index
+    mod 2^64 share x >> 30 on each run between multiples of 2^30, so the
+    first xorshift is one XOR with that constant per run: one run, or two,
+    for a chunk of up to 2^30 gates."""
+    x, t = _hash_buffers(n, work)
     c &= _MASK64
-    np.add(iota, c, out=x)
+    m = min(n, _OFFSETS.size)
+    np.add(_OFFSETS[:m], c, out=x[:m])
+    while m < n:
+        k = min(m, n - m)
+        np.add(x[:k], _U64(m), out=x[m : m + k])
+        m += k
     a = 0
     while a < x.size:
         v = (c + a) & _MASK64
@@ -261,16 +272,22 @@ _GUIDE_SHIFT = 64 - _GUIDE_BITS
 _SPLIT = 255
 
 
+def _row_bits(thr) -> int:
+    """Bits of a row index of the 2-D ``thr``."""
+    return (len(thr) - 1).bit_length()
+
+
 def _guide(thr: np.ndarray) -> np.ndarray:
     """Guide table of ``thr`` (one table, or one per row of a 2-D ``thr``,
-    each of fewer than 255 bins) for ``_sample``: entry ``bucket * rows +
-    row``.  Bucket b holds the uniforms b 2^52 .. (b + 1) 2^52 - 1; the
-    bin rises past each threshold t, so the bucket is split iff
-    b 2^52 <= t < (b + 1) 2^52 - 1."""
+    each of fewer than 255 bins) for ``_sample``: entry ``bucket << b |
+    row``, the rows padded to 2^b, so that a shift, not a product, makes
+    the entry index.  Bucket c holds the uniforms c 2^52 .. (c + 1) 2^52 -
+    1; the bin rises past each threshold t, so the bucket is split iff
+    c 2^52 <= t < (c + 1) 2^52 - 1."""
     rows = np.atleast_2d(thr)
     lo = np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(_GUIDE_SHIFT)
     hi = lo | _U64((1 << _GUIDE_SHIFT) - 1)
-    guide = np.empty((lo.size, len(rows)), dtype=np.uint8)
+    guide = np.full((lo.size, 1 << _row_bits(rows)), _SPLIT, dtype=np.uint8)
     for r, table in enumerate(rows):
         first = np.searchsorted(table, lo)
         guide[:, r] = np.where(first == np.searchsorted(table, hi), first, _SPLIT)
@@ -285,7 +302,7 @@ def _width(thr):
     return below, np.ones(int(below.max(initial=0)), dtype=np.uint8)
 
 
-def _sample(thr, u, row=None, guide=None, scratch=None, width=None) -> np.ndarray:
+def _sample(thr, u, row=None, guide=None, scratch=None, width=None, out=None) -> np.ndarray:
     """Bin of each uniform: the number of thresholds below it, which is
     ``np.searchsorted(thr, u, side="left")``, as uint8.
 
@@ -298,7 +315,8 @@ def _sample(thr, u, row=None, guide=None, scratch=None, width=None) -> np.ndarra
       uniforms': the bin is the entry of the uniform's bucket, and only the
       hashes in split buckets (about 0.2 % of them) are finished and
       compared.  ``scratch``, a uint64 buffer as long as ``u`` if given,
-      holds the entry indices;
+      holds the entry indices, and ``out``, a uint8 array as long, the
+      bins if given;
     - without, for sparse draws and the guide's fix-up, ``u`` holds the
       uniforms: one gathered comparison of each with its table's
       thresholds, up to the last one below 2^64 - 1 in any table drawn from
@@ -308,11 +326,11 @@ def _sample(thr, u, row=None, guide=None, scratch=None, width=None) -> np.ndarra
     if guide is not None:
         idx = np.right_shift(u, _GUIDE_SHIFT, out=scratch)
         if row is not None:
-            idx *= len(thr)
+            idx <<= _row_bits(thr)
             idx += row
         # every index is in range; "wrap" is the fastest mode that skips
         # take's bounds error
-        out = np.take(guide, idx.view(np.int64), mode="wrap")
+        out = np.take(guide, idx.view(np.int64), mode="wrap", out=out)
         split = np.flatnonzero(out == _SPLIT)
         out[split] = _sample(thr, _finish(u[split]), None if row is None else row[split],
                              width=width)
@@ -382,15 +400,14 @@ class _SessionTables:
     guides (``prep_guide``, ``pois_guide``; see ``_sample``).
     ``set_rotation`` rebuilds only the routing thresholds and width, whose
     sparse draw needs no guide, so the guides are made once.  The work
-    arrays are the gate offsets ``iota`` (0, 1, ...), ``work``, one pair
-    of uint64 hash buffers, and ``photons``, the intp photon counts of the
-    gates with photons (``_survivors``): a process runs one chunk at a
-    time, and a forked worker writes to its own copy.  ``reserve`` grows
-    them; a chunk touches only as much of ``photons`` as it has gates with
-    photons.  They
-    live exactly as long as the tables, so the windows of a stability run,
-    which share one set, map and fault them in once.  ``keys`` folds the
-    stream keys of a seed once, for every chunk and window run with it.
+    arrays are ``work``, one pair of uint64 hash buffers as long as the
+    largest chunk run on the tables, up to ``_PIECE`` gates (a longer
+    chunk runs its draws over every gate in pieces, ``_run_chunk``): a
+    process runs one chunk at a time, and a forked worker writes to its
+    own copy.  ``reserve`` grows them.  They live exactly as long as the
+    tables, so the windows of a stability run, which share one set, map
+    and fault them in once.  ``keys`` folds the stream keys of a seed
+    once, for every chunk and window run with it.
 
     Raises ValueError if the photon or routed-photon cap would clip more
     than ``_CAP_TOLERANCE`` of the gates of either intensity."""
@@ -431,17 +448,13 @@ class _SessionTables:
         self.binom_width = _width(self.binom_thr)
         self.dark_width = _width(self.dark_thr)
         self.set_rotation(p, link)
-        self.iota = np.arange(0, dtype=_U64)
-        self.work = (self.iota, self.iota)
-        self.photons = np.empty(0, np.intp)
+        self.work = (np.empty(0, _U64),) * 2
         self._seed, self._keys = None, None
 
     def reserve(self, n: int) -> None:
-        """Grow the work arrays to hold chunks of ``n`` gates."""
-        if self.iota.size < n:
-            self.iota = np.arange(n, dtype=_U64)
+        """Grow the work arrays to hold ``n`` gates."""
+        if self.work[0].size < n:
             self.work = (np.empty(n, _U64), np.empty(n, _U64))
-            self.photons = np.empty(n, np.intp)
 
     def keys(self, seed: int) -> list[int]:
         """``_folded_key(seed, slot)`` of every slot below the last routing
@@ -514,17 +527,19 @@ def _survivors(tables, key, nph, work):
 
     Only the gates with photons are hashed: a gate without one has no
     survivor, its bin-0 threshold being 2^64 - 1.  Their photon counts
-    pass through the tables' intp buffer ``photons``, so the threshold
-    gather makes no intp copy of them; uniforms at or below P(no survivor
-    | n) fall in bin 0."""
+    pass as intp through the second hash buffer, free once the uniforms
+    are made, and the threshold gather writes over them in place (each
+    index is read before its element is written), so it makes no intp
+    copy; uniforms at or below P(no survivor | n) fall in bin 0."""
     lit = np.flatnonzero(nph != 0)  # of the bool mask: several times faster
+    work = _hash_buffers(lit.size, work)
     us = _uniforms_at(key, lit, work)
     n_lit = nph.take(lit)
-    rows = tables.photons[: lit.size]
-    rows[...] = n_lit
+    rows = work[1]
+    rows.view(np.intp)[...] = n_lit
     # survivors by index, not by bool mask: a masked copy scans the whole
     # mask each time
-    live = np.flatnonzero(us > np.take(tables.binom_zero, rows, out=work[1][: lit.size],
+    live = np.flatnonzero(us > np.take(tables.binom_zero, rows.view(np.intp), out=rows,
                                        mode="clip"))
     act, u, n_live = lit.take(live), us.take(live), n_lit.take(live)
     del lit, n_lit, live  # before the survivor counts, where the chunk peaks
@@ -535,62 +550,91 @@ def _survivors(tables, key, nph, work):
 def _photon_clicks(tables, keys, start, act, surv, cls):
     """The photon click pattern of each gate ``start + act``, from its
     ``surv`` survivors and its routing class ``cls`` = (basis << 1) | bit.
-    Photon j of a gate is routed by routing slot j; the photons of all the
-    gates are drawn at once, and a gate's pattern ORs its photons' clicks."""
-    ends = np.cumsum(surv, dtype=np.intp)
-    first = ends - surv  # each gate's photon 0
-    slot = np.arange(ends[-1] if ends.size else 0) - np.repeat(first, surv)
-    # each photon's hash input: its slot's key plus its gate
-    x = (np.array(keys[_SLOT_ROUTE0:], dtype=_U64) + _U64(start & _MASK64)).take(slot)
-    x += np.repeat(act, surv).view(_U64)
-    det = _sample(tables.route_thr, _uniforms_at(0, x), np.repeat(cls, surv),
-                  width=tables.route_width)
-    return np.bitwise_or.reduceat(np.uint8(1) << det, first)
+    Photon j of a gate is routed by routing slot j, drawn at once for
+    every gate with more than j survivors: slot 0 for all of them, and
+    each later slot for the few gates left.  A gate's pattern ORs its
+    photons' clicks."""
+
+    def clicks(j, gates, c):
+        u = _uniforms_at(keys[_SLOT_ROUTE0 + j] + start, gates)
+        return np.uint8(1) << _sample(tables.route_thr, u, c, width=tables.route_width)
+
+    pclick = clicks(0, act, cls)
+    left = np.flatnonzero(surv > 1)  # the gates with more than j survivors
+    for j in range(1, int(surv.max(initial=0))):
+        pclick[left] |= clicks(j, act.take(left), cls.take(left))
+        left = left.take(np.flatnonzero(surv.take(left) > j + 1))
+    return pclick
+
+
+def _every_gate(tables, keys, start, prep, nph):
+    """The draws over every gate of gates ``start .. start + prep.size -
+    1``, a piece no longer than the tables' hash buffers: Alice's choice
+    into ``prep`` and the photon number into ``nph``.  Returns the decoy
+    count, then the offsets and the uniforms of the gates past P(no dark
+    click)."""
+    n, work = prep.size, tables.work
+
+    def draw(thr, guide, width, slot, row, out):
+        # a guided draw on the unfinished hashes; its entry indices go to
+        # the second hash buffer, free once the hashes are made
+        x = _hashes_range(keys[slot] + start, n, work)
+        return _sample(thr, x, row, guide, work[1][:n], width, out)
+
+    draw(tables.prep_thr, tables.prep_guide, tables.prep_width, _SLOT_PREP, None, prep)
+    # photon number from the table of the gate's intensity, prep >> 2 (1 is
+    # the decoy)
+    decoy = prep >> 2
+    draw(tables.pois_thr, tables.pois_guide, tables.pois_width, _SLOT_NPHOT, decoy, nph)
+    # dark click pattern: uniforms at or below P(no dark click) fall in bin 0
+    return (np.count_nonzero(decoy),
+            *_above(_hashes_range(keys[_SLOT_DARK] + start, n, work), int(tables.dark_thr[0])))
 
 
 def _run_chunk(tables, keys, start, stop, keep_records):
     """Gates ``start .. stop - 1``, each addressed by its offset from
-    ``start`` on the tables' work arrays (at least ``stop - start`` long):
-    only the gates kept as records are formed.  ``keys`` is
-    ``tables.keys(seed)``.  Returns the ``_TALLY`` vector and, with
-    ``keep_records``, the (gate, detector, dark) record columns, else
-    None."""
+    ``start``: only the gates kept as records are formed.  The draws over
+    every gate run in near-equal pieces of at most ``_PIECE`` gates
+    (``_every_gate``), which the tables' hash buffers must hold, and the
+    sparse draws once over the chunk.  ``keys`` is ``tables.keys(seed)``.
+    Returns the ``_TALLY`` vector and, with ``keep_records``, the (gate,
+    detector, dark) record columns, else None."""
     n = stop - start
-    every, work = tables.iota[:n], tables.work
+    prep, nph = np.empty(n, np.uint8), np.empty(n, np.uint8)
+    k = -(-n // _PIECE)
+    cuts = [n * j // k for j in range(k + 1)]
+    decoys, dark, ud = 0, [], []
+    for a, b in zip(cuts, cuts[1:]):
+        d, off, u = _every_gate(tables, keys, start + a, prep[a:b], nph[a:b])
+        decoys += d
+        dark.append(off + a)
+        ud.append(u)
+    dark, ud = np.concatenate(dark), np.concatenate(ud)
 
-    def hashes(slot):
-        # the unfinished hashes of a draw over every gate
-        return _hashes_range(keys[slot] + start, every, work)
-
-    def draw(thr, guide, width, slot, row=None):
-        # a guided draw over every gate; its entry indices go to the second
-        # hash buffer, free once the hashes are made
-        return _sample(thr, hashes(slot), row, guide, work[1][:n], width)
-
-    prep = draw(tables.prep_thr, tables.prep_guide, tables.prep_width, _SLOT_PREP)
-    # photon number from the table of the gate's intensity, prep >> 2 (1 is
-    # the decoy)
-    decoy = prep >> 2
-    decoys = np.count_nonzero(decoy)
-    nph = draw(tables.pois_thr, tables.pois_guide, tables.pois_width, _SLOT_NPHOT, decoy)
-    del decoy  # before the survival draw, where the chunk peaks
-
-    act, surv = _survivors(tables, keys[_SLOT_SURV] + start, nph, work)
+    act, surv = _survivors(tables, keys[_SLOT_SURV] + start, nph, tables.work)
     # routing class = (basis << 1) | bit, the low bits of prep
     pclick = _photon_clicks(tables, keys, start, act, surv, prep.take(act) & 3)
-
-    # dark click pattern: uniforms at or below P(no dark click) fall in bin 0
-    dark, ud = _above(hashes(_SLOT_DARK), int(tables.dark_thr[0]))
     dpat = _sample(tables.dark_thr, ud, width=tables.dark_width)
 
-    clicks = np.zeros(n, dtype=np.uint8)
-    clicks[act] = pclick
-    dark_only = dpat & ~clicks[dark]
-    clicks[dark] |= dpat
-    any_idx = np.flatnonzero(clicks != 0)
-    cmask, prep_any, nph_any = clicks.take(any_idx), prep.take(any_idx), nph.take(any_idx)
+    # the clicked gates: the dark gates without photon clicks inserted in
+    # order among the gates with them, on arrays as long as these, not the
+    # chunk
+    at = np.searchsorted(act, dark)
+    new = at == act.size
+    new[~new] = act[at[~new]] != dark[~new]
+    pos = at[new] + np.arange(np.count_nonzero(new))  # their places
+    keep = np.ones(act.size + pos.size, dtype=bool)
+    keep[pos] = False
+    any_idx = np.empty(keep.size, dtype=act.dtype)
+    any_idx[pos], any_idx[keep] = dark[new], act
+    cmask = np.zeros(keep.size, dtype=np.uint8)
+    cmask[keep] = pclick
+    at = np.searchsorted(any_idx, dark)
+    dark_only = dpat & ~cmask[at]
+    cmask[at] |= dpat
+    prep_any, nph_any = prep.take(any_idx), nph.take(any_idx)
     n_cells, m_cells, sifted, errors, multi = _resolve_clicks(
-        keys[_SLOT_DCLICK], any_idx, cmask, prep_any, start, work
+        keys[_SLOT_DCLICK], any_idx, cmask, prep_any, start, tables.work
     )
 
     # slots, not a list: _POPCOUNT's uint64 sum beside int64 would make floats
@@ -614,25 +658,30 @@ def _run_chunk(tables, keys, start, stop, keep_records):
         # dark gates are among any_idx, in order
         hit, det = np.nonzero(rates._FIRES.take(cmask, axis=0))
         only = np.zeros(any_idx.size, dtype=np.uint8)
-        only[np.searchsorted(any_idx, dark)] = dark_only
+        only[at] = dark_only
         columns = (any_idx[hit].astype(np.uint64) + start, det.astype(np.uint8),
                    rates._FIRES.ravel().take(only[hit] << 2 | det))
     return tally, columns
 
 
-# 2^16 gates keep a chunk's working set in cache; smaller chunks spend
-# the time in per-chunk Python glue.  In-process medians on a 2-vCPU Xeon
-# (numpy 2.4.6), chunks of 2^15 / 2^16 / 2^17 gates alternated, ranges
-# over two runs: a 2^22-pulse session 138-152 / 123-133 / 120-126 ms
-# back-to-back and 112-128 / 102-112 / 103-107 ms at 14.6 dB, a 1e5-pulse
-# stability window 3.40-3.93 / 2.92-3.35 / 2.74-3.12 ms.  2^17 ties the
-# sessions but doubles the work arrays, each fresh page of which faults
-# once per tables object.  The uint64 and intp ones (512 KiB: the gate
-# offsets, the two hash buffers and the photon counts) are over glibc's
-# 128 KiB mmap threshold, so every fresh one is mapped and page-faulted
-# in; they live on _SessionTables and are made once per tables object,
-# not per chunk or per stability window.
+# The least chunk size: run_session runs max(1, n // 2^16) near-equal
+# chunks of 2^16 to 2^17 - 1 gates, so no chunk is a short tail and a
+# 1e5-pulse stability window is one chunk, not a 2^16-gate chunk and a
+# 34,464-gate tail that paid a second chunk's sparse draws, click
+# resolution and glue.  Smaller chunks spend the time in per-chunk Python
+# glue.  In-process medians on a 2-vCPU Xeon (numpy 2.4.6), chunks of
+# 2^15 / 2^16 / 2^17 gates alternated, ranges over two runs: a 2^22-pulse
+# session 138-152 / 123-133 / 120-126 ms back-to-back and 112-128 /
+# 102-112 / 103-107 ms at 14.6 dB.
 _DEFAULT_CHUNK = 1 << 16
+# A chunk's draws over every gate run in near-equal pieces of at most this
+# many gates, the length of the two uint64 hash buffers: a chunk of up to
+# 2^17 - 1 gates holds the 1 MiB of buffers of a 2^16-gate one, not up to
+# twice that.  The buffers are over glibc's 128 KiB mmap threshold, so
+# every fresh one is mapped and page-faulted in; they live on
+# _SessionTables and are made once per tables object, not per chunk or
+# per stability window.
+_PIECE = 1 << 16
 
 
 def _n_threads(explicit: int | None) -> int:
@@ -729,6 +778,11 @@ def run_session(
     size or worker count.  The gates are ``gate_offset`` onwards; a range
     outside 0 .. 2^64 - 1 raises ValueError.
 
+    ``chunk_size`` is the least chunk size: the gates run as
+    ``max(1, n_pulses // chunk_size)`` near-equal contiguous chunks, each
+    of ``chunk_size`` to ``2 * chunk_size - 1`` gates (one chunk of all of
+    them if there are fewer), so no chunk is a short tail.
+
     With ``n_threads`` (else QKD_THREADS) above 1 the chunks are split into
     that many contiguous shards at most: this process runs the first, a
     forked child process each other one.  Each shard stops once its own
@@ -745,17 +799,17 @@ def run_session(
         raise ValueError(
             f"gates {gate_offset} .. {gate_offset + n_total - 1} are not all in 0 .. 2^64 - 1"
         )
+    n_chunks = max(1, n_total // chunk_size)
     tables = _tables if _tables is not None else _SessionTables(p, link)
-    tables.reserve(min(chunk_size, n_total))
+    tables.reserve(min(-(-n_total // n_chunks), _PIECE))
     keys = tables.keys(seed)
-    stop = gate_offset + n_total
 
     def shard(chunks):
         # a shard stops after the chunk that brings its records past the cap
         total, kept, n_kept = np.zeros(_TALLY, np.int64), [], 0
         for c in chunks:
-            s = gate_offset + c * chunk_size
-            tally, columns = _run_chunk(tables, keys, s, min(s + chunk_size, stop), keep_records)
+            tally, columns = _run_chunk(tables, keys, gate_offset + n_total * c // n_chunks,
+                                        gate_offset + n_total * (c + 1) // n_chunks, keep_records)
             total += tally
             if keep_records:
                 kept.append(columns)
@@ -764,7 +818,7 @@ def run_session(
                     break
         return total, kept
 
-    shards = _in_workers(shard, -(-n_total // chunk_size), n_threads)
+    shards = _in_workers(shard, n_chunks, n_threads)
     # the cap is checked again in gate order, so the message names the same
     # count for any worker count
     kept, n_kept = [], 0
@@ -776,17 +830,18 @@ def run_session(
             kept.append(columns)
 
     total = sum(tally for tally, _ in shards)
-    n_cells, m_cells, gt, (gates, multi, clicks), sent, clicked = np.split(
-        total, [4, 8, 12, 15, 17])
+    # slices and a list, not np.split, whose glue took about 15 us of a
+    # 1e5-pulse window
+    *gt, gates, multi, clicks, sent_mu, sent_nu, clicked_mu, clicked_nu = total[8:].tolist()
     return SessionResult(
-        counts=_observed(n_cells, m_cells),
-        ground_truth=GroundTruth(*(int(c) for c in gt)),
+        counts=_observed(total[0:4], total[4:8]),
+        ground_truth=GroundTruth(*gt),
         n_pulses=n_total,
-        detection_gates=int(gates),
-        multi_click_gates=int(multi),
-        detector_clicks=int(clicks),
-        sent={Intensity.SIGNAL: int(sent[0]), Intensity.DECOY: int(sent[1])},
-        clicked={Intensity.SIGNAL: int(clicked[0]), Intensity.DECOY: int(clicked[1])},
+        detection_gates=gates,
+        multi_click_gates=multi,
+        detector_clicks=clicks,
+        sent={Intensity.SIGNAL: sent_mu, Intensity.DECOY: sent_nu},
+        clicked={Intensity.SIGNAL: clicked_mu, Intensity.DECOY: clicked_nu},
         records=RecordSet(*(np.concatenate(c) for c in zip(*kept))) if keep_records else None,
     )
 
@@ -901,8 +956,11 @@ _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 # a 20-digit gate fits in uint64 iff it leads with 0, or with 1 and the
 # other 19 digits are at most this
 _TOP_REST = _MASK64 - 10**19
-# Rows per block of the writer and of the recount: a block's per-row
-# temporaries stay at or under 512 KiB.
+# Rows per block of the writer and of the recount.  A block's temporaries
+# grow with its rows and, for the writer, with the gates' digits: its
+# digit buffer, keep mask, quotient and digit columns and packed bytes took
+# 3.26 MiB beside the 2.38 MiB of columns of 249,964 rows of 7-digit
+# gates, the recount 1.94 MiB (tracemalloc peaks).
 _BLOCK_ROWS = 1 << 16
 # Bytes per read of a record file.  The reader parses the complete lines of
 # each piece together, so beside the columns it holds a few times this.

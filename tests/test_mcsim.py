@@ -241,6 +241,12 @@ def _session_key(res):
                res.records.is_dark.tolist()),))
 
 
+def _largest_chunk(n, chunk_size):
+    """The largest of the max(1, n // chunk_size) near-equal chunks of n
+    gates."""
+    return -(-n // max(1, n // chunk_size))
+
+
 class TestWorkBuffers:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), slot=st.integers(0, 24),
@@ -274,10 +280,9 @@ class TestWorkBuffers:
             start = (lap * 2**30 - c - at) % 2**64
         gates = [(start + i) % 2**64 for i in range(n)]
         work = (np.full(n + 7, 2**64 - 1, dtype=np.uint64), np.arange(n + 7, dtype=np.uint64))
-        index = np.arange(n, dtype=np.uint64)
-        got = mcsim._hashes_range(c + start, index, work)
+        got = mcsim._hashes_range(c + start, n, work)
         assert np.shares_memory(got, work[0])
-        assert np.array_equal(got, mcsim._hashes_at(c + start, index))
+        assert np.array_equal(got, mcsim._hashes_at(c + start, np.arange(n, dtype=np.uint64)))
         got = mcsim._finish(got)
         want = mcsim._uniforms_u64(seed, slot, np.array(gates, dtype=np.uint64))
         assert np.array_equal(got, want)
@@ -322,6 +327,85 @@ class TestWorkBuffers:
             assert _session_key(res) == want
         gates = res.records.gate_index
         assert offset <= int(gates[0]) and int(gates[-1]) <= offset + kw["n_pulses"] - 1
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 10**5, 2**17 - 1, 2**17,
+                                   2**17 + 1, 3 * 2**16 + 5])
+    def test_default_chunks_have_no_short_tail(self, n, monkeypatch):
+        # max(1, n // 2^16) contiguous chunks of 2^16 to 2^17 - 1 gates (all
+        # n if fewer), their draws over every gate in near-equal pieces of
+        # at most 2^16, the hash buffers' longest length; equal to 777-gate
+        # chunks and to two workers
+        kw = dict(n_pulses=n, gate_offset=10**9 + 3, keep_records=True)
+        chunks, pieces = [], []
+        run_chunk, every_gate = mcsim._run_chunk, mcsim._every_gate
+
+        def chunk(tables, keys, start, stop, keep_records):
+            chunks.append((start, stop))
+            pieces.append([])
+            return run_chunk(tables, keys, start, stop, keep_records)
+
+        def piece(tables, keys, start, prep, nph):
+            pieces[-1].append((start, start + prep.size))
+            return every_gate(tables, keys, start, prep, nph)
+
+        monkeypatch.setattr(mcsim, "_run_chunk", chunk)
+        monkeypatch.setattr(mcsim, "_every_gate", piece)
+        tables = mcsim._SessionTables(P_SMALL, LINK_B2B)
+        want = _session_key(run_session(P_SMALL, LINK_B2B, seed=5, n_threads=1, _tables=tables,
+                                        **kw))
+        monkeypatch.undo()
+
+        def sizes(bounds, first, last):
+            starts, stops = zip(*bounds)
+            assert starts[0] == first and stops[-1] == last and starts[1:] == stops[:-1]
+            sizes = [b - a for a, b in bounds]
+            assert max(sizes) - min(sizes) <= 1
+            return sizes
+
+        chunk_sizes = sizes(chunks, kw["gate_offset"], kw["gate_offset"] + n)
+        assert len(chunk_sizes) == max(1, n // 2**16)
+        assert min(n, 2**16) <= min(chunk_sizes) and max(chunk_sizes) <= 2**17 - 1
+        piece_sizes = [sizes(p, *c) for p, c in zip(pieces, chunks)]
+        assert [len(p) for p in piece_sizes] == [-(-c // 2**16) for c in chunk_sizes]
+        assert max(max(p) for p in piece_sizes) <= 2**16
+        assert [b.size for b in tables.work] == [min(max(chunk_sizes), 2**16)] * 2
+        assert _session_key(run_session(P_SMALL, LINK_B2B, seed=5, chunk_size=777, **kw)) == want
+        assert _session_key(run_session(P_SMALL, LINK_B2B, seed=5, n_threads=2, **kw)) == want
+
+    def test_photon_gates_past_the_hash_buffers(self, monkeypatch):
+        # one chunk of 2^17 - 1 gates on buffers of 2^16, of which more than
+        # 2^16 have photons: the survival draw hashes them in buffers of its
+        # own, and equals 777-gate chunks
+        p = ProtocolParams(mu=1.0, nu=0.9)
+        kw = dict(n_pulses=2**17 - 1, gate_offset=7, keep_records=True)
+        lit = []
+        real = mcsim._survivors
+
+        def counting(tables, key, nph, work):
+            lit.append(np.count_nonzero(nph))
+            return real(tables, key, nph, work)
+
+        monkeypatch.setattr(mcsim, "_survivors", counting)
+        tables = mcsim._SessionTables(p, LINK_B2B)
+        got = _session_key(run_session(p, LINK_B2B, seed=3, n_threads=1, _tables=tables, **kw))
+        monkeypatch.undo()
+        assert [b.size for b in tables.work] == [2**16] * 2 and lit[0] > 2**16
+        assert got == _session_key(run_session(p, LINK_B2B, seed=3, chunk_size=777, **kw))
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10**5])
+    @pytest.mark.parametrize("carry", [None, 0, 1, "mid", -1])
+    def test_range_hashes_equal_gathered(self, n, carry):
+        # the range's offsets are written, not read: any size, with a
+        # multiple of 2^30 nowhere, on its first gate or its second, in its
+        # middle, or on its last
+        c = mcsim._folded_key(17, mcsim._SLOT_DARK)
+        if carry is not None:
+            at = {"mid": n // 2, -1: n - 1}.get(carry, carry)
+            c = (5 * 2**30 - at) % 2**64
+        work = (np.full(n + 3, 2**64 - 1, dtype=np.uint64), np.arange(n + 3, dtype=np.uint64))
+        got = mcsim._hashes_range(c, n, work)
+        assert got.size == n and np.shares_memory(got, work[0])
+        np.testing.assert_array_equal(got, mcsim._hashes_at(c, np.arange(n, dtype=np.uint64)))
 
     def test_back_to_back_sessions_equal_fresh_ones(self):
         cases = [(777, 3, LINK_B2B, 0), (mcsim._DEFAULT_CHUNK, 4, LINK_75, 10**12 + 7),
@@ -369,11 +453,12 @@ class TestWorkBuffers:
         fresh = [run(case) for case in cases]
         for order in (cases, cases[::-1]):
             tables = mcsim._SessionTables(P_SMALL, LINK_B2B)
-            for case in order:
+            for i, case in enumerate(order):
                 assert run(case, tables) == fresh[cases.index(case)]
-                assert tables.iota.size == max(c for _, c in order[: order.index(case) + 1])
-            # one buffer pair per tables object, grown with the offsets
-            assert [b.size for b in tables.work] == [tables.iota.size] * 2
+                # one buffer pair per tables object, as long as the largest
+                # chunk run on it, or a piece of 2^16 gates if longer
+                size = max(_largest_chunk(2 * 2**16 + 333, c) for _, c in order[: i + 1])
+                assert [b.size for b in tables.work] == [min(size, 2**16)] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stability_windows_equal_standalone_sessions(self, threads):
@@ -496,6 +581,8 @@ class TestWorkerProcesses:
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         run_session(P_SMALL, LINK_B2B, seed=1, chunk_size=2**13, n_threads=1)
         run_session(P_SMALL, LINK_B2B, seed=1, n_pulses=2**13, chunk_size=2**13, n_threads=4)
+        # a 1e5-pulse session is one default chunk
+        run_session(P_SMALL, LINK_B2B, seed=1, n_threads=2)
         run_stability(P_SMALL, LINK_B2B, DriftModel(), Schedule(duration_h=0.5), seed=1,
                       pulses_per_window=1000, n_threads=1)
 
@@ -736,6 +823,27 @@ class TestSampler:
         want = np.flatnonzero(u > np.uint64(thr))
         assert np.array_equal(index, want)
         assert np.array_equal(got, u[want])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), start=st.sampled_from([0, 2**64 - 2**20]),
+           angle=st.floats(0.0, 3.2),
+           gates=st.lists(st.tuples(st.integers(1, mcsim._MAX_ROUTED), st.integers(0, 3)),
+                          max_size=40))
+    def test_photon_clicks_route_each_photon(self, seed, start, angle, gates):
+        # photon j of each gate from routing slot j, up to 16 survivors
+        t = mcsim._SessionTables(P_SMALL, replace(LINK_B2B, rotation_angle=angle))
+        act = np.arange(len(gates), dtype=np.intp) * 37 + 5
+        surv = np.array([s for s, _ in gates], dtype=np.uint8)
+        cls = np.array([c for _, c in gates], dtype=np.uint8)
+        got = mcsim._photon_clicks(t, t.keys(seed), start, act, surv, cls)
+        want = []
+        for g, s, c in zip(act.tolist(), surv.tolist(), cls.tolist()):
+            gate = np.array([(start + g) % 2**64], dtype=np.uint64)
+            dets = [np.searchsorted(t.route_thr[c],
+                                    mcsim._uniforms_u64(seed, mcsim._SLOT_ROUTE0 + j, gate))[0]
+                    for j in range(s)]
+            want.append(np.bitwise_or.reduce([1 << int(d) for d in dets]))
+        assert got.tolist() == want
 
     def test_guides_outlive_rotation_updates(self):
         t = mcsim._SessionTables(P_SMALL, LINK_75)
