@@ -16,6 +16,7 @@ click, which also fixes Bob's basis.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -216,20 +217,28 @@ def _uniforms_at(c: int, index: np.ndarray, work=None) -> np.ndarray:
     return _finish(_hashes_at(c, index, work), work[1])
 
 
-_OFFSETS = np.arange(1 << 12, dtype=_U64)
+@functools.cache
+def _offsets() -> np.ndarray:
+    """The offsets 0 .. 4,095, made on first use: a process that never
+    simulates allocates nothing here at import, which would shift the
+    heap that the optimizer's large arrays come and go from."""
+    block = np.arange(1 << 12, dtype=_U64)
+    block.flags.writeable = False
+    return block
 
 
 def _hashes_range(c: int, n: int, work=None) -> np.ndarray:
     """``_hashes_at(c, index, work)`` for the offsets ``index`` = 0, 1,
-    ..., n - 1, written into the first buffer: ``_OFFSETS`` plus c, then
+    ..., n - 1, written into the first buffer: ``_offsets()`` plus c, then
     each filled prefix plus its length after it.  The inputs x = c + index
     mod 2^64 share x >> 30 on each run between multiples of 2^30, so the
     first xorshift is one XOR with that constant per run: one run, or two,
     for a chunk of up to 2^30 gates."""
     x, t = _hash_buffers(n, work)
     c &= _MASK64
-    m = min(n, _OFFSETS.size)
-    np.add(_OFFSETS[:m], c, out=x[:m])
+    block = _offsets()
+    m = min(n, block.size)
+    np.add(block[:m], c, out=x[:m])
     while m < n:
         k = min(m, n - m)
         np.add(x[:k], _U64(m), out=x[m : m + k])
