@@ -48,6 +48,17 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_sig6(payload), indent=2, sort_keys=True))
 
 
+def _write_out(args, text: str) -> int:
+    """Write ``text`` to ``--out`` if given, with LF line ends, else to
+    stdout."""
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def _load(args):
     try:
         return load_config(args.config)
@@ -153,13 +164,7 @@ def cmd_stability(args) -> int:
         lines.append(
             f"{w.window_start_s:.6g},{w.q_mu:.6g},{w.q_nu:.6g},{w.e_z:.6g},{w.e_x:.6g}"
         )
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    return _write_out(args, "\n".join(lines) + "\n")
 
 
 def _grid(p, free_p_z: bool) -> optimizer.GridSpec:
@@ -224,13 +229,7 @@ def cmd_scan(args) -> int:
             rows = optimizer.scan(link, losses, p=p)
     except (ParamError, finitekey.IntensityDegenerate) as exc:
         raise CliError(str(exc)) from exc
-    out = optimizer.format_scan_csv(rows)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    return _write_out(args, optimizer.format_scan_csv(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

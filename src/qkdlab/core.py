@@ -10,7 +10,7 @@ import configparser
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -110,7 +110,7 @@ class DetectorModel:
 # relative dark-count contribution there is an order of magnitude larger
 # than a symmetric closed-form model suggests; calibrating against the exact
 # click-pattern enumeration keeps simulated QBERs on the measured values.
-# See calibrate_misalignment().
+# See rates.calibrate_misalignment().
 E_MIS_Z_DEFAULT = 0.0058078
 E_MIS_X_DEFAULT = 0.0060901
 
@@ -301,55 +301,16 @@ def validate_params(p: ProtocolParams) -> ProtocolParams:
     return p
 
 
-def calibrate_misalignment(
-    target_e: float,
-    basis: Basis,
-    link: LinkModel,
-    p: ProtocolParams,
-) -> float:
-    """Solve for the intra-basis flip probability that makes the exact
-    pulse-level intensity-pooled QBER of ``basis`` at this link equal
-    ``target_e`` (bisection; the pooled QBER is monotone in the flip
-    probability)."""
-    from . import rates  # deferred: rates imports this module
-
-    def pooled(e_mis: float) -> float:
-        lk = replace(link, e_mis_z=e_mis, e_mis_x=e_mis)
-        cells = rates.expected_sifted_cells(p, lk)
-        n = sum(v for (b, _), v in cells.sift.items() if b is basis)
-        m = sum(v for (b, _), v in cells.err.items() if b is basis)
-        return m / n
-
-    lo, hi = 0.0, 0.5
-    if not pooled(lo) <= target_e <= pooled(hi):
-        raise ParamError(f"target QBER {target_e} unreachable by misalignment alone")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if pooled(mid) < target_e:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # --- configuration files ----------------------------------------------------
 #
 # Plain-text key = value files with sections [protocol], [link], [detector]
 # and [simulation]; keys are case-sensitive and named exactly as the dataclass
 # fields above.
 
-_PROTOCOL_FIELDS = (
-    "mu", "nu", "p_mu", "p_z_alice", "p_z_bob",
-    "n_pulses", "f_rep", "f_ec", "eps_sec", "eps_cor",
-)
-_LINK_FIELDS = ("channel_loss_db", "receiver_loss_db", "e_mis_z", "e_mis_x", "rotation_angle")
-_DETECTOR_FIELDS = ("efficiency", "dark_prob_per_gate")
-_SIMULATION_FIELDS = ("seed", "sigma", "theta0", "record_cap")
 _SECTIONS = {
-    "protocol": _PROTOCOL_FIELDS,
-    "link": _LINK_FIELDS,
-    "detector": _DETECTOR_FIELDS,
-    "simulation": _SIMULATION_FIELDS,
+    section: tuple(f.name for f in fields(cls) if f.name != "detector")
+    for section, cls in (("protocol", ProtocolParams), ("link", LinkModel),
+                         ("detector", DetectorModel), ("simulation", SimulationSettings))
 }
 
 
@@ -425,12 +386,11 @@ def save_config(
     link: LinkModel,
     sim: SimulationSettings = SimulationSettings(),
 ) -> None:
-    """Write a config file that round-trips every numeric field bit-exactly."""
+    """Write a config file that round-trips every numeric field bit-exactly:
+    the values of ``resolved_config_dict``, with ``repr``."""
     cp = _parser()
-    cp["protocol"] = {f: repr(getattr(p, f)) for f in _PROTOCOL_FIELDS}
-    cp["link"] = {f: repr(getattr(link, f)) for f in _LINK_FIELDS}
-    cp["detector"] = {f: repr(getattr(link.detector, f)) for f in _DETECTOR_FIELDS}
-    cp["simulation"] = {f: repr(getattr(sim, f)) for f in _SIMULATION_FIELDS}
+    for section, values in resolved_config_dict(p, link, sim).items():
+        cp[section] = {key: repr(v) for key, v in values.items()}
     with open(path, "w", newline="\n") as fh:
         cp.write(fh)
 
@@ -438,12 +398,12 @@ def save_config(
 def resolved_config_dict(
     p: ProtocolParams, link: LinkModel, sim: SimulationSettings | None = None
 ) -> dict:
-    """Fully-resolved configuration for embedding into report output."""
-    out = {
-        "protocol": {f: getattr(p, f) for f in _PROTOCOL_FIELDS},
-        "link": {f: getattr(link, f) for f in _LINK_FIELDS},
-        "detector": {f: getattr(link.detector, f) for f in _DETECTOR_FIELDS},
+    """Fully-resolved configuration for embedding into report output: each
+    section of ``_SECTIONS`` with its fields' values, [simulation] only with
+    ``sim``."""
+    values = {"protocol": p, "link": link, "detector": link.detector, "simulation": sim}
+    return {
+        section: {key: getattr(values[section], key) for key in keys}
+        for section, keys in _SECTIONS.items()
+        if values[section] is not None
     }
-    if sim is not None:
-        out["simulation"] = {f: getattr(sim, f) for f in _SIMULATION_FIELDS}
-    return out

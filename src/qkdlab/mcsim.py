@@ -252,25 +252,19 @@ def _hashes_range(c: int, n: int, work=None) -> np.ndarray:
     return _mix(x, t)
 
 
-def _uniforms_u64(seed: int, slot: int, gates: np.ndarray) -> np.ndarray:
-    """64-bit uniforms for (seed, slot, gate) of each gate of ``gates`` (an
-    int64 or uint64 array), as a new array; pure and order-independent."""
-    return _uniforms_at(_folded_key(seed, slot), gates)
-
-
 _UINT64_MAX = _U64(_MASK64)
 
 
 def _cdf_u64(probs) -> np.ndarray:
-    """Cumulative thresholds on the 64-bit lattice; final bin absorbs the
-    rounding remainder."""
-    cum = np.clip(np.cumsum(np.asarray(probs, dtype=np.float64)), 0.0, 1.0)
+    """Cumulative thresholds on the 64-bit lattice, of one pmf or of each
+    row of a 2-D ``probs``; each last bin absorbs the rounding remainder."""
+    cum = np.clip(np.cumsum(np.asarray(probs, dtype=np.float64), axis=-1), 0.0, 1.0)
     scaled = cum * float(2**64)
-    thr = np.empty(len(cum), dtype=np.uint64)
+    thr = np.empty(cum.shape, dtype=np.uint64)
     top = scaled >= float(2**64)
     thr[~top] = scaled[~top].astype(np.uint64)
     thr[top] = _UINT64_MAX
-    thr[-1] = _UINT64_MAX
+    thr[..., -1] = _UINT64_MAX
     return thr
 
 
@@ -281,78 +275,71 @@ _GUIDE_SHIFT = 64 - _GUIDE_BITS
 _SPLIT = 255
 
 
-def _row_bits(thr) -> int:
-    """Bits of a row index of the 2-D ``thr``."""
-    return (len(thr) - 1).bit_length()
+class _Draw:
+    """A draw from the thresholds ``thr`` (``_cdf_u64``): one table, or one
+    per row of a 2-D ``thr``, each of fewer than 255 bins.  The bin of a
+    uniform is the number of thresholds below it, which is
+    ``np.searchsorted(thr, u, side="left")``, as uint8; with a 2-D ``thr``,
+    ``row`` picks the table of each uniform.
 
+    It holds the sparse-draw width (``below``, the number of thresholds
+    below 2^64 - 1 in each table, and ``ones``, a ones vector as long as
+    the largest of them), the bits of a row index (``bits``), and, made
+    with ``guided`` for the draws over every gate, the guide table
+    (``guide``): entry ``bucket << bits | row``, the rows padded to
+    2^bits, so that a shift, not a product, makes the entry index.  Bucket
+    c holds the uniforms c 2^52 .. (c + 1) 2^52 - 1; the bin rises past
+    each threshold t, so the bucket is split iff c 2^52 <= t < (c + 1)
+    2^52 - 1.  Both draws, ``bins`` and ``guided``, are exact."""
 
-def _guide(thr: np.ndarray) -> np.ndarray:
-    """Guide table of ``thr`` (one table, or one per row of a 2-D ``thr``,
-    each of fewer than 255 bins) for ``_sample``: entry ``bucket << b |
-    row``, the rows padded to 2^b, so that a shift, not a product, makes
-    the entry index.  Bucket c holds the uniforms c 2^52 .. (c + 1) 2^52 -
-    1; the bin rises past each threshold t, so the bucket is split iff
-    c 2^52 <= t < (c + 1) 2^52 - 1."""
-    rows = np.atleast_2d(thr)
-    lo = np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(_GUIDE_SHIFT)
-    hi = lo | _U64((1 << _GUIDE_SHIFT) - 1)
-    guide = np.full((lo.size, 1 << _row_bits(rows)), _SPLIT, dtype=np.uint8)
-    for r, table in enumerate(rows):
-        first = np.searchsorted(table, lo)
-        guide[:, r] = np.where(first == np.searchsorted(table, hi), first, _SPLIT)
-    return guide.ravel()
+    def __init__(self, thr: np.ndarray, guided: bool = False):
+        rows = np.atleast_2d(thr)
+        self.thr = thr
+        self.below = np.count_nonzero(thr < _UINT64_MAX, axis=-1)
+        self.ones = np.ones(int(self.below.max(initial=0)), dtype=np.uint8)
+        self.bits = (len(rows) - 1).bit_length()
+        self.guide = None
+        if guided:
+            lo = np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(_GUIDE_SHIFT)
+            hi = lo | _U64((1 << _GUIDE_SHIFT) - 1)
+            guide = np.full((lo.size, 1 << self.bits), _SPLIT, dtype=np.uint8)
+            for r, table in enumerate(rows):
+                first = np.searchsorted(table, lo)
+                guide[:, r] = np.where(first == np.searchsorted(table, hi), first, _SPLIT)
+            self.guide = guide.ravel()
 
+    def bins(self, u: np.ndarray, row=None) -> np.ndarray:
+        """The bins of the uniforms ``u``, for sparse draws and the guide's
+        fix-up: one gathered comparison of each with its table's
+        thresholds, up to the last one below 2^64 - 1 in any table drawn
+        from (no uniform exceeds 2^64 - 1, the last threshold and the
+        padding of every table).  An empty draw compares nothing."""
+        if not u.size:
+            return np.zeros(0, dtype=np.uint8)
+        if row is None:
+            table = self.thr[: self.below]
+        else:
+            table = np.take(self.thr[:, : np.take(self.below, row).max()], row, axis=0)
+        # a product with ones sums the short rows of comparisons faster than np.sum
+        return (u[:, None] > table).view(np.uint8) @ self.ones[: table.shape[-1]]
 
-def _width(thr):
-    """The sparse-draw width of ``thr`` for ``_sample``: the number of
-    thresholds below 2^64 - 1 in each table, and a ones vector as long as
-    the largest of them."""
-    below = np.count_nonzero(thr < _UINT64_MAX, axis=-1)
-    return below, np.ones(int(below.max(initial=0)), dtype=np.uint8)
-
-
-def _sample(thr, u, row=None, guide=None, scratch=None, width=None, out=None) -> np.ndarray:
-    """Bin of each uniform: the number of thresholds below it, which is
-    ``np.searchsorted(thr, u, side="left")``, as uint8.
-
-    A 2-D ``thr`` stacks one table per row and ``row`` picks the table of
-    each uniform.  ``width`` is ``_width(thr)``, made here if not given.
-    Two modes, both exact:
-
-    - with ``guide = _guide(thr)``, for draws over every gate, ``u`` holds
-      the unfinished hashes (see ``_mix``), whose top bits are the
-      uniforms': the bin is the entry of the uniform's bucket, and only the
-      hashes in split buckets (about 0.2 % of them) are finished and
-      compared.  ``scratch``, a uint64 buffer as long as ``u`` if given,
-      holds the entry indices, and ``out``, a uint8 array as long, the
-      bins if given;
-    - without, for sparse draws and the guide's fix-up, ``u`` holds the
-      uniforms: one gathered comparison of each with its table's
-      thresholds, up to the last one below 2^64 - 1 in any table drawn from
-      (no uniform exceeds 2^64 - 1, the last threshold and the padding of
-      every table).  An empty draw compares nothing.
-    """
-    if guide is not None:
-        idx = np.right_shift(u, _GUIDE_SHIFT, out=scratch)
+    def guided(self, x: np.ndarray, row=None, scratch=None, out=None) -> np.ndarray:
+        """The bins of the unfinished hashes ``x`` (see ``_mix``), whose top
+        bits are the uniforms', with the guide: the bin is the entry of the
+        uniform's bucket, and only the hashes in split buckets (about 0.2 %
+        of them) are finished and drawn by ``bins``.  ``scratch``, a uint64
+        buffer as long as ``x`` if given, holds the entry indices, and
+        ``out``, a uint8 array as long, the bins if given."""
+        idx = np.right_shift(x, _GUIDE_SHIFT, out=scratch)
         if row is not None:
-            idx <<= _row_bits(thr)
+            idx <<= self.bits
             idx += row
         # every index is in range; "wrap" is the fastest mode that skips
         # take's bounds error
-        out = np.take(guide, idx.view(np.int64), mode="wrap", out=out)
+        out = np.take(self.guide, idx.view(np.int64), mode="wrap", out=out)
         split = np.flatnonzero(out == _SPLIT)
-        out[split] = _sample(thr, _finish(u[split]), None if row is None else row[split],
-                             width=width)
+        out[split] = self.bins(_finish(x[split]), None if row is None else row[split])
         return out
-    if not u.size:
-        return np.zeros(0, dtype=np.uint8)
-    below, ones = width if width is not None else _width(thr)
-    if row is None:
-        table = thr[:below]
-    else:
-        table = np.take(thr[:, : np.take(below, row).max()], row, axis=0)
-    # a product with ones sums the short rows of comparisons faster than np.sum
-    return (u[:, None] > table).view(np.uint8) @ ones[: table.shape[-1]]
 
 
 # decision slots
@@ -376,10 +363,11 @@ _POPCOUNT = rates._FIRES.sum(axis=1).astype(np.uint8)
 _CHOICE = np.argsort(~rates._FIRES, axis=1, kind="stable").astype(np.uint8)
 
 
-def _prep_thr(p: ProtocolParams) -> np.ndarray:
-    """Thresholds of Alice's joint (intensity, basis, bit) choice from
-    ``rates.preparation_weights``, index = (k << 2) | (basis << 1) | bit."""
-    return _cdf_u64(rates.preparation_weights(p).T.ravel())
+def _prep_draw(p: ProtocolParams) -> _Draw:
+    """Alice's joint (intensity, basis, bit) choice from
+    ``rates.preparation_weights``, index = (k << 2) | (basis << 1) | bit,
+    guided: it is drawn over every gate."""
+    return _Draw(_cdf_u64(rates.preparation_weights(p).T.ravel()), guided=True)
 
 
 def _photon_pmfs(p: ProtocolParams) -> list[list[float]]:
@@ -404,19 +392,18 @@ class _SessionTables:
     """Precomputed sampling tables for one (params, link) pair, and the
     chunk work arrays and stream keys of every session run on them.
 
-    The tables are the thresholds of every draw, each with its sparse-draw
-    width (``*_width``), and beside the two drawn over every gate, their
-    guides (``prep_guide``, ``pois_guide``; see ``_sample``).
-    ``set_rotation`` rebuilds only the routing thresholds and width, whose
-    sparse draw needs no guide, so the guides are made once.  The work
-    arrays are ``work``, one pair of uint64 hash buffers as long as the
-    largest chunk run on the tables, up to ``_PIECE`` gates (a longer
-    chunk runs its draws over every gate in pieces, ``_run_chunk``): a
-    process runs one chunk at a time, and a forked worker writes to its
-    own copy.  ``reserve`` grows them.  They live exactly as long as the
-    tables, so the windows of a stability run, which share one set, map
-    and fault them in once.  ``keys`` folds the stream keys of a seed
-    once, for every chunk and window run with it.
+    The tables are five draws (``_Draw``): ``prep`` and ``pois``, drawn
+    over every gate and so guided, and ``binom``, ``dark`` and ``route``,
+    drawn sparse, beside ``binom_zero``, each row's P(no survivor).
+    ``set_rotation`` rebuilds only ``route``, so the guides are made once.
+    The work arrays are ``work``, one pair of uint64 hash buffers as long
+    as the largest chunk run on the tables, up to ``_PIECE`` gates (a
+    longer chunk runs its draws over every gate in pieces,
+    ``_run_chunk``): a process runs one chunk at a time, and a forked
+    worker writes to its own copy.  ``reserve`` grows them.  They live
+    exactly as long as the tables, so the windows of a stability run,
+    which share one set, map and fault them in once.  ``keys`` folds the
+    stream keys of a seed once, for every chunk and window run with it.
 
     Raises ValueError if the photon or routed-photon cap would clip more
     than ``_CAP_TOLERANCE`` of the gates of either intensity."""
@@ -424,17 +411,17 @@ class _SessionTables:
     def __init__(self, p: ProtocolParams, link: LinkModel):
         eta = link.eta_sys
         dark = link.detector.dark_prob_per_gate
-        self.prep_thr = _prep_thr(p)
+        self.prep = _prep_draw(p)
         # survivors out of n photons, row n of one table (n = 0 has one
         # bin); row n's n + 1 bins are padded with 2^64 - 1 past its last
         binom = [
             [math.comb(n, m) * eta**m * (1 - eta) ** (n - m) for m in range(n + 1)]
             for n in range(_PHOTON_CAP + 1)
         ]
-        self.binom_thr = np.full((_PHOTON_CAP + 1, _PHOTON_CAP + 1), _UINT64_MAX)
+        thr = np.full((_PHOTON_CAP + 1, _PHOTON_CAP + 1), _UINT64_MAX)
         for n, pmf in enumerate(binom):
-            self.binom_thr[n, : n + 1] = _cdf_u64(pmf)
-        self.binom_zero = self.binom_thr[:, 0].copy()
+            thr[n, : n + 1] = _cdf_u64(pmf)
+        self.binom, self.binom_zero = _Draw(thr), thr[:, 0].copy()
         # photon number, one row per intensity index (0 signal, 1 decoy)
         pmfs = _photon_pmfs(p)
         for k, pmf in zip(Intensity, pmfs):
@@ -447,15 +434,9 @@ class _SessionTables:
                     f"{k.value} intensity {p.mean_photons(k):g}: probability {routed_over:.3g} "
                     f"of more than {_MAX_ROUTED} surviving photons exceeds {_CAP_TOLERANCE:g}"
                 )
-        self.pois_thr = np.stack([_cdf_u64(pmf) for pmf in pmfs])
+        self.pois = _Draw(_cdf_u64(pmfs), guided=True)
         # dark click pattern over the 4 detectors, bitmask-indexed
-        self.dark_thr = _cdf_u64(rates.click_patterns(np.full(4, dark)))
-        self.prep_guide = _guide(self.prep_thr)
-        self.pois_guide = _guide(self.pois_thr)
-        self.prep_width = _width(self.prep_thr)
-        self.pois_width = _width(self.pois_thr)
-        self.binom_width = _width(self.binom_thr)
-        self.dark_width = _width(self.dark_thr)
+        self.dark = _Draw(_cdf_u64(rates.click_patterns(np.full(4, dark))))
         self.set_rotation(p, link)
         self.work = (np.empty(0, _U64),) * 2
         self._seed, self._keys = None, None
@@ -478,8 +459,7 @@ class _SessionTables:
         else is unchanged by a channel-angle update."""
         # photon routing per (basis, bit) class, after channel rotation
         rho = optics.routing_weights(link.rotation_angle, p.p_z_bob, link.e_mis_z, link.e_mis_x)
-        self.route_thr = np.stack([_cdf_u64(w) for w in rho])
-        self.route_width = _width(self.route_thr)
+        self.route = _Draw(_cdf_u64(rho))
 
 
 def _resolve_clicks(key, index, cmask, prep, start=0, work=None):
@@ -552,7 +532,7 @@ def _survivors(tables, key, nph, work):
                                        mode="clip"))
     act, u, n_live = lit.take(live), us.take(live), n_lit.take(live)
     del lit, n_lit, live  # before the survivor counts, where the chunk peaks
-    surv = _sample(tables.binom_thr, u, n_live, width=tables.binom_width)
+    surv = tables.binom.bins(u, n_live)
     return act, np.minimum(surv, _MAX_ROUTED, out=surv)
 
 
@@ -566,7 +546,7 @@ def _photon_clicks(tables, keys, start, act, surv, cls):
 
     def clicks(j, gates, c):
         u = _uniforms_at(keys[_SLOT_ROUTE0 + j] + start, gates)
-        return np.uint8(1) << _sample(tables.route_thr, u, c, width=tables.route_width)
+        return np.uint8(1) << tables.route.bins(u, c)
 
     pclick = clicks(0, act, cls)
     left = np.flatnonzero(surv > 1)  # the gates with more than j survivors
@@ -584,20 +564,19 @@ def _every_gate(tables, keys, start, prep, nph):
     click)."""
     n, work = prep.size, tables.work
 
-    def draw(thr, guide, width, slot, row, out):
+    def draw(d, slot, row, out):
         # a guided draw on the unfinished hashes; its entry indices go to
         # the second hash buffer, free once the hashes are made
-        x = _hashes_range(keys[slot] + start, n, work)
-        return _sample(thr, x, row, guide, work[1][:n], width, out)
+        return d.guided(_hashes_range(keys[slot] + start, n, work), row, work[1][:n], out)
 
-    draw(tables.prep_thr, tables.prep_guide, tables.prep_width, _SLOT_PREP, None, prep)
+    draw(tables.prep, _SLOT_PREP, None, prep)
     # photon number from the table of the gate's intensity, prep >> 2 (1 is
     # the decoy)
     decoy = prep >> 2
-    draw(tables.pois_thr, tables.pois_guide, tables.pois_width, _SLOT_NPHOT, decoy, nph)
+    draw(tables.pois, _SLOT_NPHOT, decoy, nph)
     # dark click pattern: uniforms at or below P(no dark click) fall in bin 0
     return (np.count_nonzero(decoy),
-            *_above(_hashes_range(keys[_SLOT_DARK] + start, n, work), int(tables.dark_thr[0])))
+            *_above(_hashes_range(keys[_SLOT_DARK] + start, n, work), int(tables.dark.thr[0])))
 
 
 def _run_chunk(tables, keys, start, stop, keep_records):
@@ -623,7 +602,7 @@ def _run_chunk(tables, keys, start, stop, keep_records):
     act, surv = _survivors(tables, keys[_SLOT_SURV] + start, nph, tables.work)
     # routing class = (basis << 1) | bit, the low bits of prep
     pclick = _photon_clicks(tables, keys, start, act, surv, prep.take(act) & 3)
-    dpat = _sample(tables.dark_thr, ud, width=tables.dark_width)
+    dpat = tables.dark.bins(ud)
 
     # the clicked gates: the dark gates without photon clicks inserted in
     # order among the gates with them, on arrays as long as these, not the
@@ -860,10 +839,10 @@ def pulse_records(p: ProtocolParams, seed: int, gate_indices) -> list[PulseRecor
 
     Uses the same counter-based draws as run_session, so tags agree with
     any session run under the same (seed, params)."""
-    pois_thr = np.stack([_cdf_u64(pmf) for pmf in _photon_pmfs(p)])
+    pois = _Draw(_cdf_u64(_photon_pmfs(p)), guided=True)
     g = np.asarray(gate_indices, dtype=np.uint64)
-    prep = _sample(_prep_thr(p), _uniforms_u64(seed, _SLOT_PREP, g))
-    nph = _sample(pois_thr, _uniforms_u64(seed, _SLOT_NPHOT, g), row=prep >> 2)
+    prep = _prep_draw(p).guided(_hashes_at(_folded_key(seed, _SLOT_PREP), g))
+    nph = pois.guided(_hashes_at(_folded_key(seed, _SLOT_NPHOT), g), prep >> 2)
     return [
         PulseRecord(
             gate_index=int(gi),
@@ -892,8 +871,8 @@ class WindowStats:
 def _gauss(seed: int, index: int) -> float:
     """Standard normal from two counter-based uniforms (Box-Muller)."""
     idx = np.array([index], dtype=np.uint64)
-    u1 = float(_uniforms_u64(seed, _SLOT_DRIFT_A, idx)[0]) * 2.0**-64
-    u2 = float(_uniforms_u64(seed, _SLOT_DRIFT_B, idx)[0]) * 2.0**-64
+    u1 = float(_uniforms_at(_folded_key(seed, _SLOT_DRIFT_A), idx)[0]) * 2.0**-64
+    u2 = float(_uniforms_at(_folded_key(seed, _SLOT_DRIFT_B), idx)[0]) * 2.0**-64
     u1 = max(u1, 2.0**-64)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
@@ -1214,8 +1193,7 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
     prep_key, click_key = _folded_key(seed, _SLOT_PREP), _folded_key(seed, _SLOT_DCLICK)
     if len(records) == 0:
         return ObservedCounts()
-    prep_thr = _prep_thr(p)
-    prep_guide, prep_width = _guide(prep_thr), _width(prep_thr)
+    prep_draw = _prep_draw(p)
     g = records.gate_index
     n_cells, m_cells = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
     s = 0
@@ -1231,8 +1209,7 @@ def _counts_from_clicks(records: RecordSet, p, seed) -> ObservedCounts:
         gates = block[first]
         cmask = np.bitwise_or.reduceat(np.uint8(1) << records.detector_id[s:e], first)
         del first  # freed before the hashing, where the block peaks
-        prep = _sample(prep_thr, _hashes_at(prep_key, gates), guide=prep_guide,
-                       width=prep_width)
+        prep = prep_draw.guided(_hashes_at(prep_key, gates))
         n, m, *_ = _resolve_clicks(click_key, gates, cmask, prep)
         n_cells += n
         m_cells += m

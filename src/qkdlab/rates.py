@@ -26,11 +26,11 @@ against 2.07 % in X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Basis, Intensity, LinkModel, ObservedCounts, ProtocolParams
+from .core import Basis, Intensity, LinkModel, ObservedCounts, ParamError, ProtocolParams
 from . import optics
 
 
@@ -255,3 +255,33 @@ def expected_sifted_cells(p: ProtocolParams, link: LinkModel) -> ExactCellProbab
         single_x=sift[1][3],
         single_x_err=err[1][3],
     )
+
+
+def calibrate_misalignment(
+    target_e: float,
+    basis: Basis,
+    link: LinkModel,
+    p: ProtocolParams,
+) -> float:
+    """Solve for the intra-basis flip probability that makes the exact
+    pulse-level intensity-pooled QBER of ``basis`` at this link equal
+    ``target_e`` (bisection; the pooled QBER is monotone in the flip
+    probability)."""
+
+    def pooled(e_mis: float) -> float:
+        lk = replace(link, e_mis_z=e_mis, e_mis_x=e_mis)
+        cells = expected_sifted_cells(p, lk)
+        n = sum(v for (b, _), v in cells.sift.items() if b is basis)
+        m = sum(v for (b, _), v in cells.err.items() if b is basis)
+        return m / n
+
+    lo, hi = 0.0, 0.5
+    if not pooled(lo) <= target_e <= pooled(hi):
+        raise ParamError(f"target QBER {target_e} unreachable by misalignment alone")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if pooled(mid) < target_e:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

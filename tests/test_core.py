@@ -21,12 +21,12 @@ from qkdlab.core import (
     ProbabilityOutOfRange,
     ProtocolParams,
     SimulationSettings,
-    calibrate_misalignment,
     load_config,
     resolved_config_dict,
     save_config,
     validate_params,
 )
+from qkdlab.rates import calibrate_misalignment
 
 
 class TestEnums:

@@ -221,7 +221,7 @@ class TestReceiverRule:
                                       "projection.conf"])
     def test_preparation_bins_are_the_class_weights(self, conf):
         p, _, _ = load_config(os.path.join(CONFIG_DIR, conf))
-        thr = mcsim._prep_thr(p)
+        thr = mcsim._prep_draw(p).thr
         weight = rates.preparation_weights(p)
         # bin (k << 2) | c is Alice's class c at intensity k
         widths = np.diff(thr, prepend=np.uint64(0)).astype(np.float64) * 2.0**-64
@@ -260,7 +260,7 @@ class TestWorkBuffers:
         work = (np.full(1000, 2**64 - 1, dtype=np.uint64), np.arange(1000, dtype=np.uint64))
         got = mcsim._uniforms_at(mcsim._folded_key(seed, slot) + start, index, work)
         assert np.shares_memory(got, work[0])
-        assert np.array_equal(got, mcsim._uniforms_u64(seed, slot, gates))
+        assert np.array_equal(got, mcsim._uniforms_at(mcsim._folded_key(seed, slot), gates))
         key = mcsim._stream_key(seed, slot)
         assert got.tolist() == [mcsim._mix_scalar((key + g) % 2**64) for g in gates.tolist()]
 
@@ -284,27 +284,27 @@ class TestWorkBuffers:
         assert np.shares_memory(got, work[0])
         assert np.array_equal(got, mcsim._hashes_at(c + start, np.arange(n, dtype=np.uint64)))
         got = mcsim._finish(got)
-        want = mcsim._uniforms_u64(seed, slot, np.array(gates, dtype=np.uint64))
+        want = mcsim._uniforms_at(c, np.array(gates, dtype=np.uint64))
         assert np.array_equal(got, want)
         key = mcsim._stream_key(seed, slot)
         assert got.tolist() == [mcsim._mix_scalar((key + g) % 2**64) for g in gates]
 
     def test_set_up_made_once_per_tables_and_seed(self, monkeypatch):
-        # stream keys and sparse-draw widths: as many for 256 chunks as for
-        # one, and for 6 stability windows as for one
-        calls = {"keys": 0, "widths": 0}
+        # stream keys and draws: as many for 256 chunks as for one, and for
+        # 6 stability windows at a fixed angle as for one
+        calls = {"keys": 0, "draws": 0}
 
         def counting(name, fn):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(mcsim, "_stream_key", counting("keys", mcsim._stream_key))
-        monkeypatch.setattr(mcsim, "_width", counting("widths", mcsim._width))
+        monkeypatch.setattr(mcsim, "_Draw", counting("draws", mcsim._Draw))
 
         def made(n_pulses=None, windows=None):
-            calls.update(keys=0, widths=0)
+            calls.update(keys=0, draws=0)
             if windows is None:
                 run_session(P_SMALL, LINK_B2B, seed=4, n_pulses=n_pulses, chunk_size=256,
                             n_threads=1)
@@ -313,7 +313,7 @@ class TestWorkBuffers:
                               seed=4, pulses_per_window=1000, n_threads=1)
             return dict(calls)
 
-        once = {"keys": mcsim._SLOT_ROUTE0 + mcsim._MAX_ROUTED, "widths": 5}
+        once = {"keys": mcsim._SLOT_ROUTE0 + mcsim._MAX_ROUTED, "draws": 5}
         assert made(n_pulses=256) == made(n_pulses=256 * 256) == once
         assert made(windows=1) == made(windows=6) == once
 
@@ -665,36 +665,36 @@ class TestCaps:
 
 
 def _sampler_tables():
-    """(name, thresholds) for every table kind the simulator draws from."""
+    """(name, draw) for every table kind the simulator draws from."""
     cases = []
     for p_z in (0.5, 0.95):
         t = mcsim._SessionTables(ProtocolParams(p_z_alice=p_z, p_z_bob=p_z), LINK_75)
-        cases += [(f"prep p_z={p_z}", t.prep_thr), (f"route p_z={p_z}", t.route_thr)]
+        cases += [(f"prep p_z={p_z}", t.prep), (f"route p_z={p_z}", t.route)]
     # at mu = 0.9 the leading bins leave a tail for the binary search
     for mu, nu in ((0.05, 0.01), (0.9, 0.3)):
         t = mcsim._SessionTables(ProtocolParams(mu=mu, nu=nu), LINK_75)
-        cases.append((f"poisson mu={mu}", t.pois_thr))
+        cases.append((f"poisson mu={mu}", t.pois))
     for name, link in (("eta=0", LINK_ETA0), ("eta=1", LINK_ETA1), ("eta mid", LINK_B2B)):
-        binom = mcsim._SessionTables(ProtocolParams(), link).binom_thr
-        cases += [(f"binomial {name} n={n}", binom[n]) for n in (0, 1, 2, 7, 40)]
+        binom = mcsim._SessionTables(ProtocolParams(), link).binom.thr
+        cases += [(f"binomial {name} n={n}", mcsim._Draw(binom[n])) for n in (0, 1, 2, 7, 40)]
     for dark in (0.0, 0.5):
         link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
-        cases.append((f"dark={dark}", mcsim._SessionTables(ProtocolParams(), link).dark_thr))
+        cases.append((f"dark={dark}", mcsim._SessionTables(ProtocolParams(), link).dark))
     return cases
 
 
 def _guided_tables():
-    """(name, thresholds, guide) for the guided preparation draw, dark
-    tables, and corner tables: thresholds next to bucket edges, repeated
-    thresholds (zero-mass bins), a single bin, and two rows that differ."""
+    """(name, guided draw) for the preparation draw, dark tables, and
+    corner tables: thresholds next to bucket edges, repeated thresholds
+    (zero-mass bins), a single bin, and two rows that differ."""
     cases = []
     for p_z, p_mu in itertools.product((0.5, 0.95), (0.1, 0.95)):
         t = mcsim._SessionTables(ProtocolParams(p_z_alice=p_z, p_mu=p_mu), LINK_75)
-        cases.append((f"prep p_z={p_z} p_mu={p_mu}", t.prep_thr, t.prep_guide))
+        cases.append((f"prep p_z={p_z} p_mu={p_mu}", t.prep))
     for dark in (0.0, 0.5):
         link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
-        thr = mcsim._SessionTables(ProtocolParams(), link).dark_thr
-        cases.append((f"dark={dark}", thr, mcsim._guide(thr)))
+        thr = mcsim._SessionTables(ProtocolParams(), link).dark.thr
+        cases.append((f"dark={dark}", mcsim._Draw(thr, guided=True)))
     edge = 1 << 52
     top = 2**64 - 1
     corner = [0, 1] + [k * edge + d for k in (1, 2, 4095) for d in (-2, -1, 0, 1)]
@@ -704,8 +704,7 @@ def _guided_tables():
         ("single bin", [top]),
         ("two rows", [[edge - 1, 9 * edge, 9 * edge + 5, top], [edge, edge + 1, 4095 * edge, top]]),
     ):
-        thr = np.array(thr, dtype=np.uint64)
-        cases.append((name, thr, mcsim._guide(thr)))
+        cases.append((name, mcsim._Draw(np.array(thr, dtype=np.uint64), guided=True)))
     return cases
 
 
@@ -717,12 +716,13 @@ def _unfinished(u):
     return x
 
 
-def _check_guided(thr, guide, extra):
+def _check_guided(draw, extra):
     """The guided draw of the unfinished hash of every uniform, against
-    every row of ``thr``, equals ``np.searchsorted`` of the uniform, and the
-    guide splits exactly the buckets that hold a threshold.  Uniforms:
-    every threshold +-1, both edges of every bucket, 0, 2^64 - 1 and
-    ``extra``."""
+    every row of the draw's thresholds, equals ``np.searchsorted`` of the
+    uniform, and the guide splits exactly the buckets that hold a
+    threshold.  Uniforms: every threshold +-1, both edges of every bucket,
+    0, 2^64 - 1 and ``extra``."""
+    thr, guide = draw.thr, draw.guide
     rows = np.atleast_2d(thr)
     lo = np.arange(1 << 12, dtype=np.uint64) << np.uint64(52)
     hi = lo + np.uint64((1 << 52) - 1)
@@ -736,11 +736,11 @@ def _check_guided(thr, guide, extra):
     want = np.concatenate([np.searchsorted(table, u) for table in rows])
     x = _unfinished(u)
     if thr.ndim == 1:
-        got = mcsim._sample(thr, x, guide=guide)
+        got = draw.guided(x)
     else:
         row = np.repeat(np.arange(len(rows), dtype=np.uint8), u.size)
         index = np.empty(row.size, dtype=np.uint64)
-        got = mcsim._sample(thr, np.tile(x, len(rows)), row, guide, index)
+        got = draw.guided(np.tile(x, len(rows)), row, index)
     assert got.dtype == np.uint8
     assert np.array_equal(got, want)
 
@@ -750,7 +750,8 @@ class TestSampler:
     @given(case=st.sampled_from(_sampler_tables()),
            extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
     def test_equals_searchsorted(self, case, extra):
-        _name, thr = case
+        _name, draw = case
+        thr = draw.thr
         rows = np.atleast_2d(thr)
         # every lattice point next to a threshold pins the tie rule
         points = {0, 2**64 - 1}
@@ -758,13 +759,13 @@ class TestSampler:
             points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
         u = np.array(sorted(points) + extra, dtype=np.uint64)
         if thr.ndim == 1:
-            got = mcsim._sample(thr, u)
+            got = draw.bins(u)
             want = np.searchsorted(thr, u, side="left")
         else:
             # each uniform against each row's table
             row = np.repeat(np.arange(len(rows), dtype=np.uint8), len(u))
             uu = np.tile(u, len(rows))
-            got = mcsim._sample(thr, uu, row=row)
+            got = draw.bins(uu, row)
             want = np.concatenate([np.searchsorted(r, u, side="left") for r in rows])
         assert np.array_equal(got, want)
 
@@ -775,7 +776,8 @@ class TestSampler:
            photons=st.sets(st.integers(0, mcsim._PHOTON_CAP), min_size=1),
            extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
     def test_survivor_gather_equals_searchsorted(self, link, photons, extra):
-        thr = mcsim._SessionTables(ProtocolParams(), link).binom_thr
+        draw = mcsim._SessionTables(ProtocolParams(), link).binom
+        thr = draw.thr
         # every lattice point next to a threshold, in every row drawn: ties
         points = {0, 2**64 - 1, *extra}
         for n in range(mcsim._PHOTON_CAP + 1):
@@ -783,7 +785,7 @@ class TestSampler:
                 points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
         u = np.array(sorted(points), dtype=np.uint64)
         rows = np.array(sorted(photons), dtype=np.uint8)
-        got = mcsim._sample(thr, np.tile(u, rows.size), np.repeat(rows, u.size))
+        got = draw.bins(np.tile(u, rows.size), np.repeat(rows, u.size))
         want = np.concatenate([np.searchsorted(thr[n, : n + 1], u) for n in rows])
         assert np.array_equal(got, want)
 
@@ -791,15 +793,15 @@ class TestSampler:
     @given(case=st.sampled_from(_guided_tables()),
            extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
     def test_guide_equals_searchsorted(self, case, extra):
-        _name, thr, guide = case
-        _check_guided(thr, guide, extra)
+        _name, draw = case
+        _check_guided(draw, extra)
 
     @settings(max_examples=40, deadline=None)
     @given(mu=st.floats(0.05, 1.5), nu_frac=st.floats(0.0, 0.99),
            extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
     def test_guided_photon_number_equals_searchsorted(self, mu, nu_frac, extra):
         t = mcsim._SessionTables(ProtocolParams(mu=mu, nu=mu * nu_frac), LINK_75)
-        _check_guided(t.pois_thr, t.pois_guide, extra)
+        _check_guided(t.pois, extra)
 
     @settings(max_examples=60, deadline=None)
     @given(dark=st.sampled_from([0.0, 1e-9, 8e-6, 3.3e-4, 0.37]),
@@ -811,7 +813,7 @@ class TestSampler:
         # exceeds P(no dark click), also where the top 31 bits tie
         if thr is None:
             link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
-            thr = int(mcsim._SessionTables(ProtocolParams(), link).dark_thr[0])
+            thr = int(mcsim._SessionTables(ProtocolParams(), link).dark.thr[0])
         top = thr >> 33 << 33
         points = {0, 2**64 - 1, *extra}
         for t in (thr, top, top + (1 << 33) - 1, top + (1 << 33)):
@@ -839,27 +841,28 @@ class TestSampler:
         want = []
         for g, s, c in zip(act.tolist(), surv.tolist(), cls.tolist()):
             gate = np.array([(start + g) % 2**64], dtype=np.uint64)
-            dets = [np.searchsorted(t.route_thr[c],
-                                    mcsim._uniforms_u64(seed, mcsim._SLOT_ROUTE0 + j, gate))[0]
+            dets = [np.searchsorted(t.route.thr[c], mcsim._uniforms_at(
+                        mcsim._folded_key(seed, mcsim._SLOT_ROUTE0 + j), gate))[0]
                     for j in range(s)]
             want.append(np.bitwise_or.reduce([1 << int(d) for d in dets]))
         assert got.tolist() == want
 
     def test_guides_outlive_rotation_updates(self):
         t = mcsim._SessionTables(P_SMALL, LINK_75)
-        guides = (t.prep_guide, t.pois_guide)
+        guided = (t.prep, t.pois)
         t.set_rotation(P_SMALL, replace(LINK_75, rotation_angle=0.3))
-        assert t.prep_guide is guides[0] and t.pois_guide is guides[1]
-        assert np.array_equal(t.prep_guide, mcsim._guide(t.prep_thr))
-        assert np.array_equal(t.pois_guide, mcsim._guide(t.pois_thr))
+        assert t.prep is guided[0] and t.pois is guided[1]
+        assert np.array_equal(t.prep.guide, mcsim._Draw(t.prep.thr, guided=True).guide)
+        assert np.array_equal(t.pois.guide, mcsim._Draw(t.pois.thr, guided=True).guide)
 
     @settings(max_examples=40, deadline=None)
     @given(angle=st.floats(0.0, math.pi / 2), p_z=st.sampled_from([0.5, 0.9, 0.95]),
            classes=st.lists(st.integers(0, 3), min_size=1, max_size=64),
            extra=st.lists(st.integers(0, 2**64 - 1), max_size=64))
     def test_gathered_routing_equals_per_class_searchsorted(self, angle, p_z, classes, extra):
-        thr = mcsim._SessionTables(ProtocolParams(p_z_bob=p_z),
-                                   replace(LINK_75, rotation_angle=angle)).route_thr
+        draw = mcsim._SessionTables(ProtocolParams(p_z_bob=p_z),
+                                    replace(LINK_75, rotation_angle=angle)).route
+        thr = draw.thr
         points = {0, 2**64 - 1, *extra}
         for t in thr.ravel().tolist():
             points.update(x for x in (t - 1, t, t + 1) if 0 <= x < 2**64)
@@ -869,7 +872,7 @@ class TestSampler:
                               np.resize(np.array(classes, dtype=np.uint8), u.size)])
         uu = np.concatenate([np.tile(u, 4), u])
         want = np.array([np.searchsorted(thr[r], x) for r, x in zip(row, uu)])
-        assert np.array_equal(mcsim._sample(thr, uu, row), want)
+        assert np.array_equal(draw.bins(uu, row), want)
 
     @pytest.mark.parametrize("dark", [0.0, 1e-9, 8e-6, 3.3e-4, 1e-3, 0.37])
     def test_dark_pattern_table_equals_loop(self, dark):
@@ -882,7 +885,7 @@ class TestSampler:
                 prob *= dark if mask >> d & 1 else 1.0 - dark
             pmf.append(prob)
         link = LinkModel(detector=DetectorModel(dark_prob_per_gate=dark))
-        thr = mcsim._SessionTables(ProtocolParams(), link).dark_thr
+        thr = mcsim._SessionTables(ProtocolParams(), link).dark.thr
         assert np.array_equal(thr, mcsim._cdf_u64(pmf))
 
 
@@ -1003,6 +1006,33 @@ class TestPulseRecords:
 
         monkeypatch.setattr(mcsim, "_SessionTables", no_tables)
         assert pulse_records(ProtocolParams(), seed=5, gate_indices=[0, 7, 2**64 - 1]) == want
+
+    @pytest.mark.parametrize("conf", ["back_to_back.conf", "reference_75km.conf",
+                                      "projection.conf"])
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
+    def test_classes_and_photons_equal_searchsorted(self, conf, seed):
+        # each gate's class and photon number are np.searchsorted of the
+        # finished hash of (seed, slot, gate), made here by the scalar mixer
+        p, _, _ = load_config(os.path.join(CONFIG_DIR, conf))
+        rng = np.random.default_rng(17)
+        gates = [0, 1, 2**63, 2**64 - 1, *(int(g) for g in rng.integers(
+            0, 2**64 - 1, 500, dtype=np.uint64, endpoint=True))]
+
+        def uniforms(slot):
+            key = mcsim._stream_key(seed, slot)
+            return np.array([mcsim._mix_scalar((key + g) % 2**64) for g in gates],
+                            dtype=np.uint64)
+
+        prep = np.searchsorted(mcsim._cdf_u64(rates.preparation_weights(p).T.ravel()),
+                               uniforms(mcsim._SLOT_PREP))
+        pois = mcsim._cdf_u64(mcsim._photon_pmfs(p))
+        nph = [np.searchsorted(pois[k >> 2], u)
+               for k, u in zip(prep, uniforms(mcsim._SLOT_NPHOT))]
+        got = [(r.gate_index, r.intensity is Intensity.DECOY, r.alice_basis is Basis.X,
+                r.alice_bit, r.photon_number) for r in pulse_records(p, seed, gates)]
+        assert got == [(g, bool(k >> 2), bool(k >> 1 & 1), int(k & 1), int(n))
+                       for g, k, n in zip(gates, prep, nph)]
+        assert {k >> 2 for k in prep} == {0, 1}
 
     @pytest.mark.filterwarnings("ignore:mu=")
     def test_refuse_clipped_photon_numbers(self):
