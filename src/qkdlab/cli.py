@@ -201,17 +201,12 @@ def _parse_losses(text: str) -> list:
     try:
         if ":" in text:
             a, b, step = (float(x) for x in text.split(":"))
-            # an infinite bound or step would never end the range
+            # finite bounds and step; a step count past the floats overflows
             if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
                 raise ValueError
-            out = []
-            v = a
-            while v <= b + 1e-9:
-                out.append(round(v, 10))
-                v += step
-            return out
+            return list(optimizer._steps(a, b, step))
         return [float(x) for x in text.split(",") if x != ""]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise CliError(f"malformed loss range {text!r}; expected a:b:step or comma list") from None
 
 

@@ -981,28 +981,47 @@ def _format_rows(gate, det, dark) -> np.ndarray:
     return buf[keep]
 
 
+def _later(gate, det, last) -> np.ndarray:
+    """Mask of the rows after the row before them in (gate, detector)
+    order; ``last`` is the (gate, detector) before the first, or None."""
+    later = np.empty(gate.size, dtype=bool)
+    later[1:] = (gate[1:] > gate[:-1]) | ((gate[1:] == gate[:-1]) & (det[1:] > det[:-1]))
+    later[0] = last is None or (int(gate[0]), int(det[0])) > last
+    return later
+
+
 def write_records(records: RecordSet, path: str) -> None:
     """Write a ``RecordSet`` as CSV: the header line
     ``gate_index,detector_id,is_dark``, then one row per record in the
     set's order, matching ``[0-9]{1,20},[0-3],[01]`` (gate without leading
-    zeros, detector, dark flag), every line ended by LF.  The bytes are the
-    same on every platform.
+    zeros, detector, dark flag), every line ended by LF: the file that
+    ``read_records`` reads.  The bytes are the same on every platform.
 
     The file is written beside ``path`` and renamed onto it once complete,
-    so a failed write leaves no partial file; a special file such as
-    ``/dev/null`` is written in place.  Raises ValueError for a detector id
-    above 3, IoError if the file cannot be written."""
+    so a failed write leaves no partial file and an existing one as it
+    was; a special file such as ``/dev/null`` is written in place.  Raises
+    ValueError for a detector id above 3 or for records not strictly
+    increasing in (gate, detector), as ``run_session`` keeps them; IoError
+    if the file cannot be written."""
     det = records.detector_id
     if det.size and int(det.max()) > 3:
         raise ValueError(f"detector id {int(det.max())} is not in 0..3")
     special = os.path.exists(path) and not os.path.isfile(path)
     tmp = path if special else f"{path}.{os.getpid()}.tmp"
+    last = None  # (gate, detector) of the last row written
     try:
         with open(tmp, "wb") as fh:
             fh.write(_RECORD_HEADER)
             for s in range(0, len(records), _BLOCK_ROWS):
                 blk = slice(s, s + _BLOCK_ROWS)
-                fh.write(_format_rows(records.gate_index[blk], det[blk], records.is_dark[blk]))
+                gate, d = records.gate_index[blk], det[blk]
+                later = _later(gate, d, last)
+                if not later.all():
+                    k = int(np.argmin(later))
+                    raise ValueError(f"record {s + k} (gate {int(gate[k])}, detector {int(d[k])}) "
+                                     f"is not after the one before it in (gate, detector) order")
+                last = (int(gate[-1]), int(d[-1]))
+                fh.write(_format_rows(gate, d, records.is_dark[blk]))
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write records to {path}: {exc}") from exc
@@ -1047,26 +1066,21 @@ def _bad_row(row: bytes) -> str:
 
 
 def _count_lines(fh, buf) -> tuple[int, int]:
-    """Bytes and non-blank lines from ``fh``'s position, just past a LF, to
-    its end, read into ``buf`` ``_READ_BYTES`` at a time; a last line
-    without LF counts."""
+    """Bytes and LFs from ``fh``'s position to its end, read into ``buf``
+    ``_READ_BYTES`` at a time."""
     size = lines = 0
-    last = _NEWLINE
     view = memoryview(buf)[:_READ_BYTES]
     while got := fh.readinto(view):
         size += got
-        # a line ends at a LF, and is blank if the byte before is a LF too
-        lf = np.frombuffer(buf, np.uint8, got) == _NEWLINE
-        lines += int(np.count_nonzero(lf[1:] > lf[:-1])) + bool(lf[0] and last != _NEWLINE)
-        last = buf[got - 1]
-    return size, lines + (last != _NEWLINE)
+        lines += int(np.count_nonzero(np.frombuffer(buf, np.uint8, got) == _NEWLINE))
+    return size, lines
 
 
 def _read_rows(fh, path: str) -> RecordSet:
     """The rows from ``fh``'s position, just past the header, to its end.
 
-    Pass 1 counts the non-blank lines, which sizes the columns.  Pass 2
-    parses the complete non-blank lines of each piece into them, and
+    Pass 1 counts the LFs, each of which ends a row, which sizes the
+    columns.  Pass 2 parses the complete lines of each piece into them, and
     carries a partial last line over to the front of the next piece."""
     buf = bytearray(_MAX_LINE + _READ_BYTES)
     body_start = fh.tell()
@@ -1084,50 +1098,40 @@ def _read_rows(fh, path: str) -> RecordSet:
         if seen > size or (not got and seen < size):
             raise IoError(f"{path} changed while its records were read")
         end = held + got
-        if not got:  # end of file: the last line may lack its LF
-            buf[end] = _NEWLINE
-            end += 1
         cut = buf.rfind(b"\n", 0, end) + 1
         if cut:
             body = np.frombuffer(buf, np.uint8, cut)
-            lf = body == _NEWLINE
-            # a non-blank line ends at a LF after another byte, and starts
-            # at the first byte or after a LF, at a byte that is not one
-            ends = np.flatnonzero(lf[1:] > lf[:-1]) + 1
-            start = np.empty_like(ends)
-            first = int(not lf[0])
-            start[:first] = 0
-            start[first:] = np.flatnonzero(lf[:-1] > lf[1:]) + 1
+            ends = np.flatnonzero(body == _NEWLINE)
             rows = ends.size
             if n + rows > capacity:
                 raise IoError(f"{path} changed while its records were read")
-            if rows:
-                gate, det, dark = (c[n : n + rows] for c in columns)
-                ok, fits = _parse_rows(body, start, ends, gate, det, dark)
-                later = np.empty(rows, dtype=bool)
-                later[1:] = (gate[1:] > gate[:-1]) | ((gate[1:] == gate[:-1]) & (det[1:] > det[:-1]))
-                later[0] = last is None or (int(gate[0]), int(det[0])) > last
-                bad = ~(ok & fits & later)
-                if bad.any():
-                    k = int(np.argmax(bad))
-                    row = body[start[k] : ends[k]].tobytes()
-                    if not ok[k]:
-                        message = _bad_row(row)
-                    elif not fits[k]:
-                        message = f"gate {row.split(b',')[0].decode()} exceeds 2^64 - 1"
-                    else:
-                        message = "row not after the previous one in (gate, detector) order"
-                    # the row's file line: buf[0]'s, plus the LFs before the row
-                    raise FormatError(message, line + int(np.count_nonzero(lf[: start[k]])))
-                last = (int(gate[-1]), int(det[-1]))
-                n += rows
-            line += int(np.count_nonzero(lf))
-            del lf, ends, start  # before the next piece makes its own
+            start = np.empty_like(ends)
+            start[0] = 0
+            start[1:] = ends[:-1] + 1
+            gate, det, dark = (c[n : n + rows] for c in columns)
+            ok, fits = _parse_rows(body, start, ends, gate, det, dark)
+            bad = ~(ok & fits & _later(gate, det, last))
+            if bad.any():
+                k = int(np.argmax(bad))
+                row = body[start[k] : ends[k]].tobytes()
+                if not ok[k]:
+                    message = _bad_row(row)
+                elif not fits[k]:
+                    message = f"gate {row.split(b',')[0].decode()} exceeds 2^64 - 1"
+                else:
+                    message = "row not after the previous one in (gate, detector) order"
+                raise FormatError(message, line + k)
+            last = (int(gate[-1]), int(det[-1]))
+            n += rows
+            line += rows
+            del ends, start  # before the next piece makes its own
             buf[: end - cut] = buf[cut:end]
         held = end - cut
         if held > _MAX_LINE:
             raise FormatError(_bad_row(bytes(buf[:held])), line)
         if not got:
+            if held:
+                raise FormatError("last line does not end with LF", line)
             return RecordSet(*(c[:n] for c in columns))
 
 
@@ -1142,19 +1146,19 @@ def read_records(
     The file is the header line ``gate_index,detector_id,is_dark``, then one
     row per line matching ``[0-9]{1,20},[0-3],[01]`` with a gate below 2^64,
     rows strictly increasing in (gate, detector) as ``run_session`` keeps
-    them.  Lines end with LF, the last one optionally; blank lines are
-    skipped but counted.  Anything else (CR, spaces, signs, non-ASCII
-    bytes) raises FormatError naming the file line of the first bad row,
-    and quoting at most ``_MAX_LINE`` bytes of it.
+    them, every line ended by LF: the file that ``write_records`` writes.
+    Anything else (a blank line, a last line without LF, CR, spaces, signs,
+    non-ASCII bytes) raises FormatError naming the file line of the first
+    bad row, and quoting at most ``_MAX_LINE`` bytes of it.
 
     The file, which must be seekable, is read in pieces of ``_READ_BYTES``,
-    twice: once to count its non-blank lines, which sizes the columns at 10
+    twice: once to count its LFs, one a row, which sizes the columns at 10
     bytes a row, then to parse each piece's complete lines into them.
-    Beside the columns a read holds one piece, its LF mask and the offsets
-    of its rows, about 1.7 MiB for a file that ``write_records`` wrote and
-    0.8 MiB for one of blank lines, and the recount about 2 MiB for its
-    block of ``_BLOCK_ROWS`` rows; neither grows with the file.  IoError is
-    raised if it cannot be read, or if it changes between the two passes.
+    Beside the columns a read holds one piece and the offsets of its rows,
+    about 1.5 MiB for a file that ``write_records`` wrote, and the recount
+    about 2 MiB for its block of ``_BLOCK_ROWS`` rows; neither grows with
+    the file.  IoError is raised if it cannot be read, or if it changes
+    between the two passes.
 
     When the params ``p`` and ``seed`` of the originating session are
     supplied, the sifted tallies are recomputed by re-deriving Alice's
@@ -1164,13 +1168,9 @@ def read_records(
     """
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(_RECORD_HEADER))
-            if head == _RECORD_HEADER:
-                records = _read_rows(fh, path)
-            elif head == _RECORD_HEADER[:-1]:  # the whole file
-                records = RecordSet()
-            else:
-                raise FormatError(f"expected header {_RECORD_HEADER[:-1].decode()!r}", 1)
+            if fh.read(len(_RECORD_HEADER)) != _RECORD_HEADER:
+                raise FormatError(f"expected header {_RECORD_HEADER.decode()!r}", 1)
+            records = _read_rows(fh, path)
     except IoError:
         raise
     except OSError as exc:

@@ -27,7 +27,9 @@ class EmptyFeasibleSet(ValueError):
 
 
 def _steps(lo: float, hi: float, step: float) -> tuple:
-    n = int(round((hi - lo) / step))
+    """``lo``, ``lo + step``, ... while at most ``hi``, each rounded to 10
+    decimals; ``hi`` is in the range when a whole number of steps reaches it."""
+    n = math.floor((hi - lo) / step + 1e-9)
     return tuple(round(lo + i * step, 10) for i in range(n + 1))
 
 

@@ -321,7 +321,20 @@ class TestScan:
         assert rc == cli.EXIT_ERROR
         assert "malformed" in err
 
-    @pytest.mark.parametrize("losses", ["1:inf:1", "-inf:1:1", "1:nan:1", "1:5:inf", "nan:5:1"])
+    @pytest.mark.parametrize("text, losses", [
+        ("1:45:1", [float(v) for v in range(1, 46)]),
+        ("1:45:4", [float(v) for v in range(1, 46, 4)]),
+        ("5:15:5", [5.0, 10.0, 15.0]),
+        ("0:1:0.1", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        ("0.3:2.9:0.2", [0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5, 2.7, 2.9]),
+        ("1:2.6:1", [1.0, 2.0]),
+    ])
+    def test_range_is_optimizer_steps(self, text, losses):
+        assert cli._parse_losses(text) == losses
+
+    # 1:1e300:1e-300: a finite range of too many steps to count
+    @pytest.mark.parametrize("losses", ["1:inf:1", "-inf:1:1", "1:nan:1", "1:5:inf", "nan:5:1",
+                                        "1:1e300:1e-300"])
     def test_non_finite_range_rejected(self, capsys, losses):
         # an infinite range once looped forever: fail instead of hanging
         signal.signal(signal.SIGALRM, lambda *_: pytest.fail("range did not end"))

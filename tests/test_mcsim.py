@@ -1178,8 +1178,8 @@ class TestRecordFiles:
 
     def test_out_of_order_rows_rejected(self, tmp_path):
         path = tmp_path / "order.csv"
-        path.write_text("gate_index,detector_id,is_dark\n3,2,1\n9,0,0\n\n9,3,0\n9,1,0\n")
-        with pytest.raises(FormatError, match="line 6"):
+        path.write_text("gate_index,detector_id,is_dark\n3,2,1\n9,0,0\n9,3,0\n9,1,0\n")
+        with pytest.raises(FormatError, match="line 5"):
             read_records(str(path))
         path.write_text("gate_index,detector_id,is_dark\n3,2,1\n9,0,0\n4,1,0\n")
         with pytest.raises(FormatError, match="line 4"):
@@ -1231,8 +1231,8 @@ class TestRecordFiles:
                                       "99999999999999999999"])
     def test_gate_above_uint64_reports_line(self, tmp_path, gate):
         path = tmp_path / "over.csv"
-        path.write_text(f"gate_index,detector_id,is_dark\n3,1,0\n\n{gate},1,0\n")
-        with pytest.raises(FormatError, match=f"^line 4: gate {gate} exceeds 2\\^64 - 1$"):
+        path.write_text(f"gate_index,detector_id,is_dark\n3,1,0\n{gate},1,0\n")
+        with pytest.raises(FormatError, match=f"^line 3: gate {gate} exceeds 2\\^64 - 1$"):
             read_records(str(path))
 
     def test_detector_above_3_not_written(self, tmp_path):
@@ -1240,6 +1240,42 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match="detector id 4"):
             write_records(RecordSet([1], [4], [False]), str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("block", [2, 1 << 16])
+    @pytest.mark.parametrize("gates, dets, k", [
+        ([5, 3], [0, 0], 1),  # gates out of order
+        ([5, 5], [2, 1], 1),  # detectors out of order
+        ([1, 5, 5], [0, 1, 1], 2),  # duplicate row, across a block edge at 2
+        ([1, 5, 4], [0, 1, 3], 2),  # out of order across a block edge at 2
+    ])
+    def test_rows_out_of_order_not_written(self, tmp_path, block, gates, dets, k):
+        # rows the reader would refuse are not written
+        path = tmp_path / "order.csv"
+        with mock.patch.object(mcsim, "_BLOCK_ROWS", block):
+            with pytest.raises(ValueError, match=f"^record {k} \\(gate {gates[k]}, detector "
+                                                 f"{dets[k]}\\) is not after the one before it"):
+                write_records(RecordSet(gates, dets, [False] * len(gates)), str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_raises_io_error(self, tmp_path):
+        path = tmp_path / "missing" / "records.csv"
+        with pytest.raises(mcsim.IoError, match="cannot write records to"):
+            write_records(RecordSet([1], [0], [False]), str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        # refused in the second block, after the first is written
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"gate_index,detector_id,is_dark\n1,0,0\n")
+        monkeypatch.setattr(mcsim, "_BLOCK_ROWS", 2)
+        with pytest.raises(ValueError, match="not after the one before it"):
+            write_records(RecordSet([1, 2, 9, 3], [0, 0, 0, 0], [False] * 4), str(path))
+        assert path.read_bytes() == b"gate_index,detector_id,is_dark\n1,0,0\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_special_file_written_in_place(self):
+        write_records(RecordSet([1, 2], [0, 3], [False, True]), os.devnull)
+        assert not os.path.exists(f"{os.devnull}.{os.getpid()}.tmp")
 
     def test_record_set_indexing(self):
         rs = RecordSet([5, 9], [1, 3], [False, True])
@@ -1283,11 +1319,10 @@ def record_dir(tmp_path_factory):
 class TestRecordFileKernels:
     @settings(max_examples=200, deadline=None)
     @given(records=_record_sets(), block=st.sampled_from([1, 2, 3, 7, 1 << 16]),
-           piece=st.sampled_from([1, 2, 3, 7, 64, 1 << 18]),
-           blank_after=st.sets(st.integers(0, 60), max_size=5), final_lf=st.booleans())
+           piece=st.sampled_from([1, 2, 3, 7, 64, 1 << 18]), blank_after=st.integers(0, 60))
     def test_matches_per_row_format_and_reads_back(self, record_dir, records, block, piece,
-                                                   blank_after, final_lf):
-        # pieces of a few bytes split the header, rows and blank lines
+                                                   blank_after):
+        # pieces of a few bytes split the header and rows
         path = record_dir / "kernel.csv"
         with mock.patch.object(mcsim, "_BLOCK_ROWS", block), \
                 mock.patch.object(mcsim, "_READ_BYTES", piece):
@@ -1295,12 +1330,15 @@ class TestRecordFileKernels:
             data = path.read_bytes()
             assert data == _reference_bytes(records)
             assert read_records(str(path))[0] == records
-            # blank lines and a missing final LF do not change the rows
+            # a blank line, or a last line without LF, is refused at its line
             lines = data.split(b"\n")[:-1]
-            for i in sorted(blank_after, reverse=True):
-                lines.insert(1 + min(i, len(lines) - 1), b"")
-            path.write_bytes(b"\n".join(lines) + (b"\n" if final_lf else b""))
-            assert read_records(str(path))[0] == records
+            at = 1 + min(blank_after, len(lines) - 1)
+            for bad, line in ((b"\n".join(lines[:at] + [b""] + lines[at:]) + b"\n", at + 1),
+                              (data[:-1], len(lines))):
+                path.write_bytes(bad)
+                with pytest.raises(FormatError, match=f"^line {line}: ") as exc:
+                    read_records(str(path))
+                assert exc.value.line == line
 
     def test_blocks_span_digit_widths(self, record_dir):
         # widths 1 to 20 in every block of 7 rows
@@ -1315,7 +1353,7 @@ class TestRecordFileKernels:
     @pytest.mark.parametrize("piece", [1, 2, 7])
     def test_order_checked_across_blocks(self, record_dir, piece):
         path = record_dir / "order.csv"
-        for rows, line in ((b"3,2,1\n9,0,0\n\n9,0,1\n", 5), (b"3,2,1\n9,0,0\n4,1,0\n", 4),
+        for rows, line in ((b"3,2,1\n9,0,0\n9,0,1\n", 4), (b"3,2,1\n9,0,0\n4,1,0\n", 4),
                            (b"3,2,1\n9,2,0\n9,1,0\n", 4)):
             path.write_bytes(b"gate_index,detector_id,is_dark\n" + rows)
             with mock.patch.object(mcsim, "_READ_BYTES", piece):
@@ -1335,14 +1373,15 @@ class TestRecordFileKernels:
         b"7,1,2",  # dark 2
         b"000000000000000000007,1,0",  # 21-digit gate
         b"7\xc3\xa9,1,0",  # non-ASCII
+        b"",  # blank line
     ])
-    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("last", [False, True])  # the row ends the file
     @pytest.mark.parametrize("piece", [1, 3, 1 << 16])
-    def test_malformed_row_reports_line(self, record_dir, row, blank, piece):
+    def test_malformed_row_reports_line(self, record_dir, row, last, piece):
         path = record_dir / "bad.csv"
-        path.write_bytes(b"gate_index,detector_id,is_dark\n3,2,1\n"
-                         + (b"\n" if blank else b"") + row + b"\n8,0,0\n")
-        line = 4 if blank else 3
+        path.write_bytes(b"gate_index,detector_id,is_dark\n3,2,1\n" + row + b"\n"
+                         + (b"" if last else b"8,0,0\n"))
+        line = 3
         with mock.patch.object(mcsim, "_READ_BYTES", piece):
             with pytest.raises(FormatError, match=f"^line {line}: ") as exc:
                 read_records(str(path))
@@ -1407,44 +1446,32 @@ class TestRecordFileKernels:
         assert read == records
         assert peak < columns + (3 << 20)
 
-    @pytest.mark.parametrize("every", [1_000_000, 10])
-    def test_columns_sized_by_rows_not_lines(self, record_dir, every):
-        # a million lines, one in ``every`` a row and the rest blank: the
-        # columns take 10 bytes a row, not 10 bytes a line (10 MB)
-        path = record_dir / "blank.csv"
-        gates = range(1_000_000 // every)
-        body = b"".join(b"\n" * (every - 1) + b"%d,1,0\n" % g for g in gates)
-        path.write_bytes(b"gate_index,detector_id,is_dark\n" + body)
-        tracemalloc.start()
-        try:
-            read = read_records(str(path))[0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert read.gate_index.tolist() == list(gates)
-        assert peak < len(gates) * 10 + (6 << 20)
-
-    def test_blank_lines_hold_no_line_offsets(self, record_dir):
-        # line offsets are made for rows only: a piece of blank lines holds
-        # its LF mask, not 16 bytes of offsets a line (4.5 MiB a piece)
-        path = record_dir / "blank_lines.csv"
-        path.write_bytes(b"gate_index,detector_id,is_dark\n" + b"\n" * 3_000_000 + b"7,1,0\n")
-        tracemalloc.start()
-        try:
-            read = read_records(str(path))[0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert read.gate_index.tolist() == [7]
-        assert peak < 1.5 * 2**20
-
     @settings(max_examples=60, deadline=None)
-    @given(lines=st.lists(st.sampled_from([b"", b"7,1,0", b"12345,0,1"]), max_size=40),
-           final_lf=st.booleans(), piece=st.integers(min_value=1, max_value=9))
-    def test_line_count_skips_blank_lines(self, tmp_path_factory, lines, final_lf, piece):
-        body = b"\n".join(lines) + (b"\n" if final_lf and lines else b"")
+    @given(parts=st.lists(st.sampled_from([b"\n", b"7,1,0\n", b"12345,0,1", b"\n\n"]),
+                          max_size=40),
+           piece=st.integers(min_value=1, max_value=9))
+    def test_line_count_is_lf_count(self, tmp_path_factory, parts, piece):
+        body = b"".join(parts)
         path = tmp_path_factory.mktemp("count") / "lines.csv"
         path.write_bytes(body)
         with mock.patch.object(mcsim, "_READ_BYTES", piece), open(path, "rb") as fh:
-            size, rows = mcsim._count_lines(fh, bytearray(piece + mcsim._MAX_LINE))
-        assert (size, rows) == (len(body), sum(1 for line in lines if line))
+            size, lfs = mcsim._count_lines(fh, bytearray(piece + mcsim._MAX_LINE))
+        assert (size, lfs) == (len(body), body.count(b"\n"))
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 64, 1 << 18])
+    @pytest.mark.parametrize("body, line, message", [
+        (b"", 1, "expected header"),
+        (b"gate_index,detector_id,is_dark", 1, "expected header"),
+        (b"gate_index,detector_id,is_dark\n3,2,1", 2, "last line does not end with LF"),
+        (b"gate_index,detector_id,is_dark\n3,2,1\n9,0,0", 3, "last line does not end with LF"),
+        (b"gate_index,detector_id,is_dark\n\n3,2,1\n", 2, "row b'' does not match"),
+        (b"gate_index,detector_id,is_dark\n3,2,1\n\n", 3, "row b'' does not match"),
+        (b"gate_index,detector_id,is_dark\n3,2,1\n\n9,0,0\n", 3, "row b'' does not match"),
+    ])
+    def test_every_line_is_a_row_ended_by_lf(self, record_dir, body, line, message, piece):
+        path = record_dir / "lf.csv"
+        path.write_bytes(body)
+        with mock.patch.object(mcsim, "_READ_BYTES", piece):
+            with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}") as exc:
+                read_records(str(path))
+        assert exc.value.line == line

@@ -372,6 +372,24 @@ class TestOptimize:
         with pytest.raises(ValueError):
             GridSpec(mu_values=())
 
+    # the default axes and the free p_z axis, then ranges whose last step
+    # would pass hi: a rounded step count once made (1, 2, 3) of 1..2.6 by
+    # 1, and ended 0.5..0.98 by 0.05 at a p_z of 1.0
+    @pytest.mark.parametrize("lo, hi, step, n", [
+        (0.10, 0.90, 0.02, 41), (0.01, 0.50, 0.01, 50), (0.10, 0.95, 0.05, 18),
+        (0.5, 0.95, 0.05, 10), (1, 2.6, 1, 2), (0.5, 0.98, 0.05, 10),
+    ])
+    def test_steps_end_at_or_below_hi(self, lo, hi, step, n):
+        values = optimizer._steps(lo, hi, step)
+        assert values == tuple(round(lo + i * step, 10) for i in range(n))
+        assert values[-1] <= hi
+
+    def test_default_axes_are_steps(self):
+        grid = GridSpec()
+        assert grid.mu_values == optimizer._steps(0.10, 0.90, 0.02)
+        assert grid.nu_values == optimizer._steps(0.01, 0.50, 0.01)
+        assert grid.p_mu_values == optimizer._steps(0.10, 0.95, 0.05)
+
     def test_inverted_ranges_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(mu_values=(0.1,), nu_values=(0.2, 0.3))
