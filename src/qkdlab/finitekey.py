@@ -12,9 +12,15 @@ range before entering the composition and retained in the report.
 
 Every bound broadcasts: the tallies and the protocol intensities and
 probabilities may be numpy arrays, one element per parameter point.
-``key_length`` evaluates one sample and raises when it has no key-basis
-detections; the optimizer scores whole grid blocks through the same
-composition and masks such points instead.
+The composition runs in two stages.  ``_key_basis_bounds`` reads the Z
+tallies alone and adds ``l_up``, a bound on the secure length that needs
+no X tally.  The test-basis stage reads the X tallies in two steps:
+``_test_basis_bounds`` gives s_X1 and the X error ratio, and adds the
+tighter bound ``l_up_x``; ``_phase_bounds`` applies the phase error's
+finite-statistics correction and composes the secure length.
+``key_length`` runs every step on one sample and raises when it has no
+key-basis detections; the optimizer runs them on grid blocks, and runs
+each step only where the bounds before it say a point can matter.
 """
 
 from __future__ import annotations
@@ -178,13 +184,26 @@ def phase_error_bound(
     ignorance (1/2) and the report is flagged.  An error ratio of one also
     gives 1/2, unflagged.
     """
+    return _phase_from_ratio(eps_sec, _error_ratio(f, m_x, d_m, s_z1_low, s_x1_low))
+
+
+def _error_ratio(f: DecoyFactors, m_x, d_m, s_z1_low, s_x1_low) -> dict:
+    """The first step of ``phase_error_bound``: the X single-photon error
+    bound ``v`` and its ratio to s_X1, before the finite-statistics
+    correction, with the sizes that correction reads."""
     tested = np.minimum(s_x1_low, s_z1_low) > 0.0
     # placeholder sizes keep untested points finite
     s_x = np.where(tested, s_x1_low, 1.0)
     s_z = np.where(tested, s_z1_low, 1.0)
     v = f.tau1 * (upper_estimate(f, m_x, 0, d_m) - lower_estimate(f, m_x, 1, d_m)) / f.gap
     v = np.minimum(np.maximum(v, 0.0), s_x)
-    ratio = v / s_x
+    return {"tested": tested, "s_x": s_x, "s_z": s_z, "v": v, "ratio": v / s_x}
+
+
+def _phase_from_ratio(eps_sec: float, terms: dict) -> PhaseErrorBound:
+    """The second step of ``phase_error_bound``, from ``_error_ratio``'s
+    ``terms``: phi_Z = min(1/2, ratio + gamma), gamma >= 0."""
+    tested, s_x, s_z, v, ratio = (terms[name] for name in ("tested", "s_x", "s_z", "v", "ratio"))
     phi = np.minimum(0.5, ratio + _gamma(eps_sec, ratio, s_x, s_z))
     return PhaseErrorBound(
         phi_z_up=np.where(tested & (ratio < 1.0), phi, 0.5)[()],
@@ -193,51 +212,105 @@ def phase_error_bound(
     )
 
 
-def _secure_length(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
-    """Every bound and the secure length of the tallies ``tally``, indexed
-    [n or m, basis, intensity, *grid], under the decoy factors ``f`` of
-    their intensities, keyed by their ``KeyRateReport`` field names; ``p``
-    supplies f_ec and the epsilons.  Arrays in either broadcast.
-
-    The totals, their deviations, the vacuum upper bounds and the
-    single-photon bounds are computed once for both bases, on [basis,
-    *grid] arrays.  A sample with no key-basis detections scores zero.
-    """
-    eps = EpsilonBudget.from_params(p)
-    # the detection (n) and error (m) totals of each basis, [basis, *grid]
-    n, m = tally.sum(axis=2)
-    d_n = hoeffding_delta(n, eps.eps_pe)
-    s_z0_low = vacuum_lower_bound(f, tally[0, 0], d_n[0])
-    s_0_up = vacuum_upper_bound(n, m, d_n)
-    # an empty key basis has m = 0, so its error rate reads 0 / 1
-    lambda_ec = p.f_ec * n[0] * binary_entropy(m[0] / np.maximum(n[0], 1.0))
-    d_m = hoeffding_delta(m[1], eps.eps_pe)
-    # The two bounds below hold the most temporaries at once, so each runs
-    # with only what it reads alive: then the factors a grid holds for a
-    # whole call add nothing to a block's peak.  The caller holds no other
-    # reference to the tallies.
-    del n, m
-    # both bases' detections as rows [intensity, basis, *grid]
-    s_1 = single_photon_bound(f, tally[0].swapaxes(0, 1), d_n, s_0_up)
-    m_x = tally[1, 1].copy()
-    del tally, d_n
-    phase = phase_error_bound(f, m_x, d_m, eps.eps_sec, s_1[0], s_1[1])
-    l = (
+def _compose(s_z0_low, s_z1_term, lambda_ec, eps: EpsilonBudget):
+    """The secure-length formula before its clamp at zero, with
+    ``s_z1_term`` in the place of s_Z1 (1 - h(phi_Z)).  The secure length
+    and both bounds on it compose through it, so they share its operation
+    order."""
+    return (
         s_z0_low
-        + s_1[0] * (1.0 - binary_entropy(phase.phi_z_up))
+        + s_z1_term
         - lambda_ec
         - 6.0 * math.log2(19.0 / eps.eps_sec)
         - math.log2(2.0 / eps.eps_cor)
     )
+
+
+# An upper bound on binary_entropy's rounding error on [0, 1/2], with a
+# margin of three orders of magnitude: each of its two terms is at most
+# 0.53 and within a few ulps.
+_ENTROPY_SLACK = 1e-12
+
+
+def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
+    """The key-basis (Z) stage of the secure length: its bounds from its
+    tallies ``tally``, indexed [n or m, intensity, *grid], under the decoy
+    factors ``f`` of their intensities, keyed by their ``KeyRateReport``
+    field names; ``p`` supplies f_ec and the epsilons.  Arrays in either
+    broadcast.
+
+    It adds ``l_up``, the composition with s_Z1 in the place of
+    s_Z1 (1 - h(phi_Z)), an upper bound on the unclamped secure length
+    that holds bit for bit in floats: h >= 0, so fl(1 - h) <= 1 and, with
+    s_Z1 >= 0, fl(s_Z1 (1 - h)) <= s_Z1; ``_compose`` then applies the
+    same roundings, each monotone, to the larger term.  So
+    ``l_bits <= max(0, l_up)``, and a point with ``l_up <= 0`` has
+    ``l_bits == 0``.
+    """
+    eps = EpsilonBudget.from_params(p)
+    # the detection (n) and error (m) totals
+    n, m = tally.sum(axis=1)
+    d_n = hoeffding_delta(n, eps.eps_pe)
+    s_z0_low = vacuum_lower_bound(f, tally[0], d_n)
+    s_z0_up = vacuum_upper_bound(n, m, d_n)
+    # an empty key basis has m = 0, so its error rate reads 0 / 1
+    lambda_ec = p.f_ec * n * binary_entropy(m / np.maximum(n, 1.0))
+    s_z1_low = single_photon_bound(f, tally[0], d_n, s_z0_up)
     return {
         "s_z0_low": s_z0_low,
-        "s_z0_up": s_0_up[0],
-        "s_z1_low": s_1[0],
-        "s_x1_low": s_1[1],
+        "s_z0_up": s_z0_up,
+        "s_z1_low": s_z1_low,
+        "lambda_ec": lambda_ec,
+        "l_up": _compose(s_z0_low, s_z1_low, lambda_ec, eps),
+    }
+
+
+def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, key: dict) -> dict:
+    """The test-basis (X) stage of the secure length, up to the phase
+    error's finite-statistics correction: the X single-photon bound
+    ``s_x1_low`` and ``_error_ratio``'s terms, from the X tallies
+    ``tally``, indexed as in ``_key_basis_bounds``, at the points of the
+    key-basis stage's bounds ``key``.
+
+    It adds ``l_up_x``, the composition with the error ratio r in the
+    place of phi_Z.  phi_Z >= min(1/2, r) in floats, since the correction
+    is at least zero, and h rises on [0, 1/2], so h(phi_Z) >= h(r) less
+    binary_entropy's rounding error.  ``_ENTROPY_SLACK`` added to
+    1 - h(r) covers that error, so ``l_up_x`` bounds the unclamped secure
+    length as ``l_up`` does.
+    """
+    eps = EpsilonBudget.from_params(p)
+    n, m = tally.sum(axis=1)
+    d_n = hoeffding_delta(n, eps.eps_pe)
+    s_x1_low = single_photon_bound(f, tally[0], d_n, vacuum_upper_bound(n, m, d_n))
+    d_m = hoeffding_delta(m, eps.eps_pe)
+    # The steps below hold the most temporaries at once, so they run with
+    # only what they read alive; the caller holds no other reference to
+    # the tallies.
+    m_x = tally[1].copy()
+    del tally, n, m, d_n
+    terms = _error_ratio(f, m_x, d_m, key["s_z1_low"], s_x1_low)
+    del m_x, d_m
+    entropy = binary_entropy(np.minimum(0.5, terms["ratio"]))
+    s_z1_term = key["s_z1_low"] * ((1.0 - entropy) + _ENTROPY_SLACK)
+    return {
+        "s_x1_low": s_x1_low,
+        **terms,
+        "l_up_x": _compose(key["s_z0_low"], s_z1_term, key["lambda_ec"], eps),
+    }
+
+
+def _phase_bounds(key: dict, test: dict, p: ProtocolParams) -> dict:
+    """The phase-error bound and the secure length ``l_bits`` from the
+    bounds of both stages, ``key`` and ``test``, at the same points.  A
+    sample with no key-basis detections scores zero."""
+    eps = EpsilonBudget.from_params(p)
+    phase = _phase_from_ratio(eps.eps_sec, test)
+    s_z1_term = key["s_z1_low"] * (1.0 - binary_entropy(phase.phi_z_up))
+    return {
         "v_x1_up": phase.v_x1_up,
         "phi_z_up": phase.phi_z_up,
-        "lambda_ec": lambda_ec,
-        "l_bits": np.maximum(0.0, l),
+        "l_bits": np.maximum(0.0, _compose(key["s_z0_low"], s_z1_term, key["lambda_ec"], eps)),
         "insufficient_test_statistics": phase.insufficient_test_statistics,
     }
 
@@ -250,9 +323,13 @@ def key_length(counts: ObservedCounts, p: ProtocolParams) -> KeyRateReport:
     n_z, m_z = int(counts.n_total(Basis.Z)), int(counts.m_total(Basis.Z))
     if n_z == 0:
         raise EmptyKeyBasis("no sifted key-basis detections")
-    terms = _secure_length(np.stack((counts.sift, counts.err)), DecoyFactors(p), p)
+    f = DecoyFactors(p)
+    key = _key_basis_bounds(np.stack((counts.sift[0], counts.err[0])), f, p)
+    test = _test_basis_bounds(np.stack((counts.sift[1], counts.err[1])), f, p, key)
+    terms = _phase_bounds(key, test, p)
     flagged = bool(terms.pop("insufficient_test_statistics"))
-    terms = {name: float(v) for name, v in terms.items()}
+    del key["l_up"]
+    terms = {name: float(v) for name, v in {**key, "s_x1_low": test["s_x1_low"], **terms}.items()}
     eps = EpsilonBudget.from_params(p)
     return KeyRateReport(
         **terms,

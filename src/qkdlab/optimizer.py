@@ -7,6 +7,22 @@ composition as a single point, so a grid score and
 ``finitekey.key_length`` at that point are the same number.  Ties resolve
 to the lexicographically smallest (mu, nu, p_mu, p_z), so any evaluation
 order yields the same incumbent.
+
+``optimize`` searches its coarse grid by exact branch and bound.  The
+secure length is composed in two stages (``finitekey``), each of which
+gives a point an upper bound on its secure length, and a point goes on
+only while its bounds reach the best score found so far.  The key-basis
+stage runs on every point and gives ``l_up``, the composition with the
+phase-error term's entropy factor 1 - h(phi_Z) set to one.  It holds bit
+for bit in floats: h >= 0, so fl(1 - h) <= 1 and
+fl(s_Z1 (1 - h)) <= s_Z1, and the composition applies the same monotone
+roundings to the larger term.  The test-basis stage's first step gives
+``l_up_x``, with phi_Z's lower bound, the X error ratio, in its place and
+binary_entropy's rounding covered by a slack; its second step, the phase
+error's finite-statistics correction and the composition, runs only on
+the points that reach both.  A point left unscored cannot beat or tie
+the incumbent, so the search returns the exhaustive grid's incumbent and
+l_bits.
 """
 
 from __future__ import annotations
@@ -65,13 +81,131 @@ class GridSpec:
 
 
 # Points scored per block.  optimize's free-p_z grid is scored in blocks of
-# 10 p_mu rows times 1,609 scorable (mu, nu) pairs at one p_z, 16,090
-# points, and 8 rows for the rest of each p_z.  Under the earlier
-# (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took 630 page faults
-# each and 5.3 s for `scan --losses 1:45:1 --optimize --free-p-z`; blocks
-# of 2^13 almost none, but 4.0 s with twice the per-block Python overhead
-# (2-vCPU Xeon, numpy 2.4).
-_BLOCK_POINTS = 1 << 14
+# 6 p_mu rows times 1,609 scorable (mu, nu) pairs at one p_z, 9,654
+# points, three blocks a p_z.  A block's temporaries must stay well under
+# glibc's heap trim threshold, which the loss's 2.2 MiB score array sets
+# at twice its size: past it, the heap is trimmed when the scores are
+# freed, and the next loss faults its pages in again.  Over three warm
+# `scan --losses 1:45:1 --optimize --free-p-z` in one process, 10-row
+# blocks took about 48,000 minor faults a scan, 7-row blocks up to 5,400
+# and 6-row blocks at most 47.  With trimming ruled out, 6-row blocks
+# were within 1 % of 7-row ones (2-vCPU Xeon, numpy 2.4).  Under the
+# earlier (p_z, p_mu, mu, nu) layout, blocks of 2^15 points took 630 page
+# faults each.
+_BLOCK_POINTS = 5 << 11
+
+
+# A block whose points that reach the incumbent by ``l_up`` are more than
+# this share of it runs the first test-basis step on the whole block;
+# below it, on those points' inputs gathered, which costs about twice as
+# much per point.  Of the shares 0.2, 0.35, 0.5 and 0.7, 0.35 gave the
+# fastest `optimize` of the free-p_z projection grid at 10, 20, 37 and
+# 39 dB, and 3 % slower than 0.5 at 30 dB (2-vCPU Xeon).
+_GATHER_SHARE = 0.35
+
+
+def _reaches(bound, incumbent: float):
+    """Where ``bound`` lets a point beat or tie ``incumbent``, a score
+    already on the grid: everywhere it is at least the incumbent, and
+    where it is positive while no score is."""
+    return bound >= incumbent if incumbent > 0.0 else bound > 0.0
+
+
+class _Block:
+    """The points of one block: a run of (mu, nu) pairs, broadcast as
+    ``q`` and ``e``, times a run of p_mu rows ``pm`` and p_z values ``pz``,
+    shape (len(pz), len(pm), pairs).  Made with the key-basis stage run
+    on every point."""
+
+    def __init__(self, p0: ProtocolParams, pm, pz, q, e, f: finitekey.DecoyFactors) -> None:
+        self.p0, self.pm, self.pz, self.q, self.f = p0, pm, pz, q, f
+        # e[k][b], in Intensity and Basis order
+        self.e_x = (e[0][1], e[1][1])
+        self.shape = (len(pz), len(pm), len(q[0]))
+        tally = rates.basis_tallies(p0.n_pulses, pm, pz * pz, q, (e[0][0], e[1][0]))
+        self.key = finitekey._key_basis_bounds(tally, f, p0)
+
+    def l_bits(self) -> np.ndarray:
+        """The secure length of every point: both test-basis steps on the
+        whole block."""
+        test = self._test(self.pm, self.pz, self.q, self.e_x, self.f, self.key)
+        return finitekey._phase_bounds(self.key, test, self.p0)["l_bits"]
+
+    def search(self, dest, incumbent: float) -> int:
+        """Write into ``dest``, of the block's shape, the secure length of
+        the points whose bounds reach ``incumbent`` (``_reaches``), and
+        return their number.  The first test-basis step runs where
+        ``l_up`` reaches it: on the whole block, or, where those points are
+        at most ``_GATHER_SHARE`` of it, on their inputs gathered.  The
+        second runs, on its inputs gathered, where ``l_up_x`` reaches it
+        too.  Each point's bounds are made from its own inputs alone, so
+        gathered or not they are the same numbers."""
+        keep = _reaches(self.key["l_up"], incumbent)
+        count = int(np.count_nonzero(keep))
+        if count > _GATHER_SHARE * keep.size:
+            at, key = None, self.key
+            test = self._test(self.pm, self.pz, self.q, self.e_x, self.f, key)
+        elif count:
+            at = np.flatnonzero(keep)
+            rest, pair = np.divmod(at, self.shape[2])
+            z, m = np.divmod(rest, self.shape[1])
+            pm = self.pm[m, 0]
+            f = finitekey.DecoyFactors(replace(self.p0, mu=self.f.mu[pair], nu=self.f.nu[pair],
+                                               p_mu=pm))
+            key = {name: np.take(v, at) for name, v in self.key.items()}
+            test = self._test(pm, self.pz[z, 0, 0], tuple(a[pair] for a in self.q),
+                              tuple(a[pair] for a in self.e_x), f, key)
+        else:
+            return 0
+        keep = _reaches(test["l_up_x"], incumbent)
+        if not keep.any():
+            return 0
+        key, test = ({name: v[keep] for name, v in terms.items()} for terms in (key, test))
+        l = finitekey._phase_bounds(key, test, self.p0)["l_bits"]
+        if at is None:
+            dest[keep] = l
+        else:
+            dest.flat[at[keep]] = l
+        return len(l)
+
+    def _test(self, pm, pz, q, e_x, f, key) -> dict:
+        return finitekey._test_basis_bounds(
+            rates.basis_tallies(self.p0.n_pulses, pm, (1.0 - pz) * (1.0 - pz), q, e_x),
+            f, self.p0, key,
+        )
+
+
+def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel):
+    """Yield each block of the (p_z, p_mu, pair) layout of the 1-D arrays
+    ``mu`` and ``nu`` of pairs and the axes ``p_mu`` and ``p_z``, as the
+    block's slices of the layout and its ``_Block``.
+
+    Blocks hold at most ``_BLOCK_POINTS`` points: a run of pairs (all of
+    them when they fit), times a run of p_mu rows (all when they fit),
+    times a run of p_z values.  The loops run in that order, so each term
+    is made once per call on the points it depends on: the gains and
+    QBERs (``rates.intensity_terms``) once per run of pairs, the bounds'
+    decoy factors (``finitekey.DecoyFactors``) once per run of p_mu rows,
+    and the key-basis tallies and bounds once per block.
+
+    Unscorable pairs get placeholder intensities inside every bound's
+    domain: nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so
+    that the counts keep mu.  Their scores mean nothing."""
+    scorable = _scorable(mu, nu)
+    nu = np.where(nu > 0.0, nu, 1.0)
+    mu_bounds = np.where(scorable, mu, nu + 1.0)
+    pairs = max(1, min(len(mu), _BLOCK_POINTS))
+    rows = max(1, min(len(p_mu), _BLOCK_POINTS // pairs))
+    values = _BLOCK_POINTS // (pairs * rows)
+    for i in range(0, len(mu), pairs):
+        run = slice(i, i + pairs)
+        q, e = rates.intensity_terms(link, mu[run], nu[run])
+        for j in range(0, len(p_mu), rows):
+            pm = p_mu[j:j + rows, None]
+            f = finitekey.DecoyFactors(replace(p0, mu=mu_bounds[run], nu=nu[run], p_mu=pm))
+            for k in range(0, len(p_z), values):
+                index = (slice(k, k + values), slice(j, j + rows), run)
+                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f)
 
 
 def evaluate_grid(
@@ -89,46 +223,17 @@ def evaluate_grid(
     ``finitekey.key_length`` uses, so a score is exactly
     ``key_length(expected_statistics(point)).l_bits``; points that
     ``key_length`` rejects (nu >= mu, nu <= 0, empty key basis) score zero.
-
-    Blocks hold at most ``_BLOCK_POINTS`` points: a run of pairs (all of
-    them when they fit), times a run of p_mu rows (all when they fit),
-    times a run of p_z values.  The loops run in that order, so each term
-    is made once per call on the points it depends on: the gains and
-    QBERs (``rates.intensity_terms``) once per run of pairs, the bounds'
-    decoy factors (``finitekey.DecoyFactors``) once per run of p_mu rows,
-    and the tallies and count-dependent bounds once per block."""
+    Every point runs every stage: this is the exhaustive scorer."""
     mu, nu, p_mu, p_z = (
         np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (mu, nu, p_mu, p_z)
     )
     # the scores first: the terms below and the blocks' temporaries are
-    # then freed as one region above them, which optimize's certificate
-    # reuses (peak RSS of a scan 0.3 MiB lower than the other order)
+    # then freed as one region above them
     out = np.empty((len(p_z), len(p_mu), len(mu)))
-    # Unscorable pairs get placeholder intensities inside every bound's
-    # domain: nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so
-    # that the counts keep mu.  A point with no key-basis detections needs
-    # no mask: it already scores zero.
-    scorable = _scorable(mu, nu)
-    nu = np.where(nu > 0.0, nu, 1.0)
-    mu_bounds = np.where(scorable, mu, nu + 1.0)
-    pairs = max(1, min(len(mu), _BLOCK_POINTS))
-    rows = max(1, min(len(p_mu), _BLOCK_POINTS // pairs))
-    values = _BLOCK_POINTS // (pairs * rows)
-    for i in range(0, len(mu), pairs):
-        run = slice(i, i + pairs)
-        q, e = rates.intensity_terms(link, mu[run], nu[run])
-        for j in range(0, len(p_mu), rows):
-            pm = p_mu[j:j + rows, None]
-            f = finitekey.DecoyFactors(replace(p0, mu=mu_bounds[run], nu=nu[run], p_mu=pm))
-            for k in range(0, len(p_z), values):
-                pz = p_z[k:k + values, None, None]
-                # _secure_length holds the only reference to the tallies,
-                # and frees them
-                out[k:k + values, j:j + rows, run] = finitekey._secure_length(
-                    rates.expected_tallies(p0.n_pulses, pm, pz, pz, q, e), f, p0
-                )["l_bits"]
+    for index, block in _blocks(mu, nu, p_mu, p_z, p0, link):
+        out[index] = block.l_bits()
     # a point key_length rejects scores zero
-    np.copyto(out, 0.0, where=~scorable)
+    np.copyto(out, 0.0, where=~_scorable(mu, nu))
     return out
 
 
@@ -139,27 +244,14 @@ def _scorable(mu, nu):
 
 
 @dataclass(frozen=True)
-class GridCertificate:
-    """Full dump of the evaluated coarse grid, proving the incumbent is
-    never beaten by any evaluated point.  Every field has the grid's shape
-    (len(mu_values), len(nu_values), len(p_mu_values), len(p_z_values)).
-    The axes are broadcast views; the scores are scattered from the
-    (p_z, p_mu, pair) evaluation layout, zero where the (mu, nu) pair is
-    not scorable (nu >= mu or nu <= 0)."""
-
-    mu: np.ndarray
-    nu: np.ndarray
-    p_mu: np.ndarray
-    p_z: np.ndarray
-    l_bits: np.ndarray
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     best: ProtocolParams
     l_bits: float
     skr_bps: float
-    certificate: GridCertificate
+    # the coarse grid's scorable points scored and left unscored by the
+    # pruned search; they sum to its scorable points
+    points_scored: int
+    points_pruned: int
     # expected statistics at ``best``
     stats: rates.ExpectedStatistics
 
@@ -191,13 +283,18 @@ def optimize(
     grid: GridSpec | None = None,
     refine: bool = True,
 ) -> OptimizeResult:
-    """Exhaustive grid search maximizing secure length, with one
-    10x-finer coordinate-refinement pass around the incumbent.
+    """Grid search maximizing secure length, with one 10x-finer
+    coordinate-refinement pass around the incumbent.
 
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
-    epsilons).  The coarse grid is scored over its scorable (mu, nu)
-    pairs, the incumbent taken from those scores; the certificate holds
-    the whole grid, zero elsewhere.
+    epsilons).  The coarse grid is searched over its scorable (mu, nu)
+    pairs by branch and bound: a point is scored only where its bounds
+    ``l_up`` and ``l_up_x`` reach the best score so far (``_reaches``),
+    which starts at the score of the grid point nearest p0's.  Each bound
+    is at least the point's secure length (module docstring), so the
+    incumbent and its l_bits are those of the whole grid scored, exact
+    ties included.  The result counts the coarse grid's scorable points
+    scored and pruned.
     """
     p0 = p0 if p0 is not None else ProtocolParams()
     grid = grid if grid is not None else GridSpec()
@@ -205,30 +302,35 @@ def optimize(
         np.asarray(v, dtype=np.float64)
         for v in (grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values)
     )
-    # Only the scorable (mu, nu) pairs are evaluated; the rest of the grid
+    # Only the scorable (mu, nu) pairs are searched; the rest of the grid
     # scores zero.
     mu_i, nu_j = np.nonzero(_scorable(mu[:, None], nu))
     if not len(mu_i):
         raise EmptyFeasibleSet("no (mu, nu) pair on the grid is scorable")
     pair_mu, pair_nu = mu[mu_i], nu[nu_j]
-    pairs = evaluate_grid(pair_mu, pair_nu, pm, pz, p0, link)
-    if not (pairs > 0.0).any():
+    # the incumbent starts at the score of the grid point nearest p0's; an
+    # off-grid score could exceed every grid point and prune them all
+    near = np.argmin(np.abs(pair_mu - p0.mu) + np.abs(pair_nu - p0.nu))
+    incumbent = float(evaluate_grid(
+        pair_mu[near], pair_nu[near], pm[np.argmin(np.abs(pm - p0.p_mu))],
+        pz[np.argmin(np.abs(pz - p0.p_z_bob))], p0, link)[0, 0, 0])
+    # the scores first: the blocks' temporaries are then freed as one
+    # region above them; a point left unscored holds -inf.  Points whose
+    # bounds are below the incumbent are pruned, so every tie is scored.
+    l = np.full((len(pz), len(pm), len(pair_mu)), -np.inf)
+    scored = 0
+    for index, block in _blocks(pair_mu, pair_nu, pm, pz, p0, link):
+        dest = l[index]
+        scored += block.search(dest, incumbent)
+        incumbent = max(incumbent, dest.max())
+        # the next block is made before the loop rebinds these
+        del block, dest
+    if not l.max() > 0.0:
         raise EmptyFeasibleSet("no grid point yields a positive secure length")
-    # the maximum is positive, so no unscored point can be the incumbent
-    z, m, pair = _best_index(pairs, pair_mu, pair_nu, pm[:, None], pz[:, None, None])
+    z, m, pair = _best_index(l, pair_mu, pair_nu, pm[:, None], pz[:, None, None])
     point = [float(pair_mu[pair]), float(pair_nu[pair]), float(pm[m]), float(pz[z])]
-    best_l = float(pairs[z, m, pair])
-    shape = (len(mu), len(nu), len(pm), len(pz))
-    l = np.zeros(shape)
-    l[mu_i, nu_j] = pairs.transpose(2, 1, 0)
-    del pairs
-    cert = GridCertificate(
-        mu=np.broadcast_to(mu[:, None, None, None], shape),
-        nu=np.broadcast_to(nu[:, None, None], shape),
-        p_mu=np.broadcast_to(pm[:, None], shape),
-        p_z=np.broadcast_to(pz, shape),
-        l_bits=l,
-    )
+    best_l = float(l[z, m, pair])
+    del l
 
     if refine:
         axes = (
@@ -262,7 +364,8 @@ def optimize(
         best=best,
         l_bits=report.l_bits,
         skr_bps=report.skr_bps,
-        certificate=cert,
+        points_scored=scored,
+        points_pruned=len(pair_mu) * len(pm) * len(pz) - scored,
         stats=stats,
     )
 
@@ -332,9 +435,6 @@ def scan(
                 stats = rates.expected_statistics(params, link)
             else:
                 params, l_bits, skr, stats = result.best, result.l_bits, result.skr_bps, result.stats
-                # its certificate holds the whole grid's scores: free them
-                # before the next loss's grid is scored
-                del result
         else:
             params = p
             stats = rates.expected_statistics(params, link)

@@ -4,10 +4,11 @@ threshold-detector model.
 Two levels are provided.  ``expected_statistics`` uses the standard
 decoy-state textbook formulas (gain and QBER per intensity) and drives the
 finite-key pipeline; the optimizer calls its two steps,
-``intensity_terms`` and ``expected_tallies``, itself.  They and the
-formulas they are built from broadcast: a ``ProtocolParams`` whose
-intensities and probabilities are numpy arrays yields arrays, so one
-parameter point and a whole grid block go through the same code.
+``intensity_terms`` and ``basis_tallies``, itself, one basis at a time.
+They and the formulas they are built from broadcast: a
+``ProtocolParams`` whose intensities and probabilities are numpy arrays
+yields arrays, so one parameter point and a whole grid block go through
+the same code.
 ``expected_sifted_cells`` enumerates the 16 detector click patterns exactly
 (``click_patterns``) and is the oracle the Monte Carlo simulator is audited
 against.  The simulator samples the rule the oracle sums over: Alice's
@@ -129,37 +130,44 @@ def intensity_terms(link: LinkModel, mu, nu) -> tuple:
     )
 
 
-def expected_tallies(n_pulses, p_mu, p_z_alice, p_z_bob, q, e) -> np.ndarray:
-    """The expected sifted tallies, ``[n or m, basis, intensity, *grid]``,
-    for n_pulses pulses from the probabilities and ``intensity_terms``.
+def basis_tallies(n_pulses, p_mu, p_b, q, e_b) -> np.ndarray:
+    """The expected sifted tallies of one basis, ``[n or m, intensity,
+    *grid]``, for n_pulses pulses: ``p_b`` is the probability that Alice
+    and Bob both choose the basis, ``q`` and ``e_b`` the gain and the
+    basis's QBER of each intensity, in Intensity order.
 
-    Cell tallies follow n[b, k] = N p_k p_b^A p_b^B q_k and m = e n,
-    rounded half-up; m <= n since e <= 1/2.  The factors other than q_k
-    are multiplied on the sub-grid they span; the product with q_k and the
-    QBER product run in the cell's slot of the tally array, which has the
-    shape of all the inputs.
+    Cell tallies follow n[k] = N p_k p_b q_k and m = e n, rounded half-up;
+    m <= n since e <= 1/2.  The factors other than q_k are multiplied on
+    the sub-grid they span; the product with q_k and the QBER product run
+    in the cell's slot of the tally array, which has the shape of all the
+    inputs.  Each point's tallies are products of that point's inputs
+    alone, so the tallies of some points of a grid, from their inputs
+    gathered, are the same numbers.
     """
     p_k = (p_mu, 1.0 - p_mu)
-    p_b = (p_z_alice * p_z_bob, (1.0 - p_z_alice) * (1.0 - p_z_bob))
     # each QBER has the shape of its intensity's gain
-    shape = np.broadcast_shapes(*map(np.shape, (p_mu, p_z_alice, p_z_bob, *q)))
-    tally = np.empty((2, 2, 2) + shape)
+    shape = np.broadcast_shapes(*map(np.shape, (p_mu, p_b, *q)))
+    tally = np.empty((2, 2) + shape)
     for k in range(2):
-        for b in range(2):
-            # `...` keeps a 0-d slot a view; m is taken from n before the
-            # whole array is rounded
-            n, m = tally[0, b, k, ...], tally[1, b, k, ...]
-            np.multiply(n_pulses * p_k[k] * p_b[b], q[k], out=n)
-            np.multiply(n, e[k][b], out=m)
+        # `...` keeps a 0-d slot a view; m is taken from n before the
+        # whole array is rounded
+        n, m = tally[0, k, ...], tally[1, k, ...]
+        np.multiply(n_pulses * p_k[k] * p_b, q[k], out=n)
+        np.multiply(n, e_b[k], out=m)
     tally += 0.5
     return np.floor(tally, out=tally)
 
 
 def expected_statistics(p: ProtocolParams, link: LinkModel) -> ExpectedStatistics:
     """Expected gains, QBERs and sifted tallies for n_pulses emitted pulses
-    (``expected_tallies`` of ``intensity_terms``)."""
+    (``basis_tallies`` of each basis from ``intensity_terms``)."""
     q, e = intensity_terms(link, p.mu, p.nu)
-    tally = expected_tallies(p.n_pulses, p.p_mu, p.p_z_alice, p.p_z_bob, q, e)
+    p_b = (p.p_z_alice * p.p_z_bob, (1.0 - p.p_z_alice) * (1.0 - p.p_z_bob))
+    # [n or m, basis, intensity, *grid]
+    tally = np.stack(
+        [basis_tallies(p.n_pulses, p.p_mu, p_b[b], q, (e[0][b], e[1][b])) for b in range(2)],
+        axis=1,
+    )
     return ExpectedStatistics(q_mu=q[0], q_nu=q[1], counts=ObservedCounts(*tally))
 
 

@@ -391,14 +391,16 @@ CONFIG_B2B = os.path.join(os.path.dirname(__file__), "..", "configs", "back_to_b
 
 # SHA-256 of the stdout of each command, frozen before the tallies became
 # (basis, intensity) arrays (scan-free-p-z: before optimize scored only the
-# scorable (mu, nu) pairs): any change to a report's numbers, key order or
-# formatting changes a digest.
+# scorable (mu, nu) pairs; projection-scan: before optimize pruned its
+# coarse grid): any change to a report's numbers, key order or formatting
+# changes a digest.
 GOLDEN_OUTPUT_SHA256 = {
     ("keyrate", CONFIG_75): "beeb06091cdd5760ea43599e7d6f829279993581ab11734d363b931b50a8d277",
     ("keyrate", CONFIG_B2B): "11892442900c12ad47e958fc05067bc62ded8b9229775345b6f96719293b907f",
     ("keyrate", CONFIG_PROJ): "afebe0df9d8f3ce34800450923f756b8998350bdfc4a62f3be8db8ca576eb242",
     ("scan", CONFIG_PROJ): "68e757ddfc3da89b7ce3e2ba4aa1c5a4e486871876492d5cc28b2db8592415f0",
     ("scan-free-p-z", CONFIG_PROJ): "02e676dd20e781b1b77ac63178127877b4e0349614705aea1b1ed84c2948a25f",
+    ("projection-scan", CONFIG_PROJ): "39a7dc137ee44f8dd16819419be194f53693da26774987ff2521350ac915c548",
     ("simulate", CONFIG_B2B): "23299ba01971ed1850eb47ffa07df4e31896ab33a5c398e47ae2d7c7ff935a88",
 }
 # each case's command line after --config
@@ -407,6 +409,8 @@ _GOLDEN_ARGS = {
     "scan": ("scan", "--losses", "1:45:4", "--optimize"),
     # the projection benchmark's scan, at every fourth loss
     "scan-free-p-z": ("scan", "--losses", "1:45:4", "--optimize", "--free-p-z"),
+    # the projection benchmark's whole scan
+    "projection-scan": ("scan", "--losses", "1:45:1", "--optimize", "--free-p-z"),
     "simulate": ("simulate", "--pulses", "131072"),
 }
 

@@ -340,7 +340,7 @@ def _point(d):
 
 
 def _unrounded_counts(p, link):
-    """The expected tallies of ``rates.expected_tallies``, the same
+    """The expected tallies of ``rates.basis_tallies``, the same
     products without the half-up rounding."""
     q, e = rates.intensity_terms(link, p.mu, p.nu)
     p_k = (p.p_mu, 1.0 - p.p_mu)
@@ -395,3 +395,108 @@ class TestProperties:
         assert 0.0 <= r.s_z1_low <= r.n_z
         assert r.v_x1_up >= 0.0
         assert 0.0 <= r.phi_z_up <= 0.5
+
+
+def _one_pass_secure_length(tally, f, p):
+    """The secure length composed in one pass over both bases, as before
+    it was split into a key-basis and a test-basis stage: the reference
+    the stages must equal field by field."""
+    eps = EpsilonBudget.from_params(p)
+    n, m = tally.sum(axis=2)
+    d_n = hoeffding_delta(n, eps.eps_pe)
+    s_z0_low = vacuum_lower_bound(f, tally[0, 0], d_n[0])
+    s_0_up = vacuum_upper_bound(n, m, d_n)
+    lambda_ec = p.f_ec * n[0] * rates.binary_entropy(m[0] / np.maximum(n[0], 1.0))
+    d_m = hoeffding_delta(m[1], eps.eps_pe)
+    s_1 = single_photon_bound(f, tally[0].swapaxes(0, 1), d_n, s_0_up)
+    phase = phase_error_bound(f, tally[1, 1].copy(), d_m, eps.eps_sec, s_1[0], s_1[1])
+    l = (
+        s_z0_low
+        + s_1[0] * (1.0 - rates.binary_entropy(phase.phi_z_up))
+        - lambda_ec
+        - 6.0 * math.log2(19.0 / eps.eps_sec)
+        - math.log2(2.0 / eps.eps_cor)
+    )
+    return {
+        "s_z0_low": s_z0_low,
+        "s_z0_up": s_0_up[0],
+        "s_z1_low": s_1[0],
+        "s_x1_low": s_1[1],
+        "v_x1_up": phase.v_x1_up,
+        "phi_z_up": phase.phi_z_up,
+        "lambda_ec": lambda_ec,
+        "l_bits": np.maximum(0.0, l),
+        "insufficient_test_statistics": phase.insufficient_test_statistics,
+    }
+
+
+class TestTwoStages:
+    """The bounds ``l_up`` (key-basis stage) and ``l_up_x`` (first
+    test-basis step) bound the secure length, ``l_up`` bit for bit, and the
+    steps compose the one-pass secure length field by field.  Small samples
+    reach the untested-phase and empty-X-basis cases; an infinite loss with
+    no dark counts, an empty key basis."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.floats(0.02, 1.0),
+        nu_frac=st.floats(0.01, 0.99),
+        p_mu=st.floats(0.05, 0.95),
+        p_z=st.floats(0.05, 0.95),
+        n_pulses=st.integers(3, 12).flatmap(
+            lambda e: st.integers(10**e, min(10**(e + 1), 10**12))),
+        loss_db=st.one_of(st.floats(0.0, 60.0), st.just(math.inf)),
+        dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+        e_mis=st.floats(0.0, 0.05),
+    )
+    def test_stages_equal_one_pass_and_bound_length(
+            self, mu, nu_frac, p_mu, p_z, n_pulses, loss_db, dark, e_mis):
+        p = replace(P_REF, mu=mu, nu=mu * nu_frac, p_mu=p_mu, p_z_alice=p_z, p_z_bob=p_z,
+                    n_pulses=n_pulses)
+        link = LinkModel(channel_loss_db=loss_db, e_mis_z=e_mis, e_mis_x=e_mis,
+                         detector=DetectorModel(dark_prob_per_gate=dark))
+        counts = rates.expected_statistics(p, link).counts
+        tally = np.stack((counts.sift, counts.err))
+        f = DecoyFactors(p)
+        key = finitekey._key_basis_bounds(tally[:, 0], f, p)
+        test = finitekey._test_basis_bounds(tally[:, 1], f, p, key)
+        phase = finitekey._phase_bounds(key, test, p)
+        ref = _one_pass_secure_length(tally, f, p)
+        steps = {**key, "s_x1_low": test["s_x1_low"], **phase}
+        assert sorted(steps) == sorted([*ref, "l_up"])
+        for name, value in ref.items():
+            assert np.asarray(steps[name]).tobytes() == np.asarray(value).tobytes(), name
+        # each bound is the composition with its term in the place of the
+        # phase term, in the same operation order
+        eps = EpsilonBudget.from_params(p)
+        consts = 6.0 * math.log2(19.0 / eps.eps_sec), math.log2(2.0 / eps.eps_cor)
+        terms = {
+            "l_up": key["s_z1_low"],
+            "l_up_x": key["s_z1_low"] * ((1.0 - rates.binary_entropy(min(0.5, test["ratio"])))
+                                         + finitekey._ENTROPY_SLACK),
+        }
+        bounds = {"l_up": key["l_up"], "l_up_x": test["l_up_x"]}
+        for name, term in terms.items():
+            assert np.asarray(bounds[name]).tobytes() == np.asarray(
+                key["s_z0_low"] + term - key["lambda_ec"] - consts[0] - consts[1]).tobytes()
+            bound = float(bounds[name])
+            assert float(phase["l_bits"]) <= max(0.0, bound)
+            if bound <= 0.0:
+                assert float(phase["l_bits"]) == 0.0
+            if counts.n_total(Basis.Z) > 0:
+                assert key_length(counts, p).l_bits <= max(0.0, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, 0.5), step=st.one_of(st.floats(0.0, 0.5), st.integers(0, 64)))
+    def test_entropy_rises_within_slack(self, x, step):
+        # l_up_x reads h at the error ratio, below phi_Z: binary_entropy
+        # must rise on [0, 1/2] but for rounding that _ENTROPY_SLACK covers,
+        # also between neighbouring floats
+        y = x + step if isinstance(step, float) else x
+        for _ in range(step if isinstance(step, int) else 0):
+            y = np.nextafter(y, 1.0)
+        y = min(y, 0.5)
+        grid = np.array([x, y])
+        h = rates.binary_entropy(grid)
+        assert h[0] <= h[1] + finitekey._ENTROPY_SLACK
+        assert rates.binary_entropy(x) <= rates.binary_entropy(y) + finitekey._ENTROPY_SLACK

@@ -1,12 +1,11 @@
 import hashlib
 import math
 import os
-import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkdlab import finitekey, optimizer, rates
@@ -28,7 +27,7 @@ CONFIG_PROJ = os.path.join(os.path.dirname(__file__), "..", "configs", "projecti
 FREE_P_Z = optimizer._steps(0.5, 0.95, 0.05)
 
 # optimize(p0=projection.conf): incumbent (mu, nu, p_mu, p_z), l_bits as
-# float.hex, and the SHA-256 of the certificate's l_bits in
+# float.hex, and the SHA-256 of the whole grid's scores, ``_all_pairs``, in
 # (mu, nu, p_mu, p_z) C order.  Incumbents and digests are those of the
 # unblocked evaluator over a raveled meshgrid; l_bits is the grid's own
 # score at the incumbent, which key_length reproduces exactly.
@@ -178,37 +177,42 @@ class TestVectorizedEvaluator:
         assert sorted(seen) == sorted((n, pm) for n in self._NU for pm in self._P_MU)
 
     def test_each_pair_gets_its_gains_once(self, monkeypatch):
-        # each pair reaches intensity_terms once, and each point the tallies
-        seen = {"pairs": [], "points": []}
-        terms, tallies = rates.intensity_terms, rates.expected_tallies
+        # each pair reaches intensity_terms once, and each point both
+        # stages once: evaluate_grid scores every point
+        seen = {"pairs": [], "points": [], "tested": []}
+        terms = rates.intensity_terms
+        key_stage, test_stage = finitekey._key_basis_bounds, finitekey._test_basis_bounds
 
         def counting_terms(link, mu, nu):
             seen["pairs"].extend(zip(mu, nu))
             return terms(link, mu, nu)
 
-        def counting_tallies(n_pulses, p_mu, p_z_alice, p_z_bob, q, e):
-            out = tallies(n_pulses, p_mu, p_z_alice, p_z_bob, q, e)
-            seen["points"].append(out[0, 0, 0].size)
-            return out
+        def counting_key_stage(tally, f, p):
+            seen["points"].append(tally[0, 0].size)
+            return key_stage(tally, f, p)
+
+        def counting_test_stage(tally, f, p, key):
+            seen["tested"].append(tally[0, 0].size)
+            return test_stage(tally, f, p, key)
 
         monkeypatch.setattr(rates, "intensity_terms", counting_terms)
-        monkeypatch.setattr(rates, "expected_tallies", counting_tallies)
+        monkeypatch.setattr(finitekey, "_key_basis_bounds", counting_key_stage)
+        monkeypatch.setattr(finitekey, "_test_basis_bounds", counting_test_stage)
         self._counted_grid(monkeypatch)
         assert seen["pairs"] == list(zip(self._MU, self._NU))
-        assert seen["points"] == [3] * 6 + [1] * 6
+        assert seen["points"] == seen["tested"] == [3] * 6 + [1] * 6
 
     def test_a_line_of_p_mu_or_p_z_is_one_block(self, monkeypatch):
         # refinement scores 21 values of one axis at one pair: one block
         # each, as a line of pairs is
         blocks = []
-        tallies = rates.expected_tallies
+        key_stage = finitekey._key_basis_bounds
 
-        def counting_tallies(*args):
-            out = tallies(*args)
-            blocks.append(out.shape[3:])
-            return out
+        def counting_key_stage(tally, f, p):
+            blocks.append(tally.shape[2:])
+            return key_stage(tally, f, p)
 
-        monkeypatch.setattr(rates, "expected_tallies", counting_tallies)
+        monkeypatch.setattr(finitekey, "_key_basis_bounds", counting_key_stage)
         line = np.linspace(0.5, 0.9, 21)
         evaluate_grid(0.5, 0.2, line, 0.9, ProtocolParams(), LINK_75)
         evaluate_grid(0.5, 0.2, 0.6, line, ProtocolParams(), LINK_75)
@@ -243,7 +247,8 @@ class TestVectorizedEvaluator:
         assert grid.tobytes() == points.tobytes()
 
     def test_default_blocks_match_rows(self):
-        # 19 rows of 2050 pairs at 7 rows a block: blocks of 7, 7 and 5 rows
+        # 19 rows of 2050 pairs at 4 rows a block: blocks of 4, 4, 4, 4 and
+        # 3 rows
         grid = GridSpec()
         mu, nu = (a.ravel() for a in np.meshgrid(grid.mu_values, grid.nu_values, indexing="ij"))
         p_mu = np.linspace(0.1, 0.95, 19)
@@ -253,8 +258,8 @@ class TestVectorizedEvaluator:
 
 
 def _all_pairs(grid, p0, link):
-    """evaluate_grid over every (mu, nu) pair of the grid, in the
-    certificate's (mu, nu, p_mu, p_z) order."""
+    """The exhaustive evaluate_grid over every (mu, nu) pair of the grid,
+    in (mu, nu, p_mu, p_z) order."""
     mu, nu, pm, pz = (np.asarray(v, dtype=np.float64) for v in (
         grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values))
     pair_mu, pair_nu = (a.ravel() for a in np.meshgrid(mu, nu, indexing="ij"))
@@ -262,9 +267,31 @@ def _all_pairs(grid, p0, link):
     return l.reshape(len(pz), len(pm), len(mu), len(nu)).transpose(2, 3, 1, 0)
 
 
+def _exhaustive_best(whole, grid):
+    """The grid point, (mu, nu, p_mu, p_z), and its l_bits that _best_index
+    picks over ``whole``, the grid's _all_pairs."""
+    axes = [np.broadcast_to(np.asarray(v)[(slice(None),) + (None,) * (3 - i)], whole.shape)
+            for i, v in enumerate((grid.mu_values, grid.nu_values, grid.p_mu_values,
+                                   grid.p_z_values))]
+    i = optimizer._best_index(whole, *axes)
+    return tuple(float(a[i]) for a in axes), float(whole[i])
+
+
+def _bounds(block):
+    """The tighter of the two bounds at each point of the block ``block``."""
+    test = block._test(block.pm, block.pz, block.q, block.e_x, block.f, block.key)
+    return np.minimum(block.key["l_up"], test["l_up_x"])
+
+
+def _scorable_points(grid):
+    pairs = optimizer._scorable(np.asarray(grid.mu_values)[:, None], np.asarray(grid.nu_values))
+    return int(pairs.sum()) * len(grid.p_mu_values) * len(grid.p_z_values)
+
+
 class TestPairLayout:
-    """optimize scores only the scorable (mu, nu) pairs; its certificate
-    must equal all the grid's pairs scored, bit for bit."""
+    """optimize's pruned search over the scorable (mu, nu) pairs must
+    return the point and l_bits that _best_index picks over all the grid's
+    pairs scored exhaustively, and raise where none scores above zero."""
 
     def _check(self, grid, link, p0=ProtocolParams()):
         whole = _all_pairs(grid, p0, link)
@@ -272,9 +299,10 @@ class TestPairLayout:
             with pytest.raises(EmptyFeasibleSet):
                 optimize(link, p0=p0, grid=grid, refine=False)
             return whole
-        cert = optimize(link, p0=p0, grid=grid, refine=False).certificate
-        assert cert.l_bits.shape == whole.shape
-        assert cert.l_bits.tobytes() == whole.tobytes()
+        result = optimize(link, p0=p0, grid=grid, refine=False)
+        b = result.best
+        assert ((b.mu, b.nu, b.p_mu, b.p_z_bob), result.l_bits) == _exhaustive_best(whole, grid)
+        assert result.points_scored + result.points_pruned == _scorable_points(grid)
         return whole
 
     @pytest.mark.parametrize("grid_name", ["default", "free"])
@@ -337,15 +365,15 @@ class TestOptimize:
         p, link, _ = load_config(CONFIG_PROJ)
         link = link.with_channel_loss(loss)
         coarse = optimize(link, p0=p, refine=False)
-        assert coarse.l_bits == coarse.certificate.l_bits.max()
+        assert coarse.l_bits == _all_pairs(GridSpec(), p, link).max()
         fine = optimize(link, p0=p)
         b = fine.best
         assert fine.l_bits == evaluate_grid(b.mu, b.nu, b.p_mu, b.p_z_bob, p, link)[0, 0, 0]
         assert fine.l_bits >= coarse.l_bits
 
-    def test_certificate_never_beats_incumbent(self):
+    def test_no_grid_point_beats_incumbent(self):
         result = optimize(LINK_75, grid=SMALL_GRID)
-        assert result.l_bits >= result.certificate.l_bits.max() - 1e-6
+        assert result.l_bits >= _all_pairs(SMALL_GRID, ProtocolParams(), LINK_75).max()
 
     def test_deterministic_under_grid_permutation(self):
         a = optimize(LINK_75, grid=SMALL_GRID)
@@ -438,34 +466,112 @@ class TestOptimize:
         assert result.best.mu not in mu[crossed]
         assert result.best.nu < result.best.mu and result.l_bits > 0.0
 
-    def test_certificate_is_grid_shaped(self):
-        result = optimize(LINK_75, grid=SMALL_GRID, refine=False)
-        cert = result.certificate
-        shape = (len(SMALL_GRID.mu_values), len(SMALL_GRID.nu_values),
-                 len(SMALL_GRID.p_mu_values), len(SMALL_GRID.p_z_values))
-        for a in (cert.mu, cert.nu, cert.p_mu, cert.p_z, cert.l_bits):
-            assert a.shape == shape
-        assert cert.mu[2, 1, 3, 0] == SMALL_GRID.mu_values[2]
-        assert cert.nu[2, 1, 3, 0] == SMALL_GRID.nu_values[1]
-        assert cert.p_mu[2, 1, 3, 0] == SMALL_GRID.p_mu_values[3]
-        assert cert.l_bits[2, 1, 3, 0] == evaluate_grid(
-            SMALL_GRID.mu_values[2], SMALL_GRID.nu_values[1], SMALL_GRID.p_mu_values[3],
-            0.9, ProtocolParams(), LINK_75)[0, 0, 0]
-
-    @pytest.mark.parametrize("key", sorted(k for k, pin in PROJECTION_PINS.items() if pin))
-    def test_incumbent_from_pairs_is_certificate_best(self, key):
-        # optimize takes its incumbent from the scored pairs; it must be
-        # the point _best_index picks over the whole certificate
-        grid_name, loss = key
+    @pytest.mark.parametrize("grid_name", ["default", "free"])
+    @pytest.mark.parametrize("loss", [1.0, 9.6, 23.0, 30.0, 37.0, 38.0, 39.0, 45.0])
+    def test_pruned_search_is_exhaustive_best(self, grid_name, loss):
+        # the pruned search returns what _best_index picks over the whole
+        # grid scored, on the projection grids across the scan's losses
         p, link, _ = load_config(CONFIG_PROJ)
         grid = GridSpec(p_z_values=FREE_P_Z if grid_name == "free" else (p.p_z_bob,))
+        TestPairLayout()._check(grid, link.with_channel_loss(loss), p)
+
+    @pytest.mark.parametrize("loss", [14.6, 60.0])
+    def test_pruned_search_on_small_grid(self, loss):
+        TestPairLayout()._check(SMALL_GRID, LINK_75.with_channel_loss(loss))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # values drawn from few choices repeat on an axis: exact ties
+        mu=st.lists(st.sampled_from([0.3, 0.45, 0.5, 0.6]), min_size=1, max_size=4),
+        nu=st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.3]), min_size=1, max_size=4),
+        p_mu=st.lists(st.sampled_from([0.4, 0.66, 0.8]), min_size=1, max_size=3),
+        p_z=st.lists(st.sampled_from([0.6, 0.9]), min_size=1, max_size=3),
+        loss_db=st.sampled_from([10.0, 30.0, 50.0]),
+        block=st.sampled_from([3, 7, 1 << 14]),
+    )
+    def test_pruned_search_with_ties(self, mu, nu, p_mu, p_z, loss_db, block):
+        assume(max(mu) > min(nu))
+        grid = GridSpec(mu_values=tuple(mu), nu_values=tuple(nu), p_mu_values=tuple(p_mu),
+                        p_z_values=tuple(p_z))
+        with mock.patch.object(optimizer, "_BLOCK_POINTS", block):
+            TestPairLayout()._check(grid, LINK_75.with_channel_loss(loss_db))
+
+    @pytest.mark.parametrize("loss, quantum", [(4.8, 2.0**24), (9.6, 2.0**22), (14.6, 2.0**20)])
+    def test_pruned_search_keeps_every_tie(self, monkeypatch, loss, quantum):
+        # Scores and bounds floored to a coarse power-of-two quantum: the
+        # bounds still bound the scores, many points with different values
+        # tie, and at some of them the bound equals the score.  On
+        # descending axes in 5-point blocks, ties scored late have the
+        # smaller values: the search must score every tie and return the
+        # smallest (mu, nu, p_mu, p_z) among them
+        grid = GridSpec(**{name: tuple(reversed(getattr(SMALL_GRID, name))) for name in (
+            "mu_values", "nu_values", "p_mu_values")}, p_z_values=(0.95, 0.9, 0.8))
+        monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 5)
+        for stage, name in (("_key_basis_bounds", "l_up"), ("_test_basis_bounds", "l_up_x"),
+                            ("_phase_bounds", "l_bits")):
+            def coarse(*args, stage=getattr(finitekey, stage), name=name):
+                terms = stage(*args)
+                terms[name] = np.floor(terms[name] / quantum) * quantum
+                return terms
+
+            monkeypatch.setattr(finitekey, stage, coarse)
+        whole = TestPairLayout()._check(grid, LINK_75.with_channel_loss(loss))
+        assert (whole == whole.max()).sum() > 1
+
+    @pytest.mark.parametrize("grid_name, loss", [
+        ("small", 14.6), ("default", 9.6), ("default", 30.0), ("free", 30.0), ("free", 38.0),
+    ])
+    def test_points_scored_and_pruned(self, monkeypatch, grid_name, loss):
+        # the counts sum to the scorable points, the points scored hold
+        # their exhaustive scores, and every point left unscored has a
+        # bound below the returned coarse l_bits
+        p, link, _ = load_config(CONFIG_PROJ)
+        grid = {"small": SMALL_GRID, "default": GridSpec(p_z_values=(p.p_z_bob,)),
+                "free": GridSpec(p_z_values=FREE_P_Z)}[grid_name]
+        blocks = []
+        search = optimizer._Block.search
+
+        def recording(block, dest, incumbent):
+            count = search(block, dest, incumbent)
+            blocks.append((block, dest.copy(), count))
+            return count
+
+        monkeypatch.setattr(optimizer._Block, "search", recording)
         result = optimize(link.with_channel_loss(loss), p0=p, grid=grid, refine=False)
-        cert = result.certificate
-        i = optimizer._best_index(cert.l_bits, cert.mu, cert.nu, cert.p_mu, cert.p_z)
-        b = result.best
-        assert (b.mu, b.nu, b.p_mu, b.p_z_bob) == tuple(
-            a[i] for a in (cert.mu, cert.nu, cert.p_mu, cert.p_z))
-        assert result.l_bits == cert.l_bits[i] == cert.l_bits.max()
+        assert result.points_scored + result.points_pruned == _scorable_points(grid)
+        assert result.points_scored == sum(count for *_, count in blocks)
+        for block, dest, count in blocks:
+            scored = dest > -np.inf
+            assert scored.sum() == count
+            assert dest[scored].tobytes() == block.l_bits()[scored].tobytes()
+            assert (_bounds(block)[~scored] < result.l_bits).all()
+        assert 0 < result.points_scored and 0 < result.points_pruned
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        loss_db=st.floats(0.0, 45.0),
+        dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+        share=st.sampled_from([0.0, optimizer._GATHER_SHARE, 1.0]),
+        # the incumbent, a score of the block's: zero, or its q-quantile
+        q=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_search_scores_as_the_whole_block(self, loss_db, dark, share, q):
+        # on the whole block or on gathered points, the search gives each
+        # point it scores the exhaustive score's bits, and scores every
+        # point whose bounds reach the incumbent
+        link = LinkModel(channel_loss_db=loss_db, detector=DetectorModel(dark_prob_per_gate=dark))
+        mu, nu = (np.array(v) for v in ((0.3, 0.5, 0.5, 0.7, 0.7), (0.05, 0.1, 0.3, 0.2, 0.4)))
+        pm, pz = np.array([0.4, 0.66, 0.8]), np.array([0.9, 0.6])
+        (_, block), = optimizer._blocks(mu, nu, pm, pz, ProtocolParams(), link)
+        whole = block.l_bits()
+        incumbent = 0.0 if q is None else float(np.sort(whole, axis=None)[round(q * (whole.size - 1))])
+        dest = np.full(block.shape, -np.inf)
+        with mock.patch.object(optimizer, "_GATHER_SHARE", share):
+            count = block.search(dest, incumbent)
+        scored = dest > -np.inf
+        assert scored.sum() == count
+        assert dest[scored].tobytes() == whole[scored].tobytes()
+        assert (optimizer._reaches(_bounds(block), incumbent) <= scored).all()
 
     def test_ties_resolve_to_smallest_values(self):
         # maxima at (mu, nu) = (0.3, 0.01), (0.1, 0.05), (0.2, 0.05)
@@ -490,7 +596,7 @@ class TestOptimize:
         b = result.best
         assert (b.mu, b.nu, b.p_mu, b.p_z_bob) == point
         assert result.l_bits == float.fromhex(l_hex)
-        assert hashlib.sha256(result.certificate.l_bits.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(_all_pairs(grid, p, link).tobytes()).hexdigest() == digest
 
 
 class TestScan:
@@ -548,21 +654,6 @@ class TestScan:
         assert calls == [14.6, 60.0]
         stats = expected_statistics(optimize(LINK_75, grid=SMALL_GRID).best, LINK_75)
         assert (rows[0].e_z, rows[0].e_x) == (stats.pooled_qber(Basis.Z), stats.pooled_qber(Basis.X))
-
-    def test_previous_result_freed_before_next_loss(self, monkeypatch):
-        # the previous loss's certificate would otherwise stay alive while
-        # the next loss's grid is scored
-        results = []
-
-        def tracking(*args, **kwargs):
-            assert all(r() is None for r in results)
-            result = optimize(*args, **kwargs)
-            results.append(weakref.ref(result))
-            return result
-
-        monkeypatch.setattr(optimizer, "optimize", tracking)
-        rows = scan(LINK_75, [4.8, 9.6, 14.6], p="optimize", grid=SMALL_GRID)
-        assert len(results) == 3 and all(r.l_bits > 0.0 for r in rows)
 
     def test_csv_format(self):
         rows = scan(LINK_75, [4.8], p=ProtocolParams())
