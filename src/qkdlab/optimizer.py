@@ -104,13 +104,6 @@ _BLOCK_POINTS = 5 << 11
 _GATHER_SHARE = 0.35
 
 
-def _reaches(bound, incumbent: float):
-    """Where ``bound`` lets a point beat or tie ``incumbent``, a score
-    already on the grid: everywhere it is at least the incumbent, and
-    where it is positive while no score is."""
-    return bound >= incumbent if incumbent > 0.0 else bound > 0.0
-
-
 class _Block:
     """The points of one block: a run of (mu, nu) pairs, broadcast as
     ``q`` and ``e``, times a run of p_mu rows ``pm`` and p_z values ``pz``,
@@ -133,14 +126,14 @@ class _Block:
 
     def search(self, dest, incumbent: float) -> int:
         """Write into ``dest``, of the block's shape, the secure length of
-        the points whose bounds reach ``incumbent`` (``_reaches``), and
-        return their number.  The first test-basis step runs where
+        the points whose bounds are at least ``incumbent``, and return
+        their number.  The first test-basis step runs where
         ``l_up`` reaches it: on the whole block, or, where those points are
         at most ``_GATHER_SHARE`` of it, on their inputs gathered.  The
         second runs, on its inputs gathered, where ``l_up_x`` reaches it
         too.  Each point's bounds are made from its own inputs alone, so
         gathered or not they are the same numbers."""
-        keep = _reaches(self.key["l_up"], incumbent)
+        keep = self.key["l_up"] >= incumbent
         count = int(np.count_nonzero(keep))
         if count > _GATHER_SHARE * keep.size:
             at, key = None, self.key
@@ -157,7 +150,7 @@ class _Block:
                               tuple(a[pair] for a in self.e_x), f, key)
         else:
             return 0
-        keep = _reaches(test["l_up_x"], incumbent)
+        keep = test["l_up_x"] >= incumbent
         if not keep.any():
             return 0
         key, test = ({name: v[keep] for name, v in terms.items()} for terms in (key, test))
@@ -289,8 +282,8 @@ def optimize(
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
     epsilons).  The coarse grid is searched over its scorable (mu, nu)
     pairs by branch and bound: a point is scored only where its bounds
-    ``l_up`` and ``l_up_x`` reach the best score so far (``_reaches``),
-    which starts at the score of the grid point nearest p0's.  Each bound
+    ``l_up`` and ``l_up_x`` are at least the best score so far, which
+    starts at the score of the grid point nearest p0's.  Each bound
     is at least the point's secure length (module docstring), so the
     incumbent and its l_bits are those of the whole grid scored, exact
     ties included.  The result counts the coarse grid's scorable points
@@ -435,6 +428,8 @@ def scan(
                 stats = rates.expected_statistics(params, link)
             else:
                 params, l_bits, skr, stats = result.best, result.l_bits, result.skr_bps, result.stats
+                # free it before the next loss's grid is scored
+                del result
         else:
             params = p
             stats = rates.expected_statistics(params, link)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -571,7 +572,7 @@ class TestOptimize:
         scored = dest > -np.inf
         assert scored.sum() == count
         assert dest[scored].tobytes() == whole[scored].tobytes()
-        assert (optimizer._reaches(_bounds(block), incumbent) <= scored).all()
+        assert ((_bounds(block) >= incumbent) <= scored).all()
 
     def test_ties_resolve_to_smallest_values(self):
         # maxima at (mu, nu) = (0.3, 0.01), (0.1, 0.05), (0.2, 0.05)
@@ -654,6 +655,21 @@ class TestScan:
         assert calls == [14.6, 60.0]
         stats = expected_statistics(optimize(LINK_75, grid=SMALL_GRID).best, LINK_75)
         assert (rows[0].e_z, rows[0].e_x) == (stats.pooled_qber(Basis.Z), stats.pooled_qber(Basis.X))
+
+    def test_previous_result_freed_before_next_loss(self, monkeypatch):
+        # the previous loss's result would otherwise stay alive while the
+        # next loss's grid is scored
+        results = []
+
+        def tracking(*args, **kwargs):
+            assert all(r() is None for r in results)
+            result = optimize(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(optimizer, "optimize", tracking)
+        rows = scan(LINK_75, [4.8, 9.6, 14.6], p="optimize", grid=SMALL_GRID)
+        assert len(results) == 3 and all(r.l_bits > 0.0 for r in rows)
 
     def test_csv_format(self):
         rows = scan(LINK_75, [4.8], p=ProtocolParams())
