@@ -20,7 +20,10 @@ tighter bound ``l_up_x``; ``_phase_bounds`` applies the phase error's
 finite-statistics correction and composes the secure length.
 ``key_length`` runs every step on one sample and raises when it has no
 key-basis detections; the optimizer runs them on grid blocks, and runs
-each step only where the bounds before it say a point can matter.
+each step only where the bounds before it say a point can matter.  The
+first of those bounds, ``_KeyBasisCeiling``, is made once for a row of
+points that differ only in p_z, from the row's key-basis tallies at zero
+deviation, and bounds ``l_up`` at each of them.
 """
 
 from __future__ import annotations
@@ -107,6 +110,21 @@ class DecoyFactors:
         self.vacuum_weight = (mu2 - nu2) / mu2
         self.single_photon_scale = self.tau1 * (p.mu / (p.nu * self.gap))
 
+    def take(self, at) -> "DecoyFactors":
+        """The factors at the flat indices ``at`` of their broadcast shape,
+        gathered: each point's factors are made from its own intensities
+        and probabilities alone, so they are the numbers a ``DecoyFactors``
+        of the gathered points would hold.  A 1-D factor spans the last
+        axis."""
+        f = object.__new__(type(self))
+        shape = np.shape(self.tau0)
+        col = at % shape[-1]
+        for name, v in vars(self).items():
+            parts = [a.take(col) if np.ndim(a) == 1 else np.broadcast_to(a, shape).take(at)
+                     for a in (v if isinstance(v, tuple) else (v,))]
+            setattr(f, name, tuple(parts) if isinstance(v, tuple) else parts[0])
+        return f
+
 
 # The bounds below read tallies indexed by intensity in Intensity order: one
 # basis's row x of ``ObservedCounts.sift`` (n) or ``.err`` (m), or both bases'
@@ -133,19 +151,25 @@ def vacuum_upper_bound(n_total, m_total, d_n):
     return np.minimum(n_total, 2.0 * (m_total + d_n))
 
 
-def vacuum_lower_bound(f: DecoyFactors, n, d_n):
+def vacuum_lower_bound(f: DecoyFactors, n, d_n, decoy_low=None):
     """Lower bound on the sifted events of one basis caused by empty
-    pulses, from the decoy estimators of its detections ``n``."""
-    low = f.tau0 * (f.mu * lower_estimate(f, n, 1, d_n) - f.nu * f.scale[0] * (n[0] + d_n))
+    pulses, from the decoy estimators of its detections ``n``;
+    ``decoy_low``, the decoy's ``lower_estimate``, is made unless given."""
+    if decoy_low is None:
+        decoy_low = lower_estimate(f, n, 1, d_n)
+    low = f.tau0 * (f.mu * decoy_low - f.nu * f.scale[0] * (n[0] + d_n))
     return np.maximum(0.0, low / f.gap)
 
 
-def single_photon_bound(f: DecoyFactors, n, d_n, s0_up):
+def single_photon_bound(f: DecoyFactors, n, d_n, s0_up, decoy_low=None):
     """Lower bound on the sifted events caused by single-photon pulses,
     from the detections ``n`` of one basis or of both; ``s0_up`` is the
-    vacuum upper bound of each."""
+    vacuum upper bound of each, and ``decoy_low`` as in
+    ``vacuum_lower_bound``."""
+    if decoy_low is None:
+        decoy_low = lower_estimate(f, n, 1, d_n)
     inner = (
-        lower_estimate(f, n, 1, d_n)
+        decoy_low
         - f.signal_weight * upper_estimate(f, n, 0, d_n)
         - f.vacuum_weight * (s0_up / f.tau0)
     )
@@ -232,12 +256,13 @@ def _compose(s_z0_low, s_z1_term, lambda_ec, eps: EpsilonBudget):
 _ENTROPY_SLACK = 1e-12
 
 
-def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
+def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, d_n=None) -> dict:
     """The key-basis (Z) stage of the secure length: its bounds from its
     tallies ``tally``, indexed [n or m, intensity, *grid], under the decoy
     factors ``f`` of their intensities, keyed by their ``KeyRateReport``
     field names; ``p`` supplies f_ec and the epsilons.  Arrays in either
-    broadcast.
+    broadcast.  ``d_n``, the deviation of the detection totals, is their
+    Hoeffding deviation unless given.
 
     It adds ``l_up``, the composition with s_Z1 in the place of
     s_Z1 (1 - h(phi_Z)), an upper bound on the unclamped secure length
@@ -250,12 +275,15 @@ def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
     eps = EpsilonBudget.from_params(p)
     # the detection (n) and error (m) totals
     n, m = tally.sum(axis=1)
-    d_n = hoeffding_delta(n, eps.eps_pe)
-    s_z0_low = vacuum_lower_bound(f, tally[0], d_n)
+    if d_n is None:
+        d_n = hoeffding_delta(n, eps.eps_pe)
+    # the decoy's lower estimate, which both bounds read
+    decoy_low = lower_estimate(f, tally[0], 1, d_n)
+    s_z0_low = vacuum_lower_bound(f, tally[0], d_n, decoy_low)
     s_z0_up = vacuum_upper_bound(n, m, d_n)
     # an empty key basis has m = 0, so its error rate reads 0 / 1
     lambda_ec = p.f_ec * n * binary_entropy(m / np.maximum(n, 1.0))
-    s_z1_low = single_photon_bound(f, tally[0], d_n, s_z0_up)
+    s_z1_low = single_photon_bound(f, tally[0], d_n, s_z0_up, decoy_low)
     return {
         "s_z0_low": s_z0_low,
         "s_z0_up": s_z0_up,
@@ -263,6 +291,74 @@ def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
         "lambda_ec": lambda_ec,
         "l_up": _compose(s_z0_low, s_z1_low, lambda_ec, eps),
     }
+
+
+# lambda_EC's fall under the tallies' rounding, less its error-ratio term,
+# in bits over f_ec (``_KeyBasisCeiling``)
+_ROUNDING_ENTROPY = 3.0 * math.log2(math.e) + 2.0 * math.log2(3.0)
+
+# A bound on the float rounding of the key-basis stage and of B, relative to
+# the sum of the magnitudes of their terms: about 1e-16 per operation over a
+# few tens of operations, with a margin of five orders of magnitude
+_FLOAT_SLACK = 1e-9
+
+
+class _KeyBasisCeiling:
+    """B, an upper bound on ``l_up`` at every p_z of a row of points that
+    share their intensities and p_mu, for rows of key-basis tallies
+    ``tally``, unrounded and at p_b = 1 (``rates.basis_tallies`` with
+    ``rounded=False``); ``f`` and ``p`` are as in ``_key_basis_bounds``.
+
+    With p_b = p_z^2 a row's unrounded tallies scale with p_z^2, and at zero
+    deviation every key-basis bound is positively homogeneous of degree
+    one in them, so s_Z0, s_Z1 and lambda_EC scale with p_z^2 too.  A
+    deviation only lowers ``l_up``, each float operation being monotone,
+    and s_Z1 has the form max(0, x - alpha d), where the Hoeffding
+    deviation d of the rounded total is at least p_z d_1 - c_1, with d_1
+    the row's deviation and c_1 that of one count.  So
+
+        B = p_z^2 (s_Z0 - lambda_EC) + max(0, p_z^2 s_Z1 - p_z alpha d_1) - C + S
+
+    with the row's terms at zero deviation and C ``_compose``'s constant.
+    The slack S covers the rounding of each tally by up to 1/2, through
+    each bound's sensitivity to it, the alpha c_1 term and float rounding
+    (README, "B: one bound per (pair, p_mu) row"); ``slack`` is S - C."""
+
+    def __init__(self, tally, f: DecoyFactors, p: ProtocolParams) -> None:
+        eps = EpsilonBudget.from_params(p)
+        n, m = tally.sum(axis=1)
+        key = _key_basis_bounds(tally, f, p, 0.0)
+        # the caller holds no other reference to the tallies
+        del tally
+        self.key_term, self.s_z1 = key["s_z0_low"] - key["lambda_ec"], key["s_z1_low"]
+        del key
+        # what s_Z1 loses per count of deviation (alpha), and what s_Z0
+        # and s_Z1 gain at most when every tally moves by one count
+        # (linear), which moves s_Z0^up = min(n, 2 m) by up to 4; the
+        # rounding moves them by 1/2
+        alpha = f.single_photon_scale * (f.scale[1] + f.signal_weight * f.scale[0])
+        linear = (f.tau0 * (f.mu * f.scale[1] + f.nu * f.scale[0]) / f.gap + alpha
+                  + f.single_photon_scale * (4.0 * f.vacuum_weight / f.tau0))
+        d_1 = hoeffding_delta(n, eps.eps_pe)
+        self.deviation = alpha * d_1
+        # lambda_EC = f_ec n h(m / n) falls by at most f_ec (log2(1 + 2 n / m)
+        # + _ROUNDING_ENTROPY) bits, and not at all where m = 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio_term = np.where(m > 0.0, np.log2(1.0 + 2.0 * n / m) + _ROUNDING_ENTROPY, 0.0)
+        c = 6.0 * math.log2(19.0 / eps.eps_sec) + math.log2(2.0 / eps.eps_cor)
+        magnitude = (2.0 * linear + p.f_ec) * (n + d_1) + c
+        self.slack = (0.5 * linear + alpha * hoeffding_delta(1.0, eps.eps_pe)
+                      + p.f_ec * ratio_term + _FLOAT_SLACK * magnitude - c)
+
+    def at(self, p_z) -> np.ndarray:
+        """B at p_z, which broadcasts against the rows."""
+        b = np.multiply(self.s_z1, p_z)
+        b -= self.deviation
+        np.maximum(b, 0.0, out=b)
+        b += np.multiply(self.key_term, p_z)
+        b *= p_z
+        b += self.slack
+        return b
 
 
 def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, key: dict) -> dict:

@@ -9,20 +9,25 @@ to the lexicographically smallest (mu, nu, p_mu, p_z), so any evaluation
 order yields the same incumbent.
 
 ``optimize`` searches its coarse grid by exact branch and bound.  The
-secure length is composed in two stages (``finitekey``), each of which
-gives a point an upper bound on its secure length, and a point goes on
-only while its bounds reach the best score found so far.  The key-basis
-stage runs on every point and gives ``l_up``, the composition with the
-phase-error term's entropy factor 1 - h(phi_Z) set to one.  It holds bit
-for bit in floats: h >= 0, so fl(1 - h) <= 1 and
-fl(s_Z1 (1 - h)) <= s_Z1, and the composition applies the same monotone
-roundings to the larger term.  The test-basis stage's first step gives
-``l_up_x``, with phi_Z's lower bound, the X error ratio, in its place and
-binary_entropy's rounding covered by a slack; its second step, the phase
-error's finite-statistics correction and the composition, runs only on
-the points that reach both.  A point left unscored cannot beat or tie
-the incumbent, so the search returns the exhaustive grid's incumbent and
-l_bits.
+secure length is composed in stages (``finitekey``), and three upper
+bounds on it, each cheaper than the stage it stands in front of, let a
+point go on only while they reach the best score found so far.  B
+(``finitekey._KeyBasisCeiling``) is made once per (pair, p_mu) row from
+the row's key-basis tallies at zero deviation and read at each p_z value;
+a point whose B is below the incumbent skips the key-basis stage, and a
+block with no B that reaches it skips itself.  The key-basis stage gives
+``l_up``, the composition with the phase-error term's entropy factor
+1 - h(phi_Z) set to one.  It holds bit for bit in floats: h >= 0, so
+fl(1 - h) <= 1 and fl(s_Z1 (1 - h)) <= s_Z1, and the composition applies
+the same monotone roundings to the larger term.  The test-basis stage's
+first step gives ``l_up_x``, with phi_Z's lower bound, the X error ratio,
+in its place and binary_entropy's rounding covered by a slack; its second
+step, the phase error's finite-statistics correction and the composition,
+runs only on the points that reach all three.  A point left unscored
+cannot beat or tie the incumbent, so the search returns the exhaustive
+grid's incumbent and l_bits.  B costs about two key-basis stages of its
+rows' points at one p_z value, so it is read first on a probe of the rows
+and made only where it pays (``_PROBE_STEP``).
 """
 
 from __future__ import annotations
@@ -95,80 +100,180 @@ class GridSpec:
 _BLOCK_POINTS = 5 << 11
 
 
-# A block whose points that reach the incumbent by ``l_up`` are more than
-# this share of it runs the first test-basis step on the whole block;
-# below it, on those points' inputs gathered, which costs about twice as
-# much per point.  Of the shares 0.2, 0.35, 0.5 and 0.7, 0.35 gave the
-# fastest `optimize` of the free-p_z projection grid at 10, 20, 37 and
-# 39 dB, and 3 % slower than 0.5 at 30 dB (2-vCPU Xeon).
+# A stage runs on the whole block when the points that reach the incumbent
+# by the bound before it are more than this share of the block; below it,
+# on those points' inputs gathered, which costs about twice as much per
+# point.  Of the shares 0.2, 0.35, 0.5 and 0.7, 0.35 gave the fastest
+# `optimize` of the free-p_z projection grid at 10, 20, 37 and 39 dB, and
+# 3 % slower than 0.5 at 30 dB (2-vCPU Xeon), measured when only the
+# test-basis step was gathered.
 _GATHER_SHARE = 0.35
+
+
+# B is read first on every _PROBE_STEP-th pair of a run of pairs, at every
+# p_mu and p_z value at once: the probe.  Where the probe points pass B at
+# more than _GATHER_SHARE of a block, B would gather no point there, so
+# the block runs the key-basis stage whole without it.  A run of p_mu
+# rows makes its B terms only where the probe says they save more
+# key-basis work than _CEILING_COST times that of one of its p_z values,
+# counting a p_z value of the rows with a probe share s at most
+# _GATHER_SHARE as 1 - 2 s of one: a gathered point costs about twice a
+# point of a whole block.  Making the terms costs 1.5 such stages, and
+# reading B at ten p_z values 0.35 (2-vCPU Xeon, 6 rows of 1,609 pairs).
+# At 37 dB on the free-p_z projection grid no rows make them.
+_PROBE_STEP = 32
+_CEILING_COST = 2.0
+
+
+def _key_basis_ceiling(p0: ProtocolParams, pm, q, e_z, f) -> finitekey._KeyBasisCeiling:
+    return finitekey._KeyBasisCeiling(
+        rates.basis_tallies(p0.n_pulses, pm, 1.0, q, e_z, rounded=False), f, p0)
+
+
+def _probe(p0: ProtocolParams, p_mu, q, e_z, mu, nu, p_z) -> np.ndarray:
+    """B of every ``_PROBE_STEP``-th pair of a run of pairs, with gains
+    ``q`` and key-basis QBERs ``e_z``, intensities ``mu`` (for the bounds)
+    and ``nu``, at every value of the axes ``p_mu`` and ``p_z``: shape
+    (len(p_z), len(p_mu), probe pairs)."""
+    sub = slice(None, None, _PROBE_STEP)
+    pm = p_mu[:, None]
+    f = finitekey.DecoyFactors(replace(p0, mu=mu[sub], nu=nu[sub], p_mu=pm))
+    ceiling = _key_basis_ceiling(p0, pm, *(tuple(a[sub] for a in terms) for terms in (q, e_z)), f)
+    return ceiling.at(p_z[:, None, None])
+
+
+class _Rows:
+    """B of a run of p_mu rows ``pm`` over a run of pairs, with gains
+    ``q``, key-basis QBERs ``e_z`` and decoy factors ``f``, for the search:
+    ``probe``, its slice of ``_probe``, and ``ceiling``, the rows'
+    ``finitekey._KeyBasisCeiling``, made on first use."""
+
+    def __init__(self, p0: ProtocolParams, pm, q, e_z, f: finitekey.DecoyFactors, probe) -> None:
+        self._terms = p0, pm, q, e_z, f
+        self._ceiling = None
+        self.probe = probe
+
+    def pays(self, z: int, incumbent: float) -> bool:
+        """Whether the rows' B terms are made, or, by the probe, save more
+        key-basis work at the incumbent over the p_z values from index
+        ``z`` on than they cost."""
+        if self._ceiling is not None:
+            return True
+        share = np.mean(self.probe[z:] >= incumbent, axis=(1, 2))
+        return np.sum(1.0 - 2.0 * share, where=share <= _GATHER_SHARE) > _CEILING_COST
+
+    @property
+    def ceiling(self) -> finitekey._KeyBasisCeiling:
+        if self._ceiling is None:
+            self._ceiling = _key_basis_ceiling(*self._terms)
+        return self._ceiling
 
 
 class _Block:
     """The points of one block: a run of (mu, nu) pairs, broadcast as
     ``q`` and ``e``, times a run of p_mu rows ``pm`` and p_z values ``pz``,
-    shape (len(pz), len(pm), pairs).  Made with the key-basis stage run
-    on every point."""
+    shape (len(pz), len(pm), pairs).  No stage has run when it is made.
+    ``rows``, the ``_Rows`` of its p_mu rows, with ``z``, the block's slice
+    of their p_z axis, gives the search B; without it the search runs the
+    key-basis stage on every point."""
 
-    def __init__(self, p0: ProtocolParams, pm, pz, q, e, f: finitekey.DecoyFactors) -> None:
-        self.p0, self.pm, self.pz, self.q, self.f = p0, pm, pz, q, f
+    def __init__(self, p0: ProtocolParams, pm, pz, q, e, f: finitekey.DecoyFactors,
+                 rows: _Rows | None = None, z: slice | None = None) -> None:
+        self.p0, self.pm, self.pz, self.q, self.f, self.rows, self.z = p0, pm, pz, q, f, rows, z
         # e[k][b], in Intensity and Basis order
-        self.e_x = (e[0][1], e[1][1])
+        self.e_z, self.e_x = ((e[0][b], e[1][b]) for b in range(2))
         self.shape = (len(pz), len(pm), len(q[0]))
-        tally = rates.basis_tallies(p0.n_pulses, pm, pz * pz, q, (e[0][0], e[1][0]))
-        self.key = finitekey._key_basis_bounds(tally, f, p0)
 
     def l_bits(self) -> np.ndarray:
-        """The secure length of every point: both test-basis steps on the
-        whole block."""
-        test = self._test(self.pm, self.pz, self.q, self.e_x, self.f, self.key)
-        return finitekey._phase_bounds(self.key, test, self.p0)["l_bits"]
+        """The secure length of every point: every stage on the whole
+        block."""
+        inputs = self._inputs(None)
+        key = self._key(inputs)
+        return finitekey._phase_bounds(key, self._test(inputs, key), self.p0)["l_bits"]
 
-    def search(self, dest, incumbent: float) -> int:
+    def search(self, dest, incumbent: float) -> tuple:
         """Write into ``dest``, of the block's shape, the secure length of
-        the points whose bounds are at least ``incumbent``, and return
-        their number.  The first test-basis step runs where
-        ``l_up`` reaches it: on the whole block, or, where those points are
-        at most ``_GATHER_SHARE`` of it, on their inputs gathered.  The
-        second runs, on its inputs gathered, where ``l_up_x`` reaches it
-        too.  Each point's bounds are made from its own inputs alone, so
-        gathered or not they are the same numbers."""
-        keep = self.key["l_up"] >= incumbent
-        count = int(np.count_nonzero(keep))
-        if count > _GATHER_SHARE * keep.size:
-            at, key = None, self.key
-            test = self._test(self.pm, self.pz, self.q, self.e_x, self.f, key)
-        elif count:
-            at = np.flatnonzero(keep)
-            rest, pair = np.divmod(at, self.shape[2])
-            z, m = np.divmod(rest, self.shape[1])
-            pm = self.pm[m, 0]
-            f = finitekey.DecoyFactors(replace(self.p0, mu=self.f.mu[pair], nu=self.f.nu[pair],
-                                               p_mu=pm))
-            key = {name: np.take(v, at) for name, v in self.key.items()}
-            test = self._test(pm, self.pz[z, 0, 0], tuple(a[pair] for a in self.q),
-                              tuple(a[pair] for a in self.e_x), f, key)
-        else:
-            return 0
+        the points whose bounds are at least ``incumbent``, and return the
+        numbers of points stopped by B, by ``l_up`` and by ``l_up_x``, and
+        scored.  The block skips itself where no B reaches the incumbent.
+        Each stage runs where the bound before it reaches it: on the whole
+        block, or, where those points are at most ``_GATHER_SHARE`` of it,
+        on their inputs gathered.  Each point's bounds are made from its
+        own inputs alone, so gathered or not they are the same numbers."""
+        size = dest.size
+        passed, at = self._reach_b(incumbent)
+        if not passed:
+            return size, 0, 0, 0
+        inputs = self._inputs(at)
+        key = self._key(inputs)
+        keep = key.pop("l_up") >= incumbent
+        # the later stages read neither
+        del key["s_z0_up"]
+        up = int(np.count_nonzero(keep))
+        if not up:
+            return size - passed, passed, 0, 0
+        if at is not None or up <= _GATHER_SHARE * size:
+            at = np.flatnonzero(keep) if at is None else at[keep]
+            key = {name: v[keep] for name, v in key.items()}
+            inputs = self._inputs(at)
+        test = self._test(inputs, key)
         keep = test["l_up_x"] >= incumbent
-        if not keep.any():
-            return 0
-        key, test = ({name: v[keep] for name, v in terms.items()} for terms in (key, test))
-        l = finitekey._phase_bounds(key, test, self.p0)["l_bits"]
-        if at is None:
-            dest[keep] = l
-        else:
-            dest.flat[at[keep]] = l
-        return len(l)
+        scored = int(np.count_nonzero(keep))
+        if scored:
+            key, test = ({name: v[keep] for name, v in terms.items()} for terms in (key, test))
+            l = finitekey._phase_bounds(key, test, self.p0)["l_bits"]
+            if at is None:
+                dest[keep] = l
+            else:
+                dest.flat[at[keep]] = l
+        return size - passed, passed - up, up - scored, scored
 
-    def _test(self, pm, pz, q, e_x, f, key) -> dict:
+    def bound(self) -> np.ndarray:
+        """B at every point of the block."""
+        return self.rows.ceiling.at(self.pz)
+
+    def _reach_b(self, incumbent: float) -> tuple:
+        """The number of points whose B reaches ``incumbent``, and their
+        flat indices, or None where the key-basis stage runs on the whole
+        block: with no ``rows``, where B is not made (the probe points
+        pass it at more than ``_GATHER_SHARE``, or the rows' B terms do
+        not pay), or where its points pass it at more than
+        ``_GATHER_SHARE``."""
+        size = math.prod(self.shape)
+        if self.rows is None:
+            return size, None
+        probe = self.rows.probe[self.z]
+        if (np.count_nonzero(probe >= incumbent) > _GATHER_SHARE * probe.size
+                or not self.rows.pays(self.z.start, incumbent)):
+            return size, None
+        keep = self.bound() >= incumbent
+        passed = int(np.count_nonzero(keep))
+        return passed, None if passed > _GATHER_SHARE * size else np.flatnonzero(keep)
+
+    def _inputs(self, at) -> tuple:
+        """(pm, pz, q, e_z, e_x, f) of the whole block (``at`` None), or of
+        its points at the flat indices ``at``, gathered."""
+        if at is None:
+            return self.pm, self.pz, self.q, self.e_z, self.e_x, self.f
+        z, row = np.divmod(at, self.shape[1] * self.shape[2])
+        m, pair = np.divmod(row, self.shape[2])
+        return (self.pm.take(m), self.pz.take(z), *(tuple(a.take(pair) for a in terms)
+                for terms in (self.q, self.e_z, self.e_x)), self.f.take(row))
+
+    def _key(self, inputs) -> dict:
+        pm, pz, q, e_z, _, f = inputs
+        tally = rates.basis_tallies(self.p0.n_pulses, pm, pz * pz, q, e_z)
+        return finitekey._key_basis_bounds(tally, f, self.p0)
+
+    def _test(self, inputs, key) -> dict:
+        pm, pz, q, _, e_x, f = inputs
         return finitekey._test_basis_bounds(
             rates.basis_tallies(self.p0.n_pulses, pm, (1.0 - pz) * (1.0 - pz), q, e_x),
             f, self.p0, key,
         )
 
 
-def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel):
+def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel, ceiling: bool = False):
     """Yield each block of the (p_z, p_mu, pair) layout of the 1-D arrays
     ``mu`` and ``nu`` of pairs and the axes ``p_mu`` and ``p_z``, as the
     block's slices of the layout and its ``_Block``.
@@ -178,8 +283,9 @@ def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel):
     times a run of p_z values.  The loops run in that order, so each term
     is made once per call on the points it depends on: the gains and
     QBERs (``rates.intensity_terms``) once per run of pairs, the bounds'
-    decoy factors (``finitekey.DecoyFactors``) once per run of p_mu rows,
-    and the key-basis tallies and bounds once per block.
+    decoy factors (``finitekey.DecoyFactors``) and, with ``ceiling``, the
+    rows' B (``_Rows``) once per run of p_mu rows, and the stages once per
+    block, as it is scored.
 
     Unscorable pairs get placeholder intensities inside every bound's
     domain: nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so
@@ -193,12 +299,15 @@ def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel):
     for i in range(0, len(mu), pairs):
         run = slice(i, i + pairs)
         q, e = rates.intensity_terms(link, mu[run], nu[run])
+        e_z = (e[0][0], e[1][0])
+        probe = _probe(p0, p_mu, q, e_z, mu_bounds[run], nu[run], p_z) if ceiling else None
         for j in range(0, len(p_mu), rows):
             pm = p_mu[j:j + rows, None]
             f = finitekey.DecoyFactors(replace(p0, mu=mu_bounds[run], nu=nu[run], p_mu=pm))
+            bounds = _Rows(p0, pm, q, e_z, f, probe[:, j:j + rows]) if ceiling else None
             for k in range(0, len(p_z), values):
                 index = (slice(k, k + values), slice(j, j + rows), run)
-                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f)
+                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f, bounds, index[0])
 
 
 def evaluate_grid(
@@ -245,6 +354,10 @@ class OptimizeResult:
     # pruned search; they sum to its scorable points
     points_scored: int
     points_pruned: int
+    # points_pruned by the bound that stopped each point: B, l_up, l_up_x
+    pruned_by_b: int
+    pruned_by_l_up: int
+    pruned_by_l_up_x: int
     # expected statistics at ``best``
     stats: rates.ExpectedStatistics
 
@@ -275,19 +388,22 @@ def optimize(
     p0: ProtocolParams | None = None,
     grid: GridSpec | None = None,
     refine: bool = True,
+    hint: ProtocolParams | None = None,
 ) -> OptimizeResult:
     """Grid search maximizing secure length, with one 10x-finer
     coordinate-refinement pass around the incumbent.
 
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
     epsilons).  The coarse grid is searched over its scorable (mu, nu)
-    pairs by branch and bound: a point is scored only where its bounds
+    pairs by branch and bound: a point is scored only where its bounds B,
     ``l_up`` and ``l_up_x`` are at least the best score so far, which
-    starts at the score of the grid point nearest p0's.  Each bound
+    starts at the better score of the grid points nearest p0's and
+    nearest ``hint``'s, such as a neighbouring link's optimum.  Each bound
     is at least the point's secure length (module docstring), so the
     incumbent and its l_bits are those of the whole grid scored, exact
-    ties included.  The result counts the coarse grid's scorable points
-    scored and pruned.
+    ties included, whatever the hint: it changes only how many points are
+    scored.  The result counts the coarse grid's scorable points scored
+    and pruned, by the bound that stopped each.
     """
     p0 = p0 if p0 is not None else ProtocolParams()
     grid = grid if grid is not None else GridSpec()
@@ -301,20 +417,26 @@ def optimize(
     if not len(mu_i):
         raise EmptyFeasibleSet("no (mu, nu) pair on the grid is scorable")
     pair_mu, pair_nu = mu[mu_i], nu[nu_j]
-    # the incumbent starts at the score of the grid point nearest p0's; an
-    # off-grid score could exceed every grid point and prune them all
-    near = np.argmin(np.abs(pair_mu - p0.mu) + np.abs(pair_nu - p0.nu))
-    incumbent = float(evaluate_grid(
-        pair_mu[near], pair_nu[near], pm[np.argmin(np.abs(pm - p0.p_mu))],
-        pz[np.argmin(np.abs(pz - p0.p_z_bob))], p0, link)[0, 0, 0])
+    # the incumbent starts at the better score of the grid points nearest
+    # p0's and the hint's, scored in one call as the diagonal of their
+    # 2 x 2 x 2 grid; an off-grid score could exceed every grid point and
+    # prune them all
+    seeds = [p0] if hint is None else [p0, hint]
+    near = [np.argmin(np.abs(pair_mu - p.mu) + np.abs(pair_nu - p.nu)) for p in seeds]
+    seed = evaluate_grid(
+        pair_mu[near], pair_nu[near], [pm[np.argmin(np.abs(pm - p.p_mu))] for p in seeds],
+        [pz[np.argmin(np.abs(pz - p.p_z_bob))] for p in seeds], p0, link)
+    incumbent = float(max(seed[i, i, i] for i in range(len(seeds))))
     # the scores first: the blocks' temporaries are then freed as one
     # region above them; a point left unscored holds -inf.  Points whose
     # bounds are below the incumbent are pruned, so every tie is scored.
+    # B cannot pay over _CEILING_COST p_z values or fewer.
     l = np.full((len(pz), len(pm), len(pair_mu)), -np.inf)
-    scored = 0
-    for index, block in _blocks(pair_mu, pair_nu, pm, pz, p0, link):
+    counts = np.zeros(4, dtype=np.int64)
+    ceiling = len(pz) > _CEILING_COST
+    for index, block in _blocks(pair_mu, pair_nu, pm, pz, p0, link, ceiling):
         dest = l[index]
-        scored += block.search(dest, incumbent)
+        counts += block.search(dest, incumbent)
         incumbent = max(incumbent, dest.max())
         # the next block is made before the loop rebinds these
         del block, dest
@@ -357,8 +479,11 @@ def optimize(
         best=best,
         l_bits=report.l_bits,
         skr_bps=report.skr_bps,
-        points_scored=scored,
-        points_pruned=len(pair_mu) * len(pm) * len(pz) - scored,
+        points_scored=int(counts[3]),
+        points_pruned=int(counts[:3].sum()),
+        pruned_by_b=int(counts[0]),
+        pruned_by_l_up=int(counts[1]),
+        pruned_by_l_up_x=int(counts[2]),
         stats=stats,
     )
 
@@ -408,7 +533,8 @@ def scan(
 
     With ``p="optimize"`` each loss gets its own grid search from ``p0``
     (default ``ProtocolParams()``), which supplies everything not on the
-    grid; losses with no feasible point report l = 0 at ``p0``.  A row's
+    grid, hinted with the last feasible loss's optimum; losses with no
+    feasible point report l = 0 at ``p0``.  A row's
     ``p_z`` is Bob's Z-basis probability (the grid sets Alice's equal).
     """
     losses = list(losses)
@@ -416,18 +542,20 @@ def scan(
         raise ValueError("losses must be non-empty")
     p0 = p0 if p0 is not None else ProtocolParams()
     rows = []
+    hint = None
     for loss in losses:
         link = link_template.with_channel_loss(float(loss))
         if isinstance(p, str):
             if p != "optimize":
                 raise ValueError(f"p must be ProtocolParams or 'optimize', got {p!r}")
             try:
-                result = optimize(link, p0=p0, grid=grid)
+                result = optimize(link, p0=p0, grid=grid, hint=hint)
             except EmptyFeasibleSet:
                 params, l_bits, skr = p0, 0.0, 0.0
                 stats = rates.expected_statistics(params, link)
             else:
                 params, l_bits, skr, stats = result.best, result.l_bits, result.skr_bps, result.stats
+                hint = params
                 # free it before the next loss's grid is scored
                 del result
         else:

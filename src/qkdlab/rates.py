@@ -130,19 +130,19 @@ def intensity_terms(link: LinkModel, mu, nu) -> tuple:
     )
 
 
-def basis_tallies(n_pulses, p_mu, p_b, q, e_b) -> np.ndarray:
+def basis_tallies(n_pulses, p_mu, p_b, q, e_b, rounded=True) -> np.ndarray:
     """The expected sifted tallies of one basis, ``[n or m, intensity,
     *grid]``, for n_pulses pulses: ``p_b`` is the probability that Alice
     and Bob both choose the basis, ``q`` and ``e_b`` the gain and the
     basis's QBER of each intensity, in Intensity order.
 
-    Cell tallies follow n[k] = N p_k p_b q_k and m = e n, rounded half-up;
-    m <= n since e <= 1/2.  The factors other than q_k are multiplied on
-    the sub-grid they span; the product with q_k and the QBER product run
-    in the cell's slot of the tally array, which has the shape of all the
-    inputs.  Each point's tallies are products of that point's inputs
-    alone, so the tallies of some points of a grid, from their inputs
-    gathered, are the same numbers.
+    Cell tallies follow n[k] = N p_k p_b q_k and m = e n, rounded half-up
+    unless ``rounded`` is false; m <= n since e <= 1/2.  The factors other
+    than q_k are multiplied on the sub-grid they span; the product with
+    q_k and the QBER product run in the cell's slot of the tally array,
+    which has the shape of all the inputs.  Each point's tallies are
+    products of that point's inputs alone, so the tallies of some points
+    of a grid, from their inputs gathered, are the same numbers.
     """
     p_k = (p_mu, 1.0 - p_mu)
     # each QBER has the shape of its intensity's gain
@@ -154,6 +154,8 @@ def basis_tallies(n_pulses, p_mu, p_b, q, e_b) -> np.ndarray:
         n, m = tally[0, k, ...], tally[1, k, ...]
         np.multiply(n_pulses * p_k[k] * p_b, q[k], out=n)
         np.multiply(n, e_b[k], out=m)
+    if not rounded:
+        return tally
     tally += 0.5
     return np.floor(tally, out=tally)
 

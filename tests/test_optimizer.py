@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qkdlab import finitekey, optimizer, rates
+from qkdlab import cli, finitekey, optimizer, rates
 from qkdlab.core import (
     Basis, DetectorModel, InvalidIntensityOrder, LinkModel, ParamError, ProbabilityOutOfRange,
     ProtocolParams, load_config,
@@ -56,6 +56,9 @@ SMALL_GRID = GridSpec(
     nu_values=tuple(np.round(np.arange(0.05, 0.31, 0.05), 10)),
     p_mu_values=(0.4, 0.55, 0.66, 0.8),
 )
+# SMALL_GRID with several p_z values, where the search runs B
+HINT_GRID = GridSpec(mu_values=SMALL_GRID.mu_values, nu_values=SMALL_GRID.nu_values,
+                     p_mu_values=SMALL_GRID.p_mu_values, p_z_values=(0.6, 0.75, 0.9, 0.95))
 
 
 def _scalar_l(mu, nu, p_mu, p_z, p0, link):
@@ -258,6 +261,51 @@ class TestVectorizedEvaluator:
         assert whole.tobytes() == np.concatenate(rows, axis=1).tobytes()
 
 
+class TestKeyBasisCeiling:
+    """B, the bound in front of the key-basis stage, made once per
+    (pair, p_mu) row and read at each p_z, is at least l_up at every point:
+    with the tallies rounded, at small samples where rounding matters most,
+    with or without dark counts or misalignment, at any loss and on a
+    blocked link."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(0.01, 0.99)),
+                       min_size=1, max_size=4),
+        p_mu=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+        p_z=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+        n_pulses=st.integers(3, 12).flatmap(
+            lambda e: st.integers(10**e, min(10**(e + 1), 10**12))),
+        loss_db=st.one_of(st.floats(0.0, 60.0), st.just(math.inf)),
+        dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+        e_mis=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        block=st.sampled_from([3, 5, 1 << 14]),
+    )
+    def test_bound_reaches_l_up(self, pairs, p_mu, p_z, n_pulses, loss_db, dark, e_mis, block):
+        link = LinkModel(channel_loss_db=loss_db, e_mis_z=e_mis, e_mis_x=e_mis,
+                         detector=DetectorModel(dark_prob_per_gate=dark))
+        p0 = ProtocolParams(n_pulses=n_pulses)
+        mu, nu_frac = np.array(pairs).T
+        with mock.patch.object(optimizer, "_BLOCK_POINTS", block):
+            blocks = list(optimizer._blocks(mu, mu * nu_frac, np.array(p_mu), np.array(p_z),
+                                            p0, link, ceiling=True))
+        for _, b in blocks:
+            l_up = b._key(b._inputs(None))["l_up"]
+            bound = b.bound()
+            assert (bound >= l_up).all()
+            # above its largest B the block skips itself: it holds no point
+            # whose l_up reaches that incumbent.  B is +inf where the error
+            # ratio is too small for its slack to be finite
+            incumbent = np.nextafter(bound.max(), np.inf)
+            if incumbent == np.inf:
+                continue
+            dest = np.full(b.shape, -np.inf)
+            with mock.patch.object(optimizer, "_GATHER_SHARE", 1.0), \
+                    mock.patch.object(optimizer, "_CEILING_COST", -1.0):
+                assert b.search(dest, incumbent) == (l_up.size, 0, 0, 0)
+            assert (dest == -np.inf).all() and (l_up < incumbent).all()
+
+
 def _all_pairs(grid, p0, link):
     """The exhaustive evaluate_grid over every (mu, nu) pair of the grid,
     in (mu, nu, p_mu, p_z) order."""
@@ -279,9 +327,11 @@ def _exhaustive_best(whole, grid):
 
 
 def _bounds(block):
-    """The tighter of the two bounds at each point of the block ``block``."""
-    test = block._test(block.pm, block.pz, block.q, block.e_x, block.f, block.key)
-    return np.minimum(block.key["l_up"], test["l_up_x"])
+    """``l_up`` and ``l_up_x`` at each point of the block ``block``, every
+    stage run on the whole block."""
+    inputs = block._inputs(None)
+    key = block._key(inputs)
+    return key["l_up"], block._test(inputs, key)["l_up_x"]
 
 
 def _scorable_points(grid):
@@ -520,12 +570,14 @@ class TestOptimize:
         assert (whole == whole.max()).sum() > 1
 
     @pytest.mark.parametrize("grid_name, loss", [
-        ("small", 14.6), ("default", 9.6), ("default", 30.0), ("free", 30.0), ("free", 38.0),
+        ("small", 14.6), ("default", 9.6), ("default", 30.0), ("free", 9.6), ("free", 30.0),
+        ("free", 38.0),
     ])
     def test_points_scored_and_pruned(self, monkeypatch, grid_name, loss):
         # the counts sum to the scorable points, the points scored hold
-        # their exhaustive scores, and every point left unscored has a
-        # bound below the returned coarse l_bits
+        # their exhaustive scores, and every point left unscored was
+        # stopped by a bound, B, l_up or l_up_x, below the incumbent of its
+        # block and so below the returned coarse l_bits
         p, link, _ = load_config(CONFIG_PROJ)
         grid = {"small": SMALL_GRID, "default": GridSpec(p_z_values=(p.p_z_bob,)),
                 "free": GridSpec(p_z_values=FREE_P_Z)}[grid_name]
@@ -533,20 +585,34 @@ class TestOptimize:
         search = optimizer._Block.search
 
         def recording(block, dest, incumbent):
-            count = search(block, dest, incumbent)
-            blocks.append((block, dest.copy(), count))
-            return count
+            counts = search(block, dest, incumbent)
+            blocks.append((block, dest.copy(), incumbent, counts))
+            return counts
 
         monkeypatch.setattr(optimizer._Block, "search", recording)
         result = optimize(link.with_channel_loss(loss), p0=p, grid=grid, refine=False)
+        pruned = (result.pruned_by_b, result.pruned_by_l_up, result.pruned_by_l_up_x)
+        assert sum(pruned) == result.points_pruned
         assert result.points_scored + result.points_pruned == _scorable_points(grid)
-        assert result.points_scored == sum(count for *_, count in blocks)
-        for block, dest, count in blocks:
+        assert (*pruned, result.points_scored) == tuple(np.sum([c for *_, c in blocks], axis=0))
+        for block, dest, incumbent, (by_b, by_l_up, by_l_up_x, count) in blocks:
             scored = dest > -np.inf
             assert scored.sum() == count
             assert dest[scored].tobytes() == block.l_bits()[scored].tobytes()
-            assert (_bounds(block)[~scored] < result.l_bits).all()
+            l_up, l_up_x = _bounds(block)
+            # B stops no point where the probe turned it down
+            b = block.bound() if by_b else np.full(block.shape, np.inf)
+            stopped = [b < incumbent]
+            stopped.append(~stopped[0] & (l_up < incumbent))
+            stopped.append(~stopped[0] & ~stopped[1] & (l_up_x < incumbent))
+            assert [int(s.sum()) for s in stopped] == [by_b, by_l_up, by_l_up_x]
+            assert (scored == ~np.logical_or.reduce(stopped)).all()
+            for bound, at in zip((b, l_up, l_up_x), stopped):
+                assert (bound[at] < result.l_bits).all()
         assert 0 < result.points_scored and 0 < result.points_pruned
+        # B runs only on the free-p_z grid; at 38 dB it would pass most
+        # points, and the probe turns it down
+        assert (result.pruned_by_b > 0) == (grid_name == "free" and loss <= 30.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -555,24 +621,52 @@ class TestOptimize:
         share=st.sampled_from([0.0, optimizer._GATHER_SHARE, 1.0]),
         # the incumbent, a score of the block's: zero, or its q-quantile
         q=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        ceiling=st.booleans(),
     )
-    def test_search_scores_as_the_whole_block(self, loss_db, dark, share, q):
-        # on the whole block or on gathered points, the search gives each
-        # point it scores the exhaustive score's bits, and scores every
-        # point whose bounds reach the incumbent
+    def test_search_scores_as_the_whole_block(self, loss_db, dark, share, q, ceiling):
+        # on the whole block or on gathered points, with B or without, the
+        # search gives each point it scores the exhaustive score's bits,
+        # and scores every point whose bounds reach the incumbent
         link = LinkModel(channel_loss_db=loss_db, detector=DetectorModel(dark_prob_per_gate=dark))
         mu, nu = (np.array(v) for v in ((0.3, 0.5, 0.5, 0.7, 0.7), (0.05, 0.1, 0.3, 0.2, 0.4)))
         pm, pz = np.array([0.4, 0.66, 0.8]), np.array([0.9, 0.6])
-        (_, block), = optimizer._blocks(mu, nu, pm, pz, ProtocolParams(), link)
+        (_, block), = optimizer._blocks(mu, nu, pm, pz, ProtocolParams(), link, ceiling=ceiling)
         whole = block.l_bits()
         incumbent = 0.0 if q is None else float(np.sort(whole, axis=None)[round(q * (whole.size - 1))])
         dest = np.full(block.shape, -np.inf)
-        with mock.patch.object(optimizer, "_GATHER_SHARE", share):
-            count = block.search(dest, incumbent)
+        # B's rows made whatever the probe reads
+        with mock.patch.object(optimizer, "_GATHER_SHARE", share), \
+                mock.patch.object(optimizer, "_CEILING_COST", -1.0):
+            counts = block.search(dest, incumbent)
         scored = dest > -np.inf
-        assert scored.sum() == count
+        assert scored.sum() == counts[3] and sum(counts) == block.l_bits().size
         assert dest[scored].tobytes() == whole[scored].tobytes()
-        assert ((_bounds(block) >= incumbent) <= scored).all()
+        l_up, l_up_x = _bounds(block)
+        assert (((l_up >= incumbent) & (l_up_x >= incumbent)) <= scored).all()
+        if ceiling:
+            assert (block.bound() >= l_up).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(hint=st.tuples(*(
+        # on an axis value, between the axis's ends, or off the axis
+        st.one_of(st.sampled_from(values), st.floats(min(values), max(values)),
+                  st.floats(0.001, 2.0))
+        for values in (HINT_GRID.mu_values, HINT_GRID.nu_values, HINT_GRID.p_mu_values,
+                       HINT_GRID.p_z_values))),
+        loss=st.sampled_from([4.8, 9.6, 14.6]))
+    def test_hint_changes_only_the_work(self, hint, loss):
+        # the hint seeds the incumbent, so the result is the cold search's;
+        # a higher incumbent scores no point the cold search would not
+        link = LINK_75.with_channel_loss(loss)
+        mu, nu, p_mu, p_z = hint
+        hinted = optimize(link, grid=HINT_GRID, hint=ProtocolParams(
+            mu=mu, nu=nu, p_mu=p_mu, p_z_alice=p_z, p_z_bob=p_z))
+        cold = optimize(link, grid=HINT_GRID)
+        assert (hinted.best, hinted.l_bits, hinted.skr_bps) == (cold.best, cold.l_bits, cold.skr_bps)
+        assert hinted.stats.counts == cold.stats.counts
+        assert hinted.points_scored <= cold.points_scored
+        assert (hinted.points_scored + hinted.points_pruned
+                == cold.points_scored + cold.points_pruned == _scorable_points(HINT_GRID))
 
     def test_ties_resolve_to_smallest_values(self):
         # maxima at (mu, nu) = (0.3, 0.01), (0.1, 0.05), (0.2, 0.05)
@@ -670,6 +764,26 @@ class TestScan:
         monkeypatch.setattr(optimizer, "optimize", tracking)
         rows = scan(LINK_75, [4.8, 9.6, 14.6], p="optimize", grid=SMALL_GRID)
         assert len(results) == 3 and all(r.l_bits > 0.0 for r in rows)
+
+    @pytest.mark.parametrize("losses", ["1:45:4", "37:41:1"])
+    def test_hinted_rows_equal_cold_searches(self, losses):
+        # each loss is hinted with the last one's optimum: its row is what
+        # a cold optimize of that loss gives, or p0's with l = 0
+        p, link, _ = load_config(CONFIG_PROJ)
+        grid = GridSpec(p_z_values=FREE_P_Z)
+        values = cli._parse_losses(losses)
+        rows = scan(link, values, p="optimize", grid=grid, p0=p)
+        for loss, row in zip(values, rows):
+            at = link.with_channel_loss(loss)
+            try:
+                cold = optimize(at, p0=p, grid=grid)
+            except EmptyFeasibleSet:
+                best, l_bits, skr = p, 0.0, 0.0
+                stats = rates.expected_statistics(p, at)
+            else:
+                best, l_bits, skr, stats = cold.best, cold.l_bits, cold.skr_bps, cold.stats
+            assert row == optimizer.ScanRow.at(loss, best, l_bits, skr, stats)
+        assert any(r.l_bits > 0.0 for r in rows) and any(r.l_bits == 0.0 for r in rows)
 
     def test_csv_format(self):
         rows = scan(LINK_75, [4.8], p=ProtocolParams())
