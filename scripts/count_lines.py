@@ -3,7 +3,8 @@
 
 A code line holds a token other than a comment or a line break, indent or
 dedent token, and is not part of a module, class or function docstring.
-Prints a Markdown table, one row per ``src/qkdlab/*.py`` and a total::
+Prints a Markdown table, one row per ``src/qkdlab/*.py``, their total,
+the total of ``tests/*.py``, and the lines of ``README.md``::
 
     python3 scripts/count_lines.py
 """
@@ -42,10 +43,14 @@ def main() -> int:
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "qkdlab", "*.py")))
     rows = [(os.path.relpath(path, ROOT), *counts(path)) for path in paths]
     rows.append(("src/", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    tests = [counts(path) for path in glob.glob(os.path.join(ROOT, "tests", "*.py"))]
+    rows.append(("tests/", sum(t[0] for t in tests), sum(t[1] for t in tests)))
+    with open(os.path.join(ROOT, "README.md"), "rb") as fh:
+        rows.append(("README.md", fh.read().count(b"\n"), None))
     print("| module | lines | code lines |")
     print("|---|---:|---:|")
     for name, lines, code in rows:
-        print(f"| `{name}` | {lines:,} | {code:,} |")
+        print(f"| `{name}` | {lines:,} | {'-' if code is None else f'{code:,}'} |")
     return 0
 
 

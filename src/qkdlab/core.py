@@ -209,9 +209,6 @@ class ObservedCounts:
         m = self.err[_INDEX[b]]
         return m[0] + m[1]
 
-    def total_sifted(self):
-        return self.n_total(Basis.Z) + self.n_total(Basis.X)
-
     def as_dict(self) -> dict:
         """The eight tallies as ints, named ``n_z_mu`` ... ``m_x_nu``."""
         return {

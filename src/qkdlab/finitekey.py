@@ -190,50 +190,16 @@ def _gamma(a: float, b, c, d):
     return np.where(b <= 0.0, 0.0, gamma)
 
 
-@dataclass(frozen=True)
-class PhaseErrorBound:
-    phi_z_up: float
-    v_x1_up: float
-    insufficient_test_statistics: bool
-
-
-def phase_error_bound(
-    f: DecoyFactors, m_x, d_m, eps_sec: float, s_z1_low, s_x1_low
-) -> PhaseErrorBound:
-    """Upper bound on the phase error rate of the Z single-photon events,
-    from the X-basis errors ``m_x`` and the deviation ``d_m`` of their
-    total.
-
-    With no single-photon test statistics the bound degrades to maximal
-    ignorance (1/2) and the report is flagged.  An error ratio of one also
-    gives 1/2, unflagged.
-    """
-    return _phase_from_ratio(eps_sec, _error_ratio(f, m_x, d_m, s_z1_low, s_x1_low))
-
-
 def _error_ratio(f: DecoyFactors, m_x, d_m, s_z1_low, s_x1_low) -> dict:
-    """The first step of ``phase_error_bound``: the X single-photon error
-    bound ``v`` and its ratio to s_X1, before the finite-statistics
-    correction, with the sizes that correction reads."""
+    """Whether a point is ``tested`` (both single-photon bounds positive),
+    the X single-photon error bound ``v`` <= s_X1 from the X errors ``m_x``
+    and their total's deviation ``d_m``, and its ``ratio`` to s_X1 (taken
+    as 1 at an untested point, to keep the ratio finite)."""
     tested = np.minimum(s_x1_low, s_z1_low) > 0.0
-    # placeholder sizes keep untested points finite
     s_x = np.where(tested, s_x1_low, 1.0)
-    s_z = np.where(tested, s_z1_low, 1.0)
     v = f.tau1 * (upper_estimate(f, m_x, 0, d_m) - lower_estimate(f, m_x, 1, d_m)) / f.gap
     v = np.minimum(np.maximum(v, 0.0), s_x)
-    return {"tested": tested, "s_x": s_x, "s_z": s_z, "v": v, "ratio": v / s_x}
-
-
-def _phase_from_ratio(eps_sec: float, terms: dict) -> PhaseErrorBound:
-    """The second step of ``phase_error_bound``, from ``_error_ratio``'s
-    ``terms``: phi_Z = min(1/2, ratio + gamma), gamma >= 0."""
-    tested, s_x, s_z, v, ratio = (terms[name] for name in ("tested", "s_x", "s_z", "v", "ratio"))
-    phi = np.minimum(0.5, ratio + _gamma(eps_sec, ratio, s_x, s_z))
-    return PhaseErrorBound(
-        phi_z_up=np.where(tested & (ratio < 1.0), phi, 0.5)[()],
-        v_x1_up=np.where(tested, v, 0.0)[()],
-        insufficient_test_statistics=~tested,
-    )
+    return {"tested": tested, "v": v, "ratio": v / s_x}
 
 
 def _compose(s_z0_low, s_z1_term, lambda_ec, eps: EpsilonBudget):
@@ -364,9 +330,9 @@ class _KeyBasisCeiling:
 def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, key: dict) -> dict:
     """The test-basis (X) stage of the secure length, up to the phase
     error's finite-statistics correction: the X single-photon bound
-    ``s_x1_low`` and ``_error_ratio``'s terms, from the X tallies
-    ``tally``, indexed as in ``_key_basis_bounds``, at the points of the
-    key-basis stage's bounds ``key``.
+    ``s_x1_low`` and ``_error_ratio``'s ``tested``, ``v`` and ``ratio``,
+    from the X tallies ``tally``, indexed as in ``_key_basis_bounds``, at
+    the points of the key-basis stage's bounds ``key``.
 
     It adds ``l_up_x``, the composition with the error ratio r in the
     place of phi_Z.  phi_Z >= min(1/2, r) in floats, since the correction
@@ -398,16 +364,25 @@ def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, key: dict) -> 
 
 def _phase_bounds(key: dict, test: dict, p: ProtocolParams) -> dict:
     """The phase-error bound and the secure length ``l_bits`` from the
-    bounds of both stages, ``key`` and ``test``, at the same points.  A
-    sample with no key-basis detections scores zero."""
+    bounds of both stages, ``key`` and ``test``, at the same points.
+
+    The finite-statistics correction gamma >= 0 carries the X error ratio
+    onto the Z single-photon sample: phi_Z = min(1/2, ratio + gamma).  An
+    untested point has no single-photon test statistics, so phi_Z is 1/2,
+    maximal ignorance, and the point is flagged; a ratio of one also gives
+    1/2, unflagged.  A sample with no key-basis detections scores zero."""
     eps = EpsilonBudget.from_params(p)
-    phase = _phase_from_ratio(eps.eps_sec, test)
-    s_z1_term = key["s_z1_low"] * (1.0 - binary_entropy(phase.phi_z_up))
+    tested, ratio = test["tested"], test["ratio"]
+    # placeholder sizes keep untested points finite
+    s_x, s_z = (np.where(tested, s, 1.0) for s in (test["s_x1_low"], key["s_z1_low"]))
+    phi = np.minimum(0.5, ratio + _gamma(eps.eps_sec, ratio, s_x, s_z))
+    phi = np.where(tested & (ratio < 1.0), phi, 0.5)[()]
+    s_z1_term = key["s_z1_low"] * (1.0 - binary_entropy(phi))
     return {
-        "v_x1_up": phase.v_x1_up,
-        "phi_z_up": phase.phi_z_up,
+        "v_x1_up": np.where(tested, test["v"], 0.0)[()],
+        "phi_z_up": phi,
         "l_bits": np.maximum(0.0, _compose(key["s_z0_low"], s_z1_term, key["lambda_ec"], eps)),
-        "insufficient_test_statistics": phase.insufficient_test_statistics,
+        "insufficient_test_statistics": ~tested,
     }
 
 

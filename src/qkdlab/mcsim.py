@@ -282,11 +282,10 @@ class _Draw:
     ``np.searchsorted(thr, u, side="left")``, as uint8; with a 2-D ``thr``,
     ``row`` picks the table of each uniform.
 
-    It holds the sparse-draw width (``below``, the number of thresholds
-    below 2^64 - 1 in each table, and ``ones``, a ones vector as long as
-    the largest of them), the bits of a row index (``bits``), and, made
-    with ``guided`` for the draws over every gate, the guide table
-    (``guide``): entry ``bucket << bits | row``, the rows padded to
+    It holds the sparse-draw width of each table (``below``, the number of
+    its thresholds below 2^64 - 1), the bits of a row index (``bits``),
+    and, made with ``guided`` for the draws over every gate, the guide
+    table (``guide``): entry ``bucket << bits | row``, the rows padded to
     2^bits, so that a shift, not a product, makes the entry index.  Bucket
     c holds the uniforms c 2^52 .. (c + 1) 2^52 - 1; the bin rises past
     each threshold t, so the bucket is split iff c 2^52 <= t < (c + 1)
@@ -296,7 +295,6 @@ class _Draw:
         rows = np.atleast_2d(thr)
         self.thr = thr
         self.below = np.count_nonzero(thr < _UINT64_MAX, axis=-1)
-        self.ones = np.ones(int(self.below.max(initial=0)), dtype=np.uint8)
         self.bits = (len(rows) - 1).bit_length()
         self.guide = None
         if guided:
@@ -310,18 +308,17 @@ class _Draw:
 
     def bins(self, u: np.ndarray, row=None) -> np.ndarray:
         """The bins of the uniforms ``u``, for sparse draws and the guide's
-        fix-up: one gathered comparison of each with its table's
-        thresholds, up to the last one below 2^64 - 1 in any table drawn
-        from (no uniform exceeds 2^64 - 1, the last threshold and the
-        padding of every table).  An empty draw compares nothing."""
-        if not u.size:
-            return np.zeros(0, dtype=np.uint8)
+        fix-up: with one table, its binary search; with one per row, one
+        comparison of each uniform with its table's threshold per column,
+        up to the last one below 2^64 - 1 in any table drawn from (no
+        uniform exceeds 2^64 - 1, the last threshold and the padding of
+        every table)."""
         if row is None:
-            table = self.thr[: self.below]
-        else:
-            table = np.take(self.thr[:, : np.take(self.below, row).max()], row, axis=0)
-        # a product with ones sums the short rows of comparisons faster than np.sum
-        return (u[:, None] > table).view(np.uint8) @ self.ones[: table.shape[-1]]
+            return np.searchsorted(self.thr, u).astype(np.uint8)
+        out = np.zeros(u.size, dtype=np.uint8)
+        for column in self.thr.T[: np.take(self.below, row).max(initial=0)]:
+            out += u > column.take(row)
+        return out
 
     def guided(self, x: np.ndarray, row=None, scratch=None, out=None) -> np.ndarray:
         """The bins of the unfinished hashes ``x`` (see ``_mix``), whose top
@@ -766,7 +763,7 @@ def run_session(
     size or worker count.  The gates are ``gate_offset`` onwards; a range
     outside 0 .. 2^64 - 1 raises ValueError.
 
-    ``chunk_size`` is the least chunk size: the gates run as
+    ``chunk_size``, at least 1, is the least chunk size: the gates run as
     ``max(1, n_pulses // chunk_size)`` near-equal contiguous chunks, each
     of ``chunk_size`` to ``2 * chunk_size - 1`` gates (one chunk of all of
     them if there are fewer), so no chunk is a short tail.
@@ -787,6 +784,8 @@ def run_session(
         raise ValueError(
             f"gates {gate_offset} .. {gate_offset + n_total - 1} are not all in 0 .. 2^64 - 1"
         )
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size={chunk_size} must be >= 1")
     n_chunks = max(1, n_total // chunk_size)
     tables = _tables if _tables is not None else _SessionTables(p, link)
     tables.reserve(min(-(-n_total // n_chunks), _PIECE))

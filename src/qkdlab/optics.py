@@ -1,10 +1,12 @@
 """Jones-calculus transmitter/channel/receiver models.
 
-The transmitter is a loop-interferometer intensity modulator feeding a
-loop-interferometer polarization modulator; the receiver is a passive
-analysis module: a 90:10 splitter into two polarization analyzers.  States
-are 2-component complex Jones vectors over the H/V amplitudes; global phase
-is ignored throughout, states compare via |<a|b>|.
+The transmitter's loop-interferometer polarization modulator prepares
+the BB84 states; its intensity modulator is not modelled, and the signal
+and decoy intensities mu and nu are free parameters of the protocol.  The
+receiver is a passive analysis module: a 90:10 splitter into two
+polarization analyzers.  States are 2-component complex Jones vectors
+over the H/V amplitudes; global phase is ignored throughout, states
+compare via |<a|b>|.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ import numpy as np
 from .core import Basis
 
 _NORM_TOL = 1e-12
-
-
-class DegenerateCoupling(ValueError):
-    """Raised for a 0:100 or 100:0 splitter, which cannot interfere."""
 
 
 @dataclass(frozen=True)
@@ -44,22 +42,6 @@ class PolarizationState:
     def overlap(self, other: "PolarizationState") -> float:
         """Born-rule projection probability |<self|other>|^2."""
         return abs(self.inner(other)) ** 2
-
-
-@dataclass(frozen=True)
-class SagnacImLevels:
-    """Transmittances of the two interferometer arms (signal at phase pi)."""
-
-    t_signal: float
-    t_decoy: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t_decoy <= self.t_signal <= 1.0 + _NORM_TOL:
-            raise ValueError(f"need 0 <= t_decoy <= t_signal <= 1, got {self}")
-
-    @property
-    def ratio(self) -> float:
-        return self.t_decoy / self.t_signal
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -85,20 +67,6 @@ def prepare_state(basis: Basis, bit: int) -> PolarizationState:
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     phase = _PHASE[(basis, bit)]
     return PolarizationState(_SQRT_HALF, _SQRT_HALF * cmath.exp(1j * (phase - math.pi)))
-
-
-def sagnac_im_levels(coupling_t: float) -> SagnacImLevels:
-    """Intensity levels produced by a loop interferometer with splitter
-    fraction ``coupling_t``.
-
-    The loop transmits T(phase) = t^2 + r^2 - 2 t r cos(phase) with
-    r = 1 - t; the signal arm sits at phase pi (T = 1) and the decoy arm at
-    phase 0 (T = (t - r)^2), so the splitter ratio sets decoy/signal.
-    """
-    if not 0.0 < coupling_t < 1.0:
-        raise DegenerateCoupling(f"coupling_t={coupling_t} must lie in (0, 1)")
-    t, r = coupling_t, 1.0 - coupling_t
-    return SagnacImLevels(t_signal=(t + r) ** 2, t_decoy=(t - r) ** 2)
 
 
 def apply_channel(state: PolarizationState, rotation_angle: float) -> PolarizationState:

@@ -104,7 +104,7 @@ class TestObservedCounts:
         assert c.m(Basis.Z, Intensity.DECOY) == 1
         assert c.n_total(Basis.Z) == 14
         assert c.m_total(Basis.X) == 1
-        assert c.total_sifted() == 17
+        assert c.n_total(Basis.X) == 3
 
     def test_cell_index_is_basis_then_intensity(self):
         c = ObservedCounts(sift=np.arange(4).reshape(2, 2))

@@ -17,7 +17,6 @@ from qkdlab.finitekey import (
     hoeffding_delta,
     key_length,
     lower_estimate,
-    phase_error_bound,
     single_photon_bound,
     upper_estimate,
     vacuum_lower_bound,
@@ -216,21 +215,65 @@ class TestSinglePhotonBound:
         assert single_photon_bound(F_REF, n, d_n, 10**5) >= 0.0
 
 
+# a cell's detections: none, a few or many; and the share of them that err
+_cell = st.one_of(st.just(0), st.integers(1, 100), st.integers(100, 10**9))
+_share = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+
+
 class TestPhaseErrorBound:
+    """phi_Z as the product composes it, ``_test_basis_bounds`` then
+    ``_phase_bounds``, over random tallies [basis, intensity, point]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sift=hnp.arrays(np.int64, (2, 2, 6), elements=_cell),
+        share=hnp.arrays(np.float64, (2, 2, 6), elements=_share),
+        mu=st.floats(0.05, 1.0),
+        nu_frac=st.floats(0.02, 0.95),
+        p_mu=st.floats(0.05, 0.95),
+    )
+    # an empty X basis (points 0-1), an error-free one (2-3) and an error
+    # ratio of one (4-5), each beside the 75 km Z tallies
+    @example(
+        sift=np.array([[[7 * 10**6] * 6, [11 * 10**5] * 6],
+                       [[0, 0, 10**5, 10**6, 10**5, 10**5], [0, 0, 10**5, 10**6, 10**5, 10**5]]]),
+        share=np.array([[[0.005] * 6, [0.008] * 6],
+                        [[0.0, 0.0, 0.0, 0.0, 1.0, 1.0], [0.0] * 6]]),
+        mu=P_REF.mu, nu_frac=P_REF.nu / P_REF.mu, p_mu=P_REF.p_mu,
+    )
+    def test_bound_and_flag(self, sift, share, mu, nu_frac, p_mu):
+        p = replace(P_REF, mu=mu, nu=mu * nu_frac, p_mu=p_mu)
+        f = DecoyFactors(p)
+        tally = np.stack((sift.astype(float), np.floor(sift * share)))
+        key = finitekey._key_basis_bounds(tally[:, 0], f, p)
+        test = finitekey._test_basis_bounds(tally[:, 1], f, p, key)
+        phase = finitekey._phase_bounds(key, test, p)
+        phi, ratio = phase["phi_z_up"], test["ratio"]
+        # flagged exactly where either single-photon bound is zero, with
+        # maximal ignorance there
+        flagged = np.minimum(test["s_x1_low"], key["s_z1_low"]) == 0.0
+        assert np.array_equal(phase["insufficient_test_statistics"], flagged)
+        assert (phi[flagged] == 0.5).all()
+        # the correction is at least zero, and zero on error-free X
+        assert (np.minimum(0.5, ratio) <= phi).all() and (phi <= 0.5).all()
+        assert (phi[~flagged & (ratio == 0.0)] == 0.0).all()
+        # an error ratio of one gives 1/2, unflagged
+        assert (phi[~flagged & (ratio == 1.0)] == 0.5).all()
+
     def test_error_free_x_basis(self):
-        c = ObservedCounts(sift=[[10**6, 10**5], [10**4, 10**3]])
-        # zero X errors with a vanishing fluctuation share drives the
-        # ratio to zero, where the correction term vanishes
-        _, m_x, _, _, _, d_m = _rows(c, 1, 1.0 - 1e-12)
-        pb = phase_error_bound(F_REF, m_x, d_m, 1e-9, 10**5, 10**4)
-        assert pb.phi_z_up == pytest.approx(0.0, abs=1e-6)
-        assert not pb.insufficient_test_statistics
+        # no X errors and no fluctuation of their zero total: the ratio and
+        # its correction vanish
+        c = ObservedCounts(sift=[[7_000_000, 1_100_000], [10**5, 10**5]],
+                           err=[[40_000, 9_000], [0, 0]])
+        report = key_length(c, P_REF)
+        assert report.phi_z_up == 0.0
+        assert not report.insufficient_test_statistics
 
     def test_no_test_statistics_flagged(self):
-        _, m_x, _, _, _, d_m = _rows(ObservedCounts(), 1, EPS_PE)
-        pb = phase_error_bound(F_REF, m_x, d_m, 1e-9, 1000.0, 0.0)
-        assert pb.phi_z_up == 0.5
-        assert pb.insufficient_test_statistics
+        report = key_length(ORACLE_COUNTS, P_REF)
+        assert report.phi_z_up == 0.5
+        assert report.v_x1_up == 0.0
+        assert report.insufficient_test_statistics
 
     def test_75km_bound_above_asymptotic_error(self):
         stats = rates.expected_statistics(P_REF, LINK_75)
@@ -409,10 +452,14 @@ def _one_pass_secure_length(tally, f, p):
     lambda_ec = p.f_ec * n[0] * rates.binary_entropy(m[0] / np.maximum(n[0], 1.0))
     d_m = hoeffding_delta(m[1], eps.eps_pe)
     s_1 = single_photon_bound(f, tally[0].swapaxes(0, 1), d_n, s_0_up)
-    phase = phase_error_bound(f, tally[1, 1].copy(), d_m, eps.eps_sec, s_1[0], s_1[1])
+    terms = finitekey._error_ratio(f, tally[1, 1].copy(), d_m, s_1[0], s_1[1])
+    tested, ratio = terms["tested"], terms["ratio"]
+    s_x, s_z = (np.where(tested, s, 1.0) for s in (s_1[1], s_1[0]))
+    phi = np.minimum(0.5, ratio + finitekey._gamma(eps.eps_sec, ratio, s_x, s_z))
+    phi = np.where(tested & (ratio < 1.0), phi, 0.5)[()]
     l = (
         s_z0_low
-        + s_1[0] * (1.0 - rates.binary_entropy(phase.phi_z_up))
+        + s_1[0] * (1.0 - rates.binary_entropy(phi))
         - lambda_ec
         - 6.0 * math.log2(19.0 / eps.eps_sec)
         - math.log2(2.0 / eps.eps_cor)
@@ -422,11 +469,11 @@ def _one_pass_secure_length(tally, f, p):
         "s_z0_up": s_0_up[0],
         "s_z1_low": s_1[0],
         "s_x1_low": s_1[1],
-        "v_x1_up": phase.v_x1_up,
-        "phi_z_up": phase.phi_z_up,
+        "v_x1_up": np.where(tested, terms["v"], 0.0)[()],
+        "phi_z_up": phi,
         "lambda_ec": lambda_ec,
         "l_bits": np.maximum(0.0, l),
-        "insufficient_test_statistics": phase.insufficient_test_statistics,
+        "insufficient_test_statistics": ~tested,
     }
 
 

@@ -83,6 +83,11 @@ class TestDeterminism:
         assert a.ground_truth == b.ground_truth
         assert a.detection_gates == b.detection_gates
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_refused(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_session(P_SMALL, LINK_B2B, seed=5, n_pulses=1000, chunk_size=chunk_size)
+
     def test_thread_count_invariance(self):
         results = [
             run_session(P_SMALL, LINK_B2B, seed=5, n_threads=t, chunk_size=2**13)
@@ -950,7 +955,7 @@ class TestPhysics:
 
     def test_conservation(self, b2b_session_1e7):
         res = b2b_session_1e7
-        assert res.counts.total_sifted() <= res.detection_gates <= res.n_pulses
+        assert res.counts.sift.sum() <= res.detection_gates <= res.n_pulses
         assert res.detection_gates <= res.detector_clicks
 
     def test_ground_truth_consistency(self, b2b_session_1e7):

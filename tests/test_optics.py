@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from qkdlab import optics
 from qkdlab.core import Basis
 from qkdlab.optics import (
-    DegenerateCoupling,
     PolarizationState,
     apply_channel,
     detection_weights,
     prepare_state,
-    sagnac_im_levels,
 )
 
 S = 1.0 / math.sqrt(2.0)
@@ -66,32 +64,6 @@ class TestPolarizationState:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             PolarizationState(1.0, 1.0)
-
-
-class TestSagnacIm:
-    def test_75_25_coupling_gives_intensity_ratio(self):
-        levels = sagnac_im_levels(0.75)
-        assert levels.t_signal == pytest.approx(1.0, abs=TOL)
-        assert levels.t_decoy == pytest.approx(0.25, abs=TOL)
-        assert levels.ratio == pytest.approx(0.14 / 0.56, abs=TOL)
-
-    def test_balanced_coupling_extinguishes_decoy(self):
-        assert sagnac_im_levels(0.5).t_decoy == pytest.approx(0.0, abs=TOL)
-
-    def test_90_10_coupling(self):
-        assert sagnac_im_levels(0.9).t_decoy == pytest.approx(0.64, abs=TOL)
-
-    def test_degenerate_coupling_rejected(self):
-        for t in (0.0, 1.0):
-            with pytest.raises(DegenerateCoupling):
-                sagnac_im_levels(t)
-
-    @settings(max_examples=50, deadline=None)
-    @given(t=st.floats(min_value=0.01, max_value=0.99))
-    def test_ratio_symmetric_under_arm_exchange(self, t):
-        assert sagnac_im_levels(t).ratio == pytest.approx(
-            sagnac_im_levels(1.0 - t).ratio, abs=1e-9
-        )
 
 
 class TestApplyChannel:
