@@ -879,6 +879,19 @@ class TestSampler:
         want = np.array([np.searchsorted(thr[r], x) for r, x in zip(row, uu)])
         assert np.array_equal(draw.bins(uu, row), want)
 
+    @pytest.mark.parametrize("tables", ["one table", "per-row tables"])
+    def test_bins_are_uint8_also_when_empty(self, tables):
+        # a guided draw with no split bucket draws no uniform at all
+        t = mcsim._SessionTables(ProtocolParams(), LINK_75)
+        draw, row = (t.dark, None) if tables == "one table" else (t.binom, np.uint8)
+        u = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        for uu in (u, u[:0]):
+            rows = None if row is None else np.full(uu.size, mcsim._PHOTON_CAP, dtype=row)
+            got = draw.bins(uu, rows)
+            want = [np.searchsorted(np.atleast_2d(draw.thr)[-1], x) for x in uu]
+            assert got.dtype == np.uint8
+            assert got.tolist() == want
+
     @pytest.mark.parametrize("dark", [0.0, 1e-9, 8e-6, 3.3e-4, 1e-3, 0.37])
     def test_dark_pattern_table_equals_loop(self, dark):
         # the pattern pmf the dark-pattern draw used before it shared
