@@ -6,9 +6,10 @@ fixed at the config's, and free over 0.5..0.95), checks that
 ``optimize(refine=False)`` returns the point and l_bits that
 ``optimizer._best_index`` picks over the whole grid scored by
 ``evaluate_grid``, or raises ``EmptyFeasibleSet`` where no point scores
-above zero.  Prints a Markdown table, one row per (grid, loss): the share
-of the coarse grid's scorable points that each bound stopped, the share
-scored, and the search's time.  Exits 1 if any case differs::
+above zero, and that the points it scored and pruned sum to the coarse
+grid's scorable points.  Prints a Markdown table, one row per (grid,
+loss): the share of those points that each bound stopped first, the
+share scored, and the search's time.  Exits 1 if any case fails::
 
     python3 scripts/check_search.py
 """
@@ -43,13 +44,22 @@ def exhaustive_best(grid: optimizer.GridSpec, p0, link):
     return (pair_mu[pair], pair_nu[pair], pm[m], pz[z]), float(l[z, m, pair])
 
 
+def scorable_points(grid: optimizer.GridSpec) -> int:
+    """The coarse grid's scorable points: its scorable (mu, nu) pairs at
+    every p_mu and p_z value."""
+    pairs = optimizer._scorable(np.asarray(grid.mu_values)[:, None], np.asarray(grid.nu_values))
+    return int(pairs.sum()) * len(grid.p_mu_values) * len(grid.p_z_values)
+
+
 def main() -> int:
     p, link, _ = core.load_config(os.path.join(ROOT, "configs", "projection.conf"))
     grids = {"default": cli._grid(p, False), "free": cli._grid(p, True)}
     failed = 0
-    print("| grid | loss (dB) | l_bits | stopped by B | by l_up | by l_up_x | scored | ms |")
-    print("|---|---:|---:|---:|---:|---:|---:|---:|")
+    print("| grid | loss (dB) | l_bits | stopped by B | by B_x | by l_up | by l_up_x | scored "
+          "| ms |")
+    print("|---|---:|---:|---:|---:|---:|---:|---:|---:|")
     for name, grid in grids.items():
+        total = scorable_points(grid)
         for loss in cli._parse_losses(LOSSES):
             at = link.with_channel_loss(loss)
             expected = exhaustive_best(grid, p, at)
@@ -61,22 +71,22 @@ def main() -> int:
             ms = 1e3 * (time.perf_counter() - t0)
             if result is None:
                 ok = expected is None
-                cells = ["0", "-", "-", "-", "-"]
+                cells = ["0", "-", "-", "-", "-", "-"]
             else:
                 b = result.best
-                ok = expected == ((b.mu, b.nu, b.p_mu, b.p_z_bob), result.l_bits)
-                total = result.points_scored + result.points_pruned
-                shares = (result.pruned_by_b, result.pruned_by_l_up, result.pruned_by_l_up_x,
-                          result.points_scored)
+                ok = (expected == ((b.mu, b.nu, b.p_mu, b.p_z_bob), result.l_bits)
+                      and result.points_scored + result.points_pruned == total)
+                shares = (result.pruned_by_b, result.pruned_by_b_x, result.pruned_by_l_up,
+                          result.pruned_by_l_up_x, result.points_scored)
                 cells = [f"{result.l_bits:.6g}", *(f"{100.0 * s / total:.2f} %" for s in shares)]
             if not ok:
                 failed += 1
                 print(f"{name} grid at {loss:g} dB: search gave {result}, "
-                      f"exhaustive grid {expected}", file=sys.stderr)
+                      f"exhaustive grid {expected}, {total} scorable points", file=sys.stderr)
             print(f"| {name}{'' if ok else ' (MISMATCH)'} | {loss:g} | {' | '.join(cells)} | "
                   f"{ms:.1f} |")
     print(f"\n{failed} of {2 * len(cli._parse_losses(LOSSES))} (grid, loss) cases differ from "
-          f"the exhaustive grid")
+          f"the exhaustive grid or miscount its points")
     return 1 if failed else 0
 
 

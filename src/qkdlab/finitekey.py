@@ -14,16 +14,21 @@ Every bound broadcasts: the tallies and the protocol intensities and
 probabilities may be numpy arrays, one element per parameter point.
 The composition runs in two stages.  ``_key_basis_bounds`` reads the Z
 tallies alone and adds ``l_up``, a bound on the secure length that needs
-no X tally.  The test-basis stage reads the X tallies in two steps:
-``_test_basis_bounds`` gives s_X1 and the X error ratio, and adds the
-tighter bound ``l_up_x``; ``_phase_bounds`` applies the phase error's
-finite-statistics correction and composes the secure length.
-``key_length`` runs every step on one sample and raises when it has no
-key-basis detections; the optimizer runs them on grid blocks, and runs
-each step only where the bounds before it say a point can matter.  The
-first of those bounds, ``_KeyBasisCeiling``, is made once for a row of
-points that differ only in p_z, from the row's key-basis tallies at zero
-deviation, and bounds ``l_up`` at each of them.
+no X tally.  The test-basis stage runs in three steps:
+``_test_basis_bounds`` reads the X tallies alone and gives s_X1 and the
+X single-photon error bound; ``_error_ratio`` composes them with the key
+basis's bounds into the error ratio and the tighter bound ``l_up_x``; and
+``_phase_bounds`` applies the phase error's finite-statistics correction
+and composes the secure length.  ``key_length`` runs every step on one
+sample and raises when it has no key-basis detections; the optimizer
+runs them on grid blocks, and runs each step only where the bounds before
+it say a point can matter.  The first of those bounds, B
+(``_KeyBasisCeiling``), is made once for a row of points that differ
+only in p_z, from the row's key-basis tallies at zero deviation, and
+bounds ``l_up`` at each of them; B_x (``_ceiling_x``) lowers B by the
+entropy of each point's X error ratio, from the X step alone.  The
+optimizer's order is B, B_x, the key-basis stage (``l_up``), the error
+ratio (``l_up_x``), the phase error.
 """
 
 from __future__ import annotations
@@ -190,18 +195,6 @@ def _gamma(a: float, b, c, d):
     return np.where(b <= 0.0, 0.0, gamma)
 
 
-def _error_ratio(f: DecoyFactors, m_x, d_m, s_z1_low, s_x1_low) -> dict:
-    """Whether a point is ``tested`` (both single-photon bounds positive),
-    the X single-photon error bound ``v`` <= s_X1 from the X errors ``m_x``
-    and their total's deviation ``d_m``, and its ``ratio`` to s_X1 (taken
-    as 1 at an untested point, to keep the ratio finite)."""
-    tested = np.minimum(s_x1_low, s_z1_low) > 0.0
-    s_x = np.where(tested, s_x1_low, 1.0)
-    v = f.tau1 * (upper_estimate(f, m_x, 0, d_m) - lower_estimate(f, m_x, 1, d_m)) / f.gap
-    v = np.minimum(np.maximum(v, 0.0), s_x)
-    return {"tested": tested, "v": v, "ratio": v / s_x}
-
-
 def _compose(s_z0_low, s_z1_term, lambda_ec, eps: EpsilonBudget):
     """The secure-length formula before its clamp at zero, with
     ``s_z1_term`` in the place of s_Z1 (1 - h(phi_Z)).  The secure length
@@ -263,9 +256,10 @@ def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, d_n=None) -> di
 # in bits over f_ec (``_KeyBasisCeiling``)
 _ROUNDING_ENTROPY = 3.0 * math.log2(math.e) + 2.0 * math.log2(3.0)
 
-# A bound on the float rounding of the key-basis stage and of B, relative to
-# the sum of the magnitudes of their terms: about 1e-16 per operation over a
-# few tens of operations, with a margin of five orders of magnitude
+# A bound on the float rounding of the key-basis stage, of B and of B_x,
+# relative to the sum of the magnitudes of their terms: about 1e-16 per
+# operation over a few tens of operations, with a margin of five orders of
+# magnitude
 _FLOAT_SLACK = 1e-9
 
 
@@ -316,23 +310,43 @@ class _KeyBasisCeiling:
         self.slack = (0.5 * linear + alpha * hoeffding_delta(1.0, eps.eps_pe)
                       + p.f_ec * ratio_term + _FLOAT_SLACK * magnitude - c)
 
-    def at(self, p_z) -> np.ndarray:
-        """B at p_z, which broadcasts against the rows."""
-        b = np.multiply(self.s_z1, p_z)
-        b -= self.deviation
-        np.maximum(b, 0.0, out=b)
-        b += np.multiply(self.key_term, p_z)
+    def at(self, p_z) -> tuple:
+        """B at p_z, which broadcasts against the rows, and its s_Z1 term
+        Z = max(0, p_z^2 s_Z1 - p_z alpha d_1)."""
+        z = np.multiply(self.s_z1, p_z)
+        z -= self.deviation
+        np.maximum(z, 0.0, out=z)
+        b = np.multiply(self.key_term, p_z)
+        b += z
         b *= p_z
         b += self.slack
-        return b
+        z *= p_z
+        return b, z
 
 
-def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, key: dict) -> dict:
-    """The test-basis (X) stage of the secure length, up to the phase
-    error's finite-statistics correction: the X single-photon bound
-    ``s_x1_low`` and ``_error_ratio``'s ``tested``, ``v`` and ``ratio``,
-    from the X tallies ``tally``, indexed as in ``_key_basis_bounds``, at
-    the points of the key-basis stage's bounds ``key``.
+def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
+    """The test-basis (X) stage's first step, from the X tallies ``tally``
+    alone, indexed as in ``_key_basis_bounds``: the X single-photon bound
+    ``s_x1_low``, and ``v``, the X single-photon error bound from the X
+    errors and their total's deviation before ``_error_ratio`` clamps it
+    into [0, s_X1]."""
+    eps = EpsilonBudget.from_params(p)
+    n, m = tally.sum(axis=1)
+    d_n = hoeffding_delta(n, eps.eps_pe)
+    s_x1_low = single_photon_bound(f, tally[0], d_n, vacuum_upper_bound(n, m, d_n))
+    d_m = hoeffding_delta(m, eps.eps_pe)
+    del n, m, d_n
+    m_x = tally[1]
+    v = f.tau1 * (upper_estimate(f, m_x, 0, d_m) - lower_estimate(f, m_x, 1, d_m)) / f.gap
+    return {"s_x1_low": s_x1_low, "v": v}
+
+
+def _error_ratio(key: dict, test: dict, p: ProtocolParams) -> dict:
+    """The test-basis stage's second step, from the key-basis stage's
+    bounds ``key`` and the first step's ``test`` at the same points:
+    whether a point is ``tested`` (both single-photon bounds positive),
+    ``v`` clamped into [0, s_X1], and its ``ratio`` to s_X1 (taken as 1 at
+    an untested point, to keep the ratio finite).
 
     It adds ``l_up_x``, the composition with the error ratio r in the
     place of phi_Z.  phi_Z >= min(1/2, r) in floats, since the correction
@@ -342,24 +356,58 @@ def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, key: dict) -> 
     length as ``l_up`` does.
     """
     eps = EpsilonBudget.from_params(p)
-    n, m = tally.sum(axis=1)
-    d_n = hoeffding_delta(n, eps.eps_pe)
-    s_x1_low = single_photon_bound(f, tally[0], d_n, vacuum_upper_bound(n, m, d_n))
-    d_m = hoeffding_delta(m, eps.eps_pe)
-    # The steps below hold the most temporaries at once, so they run with
-    # only what they read alive; the caller holds no other reference to
-    # the tallies.
-    m_x = tally[1].copy()
-    del tally, n, m, d_n
-    terms = _error_ratio(f, m_x, d_m, key["s_z1_low"], s_x1_low)
-    del m_x, d_m
-    entropy = binary_entropy(np.minimum(0.5, terms["ratio"]))
-    s_z1_term = key["s_z1_low"] * ((1.0 - entropy) + _ENTROPY_SLACK)
+    s_x1_low, s_z1_low = test["s_x1_low"], key["s_z1_low"]
+    tested = np.minimum(s_x1_low, s_z1_low) > 0.0
+    s_x = np.where(tested, s_x1_low, 1.0)
+    v = np.minimum(np.maximum(test["v"], 0.0), s_x)
+    ratio = v / s_x
+    del s_x
+    entropy = binary_entropy(np.minimum(0.5, ratio))
+    s_z1_term = s_z1_low * ((1.0 - entropy) + _ENTROPY_SLACK)
     return {
-        "s_x1_low": s_x1_low,
-        **terms,
+        "tested": tested,
+        "v": v,
+        "ratio": ratio,
         "l_up_x": _compose(key["s_z0_low"], s_z1_term, key["lambda_ec"], eps),
     }
+
+
+def _ceiling_x(b, z, test) -> np.ndarray:
+    """B_x, an upper bound on the unclamped secure length, from B and its
+    s_Z1 term Z (``_KeyBasisCeiling.at``) and the test-basis stage's
+    first step ``test`` at the same points; written over ``b``, and ``z``
+    is spent.
+
+    The secure length is l = (s_Z0 - lambda_EC) + s_Z1 (1 - h(phi_Z)) - C,
+    and B's slack splits into a part that covers (s_Z0 - lambda_EC) less
+    its term in B and a part that covers s_Z1 - Z, both at least zero
+    (README, "B: one bound per (pair, p_mu) row").  So for any h_X in
+    [0, 1] at most h(phi_Z) where s_Z1 (1 - h(phi_Z)) is not zero,
+
+        l <= B - Z h_X = B_x.
+
+    With r_X = min(max(v, 0), s_X1) / s_X1, ``_error_ratio``'s ratio at a
+    tested point, h_X = max(0, h(min(1/2, r_X)) - ``_ENTROPY_SLACK``), and
+    1 where s_X1 = 0.  At a tested point phi_Z >= min(1/2, r_X) and h
+    rises on [0, 1/2] within the slack; elsewhere phi_Z = 1/2, h(1/2) = 1
+    and the term is zero, as it is where s_Z1 = 0.  The three operations
+    that B_x adds to B each round by at most 2^-53 of a number no larger
+    than B's magnitude, which B's float slack (``_FLOAT_SLACK`` of it)
+    covers with orders of magnitude to spare."""
+    s_x = test["s_x1_low"]
+    positive = s_x > 0.0
+    h = np.maximum(test["v"], 0.0)
+    np.minimum(h, s_x, out=h)
+    np.divide(h, s_x, out=h, where=positive)
+    np.minimum(h, 0.5, out=h)
+    h = binary_entropy(h)
+    h -= _ENTROPY_SLACK
+    np.maximum(h, 0.0, out=h)
+    np.copyto(h, 1.0, where=~positive)
+    z *= h
+    del h
+    b -= z
+    return b
 
 
 def _phase_bounds(key: dict, test: dict, p: ProtocolParams) -> dict:
@@ -396,7 +444,8 @@ def key_length(counts: ObservedCounts, p: ProtocolParams) -> KeyRateReport:
         raise EmptyKeyBasis("no sifted key-basis detections")
     f = DecoyFactors(p)
     key = _key_basis_bounds(np.stack((counts.sift[0], counts.err[0])), f, p)
-    test = _test_basis_bounds(np.stack((counts.sift[1], counts.err[1])), f, p, key)
+    test = _test_basis_bounds(np.stack((counts.sift[1], counts.err[1])), f, p)
+    test.update(_error_ratio(key, test, p))
     terms = _phase_bounds(key, test, p)
     flagged = bool(terms.pop("insufficient_test_statistics"))
     del key["l_up"]

@@ -9,25 +9,28 @@ to the lexicographically smallest (mu, nu, p_mu, p_z), so any evaluation
 order yields the same incumbent.
 
 ``optimize`` searches its coarse grid by exact branch and bound.  The
-secure length is composed in stages (``finitekey``), and three upper
-bounds on it, each cheaper than the stage it stands in front of, let a
+secure length is composed in stages (``finitekey``), and four upper
+bounds on it, each cheaper than the step it stands in front of, let a
 point go on only while they reach the best score found so far.  B
 (``finitekey._KeyBasisCeiling``) is made once per (pair, p_mu) row from
 the row's key-basis tallies at zero deviation and read at each p_z value;
-a point whose B is below the incumbent skips the key-basis stage, and a
-block with no B that reaches it skips itself.  The key-basis stage gives
-``l_up``, the composition with the phase-error term's entropy factor
-1 - h(phi_Z) set to one.  It holds bit for bit in floats: h >= 0, so
-fl(1 - h) <= 1 and fl(s_Z1 (1 - h)) <= s_Z1, and the composition applies
-the same monotone roundings to the larger term.  The test-basis stage's
-first step gives ``l_up_x``, with phi_Z's lower bound, the X error ratio,
-in its place and binary_entropy's rounding covered by a slack; its second
-step, the phase error's finite-statistics correction and the composition,
-runs only on the points that reach all three.  A point left unscored
-cannot beat or tie the incumbent, so the search returns the exhaustive
-grid's incumbent and l_bits.  B costs about two key-basis stages of its
-rows' points at one p_z value, so it is read first on a probe of the rows
-and made only where it pays (``_PROBE_STEP``).
+a block with no B that reaches it skips itself.  B_x
+(``finitekey._ceiling_x``) lowers B by the entropy of the point's X error
+ratio, from the test-basis stage's first step, which reads the X tallies
+alone; a point whose B_x is below the incumbent skips the key-basis
+stage.  The key-basis stage gives ``l_up``, the composition with the
+phase-error term's entropy factor 1 - h(phi_Z) set to one.  It holds bit
+for bit in floats: h >= 0, so fl(1 - h) <= 1 and fl(s_Z1 (1 - h)) <=
+s_Z1, and the composition applies the same monotone roundings to the
+larger term.  The test-basis stage's second step gives ``l_up_x``, with
+phi_Z's lower bound, the X error ratio, in its place and binary_entropy's
+rounding covered by a slack; its third, the phase error's
+finite-statistics correction and the composition, runs only on the
+points that reach all four.  A point left unscored cannot beat or tie
+the incumbent, so the search returns the exhaustive grid's incumbent and
+l_bits.  B's row terms cost about 1.5 key-basis stages of their rows'
+points at one p_z value, so a grid of ``_CEILING_COST`` p_z values or
+fewer reads neither B nor B_x, and runs the key-basis stage first.
 """
 
 from __future__ import annotations
@@ -110,76 +113,59 @@ _BLOCK_POINTS = 5 << 11
 _GATHER_SHARE = 0.35
 
 
-# B is read first on every _PROBE_STEP-th pair of a run of pairs, at every
-# p_mu and p_z value at once: the probe.  Where the probe points pass B at
-# more than _GATHER_SHARE of a block, B would gather no point there, so
-# the block runs the key-basis stage whole without it.  A run of p_mu
-# rows makes its B terms only where the probe says they save more
-# key-basis work than _CEILING_COST times that of one of its p_z values,
-# counting a p_z value of the rows with a probe share s at most
-# _GATHER_SHARE as 1 - 2 s of one: a gathered point costs about twice a
-# point of a whole block.  Making the terms costs 1.5 such stages, and
-# reading B at ten p_z values 0.35 (2-vCPU Xeon, 6 rows of 1,609 pairs).
-# At 37 dB on the free-p_z projection grid no rows make them.
-_PROBE_STEP = 32
+# A grid of at most _CEILING_COST p_z values reads no B: making a run of p_mu
+# rows' B terms costs about 1.5 key-basis stages of one of its p_z values
+# (2-vCPU Xeon, 6 rows of 1,609 pairs).  Forced on, B and B_x made a warm
+# default-grid scan (one p_z value) take 0.38-0.42 s against 0.30-0.33 s.
 _CEILING_COST = 2.0
 
 
-def _key_basis_ceiling(p0: ProtocolParams, pm, q, e_z, f) -> finitekey._KeyBasisCeiling:
-    return finitekey._KeyBasisCeiling(
-        rates.basis_tallies(p0.n_pulses, pm, 1.0, q, e_z, rounded=False), f, p0)
+class _Live:
+    """The points of a block that every bound read so far reaches the
+    incumbent at, for ``_Block.search``: ``at``, their flat indices, or
+    None while the steps run on the whole block, with ``mask`` marking
+    them (None for all); ``terms``, the steps' terms at the points they
+    run on; and ``reached``, how many points reached each bound."""
 
+    def __init__(self, size: int) -> None:
+        self.at = self.mask = None
+        self.terms = {}
+        self.reached = [size]
 
-def _probe(p0: ProtocolParams, p_mu, q, e_z, mu, nu, p_z) -> np.ndarray:
-    """B of every ``_PROBE_STEP``-th pair of a run of pairs, with gains
-    ``q`` and key-basis QBERs ``e_z``, intensities ``mu`` (for the bounds)
-    and ``nu``, at every value of the axes ``p_mu`` and ``p_z``: shape
-    (len(p_z), len(p_mu), probe pairs)."""
-    sub = slice(None, None, _PROBE_STEP)
-    pm = p_mu[:, None]
-    f = finitekey.DecoyFactors(replace(p0, mu=mu[sub], nu=nu[sub], p_mu=pm))
-    ceiling = _key_basis_ceiling(p0, pm, *(tuple(a[sub] for a in terms) for terms in (q, e_z)), f)
-    return ceiling.at(p_z[:, None, None])
+    def keep(self, passed, gather: bool = False) -> int:
+        """Keep the points, of those the steps run on, where ``passed``
+        holds, and return how many points are kept.  Once they are at most
+        ``_GATHER_SHARE`` of the block, or with ``gather``, they and their
+        terms are gathered."""
+        mask = passed if self.mask is None else self.mask & passed
+        kept = int(np.count_nonzero(mask))
+        self.reached.append(kept)
+        if self.at is None and kept > _GATHER_SHARE * mask.size and not gather:
+            self.mask = mask
+        else:
+            self.at = np.flatnonzero(mask) if self.at is None else self.at[mask]
+            self.terms = {name: v[mask] for name, v in self.terms.items()}
+            self.mask = None
+        return kept
 
-
-class _Rows:
-    """B of a run of p_mu rows ``pm`` over a run of pairs, with gains
-    ``q``, key-basis QBERs ``e_z`` and decoy factors ``f``, for the search:
-    ``probe``, its slice of ``_probe``, and ``ceiling``, the rows'
-    ``finitekey._KeyBasisCeiling``, made on first use."""
-
-    def __init__(self, p0: ProtocolParams, pm, q, e_z, f: finitekey.DecoyFactors, probe) -> None:
-        self._terms = p0, pm, q, e_z, f
-        self._ceiling = None
-        self.probe = probe
-
-    def pays(self, z: int, incumbent: float) -> bool:
-        """Whether the rows' B terms are made, or, by the probe, save more
-        key-basis work at the incumbent over the p_z values from index
-        ``z`` on than they cost."""
-        if self._ceiling is not None:
-            return True
-        share = np.mean(self.probe[z:] >= incumbent, axis=(1, 2))
-        return np.sum(1.0 - 2.0 * share, where=share <= _GATHER_SHARE) > _CEILING_COST
-
-    @property
-    def ceiling(self) -> finitekey._KeyBasisCeiling:
-        if self._ceiling is None:
-            self._ceiling = _key_basis_ceiling(*self._terms)
-        return self._ceiling
+    def counts(self) -> tuple:
+        """The numbers of points stopped by each bound, in the order they
+        were read, and scored, padded to four bounds."""
+        n = self.reached + [0] * (5 - len(self.reached))
+        return (*(a - b for a, b in zip(n, n[1:])), n[-1])
 
 
 class _Block:
     """The points of one block: a run of (mu, nu) pairs, broadcast as
     ``q`` and ``e``, times a run of p_mu rows ``pm`` and p_z values ``pz``,
     shape (len(pz), len(pm), pairs).  No stage has run when it is made.
-    ``rows``, the ``_Rows`` of its p_mu rows, with ``z``, the block's slice
-    of their p_z axis, gives the search B; without it the search runs the
-    key-basis stage on every point."""
+    ``ceiling``, the ``finitekey._KeyBasisCeiling`` of its p_mu rows, gives
+    the search B and B_x; without it the search runs the key-basis stage
+    on every point."""
 
     def __init__(self, p0: ProtocolParams, pm, pz, q, e, f: finitekey.DecoyFactors,
-                 rows: _Rows | None = None, z: slice | None = None) -> None:
-        self.p0, self.pm, self.pz, self.q, self.f, self.rows, self.z = p0, pm, pz, q, f, rows, z
+                 ceiling: finitekey._KeyBasisCeiling | None = None) -> None:
+        self.p0, self.pm, self.pz, self.q, self.f, self.ceiling = p0, pm, pz, q, f, ceiling
         # e[k][b], in Intensity and Basis order
         self.e_z, self.e_x = ((e[0][b], e[1][b]) for b in range(2))
         self.shape = (len(pz), len(pm), len(q[0]))
@@ -188,67 +174,48 @@ class _Block:
         """The secure length of every point: every stage on the whole
         block."""
         inputs = self._inputs(None)
-        key = self._key(inputs)
-        return finitekey._phase_bounds(key, self._test(inputs, key), self.p0)["l_bits"]
+        terms = {**self._key(inputs), **self._test(inputs)}
+        terms.update(finitekey._error_ratio(terms, terms, self.p0))
+        return finitekey._phase_bounds(terms, terms, self.p0)["l_bits"]
 
     def search(self, dest, incumbent: float) -> tuple:
         """Write into ``dest``, of the block's shape, the secure length of
         the points whose bounds are at least ``incumbent``, and return the
-        numbers of points stopped by B, by ``l_up`` and by ``l_up_x``, and
-        scored.  The block skips itself where no B reaches the incumbent.
-        Each stage runs where the bound before it reaches it: on the whole
-        block, or, where those points are at most ``_GATHER_SHARE`` of it,
-        on their inputs gathered.  Each point's bounds are made from its
-        own inputs alone, so gathered or not they are the same numbers."""
-        size = dest.size
-        passed, at = self._reach_b(incumbent)
-        if not passed:
-            return size, 0, 0, 0
-        inputs = self._inputs(at)
-        key = self._key(inputs)
-        keep = key.pop("l_up") >= incumbent
-        # the later stages read neither
+        numbers of points stopped by B, by B_x, by ``l_up`` and by
+        ``l_up_x``, each by the first of them that stops it, and scored.
+        Without ``ceiling``, B and B_x stop no point.  Each step runs where
+        the bounds before it reach the incumbent: on the whole block, or,
+        once those points are at most ``_GATHER_SHARE`` of it, on their
+        inputs gathered.  Each point's bounds are made from its own inputs
+        alone, so gathered or not they are the same numbers."""
+        live = _Live(dest.size)
+        if self.ceiling is None:
+            live.reached *= 3
+        else:
+            live.terms["b"], live.terms["z"] = self.ceiling.at(self.pz)
+            if not live.keep(live.terms["b"] >= incumbent):
+                return live.counts()
+            live.terms.update(self._test(self._inputs(live.at)))
+            b_x = finitekey._ceiling_x(live.terms.pop("b"), live.terms.pop("z"), live.terms)
+            if not live.keep(b_x >= incumbent):
+                return live.counts()
+            del b_x
+        key = self._key(self._inputs(live.at))
+        l_up = key.pop("l_up")
+        # the later steps read neither
         del key["s_z0_up"]
-        up = int(np.count_nonzero(keep))
-        if not up:
-            return size - passed, passed, 0, 0
-        if at is not None or up <= _GATHER_SHARE * size:
-            at = np.flatnonzero(keep) if at is None else at[keep]
-            key = {name: v[keep] for name, v in key.items()}
-            inputs = self._inputs(at)
-        test = self._test(inputs, key)
-        keep = test["l_up_x"] >= incumbent
-        scored = int(np.count_nonzero(keep))
-        if scored:
-            key, test = ({name: v[keep] for name, v in terms.items()} for terms in (key, test))
-            l = finitekey._phase_bounds(key, test, self.p0)["l_bits"]
-            if at is None:
-                dest[keep] = l
-            else:
-                dest.flat[at[keep]] = l
-        return size - passed, passed - up, up - scored, scored
-
-    def bound(self) -> np.ndarray:
-        """B at every point of the block."""
-        return self.rows.ceiling.at(self.pz)
-
-    def _reach_b(self, incumbent: float) -> tuple:
-        """The number of points whose B reaches ``incumbent``, and their
-        flat indices, or None where the key-basis stage runs on the whole
-        block: with no ``rows``, where B is not made (the probe points
-        pass it at more than ``_GATHER_SHARE``, or the rows' B terms do
-        not pay), or where its points pass it at more than
-        ``_GATHER_SHARE``."""
-        size = math.prod(self.shape)
-        if self.rows is None:
-            return size, None
-        probe = self.rows.probe[self.z]
-        if (np.count_nonzero(probe >= incumbent) > _GATHER_SHARE * probe.size
-                or not self.rows.pays(self.z.start, incumbent)):
-            return size, None
-        keep = self.bound() >= incumbent
-        passed = int(np.count_nonzero(keep))
-        return passed, None if passed > _GATHER_SHARE * size else np.flatnonzero(keep)
+        live.terms.update(key)
+        del key
+        if not live.keep(l_up >= incumbent):
+            return live.counts()
+        del l_up
+        if self.ceiling is None:
+            live.terms.update(self._test(self._inputs(live.at)))
+        live.terms.update(finitekey._error_ratio(live.terms, live.terms, self.p0))
+        if live.keep(live.terms.pop("l_up_x") >= incumbent, gather=True):
+            terms = live.terms
+            dest.flat[live.at] = finitekey._phase_bounds(terms, terms, self.p0)["l_bits"]
+        return live.counts()
 
     def _inputs(self, at) -> tuple:
         """(pm, pz, q, e_z, e_x, f) of the whole block (``at`` None), or of
@@ -265,12 +232,10 @@ class _Block:
         tally = rates.basis_tallies(self.p0.n_pulses, pm, pz * pz, q, e_z)
         return finitekey._key_basis_bounds(tally, f, self.p0)
 
-    def _test(self, inputs, key) -> dict:
+    def _test(self, inputs) -> dict:
         pm, pz, q, _, e_x, f = inputs
-        return finitekey._test_basis_bounds(
-            rates.basis_tallies(self.p0.n_pulses, pm, (1.0 - pz) * (1.0 - pz), q, e_x),
-            f, self.p0, key,
-        )
+        tally = rates.basis_tallies(self.p0.n_pulses, pm, (1.0 - pz) * (1.0 - pz), q, e_x)
+        return finitekey._test_basis_bounds(tally, f, self.p0)
 
 
 def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel, ceiling: bool = False):
@@ -284,8 +249,9 @@ def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel, ceiling: boo
     is made once per call on the points it depends on: the gains and
     QBERs (``rates.intensity_terms``) once per run of pairs, the bounds'
     decoy factors (``finitekey.DecoyFactors``) and, with ``ceiling``, the
-    rows' B (``_Rows``) once per run of p_mu rows, and the stages once per
-    block, as it is scored.
+    rows' B terms (``finitekey._KeyBasisCeiling``, from their key-basis
+    tallies at p_b = 1 before rounding) once per run of p_mu rows, and the
+    stages once per block, as it is scored.
 
     Unscorable pairs get placeholder intensities inside every bound's
     domain: nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so
@@ -299,15 +265,17 @@ def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel, ceiling: boo
     for i in range(0, len(mu), pairs):
         run = slice(i, i + pairs)
         q, e = rates.intensity_terms(link, mu[run], nu[run])
-        e_z = (e[0][0], e[1][0])
-        probe = _probe(p0, p_mu, q, e_z, mu_bounds[run], nu[run], p_z) if ceiling else None
         for j in range(0, len(p_mu), rows):
             pm = p_mu[j:j + rows, None]
             f = finitekey.DecoyFactors(replace(p0, mu=mu_bounds[run], nu=nu[run], p_mu=pm))
-            bounds = _Rows(p0, pm, q, e_z, f, probe[:, j:j + rows]) if ceiling else None
+            bound = None if not ceiling else finitekey._KeyBasisCeiling(rates.basis_tallies(
+                p0.n_pulses, pm, 1.0, q, (e[0][0], e[1][0]), rounded=False), f, p0)
             for k in range(0, len(p_z), values):
                 index = (slice(k, k + values), slice(j, j + rows), run)
-                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f, bounds, index[0])
+                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f, bound)
+            # freed before the next rows' terms are made: two sets alive at
+            # once raised a scan's peak RSS
+            del f, bound
 
 
 def evaluate_grid(
@@ -354,8 +322,10 @@ class OptimizeResult:
     # pruned search; they sum to its scorable points
     points_scored: int
     points_pruned: int
-    # points_pruned by the bound that stopped each point: B, l_up, l_up_x
+    # points_pruned by the first bound that stopped each point, in the
+    # order B, B_x, l_up, l_up_x
     pruned_by_b: int
+    pruned_by_b_x: int
     pruned_by_l_up: int
     pruned_by_l_up_x: int
     # expected statistics at ``best``
@@ -396,7 +366,7 @@ def optimize(
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
     epsilons).  The coarse grid is searched over its scorable (mu, nu)
     pairs by branch and bound: a point is scored only where its bounds B,
-    ``l_up`` and ``l_up_x`` are at least the best score so far, which
+    B_x, ``l_up`` and ``l_up_x`` are at least the best score so far, which
     starts at the better score of the grid points nearest p0's and
     nearest ``hint``'s, such as a neighbouring link's optimum.  Each bound
     is at least the point's secure length (module docstring), so the
@@ -432,7 +402,7 @@ def optimize(
     # bounds are below the incumbent are pruned, so every tie is scored.
     # B cannot pay over _CEILING_COST p_z values or fewer.
     l = np.full((len(pz), len(pm), len(pair_mu)), -np.inf)
-    counts = np.zeros(4, dtype=np.int64)
+    counts = np.zeros(5, dtype=np.int64)
     ceiling = len(pz) > _CEILING_COST
     for index, block in _blocks(pair_mu, pair_nu, pm, pz, p0, link, ceiling):
         dest = l[index]
@@ -479,11 +449,12 @@ def optimize(
         best=best,
         l_bits=report.l_bits,
         skr_bps=report.skr_bps,
-        points_scored=int(counts[3]),
-        points_pruned=int(counts[:3].sum()),
+        points_scored=int(counts[4]),
+        points_pruned=int(counts[:4].sum()),
         pruned_by_b=int(counts[0]),
-        pruned_by_l_up=int(counts[1]),
-        pruned_by_l_up_x=int(counts[2]),
+        pruned_by_b_x=int(counts[1]),
+        pruned_by_l_up=int(counts[2]),
+        pruned_by_l_up_x=int(counts[3]),
         stats=stats,
     )
 

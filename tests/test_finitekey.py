@@ -221,8 +221,9 @@ _share = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
 
 
 class TestPhaseErrorBound:
-    """phi_Z as the product composes it, ``_test_basis_bounds`` then
-    ``_phase_bounds``, over random tallies [basis, intensity, point]."""
+    """phi_Z as the product composes it, ``_test_basis_bounds``,
+    ``_error_ratio`` then ``_phase_bounds``, over random tallies [basis,
+    intensity, point]."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -246,7 +247,8 @@ class TestPhaseErrorBound:
         f = DecoyFactors(p)
         tally = np.stack((sift.astype(float), np.floor(sift * share)))
         key = finitekey._key_basis_bounds(tally[:, 0], f, p)
-        test = finitekey._test_basis_bounds(tally[:, 1], f, p, key)
+        test = finitekey._test_basis_bounds(tally[:, 1], f, p)
+        test.update(finitekey._error_ratio(key, test, p))
         phase = finitekey._phase_bounds(key, test, p)
         phi, ratio = phase["phi_z_up"], test["ratio"]
         # flagged exactly where either single-photon bound is zero, with
@@ -452,9 +454,12 @@ def _one_pass_secure_length(tally, f, p):
     lambda_ec = p.f_ec * n[0] * rates.binary_entropy(m[0] / np.maximum(n[0], 1.0))
     d_m = hoeffding_delta(m[1], eps.eps_pe)
     s_1 = single_photon_bound(f, tally[0].swapaxes(0, 1), d_n, s_0_up)
-    terms = finitekey._error_ratio(f, tally[1, 1].copy(), d_m, s_1[0], s_1[1])
-    tested, ratio = terms["tested"], terms["ratio"]
+    tested = np.minimum(s_1[1], s_1[0]) > 0.0
     s_x, s_z = (np.where(tested, s, 1.0) for s in (s_1[1], s_1[0]))
+    v = f.tau1 * (upper_estimate(f, tally[1, 1], 0, d_m)
+                  - lower_estimate(f, tally[1, 1], 1, d_m)) / f.gap
+    v = np.minimum(np.maximum(v, 0.0), s_x)
+    ratio = v / s_x
     phi = np.minimum(0.5, ratio + finitekey._gamma(eps.eps_sec, ratio, s_x, s_z))
     phi = np.where(tested & (ratio < 1.0), phi, 0.5)[()]
     l = (
@@ -469,7 +474,7 @@ def _one_pass_secure_length(tally, f, p):
         "s_z0_up": s_0_up[0],
         "s_z1_low": s_1[0],
         "s_x1_low": s_1[1],
-        "v_x1_up": np.where(tested, terms["v"], 0.0)[()],
+        "v_x1_up": np.where(tested, v, 0.0)[()],
         "phi_z_up": phi,
         "lambda_ec": lambda_ec,
         "l_bits": np.maximum(0.0, l),
@@ -506,7 +511,8 @@ class TestTwoStages:
         tally = np.stack((counts.sift, counts.err))
         f = DecoyFactors(p)
         key = finitekey._key_basis_bounds(tally[:, 0], f, p)
-        test = finitekey._test_basis_bounds(tally[:, 1], f, p, key)
+        test = finitekey._test_basis_bounds(tally[:, 1], f, p)
+        test.update(finitekey._error_ratio(key, test, p))
         phase = finitekey._phase_bounds(key, test, p)
         ref = _one_pass_secure_length(tally, f, p)
         steps = {**key, "s_x1_low": test["s_x1_low"], **phase}

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdlab import cli, finitekey, optimizer, rates
@@ -195,9 +195,9 @@ class TestVectorizedEvaluator:
             seen["points"].append(tally[0, 0].size)
             return key_stage(tally, f, p)
 
-        def counting_test_stage(tally, f, p, key):
+        def counting_test_stage(tally, f, p):
             seen["tested"].append(tally[0, 0].size)
-            return test_stage(tally, f, p, key)
+            return test_stage(tally, f, p)
 
         monkeypatch.setattr(rates, "intensity_terms", counting_terms)
         monkeypatch.setattr(finitekey, "_key_basis_bounds", counting_key_stage)
@@ -261,37 +261,44 @@ class TestVectorizedEvaluator:
         assert whole.tobytes() == np.concatenate(rows, axis=1).tobytes()
 
 
+# random blocks for the bounds B and B_x: with the tallies rounded, at
+# small samples where rounding matters most, with or without dark counts or
+# misalignment, at any loss and on a blocked link
+_CEILING_SPACE = dict(
+    pairs=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(0.01, 0.99)), min_size=1, max_size=4),
+    p_mu=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+    p_z=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+    n_pulses=st.integers(3, 12).flatmap(lambda e: st.integers(10**e, min(10**(e + 1), 10**12))),
+    loss_db=st.one_of(st.floats(0.0, 60.0), st.just(math.inf)),
+    dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+    e_mis=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+    block=st.sampled_from([3, 5, 1 << 14]),
+)
+
+
+def _ceiling_blocks(pairs, p_mu, p_z, n_pulses, loss_db, dark, e_mis, block):
+    """The blocks, with B, of a point of ``_CEILING_SPACE``."""
+    link = LinkModel(channel_loss_db=loss_db, e_mis_z=e_mis, e_mis_x=e_mis,
+                     detector=DetectorModel(dark_prob_per_gate=dark))
+    mu, nu_frac = np.array(pairs).T
+    with mock.patch.object(optimizer, "_BLOCK_POINTS", block):
+        return [b for _, b in optimizer._blocks(mu, mu * nu_frac, np.array(p_mu), np.array(p_z),
+                                                ProtocolParams(n_pulses=n_pulses), link,
+                                                ceiling=True)]
+
+
 class TestKeyBasisCeiling:
     """B, the bound in front of the key-basis stage, made once per
-    (pair, p_mu) row and read at each p_z, is at least l_up at every point:
-    with the tallies rounded, at small samples where rounding matters most,
-    with or without dark counts or misalignment, at any loss and on a
-    blocked link."""
+    (pair, p_mu) row and read at each p_z, is at least l_up at every point,
+    and B_x, B lowered by the entropy of the X error ratio, at least the
+    unclamped secure length."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        pairs=st.lists(st.tuples(st.floats(0.02, 1.0), st.floats(0.01, 0.99)),
-                       min_size=1, max_size=4),
-        p_mu=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
-        p_z=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
-        n_pulses=st.integers(3, 12).flatmap(
-            lambda e: st.integers(10**e, min(10**(e + 1), 10**12))),
-        loss_db=st.one_of(st.floats(0.0, 60.0), st.just(math.inf)),
-        dark=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
-        e_mis=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
-        block=st.sampled_from([3, 5, 1 << 14]),
-    )
-    def test_bound_reaches_l_up(self, pairs, p_mu, p_z, n_pulses, loss_db, dark, e_mis, block):
-        link = LinkModel(channel_loss_db=loss_db, e_mis_z=e_mis, e_mis_x=e_mis,
-                         detector=DetectorModel(dark_prob_per_gate=dark))
-        p0 = ProtocolParams(n_pulses=n_pulses)
-        mu, nu_frac = np.array(pairs).T
-        with mock.patch.object(optimizer, "_BLOCK_POINTS", block):
-            blocks = list(optimizer._blocks(mu, mu * nu_frac, np.array(p_mu), np.array(p_z),
-                                            p0, link, ceiling=True))
-        for _, b in blocks:
-            l_up = b._key(b._inputs(None))["l_up"]
-            bound = b.bound()
+    @given(**_CEILING_SPACE)
+    def test_bound_reaches_l_up(self, **point):
+        for b in _ceiling_blocks(**point):
+            l_up = _bounds(b)[0]["l_up"]
+            bound = b.ceiling.at(b.pz)[0]
             assert (bound >= l_up).all()
             # above its largest B the block skips itself: it holds no point
             # whose l_up reaches that incumbent.  B is +inf where the error
@@ -300,10 +307,35 @@ class TestKeyBasisCeiling:
             if incumbent == np.inf:
                 continue
             dest = np.full(b.shape, -np.inf)
-            with mock.patch.object(optimizer, "_GATHER_SHARE", 1.0), \
-                    mock.patch.object(optimizer, "_CEILING_COST", -1.0):
-                assert b.search(dest, incumbent) == (l_up.size, 0, 0, 0)
+            with mock.patch.object(optimizer, "_GATHER_SHARE", 1.0):
+                assert b.search(dest, incumbent) == (l_up.size, 0, 0, 0, 0)
             assert (dest == -np.inf).all() and (l_up < incumbent).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_CEILING_SPACE)
+    # 1e7 pulses at 0 dB with 5 % misalignment: points with s_X1 = 0, with
+    # s_Z1 = 0, and tested points whose X error ratio reaches one
+    @example(pairs=[(0.3, 1 / 6), (0.5, 0.2), (0.7, 3 / 7), (0.9, 2 / 9)], p_mu=[0.3, 0.66, 0.9],
+             p_z=[0.5, 0.8, 0.95], n_pulses=10**7, loss_db=0.0, dark=0.0, e_mis=0.05,
+             block=1 << 14)
+    def test_bound_x_reaches_the_length(self, **point):
+        for b in _ceiling_blocks(**point):
+            bounds, terms = _bounds(b)
+            l = _unclamped_length(terms, b.p0)
+            assert (bounds["B_x"] >= l).all()
+            assert (bounds["B_x"] <= bounds["B"]).all()
+
+    def test_example_reaches_every_case(self):
+        # the explicit example above holds each case the derivation of B_x
+        # treats apart
+        (b,) = _ceiling_blocks([(0.3, 1 / 6), (0.5, 0.2), (0.7, 3 / 7), (0.9, 2 / 9)],
+                               [0.3, 0.66, 0.9], [0.5, 0.8, 0.95], 10**7, 0.0, 0.0, 0.05, 1 << 14)
+        bounds, terms = _bounds(b)
+        s_x, s_z = terms["s_x1_low"], terms["s_z1_low"]
+        tested = (s_x > 0.0) & (s_z > 0.0)
+        assert (s_x == 0.0).any() and (s_z == 0.0).any()
+        assert (tested & (terms["ratio"] == 1.0)).any() and (tested & (terms["ratio"] < 1.0)).any()
+        assert (bounds["B_x"] >= _unclamped_length(terms, b.p0)).all()
 
 
 def _all_pairs(grid, p0, link):
@@ -327,11 +359,30 @@ def _exhaustive_best(whole, grid):
 
 
 def _bounds(block):
-    """``l_up`` and ``l_up_x`` at each point of the block ``block``, every
-    stage run on the whole block."""
+    """The bounds at every point of the block ``block``, every step run on
+    the whole block: B and B_x (+inf without the block's B), ``l_up`` and
+    ``l_up_x``, in the order the search reads them; and the terms of both
+    stages."""
     inputs = block._inputs(None)
-    key = block._key(inputs)
-    return key["l_up"], block._test(inputs, key)["l_up_x"]
+    terms = {**block._key(inputs), **block._test(inputs)}
+    if block.ceiling is None:
+        b = b_x = np.full(block.shape, np.inf)
+    else:
+        b, z = block.ceiling.at(block.pz)
+        b_x = finitekey._ceiling_x(b.copy(), z, terms)
+    terms.update(finitekey._error_ratio(terms, terms, block.p0))
+    return {"B": b, "B_x": b_x, "l_up": terms["l_up"], "l_up_x": terms["l_up_x"]}, terms
+
+
+def _unclamped_length(terms, p0):
+    """The secure length before its clamp at zero, from ``_bounds``'s
+    terms: the composition ``finitekey._phase_bounds`` clamps."""
+    phase = finitekey._phase_bounds(terms, terms, p0)
+    s_z1_term = terms["s_z1_low"] * (1.0 - rates.binary_entropy(phase["phi_z_up"]))
+    l = finitekey._compose(terms["s_z0_low"], s_z1_term, terms["lambda_ec"],
+                           finitekey.EpsilonBudget.from_params(p0))
+    assert np.maximum(0.0, l).tobytes() == phase["l_bits"].tobytes()
+    return l
 
 
 def _scorable_points(grid):
@@ -558,7 +609,7 @@ class TestOptimize:
         grid = GridSpec(**{name: tuple(reversed(getattr(SMALL_GRID, name))) for name in (
             "mu_values", "nu_values", "p_mu_values")}, p_z_values=(0.95, 0.9, 0.8))
         monkeypatch.setattr(optimizer, "_BLOCK_POINTS", 5)
-        for stage, name in (("_key_basis_bounds", "l_up"), ("_test_basis_bounds", "l_up_x"),
+        for stage, name in (("_key_basis_bounds", "l_up"), ("_error_ratio", "l_up_x"),
                             ("_phase_bounds", "l_bits")):
             def coarse(*args, stage=getattr(finitekey, stage), name=name):
                 terms = stage(*args)
@@ -575,9 +626,10 @@ class TestOptimize:
     ])
     def test_points_scored_and_pruned(self, monkeypatch, grid_name, loss):
         # the counts sum to the scorable points, the points scored hold
-        # their exhaustive scores, and every point left unscored was
-        # stopped by a bound, B, l_up or l_up_x, below the incumbent of its
-        # block and so below the returned coarse l_bits
+        # their exhaustive scores, and every point left unscored is charged
+        # to the first bound, in the order B, B_x, l_up, l_up_x, that is
+        # below the incumbent of its block and so below the returned coarse
+        # l_bits
         p, link, _ = load_config(CONFIG_PROJ)
         grid = {"small": SMALL_GRID, "default": GridSpec(p_z_values=(p.p_z_bob,)),
                 "free": GridSpec(p_z_values=FREE_P_Z)}[grid_name]
@@ -591,28 +643,28 @@ class TestOptimize:
 
         monkeypatch.setattr(optimizer._Block, "search", recording)
         result = optimize(link.with_channel_loss(loss), p0=p, grid=grid, refine=False)
-        pruned = (result.pruned_by_b, result.pruned_by_l_up, result.pruned_by_l_up_x)
+        pruned = (result.pruned_by_b, result.pruned_by_b_x, result.pruned_by_l_up,
+                  result.pruned_by_l_up_x)
         assert sum(pruned) == result.points_pruned
         assert result.points_scored + result.points_pruned == _scorable_points(grid)
         assert (*pruned, result.points_scored) == tuple(np.sum([c for *_, c in blocks], axis=0))
-        for block, dest, incumbent, (by_b, by_l_up, by_l_up_x, count) in blocks:
+        for block, dest, incumbent, (*by_bound, count) in blocks:
             scored = dest > -np.inf
             assert scored.sum() == count
             assert dest[scored].tobytes() == block.l_bits()[scored].tobytes()
-            l_up, l_up_x = _bounds(block)
-            # B stops no point where the probe turned it down
-            b = block.bound() if by_b else np.full(block.shape, np.inf)
-            stopped = [b < incumbent]
-            stopped.append(~stopped[0] & (l_up < incumbent))
-            stopped.append(~stopped[0] & ~stopped[1] & (l_up_x < incumbent))
-            assert [int(s.sum()) for s in stopped] == [by_b, by_l_up, by_l_up_x]
-            assert (scored == ~np.logical_or.reduce(stopped)).all()
-            for bound, at in zip((b, l_up, l_up_x), stopped):
+            # B and B_x are +inf where the block has no B
+            bounds = list(_bounds(block)[0].values())
+            stopped, passed = [], np.ones(block.shape, dtype=bool)
+            for bound in bounds:
+                stopped.append(passed & (bound < incumbent))
+                passed &= ~stopped[-1]
+            assert [int(s.sum()) for s in stopped] == by_bound
+            assert (scored == passed).all()
+            for bound, at in zip(bounds, stopped):
                 assert (bound[at] < result.l_bits).all()
         assert 0 < result.points_scored and 0 < result.points_pruned
-        # B runs only on the free-p_z grid; at 38 dB it would pass most
-        # points, and the probe turns it down
-        assert (result.pruned_by_b > 0) == (grid_name == "free" and loss <= 30.0)
+        # B and B_x run only on the free-p_z grid, at every loss
+        assert (result.pruned_by_b > 0) == (result.pruned_by_b_x > 0) == (grid_name == "free")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -624,27 +676,32 @@ class TestOptimize:
         ceiling=st.booleans(),
     )
     def test_search_scores_as_the_whole_block(self, loss_db, dark, share, q, ceiling):
-        # on the whole block or on gathered points, with B or without, the
-        # search gives each point it scores the exhaustive score's bits,
-        # and scores every point whose bounds reach the incumbent
+        # on the whole block or on gathered points, with B and B_x or
+        # without, the search gives each point it scores the exhaustive
+        # score's bits, scores every point whose positive exhaustive score
+        # reaches the incumbent, and scores exactly the points whose bounds
+        # all reach it.  A score clamped to zero can tie an incumbent of
+        # zero while its bounds, on the unclamped length, are below it
         link = LinkModel(channel_loss_db=loss_db, detector=DetectorModel(dark_prob_per_gate=dark))
         mu, nu = (np.array(v) for v in ((0.3, 0.5, 0.5, 0.7, 0.7), (0.05, 0.1, 0.3, 0.2, 0.4)))
         pm, pz = np.array([0.4, 0.66, 0.8]), np.array([0.9, 0.6])
         (_, block), = optimizer._blocks(mu, nu, pm, pz, ProtocolParams(), link, ceiling=ceiling)
+        # ceiling makes B's rows, whatever the grid's number of p_z values
+        assert (block.ceiling is not None) == ceiling
         whole = block.l_bits()
         incumbent = 0.0 if q is None else float(np.sort(whole, axis=None)[round(q * (whole.size - 1))])
         dest = np.full(block.shape, -np.inf)
-        # B's rows made whatever the probe reads
-        with mock.patch.object(optimizer, "_GATHER_SHARE", share), \
-                mock.patch.object(optimizer, "_CEILING_COST", -1.0):
+        with mock.patch.object(optimizer, "_GATHER_SHARE", share):
             counts = block.search(dest, incumbent)
         scored = dest > -np.inf
-        assert scored.sum() == counts[3] and sum(counts) == block.l_bits().size
+        assert scored.sum() == counts[4] and sum(counts) == whole.size
         assert dest[scored].tobytes() == whole[scored].tobytes()
-        l_up, l_up_x = _bounds(block)
-        assert (((l_up >= incumbent) & (l_up_x >= incumbent)) <= scored).all()
+        assert (((whole >= incumbent) & (whole > 0.0)) <= scored).all()
+        bounds, terms = _bounds(block)
+        assert (np.logical_and.reduce([v >= incumbent for v in bounds.values()]) == scored).all()
         if ceiling:
-            assert (block.bound() >= l_up).all()
+            assert (bounds["B"] >= bounds["l_up"]).all()
+            assert (bounds["B_x"] >= _unclamped_length(terms, block.p0)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(hint=st.tuples(*(
