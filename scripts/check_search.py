@@ -9,7 +9,9 @@ fixed at the config's, and free over 0.5..0.95), checks that
 above zero, and that the points it scored and pruned sum to the coarse
 grid's scorable points.  Prints a Markdown table, one row per (grid,
 loss): the share of those points that each bound stopped first, the
-share scored, and the search's time.  Exits 1 if any case fails::
+share scored, and the search's time.  Its "by B" column is the floored
+B, B less its s_Z1 term times the rows' floor on h(phi_Z), the first
+bound the search reads.  Exits 1 if any case fails::
 
     python3 scripts/check_search.py
 """

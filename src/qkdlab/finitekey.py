@@ -22,13 +22,15 @@ basis's bounds into the error ratio and the tighter bound ``l_up_x``; and
 and composes the secure length.  ``key_length`` runs every step on one
 sample and raises when it has no key-basis detections; the optimizer
 runs them on grid blocks, and runs each step only where the bounds before
-it say a point can matter.  The first of those bounds, B
-(``_KeyBasisCeiling``), is made once for a row of points that differ
-only in p_z, from the row's key-basis tallies at zero deviation, and
-bounds ``l_up`` at each of them; B_x (``_ceiling_x``) lowers B by the
-entropy of each point's X error ratio, from the X step alone.  The
-optimizer's order is B, B_x, the key-basis stage (``l_up``), the error
-ratio (``l_up_x``), the phase error.
+it say a point can matter.  B (``_KeyBasisCeiling``) is made once for a
+row of points that differ only in p_z, from the row's key-basis tallies
+at zero deviation, and bounds ``l_up`` at each of them.  The floored B
+lowers B by its s_Z1 term times h_floor (``_entropy_floor``), a floor on
+h(phi_Z) at every p_z of a grid, made once for the row from its X
+tallies at the grid's largest X share; B_x (``_ceiling_x``) lowers B by
+the entropy of each point's own X error ratio, from the X step alone.
+The optimizer's order is the floored B, B_x, the key-basis stage
+(``l_up``), the error ratio (``l_up_x``), the phase error.
 """
 
 from __future__ import annotations
@@ -240,9 +242,11 @@ def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, d_n=None) -> di
     decoy_low = lower_estimate(f, tally[0], 1, d_n)
     s_z0_low = vacuum_lower_bound(f, tally[0], d_n, decoy_low)
     s_z0_up = vacuum_upper_bound(n, m, d_n)
+    s_z1_low = single_photon_bound(f, tally[0], d_n, s_z0_up, decoy_low)
+    # freed before lambda_EC's entropy, the step with the most temporaries
+    del decoy_low, d_n
     # an empty key basis has m = 0, so its error rate reads 0 / 1
     lambda_ec = p.f_ec * n * binary_entropy(m / np.maximum(n, 1.0))
-    s_z1_low = single_photon_bound(f, tally[0], d_n, s_z0_up, decoy_low)
     return {
         "s_z0_low": s_z0_low,
         "s_z0_up": s_z0_up,
@@ -256,10 +260,10 @@ def _key_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams, d_n=None) -> di
 # in bits over f_ec (``_KeyBasisCeiling``)
 _ROUNDING_ENTROPY = 3.0 * math.log2(math.e) + 2.0 * math.log2(3.0)
 
-# A bound on the float rounding of the key-basis stage, of B and of B_x,
-# relative to the sum of the magnitudes of their terms: about 1e-16 per
-# operation over a few tens of operations, with a margin of five orders of
-# magnitude
+# A bound on the float rounding of the key-basis stage, of B, of B_x and of
+# the floor's bounds, relative to the sum of the magnitudes of their terms:
+# about 1e-16 per operation over a few tens of operations, with a margin of
+# five orders of magnitude
 _FLOAT_SLACK = 1e-9
 
 
@@ -333,9 +337,12 @@ def _test_basis_bounds(tally, f: DecoyFactors, p: ProtocolParams) -> dict:
     eps = EpsilonBudget.from_params(p)
     n, m = tally.sum(axis=1)
     d_n = hoeffding_delta(n, eps.eps_pe)
-    s_x1_low = single_photon_bound(f, tally[0], d_n, vacuum_upper_bound(n, m, d_n))
+    s0_up = vacuum_upper_bound(n, m, d_n)
     d_m = hoeffding_delta(m, eps.eps_pe)
-    del n, m, d_n
+    # the totals are freed before the single-photon bound's temporaries
+    del n, m
+    s_x1_low = single_photon_bound(f, tally[0], d_n, s0_up)
+    del d_n, s0_up
     m_x = tally[1]
     v = f.tau1 * (upper_estimate(f, m_x, 0, d_m) - lower_estimate(f, m_x, 1, d_m)) / f.gap
     return {"s_x1_low": s_x1_low, "v": v}
@@ -408,6 +415,76 @@ def _ceiling_x(b, z, test) -> np.ndarray:
     del h
     b -= z
     return b
+
+
+def _entropy_floor(tally, f: DecoyFactors, p: ProtocolParams, spread, out) -> np.ndarray:
+    """h_floor, a floor on h(phi_Z) at every tested point of rows of points
+    that share their intensities and p_mu, at every X share p_b = (1 - p_z)^2
+    of a grid, from the rows' X tallies ``tally`` unrounded at the grid's
+    largest X share p_hi (``rates.basis_tallies`` with ``rounded=False``),
+    written into ``out``, of the rows' shape; ``spread`` is p_hi over the
+    smallest, and ``f`` and ``p`` are as in ``_key_basis_bounds``.  So
+    B - Z h_floor, with B and Z from ``_KeyBasisCeiling.at``, bounds the
+    unclamped secure length as B_x does (``_ceiling_x``), at any p_z of
+    the grid.
+
+    At p_b the unrounded tallies are p_b times the row's at p_b = 1, and a
+    total's deviation is sqrt(p_b) times the row's, so with t = 1/sqrt(p_b)
+    v / p_b = V(t) and s_X1 / p_b = S(t) read the row's tallies at deviation
+    D t.  V rises with t, at least as fast as its error-signal term
+    tau1 e^mu / p_mu D t / (mu - nu), and S falls.  The rounded tallies are
+    within 1/2 of these per cell and 1 per total, and a rounded total's
+    deviation is at least sqrt(p_b) D - c_1, c_1 that of one count, which
+    moves v by at most dv and s_X1 by at most ds.  In units of p_hi, with
+    tau = sqrt(p_hi / p_b) in [1, sqrt(spread)], v is at least
+
+        v_hi - (dv tau^2 - tau1 e^mu / p_mu d_m (tau - 1) / (mu - nu))
+
+    and s_X1 at most s_hi + ds spread, with v_hi, s_hi and d_m, the errors'
+    deviation, at p_hi.  The bracket is convex in tau, so it is largest at
+    an end of the range.  The ratio r = v / s_X1 is then at least the floor
+    r_f of those bounds, less a float slack, at every point of the row where
+    s_X1 > 0; phi_Z >= min(1/2, r) at a tested point and is 1/2 elsewhere,
+    so h_floor = max(0, h(min(1/2, r_f)) - ``_ENTROPY_SLACK``) is at most
+    h(phi_Z) as in ``_error_ratio`` (README, "B: one bound per (pair, p_mu)
+    row")."""
+    eps = EpsilonBudget.from_params(p)
+    c_1 = hoeffding_delta(1.0, eps.eps_pe)
+    stretch = math.sqrt(spread)
+    test = _test_basis_bounds(tally, f, p)
+    n, m = tally.sum(axis=1)
+    # the caller holds no other reference to the tallies
+    del tally
+    # v = tau1 (e^mu / p_mu (m_0 + d_m) - max(0, e^nu / p_nu (m_1 - d_m))) / (mu - nu);
+    # its error-signal term's growth over the range is credited at the far end
+    v_scale = f.tau1 / f.gap
+    d_m = hoeffding_delta(m, eps.eps_pe)
+    credit = v_scale * f.scale[0] * d_m * (stretch - 1.0)
+    scale = f.scale[0] + f.scale[1]
+    dv = v_scale * scale * (0.5 + c_1)
+    low = np.maximum(dv, dv * spread - credit)
+    low += _FLOAT_SLACK * (v_scale * scale * (m + stretch * d_m) + dv * spread)
+    del v_scale, d_m, credit, scale, dv, m
+    v = test["v"]
+    v -= low
+    del low
+    np.maximum(v, 0.0, out=v)
+    # s_X1's slope in each detection and in the deviation is at most alpha,
+    # and s_X0^up = min(n, 2 (m + d_n)) moves by up to 2 (1 + c_1)
+    alpha = f.single_photon_scale * (f.scale[1] + f.signal_weight * f.scale[0])
+    vacuum = f.single_photon_scale * f.vacuum_weight / f.tau0
+    ds = alpha * (0.5 + c_1) + vacuum * (2.0 * (1.0 + c_1))
+    ds *= spread
+    high = test["s_x1_low"]
+    del test
+    high += ds
+    high += _FLOAT_SLACK * ((alpha + vacuum) * (n + stretch * hoeffding_delta(n, eps.eps_pe)) + ds)
+    del alpha, vacuum, ds, n
+    v /= high
+    np.minimum(v, 0.5, out=v)
+    h = binary_entropy(v)
+    h -= _ENTROPY_SLACK
+    return np.maximum(h, 0.0, out=out)
 
 
 def _phase_bounds(key: dict, test: dict, p: ProtocolParams) -> dict:

@@ -11,26 +11,31 @@ order yields the same incumbent.
 ``optimize`` searches its coarse grid by exact branch and bound.  The
 secure length is composed in stages (``finitekey``), and four upper
 bounds on it, each cheaper than the step it stands in front of, let a
-point go on only while they reach the best score found so far.  B
-(``finitekey._KeyBasisCeiling``) is made once per (pair, p_mu) row from
-the row's key-basis tallies at zero deviation and read at each p_z value;
-a block with no B that reaches it skips itself.  B_x
-(``finitekey._ceiling_x``) lowers B by the entropy of the point's X error
-ratio, from the test-basis stage's first step, which reads the X tallies
-alone; a point whose B_x is below the incumbent skips the key-basis
-stage.  The key-basis stage gives ``l_up``, the composition with the
-phase-error term's entropy factor 1 - h(phi_Z) set to one.  It holds bit
-for bit in floats: h >= 0, so fl(1 - h) <= 1 and fl(s_Z1 (1 - h)) <=
-s_Z1, and the composition applies the same monotone roundings to the
-larger term.  The test-basis stage's second step gives ``l_up_x``, with
-phi_Z's lower bound, the X error ratio, in its place and binary_entropy's
-rounding covered by a slack; its third, the phase error's
-finite-statistics correction and the composition, runs only on the
-points that reach all four.  A point left unscored cannot beat or tie
-the incumbent, so the search returns the exhaustive grid's incumbent and
+point go on only while they reach the best score found so far.  The
+first is the floored B: B (``finitekey._KeyBasisCeiling``), made once
+per (pair, p_mu) row from the row's key-basis tallies at zero deviation
+and read at each p_z value, less its s_Z1 term times h_floor
+(``finitekey._entropy_floor``), a floor on h(phi_Z) at every p_z of the
+grid, made once per row from its X tallies at the grid's largest X
+share.  A block with no floored B that reaches it skips itself.  B_x
+(``finitekey._ceiling_x``) lowers B by the entropy of the point's own X
+error ratio, from the test-basis stage's first step, which reads the X
+tallies alone; a point whose B_x is below the incumbent skips the
+key-basis stage.  The key-basis stage gives ``l_up``, the composition
+with the phase-error term's entropy factor 1 - h(phi_Z) set to one.  It
+holds bit for bit in floats: h >= 0, so fl(1 - h) <= 1 and
+fl(s_Z1 (1 - h)) <= s_Z1, and the composition applies the same monotone
+roundings to the larger term.  The test-basis stage's second step gives
+``l_up_x``, with phi_Z's lower bound, the X error ratio, in its place
+and binary_entropy's rounding covered by a slack; its third, the phase
+error's finite-statistics correction and the composition, runs only on
+the points that reach all four.  The order is floored B, B_x, ``l_up``,
+``l_up_x``, phase.  A point left unscored cannot beat or tie the
+incumbent, so the search returns the exhaustive grid's incumbent and
 l_bits.  B's row terms cost about 1.5 key-basis stages of their rows'
 points at one p_z value, so a grid of ``_CEILING_COST`` p_z values or
-fewer reads neither B nor B_x, and runs the key-basis stage first.
+fewer reads neither the floored B nor B_x, and runs the key-basis stage
+first.
 """
 
 from __future__ import annotations
@@ -106,10 +111,14 @@ _BLOCK_POINTS = 5 << 11
 # A stage runs on the whole block when the points that reach the incumbent
 # by the bound before it are more than this share of the block; below it,
 # on those points' inputs gathered, which costs about twice as much per
-# point.  Of the shares 0.2, 0.35, 0.5 and 0.7, 0.35 gave the fastest
-# `optimize` of the free-p_z projection grid at 10, 20, 37 and 39 dB, and
-# 3 % slower than 0.5 at 30 dB (2-vCPU Xeon), measured when only the
-# test-basis step was gathered.
+# point.  With the floored B first, most 30-38 dB blocks of the free-p_z
+# projection grid fall under 0.35 at once.  Over warm
+# `scan --losses 1:45:1 --optimize --free-p-z` (5 fresh processes of 4
+# scans a share, 2-vCPU Xeon), the fastest `optimize` at 10, 20, 30 and
+# 37 dB took 10.3, 12.7, 18.4 and 26.0 ms at 0.2, 9.7, 11.9, 17.9 and
+# 24.8 ms at 0.35, and 9.9, 11.8, 17.0 and 24.3 ms at 0.5; a whole scan's
+# median was 668, 652 and 645 ms, and the 4 scans took 58, 58 and 49-50
+# minor faults.  No share beat 0.35 by more than the host's noise.
 _GATHER_SHARE = 0.35
 
 
@@ -159,13 +168,15 @@ class _Block:
     """The points of one block: a run of (mu, nu) pairs, broadcast as
     ``q`` and ``e``, times a run of p_mu rows ``pm`` and p_z values ``pz``,
     shape (len(pz), len(pm), pairs).  No stage has run when it is made.
-    ``ceiling``, the ``finitekey._KeyBasisCeiling`` of its p_mu rows, gives
-    the search B and B_x; without it the search runs the key-basis stage
-    on every point."""
+    ``ceiling``, the ``finitekey._KeyBasisCeiling`` of its p_mu rows, and
+    ``floor``, their ``finitekey._entropy_floor``, give the search the
+    floored B and B_x; without them the search runs the key-basis stage on
+    every point."""
 
     def __init__(self, p0: ProtocolParams, pm, pz, q, e, f: finitekey.DecoyFactors,
-                 ceiling: finitekey._KeyBasisCeiling | None = None) -> None:
-        self.p0, self.pm, self.pz, self.q, self.f, self.ceiling = p0, pm, pz, q, f, ceiling
+                 ceiling: finitekey._KeyBasisCeiling | None = None, floor=None) -> None:
+        self.p0, self.pm, self.pz, self.q, self.f = p0, pm, pz, q, f
+        self.ceiling, self.floor = ceiling, floor
         # e[k][b], in Intensity and Basis order
         self.e_z, self.e_x = ((e[0][b], e[1][b]) for b in range(2))
         self.shape = (len(pz), len(pm), len(q[0]))
@@ -181,20 +192,26 @@ class _Block:
     def search(self, dest, incumbent: float) -> tuple:
         """Write into ``dest``, of the block's shape, the secure length of
         the points whose bounds are at least ``incumbent``, and return the
-        numbers of points stopped by B, by B_x, by ``l_up`` and by
-        ``l_up_x``, each by the first of them that stops it, and scored.
-        Without ``ceiling``, B and B_x stop no point.  Each step runs where
-        the bounds before it reach the incumbent: on the whole block, or,
-        once those points are at most ``_GATHER_SHARE`` of it, on their
-        inputs gathered.  Each point's bounds are made from its own inputs
+        numbers of points stopped by the floored B, B - Z h_floor, by B_x,
+        by ``l_up`` and by ``l_up_x``, each by the first of them that stops
+        it, and scored.  Without ``ceiling``, the floored B and B_x stop no
+        point.  Each step runs where the bounds before it reach the
+        incumbent: on the whole block, or, once those points are at most
+        ``_GATHER_SHARE`` of it, on their inputs gathered.  Each point's bounds are made from its own inputs
         alone, so gathered or not they are the same numbers."""
         live = _Live(dest.size)
         if self.ceiling is None:
             live.reached *= 3
         else:
-            live.terms["b"], live.terms["z"] = self.ceiling.at(self.pz)
-            if not live.keep(live.terms["b"] >= incumbent):
+            b, z = self.ceiling.at(self.pz)
+            live.terms["b"], live.terms["z"] = b, z
+            # the floored B, B - Z h_floor
+            floored = np.multiply(z, self.floor)
+            np.subtract(b, floored, out=floored)
+            del b, z
+            if not live.keep(floored >= incumbent):
                 return live.counts()
+            del floored
             live.terms.update(self._test(self._inputs(live.at)))
             b_x = finitekey._ceiling_x(live.terms.pop("b"), live.terms.pop("z"), live.terms)
             if not live.keep(b_x >= incumbent):
@@ -249,9 +266,11 @@ def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel, ceiling: boo
     is made once per call on the points it depends on: the gains and
     QBERs (``rates.intensity_terms``) once per run of pairs, the bounds'
     decoy factors (``finitekey.DecoyFactors``) and, with ``ceiling``, the
-    rows' B terms (``finitekey._KeyBasisCeiling``, from their key-basis
-    tallies at p_b = 1 before rounding) once per run of p_mu rows, and the
-    stages once per block, as it is scored.
+    rows' floors on h(phi_Z) (``finitekey._entropy_floor``, from their X
+    tallies at the largest X share (1 - min p_z)^2 before rounding) and B
+    terms (``finitekey._KeyBasisCeiling``, from their key-basis tallies at
+    p_b = 1 before rounding) once per run of p_mu rows, and the stages once
+    per block, as it is scored.
 
     Unscorable pairs get placeholder intensities inside every bound's
     domain: nu = 1 where nu <= 0, and mu = nu + 1 for the bounds only, so
@@ -262,20 +281,33 @@ def _blocks(mu, nu, p_mu, p_z, p0: ProtocolParams, link: LinkModel, ceiling: boo
     pairs = max(1, min(len(mu), _BLOCK_POINTS))
     rows = max(1, min(len(p_mu), _BLOCK_POINTS // pairs))
     values = _BLOCK_POINTS // (pairs * rows)
+    if ceiling:
+        # the grid's largest X share, and its ratio to the smallest
+        x_share = (1.0 - p_z.min()) * (1.0 - p_z.min())
+        spread = x_share / ((1.0 - p_z.max()) * (1.0 - p_z.max()))
     for i in range(0, len(mu), pairs):
         run = slice(i, i + pairs)
         q, e = rates.intensity_terms(link, mu[run], nu[run])
         for j in range(0, len(p_mu), rows):
             pm = p_mu[j:j + rows, None]
             f = finitekey.DecoyFactors(replace(p0, mu=mu_bounds[run], nu=nu[run], p_mu=pm))
-            bound = None if not ceiling else finitekey._KeyBasisCeiling(rates.basis_tallies(
-                p0.n_pulses, pm, 1.0, q, (e[0][0], e[1][0]), rounded=False), f, p0)
+            floor = bound = None
+            if ceiling:
+                # the floor is made first, and into an array made before its
+                # tallies: outliving them, it then sits below its own and B's
+                # temporaries in the heap, which kept a scan's peak RSS
+                floor = np.empty(np.shape(f.tau1))
+                finitekey._entropy_floor(rates.basis_tallies(
+                    p0.n_pulses, pm, x_share, q, (e[0][1], e[1][1]), rounded=False), f, p0,
+                    spread, floor)
+                bound = finitekey._KeyBasisCeiling(rates.basis_tallies(
+                    p0.n_pulses, pm, 1.0, q, (e[0][0], e[1][0]), rounded=False), f, p0)
             for k in range(0, len(p_z), values):
                 index = (slice(k, k + values), slice(j, j + rows), run)
-                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f, bound)
+                yield index, _Block(p0, pm, p_z[index[0], None, None], q, e, f, bound, floor)
             # freed before the next rows' terms are made: two sets alive at
             # once raised a scan's peak RSS
-            del f, bound
+            del f, bound, floor
 
 
 def evaluate_grid(
@@ -323,7 +355,7 @@ class OptimizeResult:
     points_scored: int
     points_pruned: int
     # points_pruned by the first bound that stopped each point, in the
-    # order B, B_x, l_up, l_up_x
+    # order floored B, B_x, l_up, l_up_x
     pruned_by_b: int
     pruned_by_b_x: int
     pruned_by_l_up: int
@@ -353,6 +385,41 @@ def _best_index(l: np.ndarray, mu, nu, p_mu, p_z) -> tuple:
     return tuple(int(t[k]) for t in tied)
 
 
+def _line(values, at: float) -> np.ndarray:
+    """The refinement line of an axis of grid values ``values`` around its
+    value ``at``: steps of a tenth of the grid's mean step, within one grid
+    step of ``at`` and the axis's range; empty for an axis of one value."""
+    if len(values) < 2:
+        return np.empty(0)
+    step = (max(values) - min(values)) / (len(values) - 1)
+    lo = max(min(values), at - step)
+    hi = min(max(values), at + step)
+    return np.arange(lo, hi + step / 20.0, step / 10.0)
+
+
+def _read_lines(l, sets, point: list, axis: int, best_l: float) -> float:
+    """Read the refinement lines of axes ``axis`` and ``axis + 1`` from
+    ``l``, the scores over ``sets[axis]`` x ``sets[axis + 1]``, each set a
+    line and then ``point``'s value: the first axis's line at the second's
+    value, then the second's line at the first's best.  Each line moves
+    ``point`` to its best value, by ``_best_index``'s tie rule, where that
+    scores above ``best_l``, as if the line were scored alone; returns the
+    best score."""
+    at = [len(sets[axis]) - 1, len(sets[axis + 1]) - 1]
+    for i in range(2):
+        line = l[:-1, at[1]] if i == 0 else l[at[0], :-1]
+        if not line.size:
+            continue
+        values = list(point)
+        values[axis + i] = sets[axis + i][:-1]
+        j = _best_index(line, *values)[0]
+        if line[j] > best_l:
+            best_l = float(line[j])
+            point[axis + i] = float(values[axis + i][j])
+            at[i] = j
+    return best_l
+
+
 def optimize(
     link: LinkModel,
     p0: ProtocolParams | None = None,
@@ -365,8 +432,9 @@ def optimize(
 
     ``p0`` supplies everything not on the grid (n_pulses, f_rep, f_ec,
     epsilons).  The coarse grid is searched over its scorable (mu, nu)
-    pairs by branch and bound: a point is scored only where its bounds B,
-    B_x, ``l_up`` and ``l_up_x`` are at least the best score so far, which
+    pairs by branch and bound: a point is scored only where its bounds,
+    the floored B, B_x, ``l_up`` and ``l_up_x``, are at least the best
+    score so far, which
     starts at the better score of the grid points nearest p0's and
     nearest ``hint``'s, such as a neighbouring link's optimum.  Each bound
     is at least the point's secure length (module docstring), so the
@@ -418,29 +486,17 @@ def optimize(
     del l
 
     if refine:
-        axes = (
-            (0, grid.mu_values),
-            (1, grid.nu_values),
-            (2, grid.p_mu_values),
-            (3, grid.p_z_values),
-        )
-        for axis, values in axes:
-            if len(values) < 2:
-                continue
-            step = (max(values) - min(values)) / (len(values) - 1)
-            lo = max(min(values), point[axis] - step)
-            hi = min(max(values), point[axis] + step)
-            line = list(point)
-            line[axis] = np.arange(lo, hi + step / 20.0, step / 10.0)
-            if axis < 2:
-                # a mu or nu line is a run of pairs
-                line[1 - axis] = np.full_like(line[axis], point[1 - axis])
-            # one of the three axes has the line's length
-            lf = evaluate_grid(*line, p0, link).ravel()
-            j = _best_index(lf, *line)
-            if lf[j] > best_l:
-                best_l = float(lf[j])
-                point[axis] = float(line[axis][j])
+        # each axis's line, then its coarse value, which np.arange need not
+        # hit: the mu and nu lines are scored as one run of pairs, the p_mu
+        # and p_z lines as one axis grid at the refined pair
+        sets = [np.append(_line(values, x), x) for values, x in zip(
+            (grid.mu_values, grid.nu_values, grid.p_mu_values, grid.p_z_values), point)]
+        mu_set, nu_set = sets[0], sets[1]
+        l = evaluate_grid(np.repeat(mu_set, len(nu_set)), np.tile(nu_set, len(mu_set)),
+                          point[2], point[3], p0, link)
+        best_l = _read_lines(l.reshape(len(mu_set), len(nu_set)), sets, point, 0, best_l)
+        l = evaluate_grid(point[0], point[1], sets[2], sets[3], p0, link)
+        best_l = _read_lines(l[:, :, 0].T, sets, point, 2, best_l)
 
     best = _with_point(p0, *point)
     stats = rates.expected_statistics(best, link)

@@ -289,9 +289,10 @@ def _ceiling_blocks(pairs, p_mu, p_z, n_pulses, loss_db, dark, e_mis, block):
 
 class TestKeyBasisCeiling:
     """B, the bound in front of the key-basis stage, made once per
-    (pair, p_mu) row and read at each p_z, is at least l_up at every point,
-    and B_x, B lowered by the entropy of the X error ratio, at least the
-    unclamped secure length."""
+    (pair, p_mu) row and read at each p_z, is at least l_up at every point;
+    the floored B, B lowered by a floor on the entropy of the row's X error
+    ratio at every p_z, and B_x, B lowered by the entropy of the point's,
+    are at least the unclamped secure length."""
 
     @settings(max_examples=300, deadline=None)
     @given(**_CEILING_SPACE)
@@ -324,6 +325,20 @@ class TestKeyBasisCeiling:
             l = _unclamped_length(terms, b.p0)
             assert (bounds["B_x"] >= l).all()
             assert (bounds["B_x"] <= bounds["B"]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_CEILING_SPACE)
+    # one p_z value and X errors from dark counts alone: the unrounded
+    # tallies hold a fraction of an X error, the rounded ones none, so the
+    # point's X ratio is 0.  A floor without the rounding and one-count
+    # deviation terms reads h = 1 there, and undercuts l by 6.3e7 bits
+    @example(pairs=[(0.5, 0.984375)], p_mu=[0.5], p_z=[0.875], n_pulses=5_246_358_109,
+             loss_db=0.0, dark=1e-9, e_mis=0.0, block=3)
+    def test_floor_reaches_the_length(self, **point):
+        for b in _ceiling_blocks(**point):
+            bounds, terms = _bounds(b)
+            assert (bounds["B_floor"] >= _unclamped_length(terms, b.p0)).all()
+            assert ((0.0 <= b.floor) & (b.floor <= 1.0)).all()
 
     def test_example_reaches_every_case(self):
         # the explicit example above holds each case the derivation of B_x
@@ -360,18 +375,20 @@ def _exhaustive_best(whole, grid):
 
 def _bounds(block):
     """The bounds at every point of the block ``block``, every step run on
-    the whole block: B and B_x (+inf without the block's B), ``l_up`` and
-    ``l_up_x``, in the order the search reads them; and the terms of both
-    stages."""
+    the whole block: B, the floored B and B_x (+inf without the block's
+    B), ``l_up`` and ``l_up_x``, the last four in the order the search
+    reads them; and the terms of both stages."""
     inputs = block._inputs(None)
     terms = {**block._key(inputs), **block._test(inputs)}
     if block.ceiling is None:
-        b = b_x = np.full(block.shape, np.inf)
+        b = floored = b_x = np.full(block.shape, np.inf)
     else:
         b, z = block.ceiling.at(block.pz)
+        floored = b - z * block.floor
         b_x = finitekey._ceiling_x(b.copy(), z, terms)
     terms.update(finitekey._error_ratio(terms, terms, block.p0))
-    return {"B": b, "B_x": b_x, "l_up": terms["l_up"], "l_up_x": terms["l_up_x"]}, terms
+    return {"B": b, "B_floor": floored, "B_x": b_x, "l_up": terms["l_up"],
+            "l_up_x": terms["l_up_x"]}, terms
 
 
 def _unclamped_length(terms, p0):
@@ -383,6 +400,30 @@ def _unclamped_length(terms, p0):
                            finitekey.EpsilonBudget.from_params(p0))
     assert np.maximum(0.0, l).tobytes() == phase["l_bits"].tobytes()
     return l
+
+
+def _four_line_refinement(point, best_l, grid, p0, link):
+    """The refinement of the coarse ``point``, (mu, nu, p_mu, p_z), scored
+    ``best_l``, as one evaluate_grid call per line in the order mu, nu,
+    p_mu, p_z, each line from the last line's best: the point and its
+    score."""
+    point = list(point)
+    for axis, values in enumerate((grid.mu_values, grid.nu_values, grid.p_mu_values,
+                                   grid.p_z_values)):
+        if len(values) < 2:
+            continue
+        step = (max(values) - min(values)) / (len(values) - 1)
+        line = list(point)
+        line[axis] = np.arange(max(min(values), point[axis] - step),
+                               min(max(values), point[axis] + step) + step / 20.0, step / 10.0)
+        if axis < 2:
+            line[1 - axis] = np.full_like(line[axis], point[1 - axis])
+        lf = evaluate_grid(*line, p0, link).ravel()
+        j = optimizer._best_index(lf, *line)
+        if lf[j] > best_l:
+            best_l = float(lf[j])
+            point[axis] = float(line[axis][j])
+    return point, best_l
 
 
 def _scorable_points(grid):
@@ -561,12 +602,49 @@ class TestOptimize:
         monkeypatch.setattr(optimizer, "evaluate_grid", spy)
         grid = GridSpec(mu_values=(0.2, 0.6, 1.0), nu_values=(0.15, 0.25), p_mu_values=(0.5, 0.8))
         result = optimize(LINK_75, grid=grid)
+        # the mu and nu lines' run of pairs, (mu line and 0.6) x (nu line and
+        # 0.25) mu-major: the mu line is the first 21 mus at nu = 0.25, the
+        # last pair of each mu
         mu, nu, l = lines[1]
+        assert l.shape == (1, 1, mu.size) and mu.size % 22 == 0
+        mu, nu, l = (a.reshape(22, -1)[:-1, -1] for a in (mu, nu, l.ravel()))
+        assert (nu == 0.25).all()
         crossed = nu >= mu
-        assert l.shape == (1, 1, 21) and crossed.sum() == 2
+        assert l.shape == (21,) and crossed.sum() == 2
         assert (l[..., crossed] == 0.0).all() and (l > 0.0).any()
         assert result.best.mu not in mu[crossed]
         assert result.best.nu < result.best.mu and result.l_bits > 0.0
+
+    @pytest.mark.parametrize("grid_name, loss", [
+        ("small", 14.6), ("hint", 9.6), ("default", 9.6), ("default", 30.0), ("free", 9.6),
+        ("free", 30.0), ("free", 38.0),
+    ])
+    def test_refinement_equals_four_lines(self, monkeypatch, grid_name, loss):
+        # two evaluate_grid calls, the mu and nu lines as one run of pairs
+        # and the p_mu and p_z lines as one axis grid, refine to the point
+        # and l_bits of the four lines scored one call each, in order
+        p, link, _ = load_config(CONFIG_PROJ)
+        grid = {"small": SMALL_GRID, "hint": HINT_GRID,
+                "default": GridSpec(p_z_values=(p.p_z_bob,)),
+                "free": GridSpec(p_z_values=FREE_P_Z)}[grid_name]
+        link = link.with_channel_loss(loss)
+        coarse = optimize(link, p0=p, grid=grid, refine=False)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate_grid(*args)
+
+        monkeypatch.setattr(optimizer, "evaluate_grid", counting)
+        fine = optimize(link, p0=p, grid=grid)
+        # the incumbent's seed, then the two refinement calls
+        assert len(calls) == 3
+        b = coarse.best
+        point, l_bits = _four_line_refinement([b.mu, b.nu, b.p_mu, b.p_z_bob], coarse.l_bits, grid,
+                                              p, link)
+        b = fine.best
+        assert ([b.mu, b.nu, b.p_mu, b.p_z_alice, b.p_z_bob], fine.l_bits) == (
+            point + point[3:], l_bits)
 
     @pytest.mark.parametrize("grid_name", ["default", "free"])
     @pytest.mark.parametrize("loss", [1.0, 9.6, 23.0, 30.0, 37.0, 38.0, 39.0, 45.0])
@@ -627,7 +705,7 @@ class TestOptimize:
     def test_points_scored_and_pruned(self, monkeypatch, grid_name, loss):
         # the counts sum to the scorable points, the points scored hold
         # their exhaustive scores, and every point left unscored is charged
-        # to the first bound, in the order B, B_x, l_up, l_up_x, that is
+        # to the first bound, in the order floored B, B_x, l_up, l_up_x, that is
         # below the incumbent of its block and so below the returned coarse
         # l_bits
         p, link, _ = load_config(CONFIG_PROJ)
@@ -652,8 +730,8 @@ class TestOptimize:
             scored = dest > -np.inf
             assert scored.sum() == count
             assert dest[scored].tobytes() == block.l_bits()[scored].tobytes()
-            # B and B_x are +inf where the block has no B
-            bounds = list(_bounds(block)[0].values())
+            # the floored B and B_x are +inf where the block has no B
+            bounds = [v for name, v in _bounds(block)[0].items() if name != "B"]
             stopped, passed = [], np.ones(block.shape, dtype=bool)
             for bound in bounds:
                 stopped.append(passed & (bound < incumbent))
